@@ -27,13 +27,11 @@ from .linalg import Matrix, Subspace
 from .partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from .modules import (
     ModuleRep,
-    act_matrix,
     check_module_relations,
     clifford_supermodule,
     hermitian_form,
     induced_module,
     steinberg_module,
-    subspace_ops,
 )
 from .cohomology import (
     CentralCharacter,
@@ -50,8 +48,6 @@ from .centers import (
     zeta_on_dirac,
     zeta_on_power_sums,
 )
-from .cli import report_schema_version
-
-REPORT_SCHEMA_VERSION = "1.0.0"
+from .cli import REPORT_SCHEMA_VERSION, report_schema_version
 
 __version__ = "1.0.0"

@@ -5,7 +5,8 @@ subalgebra Seg_n; its images of the central power sums p_r(x^2) are compared
 against the even center of Seg_n, which is computed as the simultaneous
 kernel of all generator commutators on the even part of the regular
 representation.  The commutator kernel runs over plain rationals (Sergeev
-structure constants are signs), independent of the engine's scalar type.
+structure constants are signs), independent of the engine's scalar type,
+through the package's one eliminator, `linalg.sparse_kernel`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .engine import (
     perm_on_cliff,
 )
 from .dirac import dirac_element, twisted_reflection
-from .linalg import Subspace
+from .linalg import Subspace, sparse_kernel
 from .partitions import distinct_partitions
 from .scalars import ONE, SQRT2, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
@@ -93,38 +94,6 @@ def seg_mono_mul(
     return s1 * s2, (mask, (perm_a * SignedPerm(wb)).images)
 
 
-def _sparse_kernel(columns: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Null-space combinations of sparse columns (deterministic pivoting)."""
-    pivots: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
-    kernel = []
-    for j, column in enumerate(columns):
-        cur = dict(column)
-        combo = {j: Fraction(1)}
-        while cur:
-            row = min(cur)
-            hit = pivots.get(row)
-            if hit is None:
-                pivots[row] = (cur, combo)
-                break
-            pcol, pcombo = hit
-            factor = cur[row] / pcol[row]
-            for key, val in pcol.items():
-                new = cur.get(key, Fraction(0)) - factor * val
-                if new:
-                    cur[key] = new
-                else:
-                    cur.pop(key, None)
-            for key, val in pcombo.items():
-                new = combo.get(key, Fraction(0)) - factor * val
-                if new:
-                    combo[key] = new
-                else:
-                    combo.pop(key, None)
-        else:
-            kernel.append(combo)
-    return kernel
-
-
 def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, tuple[int, ...]]]]:
     """Basis of Z(Seg_n)_0 in even-monomial coordinates, plus the index list."""
     if n > 5:
@@ -154,7 +123,7 @@ def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, tuple[int, ...]]]
                 else:
                     col.pop(key, None)
         columns.append(col)
-    combos = _sparse_kernel(columns)
+    combos = sparse_kernel(columns, Fraction(1))
     vectors = []
     for combo in combos:
         vec = [ZERO] * len(even)
@@ -187,7 +156,13 @@ def seg_elem_coordinates(
 
 
 def verify_zeta_surjective(n: int, k: Scalar, max_r: int) -> dict:
-    """Span of zeta'(p_r(x^2)), r <= max_r, against the full even center."""
+    """Span of zeta'(p_r(x^2)), r <= max_r, against the full even center.
+
+    n = 1 is excluded: there zeta'(p_r(x^2)) = 0 for every r >= 1, while
+    Z(Seg_1)_0 is the constants.
+    """
+    if n < 2:
+        raise ValueError("verify_zeta_surjective needs n >= 2")
     if n > 4:
         raise ValueError("verify_zeta_surjective is sized for n <= 4")
     center, even = seg_even_center(n)

@@ -7,7 +7,7 @@ usage message and no report, before any check runs:
 - a rational flag (--k, --ks, --N) that is not "p/q" or an integer, or has
   a zero denominator; decimals and exponents such as 0.5 or 1e0 are refused,
   and sqrt2-valued parameters are not accepted on the command line;
-- an out-of-range integer: --n < 1 everywhere, center --n > 4, and
+- an out-of-range integer: --n < 1 everywhere, center --n outside 2..4, and
   --trials or --max-r < 1, so that no run passes on an empty check list;
 - a --lambda that is not a comma-separated non-increasing list of positive
   integers;
@@ -29,7 +29,7 @@ from .centers import verify_zeta_surjective, zeta_on_dirac
 from .cohomology import dirac_cohomology, verify_vogan
 from .dirac import verify_identities
 from .engine import AlgebraParams, check_pbw_consistency, check_relations_in_engine
-from .modules import check_module_relations, forced_n_constant, induced_module, steinberg_module
+from .modules import forced_n_constant, induced_module, steinberg_module
 from .partitions import Partition, all_partitions, phi_maps
 from .scalars import ZERO, Scalar
 from .dirac import dirac_element
@@ -167,7 +167,7 @@ def _cmd_steinberg(args) -> dict:
             base.type, base.n, base.k_long, k_short=base.k_short, N=forced_n_constant(base)
         )
     module = steinberg_module(params)
-    rels = check_module_relations(module)
+    rels = module.relations
     d_zero = module.act(dirac_element(params)).is_zero()
     checks = [
         _check("module_relations", rels["status"] == "pass", rels["failures"]),
@@ -249,7 +249,7 @@ def _cmd_all(args) -> dict:
         if lam.has_distinct_parts():
             fold(_cmd_cohomology(ns(lam=lam, k=k)), f"cohomology-{lam}")
     fold(_cmd_phi(ns(n=n)), f"phi-{n}")
-    if n <= 4:
+    if 2 <= n <= 4:
         fold(_cmd_center(ns(n=n, k=k, max_r=n)), f"center-{n}")
     return _assemble("all", {"n": n, "k": k.compact(), "seed": args.seed}, checks, started)
 
@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("center", help="Jucys-Murphy center map checks")
-    # verify_zeta_surjective is sized for n <= 4
-    p.add_argument("--n", required=True, type=_int_flag(1, 4))
+    # verify_zeta_surjective is sized for 2 <= n <= 4
+    p.add_argument("--n", required=True, type=_int_flag(2, 4))
     p.add_argument("--k", required=True, type=_scalar_flag)
     p.add_argument("--max-r", dest="max_r", type=_int_flag(1), default=None)
     p.set_defaults(func=_cmd_center)

@@ -1,10 +1,15 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field.
 
 Matrices are immutable row tuples of Scalars; subspaces are kept in reduced
 column echelon form (pivot rows strictly increasing, pivot entries 1, zeros
 above and below every pivot), which makes membership, intersection and
-quotient computations deterministic and exact.  Echelon tie-breaking is
-fixed: leftmost pivot, first-nonzero-row scan order.
+quotient computations deterministic and exact.  That form is unique for a
+subspace, so a kernel or intersection does not depend on which spanning
+vectors the eliminator finds.
+
+`sparse_kernel` is the package's one null-space routine: column elimination
+on {row: nonzero} dicts over any exact field, used by `Subspace.kernel`,
+`Subspace.intersect` and the rational even-center computation in `centers`.
 """
 
 from __future__ import annotations
@@ -136,6 +141,48 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols}>"
 
 
+def sparse_kernel(columns: list[dict], one) -> list[dict]:
+    """Null-space combinations of sparse columns {row: nonzero}.
+
+    Each column is reduced against the pivot columns before it, always at
+    its lowest nonzero row, while the combination of input columns it has
+    become is tracked; a column that reduces to zero gives a kernel vector.
+    Entries may come from any exact field: `one` is its unit (ONE for
+    Scalar, Fraction(1) for rationals), and no other constant is built.
+    """
+    pivots: dict[int, tuple[dict, dict]] = {}
+    kernel = []
+    for j, column in enumerate(columns):
+        cur = dict(column)
+        combo = {j: one}
+        while cur:
+            row = min(cur)
+            hit = pivots.get(row)
+            if hit is None:
+                pivots[row] = (cur, combo)
+                break
+            pcol, pcombo = hit
+            factor = cur[row] / pcol[row]
+            _sub_scaled(cur, factor, pcol)
+            _sub_scaled(combo, factor, pcombo)
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def _sub_scaled(target: dict, factor, source: dict) -> None:
+    """target -= factor * source, dropping the entries that cancel."""
+    for key, val in source.items():
+        if key in target:
+            new = target[key] - factor * val
+            if new:
+                target[key] = new
+            else:
+                del target[key]
+        else:
+            target[key] = -(factor * val)
+
+
 def _first_nonzero(vec) -> int | None:
     for i, v in enumerate(vec):
         if v:
@@ -204,35 +251,15 @@ class Subspace:
 
     @classmethod
     def kernel(cls, matrix: Matrix) -> Subspace:
-        """Exact null space via row reduction to RREF."""
-        rows = [list(r) for r in matrix.rows]
-        nrows, ncols = matrix.nrows, matrix.ncols
-        pivot_of_col: dict[int, int] = {}
-        r = 0
-        for col in range(ncols):
-            pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][col].inverse()
-            rows[r] = [v * inv for v in rows[r]]
-            for i in range(nrows):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivot_of_col[col] = r
-            r += 1
-            if r == nrows:
-                break
-        free_cols = [c for c in range(ncols) if c not in pivot_of_col]
+        """Exact null space by sparse column elimination."""
+        columns = [{i: a for i, a in enumerate(col) if a} for col in matrix.columns()]
         vectors = []
-        for f in free_cols:
-            vec = [ZERO] * ncols
-            vec[f] = ONE
-            for col, prow in pivot_of_col.items():
-                vec[col] = -rows[prow][f]
+        for combo in sparse_kernel(columns, ONE):
+            vec = [ZERO] * matrix.ncols
+            for j, coef in combo.items():
+                vec[j] = coef
             vectors.append(tuple(vec))
-        return cls.from_vectors(vectors, ncols)
+        return cls.from_vectors(vectors, matrix.ncols)
 
     def contains(self, vec) -> bool:
         res, _ = self._reduce(vec)
@@ -248,22 +275,19 @@ class Subspace:
         return all(self.contains(b) for b in other.basis)
 
     def intersect(self, other: Subspace) -> Subspace:
-        """Intersection via the kernel of the stacked basis matrix."""
+        """Intersection from the null-space combinations of both bases."""
         if self.ambient != other.ambient:
             raise ValueError("dimension mismatch")
         if not self.basis or not other.basis:
             return Subspace(self.ambient)
-        stacked = Matrix.from_columns(
-            [list(b) for b in self.basis] + [list(b) for b in other.basis], self.ambient
-        )
-        ker = Subspace.kernel(stacked)
+        columns = [{i: a for i, a in enumerate(b) if a} for b in self.basis + other.basis]
         vectors = []
-        for kv in ker.basis:
-            combo = [ZERO] * self.ambient
-            for coef, bvec in zip(kv[: self.dim], self.basis):
-                if coef:
-                    combo = [c + coef * b for c, b in zip(combo, bvec)]
-            vectors.append(tuple(combo))
+        for combo in sparse_kernel(columns, ONE):
+            vec = [ZERO] * self.ambient
+            for j, coef in combo.items():
+                if j < self.dim:
+                    vec = [v + coef * b if b else v for v, b in zip(vec, self.basis[j])]
+            vectors.append(tuple(vec))
         return Subspace.from_vectors(vectors, self.ambient)
 
     def is_invariant(self, matrix: Matrix) -> bool:

@@ -28,7 +28,7 @@ from .engine import (
     defining_relations,
     perm_on_cliff,
 )
-from .linalg import Matrix, Subspace, quotient_dim
+from .linalg import Matrix
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
@@ -58,10 +58,10 @@ class ModuleRep:
         self.dim = len(self.basis_labels)
         self.ctx = RootSystemCtx(params.type, params.n) if params is not None else None
         self._group_cache: dict[tuple[int, ...], Matrix] = {}
-        if check:
-            report = check_module_relations(self)
-            if report["status"] != "pass":
-                raise AssertionError(f"module relations fail: {report['failures']}")
+        # The relation-check report, kept for callers; None when unchecked.
+        self.relations = check_module_relations(self) if check else None
+        if check and self.relations["status"] != "pass":
+            raise AssertionError(f"module relations fail: {self.relations['failures']}")
 
     # -- matrix realisation ----------------------------------------------
 
@@ -131,10 +131,6 @@ class ModuleRep:
 
     def __repr__(self):
         return f"<ModuleRep {self.kind} dim {self.dim}>"
-
-
-def act_matrix(module: ModuleRep, elem: AlgElem) -> Matrix:
-    return module.act(elem)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +388,11 @@ def steinberg_module(params: AlgebraParams) -> ModuleRep:
 # Induced modules X_lambda (type A).
 
 
+def _coset_key(w: SignedPerm, blocks) -> tuple[frozenset[int], ...]:
+    """The images of the position blocks under w, equal exactly on a coset w S_lambda."""
+    return tuple(frozenset(w.image(i) for i in range(start, stop + 1)) for start, stop in blocks)
+
+
 def minimal_coset_reps(lam: Partition) -> list[SignedPerm]:
     """Length-minimal representatives of S_n / S_lambda, deterministic order."""
     n = lam.n
@@ -399,7 +400,7 @@ def minimal_coset_reps(lam: Partition) -> list[SignedPerm]:
     blocks = lam.blocks()
     by_coset: dict[tuple, SignedPerm] = {}
     for w in ctx.elements():
-        key = tuple(frozenset(w.image(i) for i in range(start, stop + 1)) for start, stop in blocks)
+        key = _coset_key(w, blocks)
         best = by_coset.get(key)
         if best is None or (ctx.length(w), w.images) < (ctx.length(best), best.images):
             by_coset[key] = w
@@ -411,38 +412,23 @@ class _InducedBuilder:
     """Scratch state for straightening generators into the X_lambda basis."""
 
     def __init__(self, lam: Partition, k: Scalar):
-        self.lam = lam
         self.n = lam.n
         self.params = AlgebraParams("A", self.n, k)
         self.alg = algebra_for(self.params)
         self.cl_dim = 1 << self.n
         self.reps = minimal_coset_reps(lam)
-        self.rep_index = {w.images: t for t, w in enumerate(self.reps)}
+        # Factor every w as w_t * u with u in S_lambda, without a search.
         blocks = lam.blocks()
+        coset_of = {_coset_key(rep, blocks): t for t, rep in enumerate(self.reps)}
         self.coset_factor: dict[tuple[int, ...], tuple[int, SignedPerm]] = {}
         for w in RootSystemCtx("A", self.n).elements():
-            key = tuple(frozenset(w.image(i) for i in range(s, e + 1)) for s, e in blocks)
-            self._register(w, key)
+            t = coset_of[_coset_key(w, blocks)]
+            self.coset_factor[w.images] = (t, self.reps[t].inverse() * w)
         self.st_x = [
             _st_lambda_x_matrix(i, lam, k, self.n) for i in range(1, self.n + 1)
         ]
         self._st_w_cache: dict[tuple[int, ...], Matrix] = {}
         self._push_cache: dict[tuple[int, tuple[int, ...]], tuple[int, AlgElem]] = {}
-
-    def _register(self, w: SignedPerm, key) -> None:
-        # Representative lookup is rebuilt here so factorisation needs no
-        # search: w = w_t * u with u in S_lambda.
-        if not hasattr(self, "_coset_of"):
-            self._coset_of = {}
-            blocks = self.lam.blocks()
-            for t, rep in enumerate(self.reps):
-                rkey = tuple(
-                    frozenset(rep.image(i) for i in range(s, e + 1)) for s, e in blocks
-                )
-                self._coset_of[rkey] = t
-        t = self._coset_of[key]
-        u = self.reps[t].inverse() * w
-        self.coset_factor[w.images] = (t, u)
 
     def st_w(self, u: SignedPerm) -> Matrix:
         cached = self._st_w_cache.get(u.images)
@@ -580,21 +566,3 @@ def hermitian_form(module: ModuleRep) -> tuple[Matrix, dict]:
         "status": "pass" if residual.is_zero() else "fail",
     }
     return gram, report
-
-
-# ---------------------------------------------------------------------------
-# Subspace operation dispatcher (exact Gaussian elimination lives in linalg).
-
-
-def subspace_ops(op: str, *args):
-    if op == "kernel":
-        return Subspace.kernel(*args)
-    if op == "image":
-        return Subspace.image(*args)
-    if op == "intersect":
-        return args[0].intersect(args[1])
-    if op == "quotient_dim":
-        return quotient_dim(*args)
-    if op == "membership":
-        return args[0].contains(args[1])
-    raise ValueError(f"unknown subspace op {op!r}")

@@ -250,31 +250,3 @@ class RootSystemCtx:
 
     def order(self) -> int:
         return len(self._word_table)
-
-
-def positive_roots(ctx: RootSystemCtx) -> list[Root]:
-    return list(ctx.positive_roots)
-
-
-def reflection(ctx: RootSystemCtx, root: Root) -> SignedPerm:
-    return ctx.reflection(root)
-
-
-def act_on_root(w: SignedPerm, root: Root) -> tuple[Root, int]:
-    return w.act_root(root)
-
-
-def compose(w1: SignedPerm, w2: SignedPerm) -> SignedPerm:
-    return w1 * w2
-
-
-def invert(w: SignedPerm) -> SignedPerm:
-    return w.inverse()
-
-
-def act_index(w: SignedPerm, i: int) -> int:
-    return w.image(i)
-
-
-def reduced_word(ctx: RootSystemCtx, w: SignedPerm) -> list[int]:
-    return ctx.reduced_word(w)

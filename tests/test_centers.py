@@ -106,6 +106,12 @@ def test_even_center_guard():
         seg_even_center(6)
 
 
+@pytest.mark.parametrize("n", [1, 5])
+def test_zeta_surjective_guard(n):
+    with pytest.raises(ValueError):
+        verify_zeta_surjective(n, ONE, 1)
+
+
 @pytest.mark.parametrize("n,max_r", [(2, 2), (3, 3)])
 def test_zeta_surjective(n, max_r):
     report = verify_zeta_surjective(n, ONE, max_r)

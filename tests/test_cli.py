@@ -114,6 +114,7 @@ def test_flag_errors_exit_two(capsys):
         ["cohomology", "--lambda", "2,3", "--k", "1"],
         ["cohomology", "--lambda", "2,x", "--k", "1"],
         ["center", "--n", "5", "--k", "1"],
+        ["center", "--n", "1", "--k", "1"],
         ["center", "--n", "2", "--k", "1", "--max-r", "0"],
         ["phi", "--n", "-1"],
         ["pbw", "--type", "A", "--n", "2", "--k", "1", "--trials", "-3"],
@@ -168,3 +169,9 @@ def test_all_suite_small(capsys):
     assert any(name.startswith("pbw-A2") for name in names)
     assert any(name.startswith("cohomology-2") for name in names)
     assert any(name.startswith("center-2") for name in names)
+
+
+def test_all_suite_n1_passes_without_center(capsys):
+    code, report = run_cli(capsys, ["all", "--n", "1", "--k", "1"])
+    assert code == 0
+    assert not any(c["name"].startswith("center-") for c in report["checks"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hcdirac.linalg import Matrix, Subspace, quotient_dim, quotient_matrix
+from hcdirac.linalg import Matrix, Subspace, quotient_dim, quotient_matrix, sparse_kernel
 from hcdirac.scalars import I, ONE, SQRT2, ZERO, Scalar
 
 
@@ -53,6 +53,38 @@ def test_rank_nullity_random():
         assert ker.dim + im.dim == m.ncols
         for vec in ker.basis:
             assert all(not v for v in m.matvec(vec))
+
+
+def test_kernel_with_irrational_pivots():
+    # Every entry is a nonzero multiple of sqrt2, i, i*sqrt2, 1+sqrt2 or 1-i.
+    rng = random.Random(21)
+    units = [SQRT2, I, SQRT2 * I, ONE + SQRT2, ONE - I]
+    for _ in range(6):
+        rows = [
+            [rng.choice(units) * Scalar(rng.randint(1, 3)) if rng.random() < 0.6 else ZERO
+             for _ in range(5)]
+            for _ in range(3)
+        ]
+        # a fourth row in the span of the first two must cancel exactly
+        rows.append([SQRT2 * a + I * b for a, b in zip(rows[0], rows[1])])
+        m = Matrix(rows)
+        ker = Subspace.kernel(m)
+        assert ker.dim + Subspace.image(m).dim == m.ncols
+        for vec in ker.basis:
+            assert all(not v for v in m.matvec(vec))
+
+
+def test_sparse_kernel_over_fractions():
+    # Columns c0, c1, c2 = c0 + 2 c1, c3 = c1 / 2 in Q^3, as {row: value} dicts.
+    columns = [{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(2)},
+               {0: Fraction(1), 1: Fraction(4), 2: Fraction(3)}, {1: Fraction(1)}]
+    kernel = sparse_kernel(columns, Fraction(1))
+    assert len(kernel) == 2
+    for combo in kernel:
+        assert all(isinstance(v, Fraction) and v for v in combo.values())
+        for row in range(3):
+            assert sum(c * columns[j].get(row, 0) for j, c in combo.items()) == 0
+    assert kernel == [{2: Fraction(1), 0: Fraction(-1), 1: Fraction(-2)}, {3: Fraction(1), 1: Fraction(-1, 2)}]
 
 
 def test_kernel_edge_cases():

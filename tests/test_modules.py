@@ -15,7 +15,6 @@ from hcdirac.modules import (
     _cl_basis_c_matrix,
     _cl_basis_w_matrix,
     _steinberg_b_ambient,
-    act_matrix,
     check_module_relations,
     clifford_c_matrices,
     clifford_supermodule,
@@ -24,7 +23,6 @@ from hcdirac.modules import (
     induced_module,
     minimal_coset_reps,
     steinberg_module,
-    subspace_ops,
 )
 from hcdirac.partitions import Partition
 from hcdirac.scalars import HALF, ONE, SQRT2, TWO, ZERO, Scalar
@@ -109,6 +107,7 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
     labels = [f"u{p}*v{q}" for p in range(du) for q in range(du)]
     module = ModuleRep(bad, "steinberg", labels, parity, gens, check=False)
+    assert module.relations is None
     report = check_module_relations(module)
     assert report["status"] == "fail"
     assert all(name.startswith("x") for name in report["failures"])
@@ -202,19 +201,6 @@ def test_hermitian_form_identity_and_antiadjoint():
 def test_hermitian_form_rejects_non_induced():
     with pytest.raises(ValueError):
         hermitian_form(clifford_supermodule(2))
-
-
-def test_subspace_ops_dispatch():
-    m = Matrix.zeros(3, 3)
-    assert subspace_ops("kernel", m).dim == 3
-    assert subspace_ops("image", Matrix.identity(3)).dim == 3
-    a = subspace_ops("kernel", m)
-    b = subspace_ops("image", Matrix.identity(3))
-    assert subspace_ops("intersect", a, b).dim == 3
-    assert subspace_ops("quotient_dim", b, a) == 0
-    assert subspace_ops("membership", a, (ONE, ZERO, ZERO))
-    with pytest.raises(ValueError):
-        subspace_ops("det", m)
 
 
 def test_module_summary():
