@@ -1,5 +1,14 @@
 """Exact Hecke-Clifford superalgebra engine with Dirac cohomology checks."""
 
+# Defined here, not imported from cli: importing cli from the package would
+# make `python -m hcdirac.cli` warn that the module is already loaded.
+REPORT_SCHEMA_VERSION = "1.0.0"
+
+
+def report_schema_version() -> str:
+    return REPORT_SCHEMA_VERSION
+
+
 from .scalars import Scalar, scalar_arith, scalar_embed
 from .weyl import Root, RootSystemCtx, SignedPerm
 from .engine import (
@@ -48,6 +57,5 @@ from .centers import (
     zeta_on_dirac,
     zeta_on_power_sums,
 )
-from .cli import REPORT_SCHEMA_VERSION, report_schema_version
 
 __version__ = "1.0.0"

@@ -124,13 +124,8 @@ def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, tuple[int, ...]]]
                     col.pop(key, None)
         columns.append(col)
     combos = sparse_kernel(columns, Fraction(1))
-    vectors = []
-    for combo in combos:
-        vec = [ZERO] * len(even)
-        for idx, value in combo.items():
-            vec[idx] = Scalar(value)
-        vectors.append(tuple(vec))
-    space = Subspace.from_vectors(vectors, len(even))
+    vectors = [{idx: Scalar(value) for idx, value in combo.items()} for combo in combos]
+    space = Subspace.spanned_by(vectors, len(even))
     expected = len(distinct_partitions(n))
     if space.dim != expected:
         raise AssertionError(

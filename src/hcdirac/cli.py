@@ -25,6 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import REPORT_SCHEMA_VERSION, report_schema_version
 from .centers import verify_zeta_surjective, zeta_on_dirac
 from .cohomology import dirac_cohomology, verify_vogan
 from .dirac import verify_identities
@@ -33,13 +34,6 @@ from .modules import forced_n_constant, induced_module, steinberg_module
 from .partitions import Partition, all_partitions, phi_maps
 from .scalars import ZERO, Scalar
 from .dirac import dirac_element
-
-REPORT_SCHEMA_VERSION = "1.0.0"
-
-
-def report_schema_version() -> str:
-    return REPORT_SCHEMA_VERSION
-
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 

@@ -48,19 +48,13 @@ def _slice_eigenvalue(module: ModuleRep, mat: Matrix, slice_dim: int) -> Scalar:
     """Scalar by which mat acts on the leading slice of the basis, exactly."""
     value = None
     for col in range(slice_dim):
-        column = mat.column(col)
-        for row, entry in enumerate(column):
-            if row >= slice_dim and entry:
-                raise ValueError("operator does not preserve the St slice")
-        for row in range(slice_dim):
-            expected = column[row]
-            if row == col:
-                if value is None:
-                    value = expected
-                elif expected != value:
-                    raise ValueError("non-scalar action on the St slice")
-            elif expected:
-                raise ValueError("non-scalar action on the St slice")
+        entries = mat.cols[col]
+        if any(row >= slice_dim for row in entries):
+            raise ValueError("operator does not preserve the St slice")
+        diagonal = entries.get(col, ZERO)
+        if any(row != col for row in entries) or (value is not None and diagonal != value):
+            raise ValueError("non-scalar action on the St slice")
+        value = diagonal
     return value if value is not None else ZERO
 
 
@@ -205,17 +199,24 @@ def _seg_generator_keys(module: ModuleRep) -> list[str]:
 
 
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
-    """ker pi(D) / (ker cap im), with Seg-stability verified before quotienting."""
+    """ker pi(D) / (ker cap im), with Seg-stability verified before quotienting.
+
+    D maps ker D^2 onto ker D cap im D with kernel ker D, so
+    dim(ker D cap im D) = dim ker D^2 - dim ker D; the intersection is built
+    only when that difference is nonzero.
+    """
     params = module.params
     d_mat = module.act(dirac_element(params))
     ker = Subspace.kernel(d_mat)
-    im = Subspace.image(d_mat)
-    inter = ker.intersect(im)
+    ker_sq = Subspace.kernel(d_mat * d_mat)
+    if ker_sq.dim > ker.dim:
+        inter = ker.intersect(Subspace.image(d_mat))
+    else:
+        inter = Subspace(d_mat.nrows)
     for key in _seg_generator_keys(module):
         mat = module.gen(key)
         if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
-    ker_sq = Subspace.kernel(d_mat * d_mat)
     _, omega_seg = casimirs(params)
     omega_mat = module.act(omega_seg)
     quotient, rep_idx = quotient_matrix(omega_mat, ker, inter)
@@ -231,7 +232,7 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         lam=str(module.lam) if module.lam is not None else None,
         k=params.k_long.compact(),
         dim_ker=ker.dim,
-        dim_im=im.dim,
+        dim_im=d_mat.ncols - ker.dim,
         dim_im_cap_ker=inter.dim,
         dim_hd=ker.dim - inter.dim,
         ker_equals_ker_sq=(ker.dim == ker_sq.dim),

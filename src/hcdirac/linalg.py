@@ -1,11 +1,13 @@
-"""Exact linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field, on sparse columns.
 
-Matrices are immutable row tuples of Scalars; subspaces are kept in reduced
-column echelon form (pivot rows strictly increasing, pivot entries 1, zeros
-above and below every pivot), which makes membership, intersection and
-quotient computations deterministic and exact.  That form is unique for a
-subspace, so a kernel or intersection does not depend on which spanning
-vectors the eliminator finds.
+A matrix is stored by columns, each a {row: nonzero} dict with no zero
+stored, and every operation walks the stored entries only: a product forms
+column j of AB as the sum of B[k, j] * A[:, k].  Subspaces keep sparse basis
+vectors in reduced column echelon form (pivot rows strictly increasing,
+pivot entries 1, zeros above and below every pivot), which makes
+membership, intersection and quotient computations deterministic and
+exact.  That form is unique for a subspace, so a kernel or intersection
+does not depend on which spanning vectors the eliminator finds.
 
 `sparse_kernel` is the package's one null-space routine: column elimination
 on {row: nonzero} dicts over any exact field, used by `Subspace.kernel`,
@@ -14,124 +16,139 @@ on {row: nonzero} dicts over any exact field, used by `Subspace.kernel`,
 
 from __future__ import annotations
 
+import bisect
+
 from .scalars import ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 
 
 class Matrix:
-    """An immutable exact matrix over Q(i, sqrt2)."""
+    """An immutable exact matrix over Q(i, sqrt2), stored by sparse columns.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    `cols[j]` maps each row of a nonzero entry of column j to that entry;
+    no zero is ever stored.  `Matrix(rows)`, `rows`, `column` and `columns`
+    are dense views for literals and tests; the arithmetic never uses them.
+    """
+
+    __slots__ = ("cols", "nrows", "ncols")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        rows = [tuple(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self.cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for col, a in zip(self.cols, row):
+                if a:
+                    col[i] = a
+
+    @classmethod
+    def from_sparse(cls, cols: list[dict], nrows: int) -> Matrix:
+        """The matrix with these {row: nonzero} columns, taken without a copy."""
+        self = object.__new__(cls)
+        self.cols = cols
+        self.nrows = nrows
+        self.ncols = len(cols)
+        return self
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_sparse([{j: ONE} for j in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> Matrix:
-        return cls([[ZERO] * ncols for _ in range(nrows)])
+        return cls.from_sparse([{} for _ in range(ncols)], nrows)
 
     @classmethod
-    def from_columns(cls, cols, nrows: int) -> Matrix:
-        return cls([[col[i] for col in cols] for i in range(nrows)])
+    def combination(cls, terms, nrows: int, ncols: int) -> Matrix:
+        """The sum of coef * matrix over the (coef, matrix) pairs of terms."""
+        cols = [{} for _ in range(ncols)]
+        for coef, mat in terms:
+            if coef:
+                for acc, col in zip(cols, mat.cols):
+                    add_scaled(acc, coef, col)
+        return cls.from_sparse(cols, nrows)
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(zip(*self.columns())) if self.ncols else ((),) * self.nrows
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
+        return dense(self.cols[j], self.nrows)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
     def __add__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix(
-            [
-                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return Matrix.combination(((ONE, self), (ONE, other)), self.nrows, self.ncols)
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix(
-            [
-                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return Matrix.combination(((ONE, self), (-ONE, other)), self.nrows, self.ncols)
 
     def __neg__(self) -> Matrix:
-        return Matrix([[-a if a else a for a in row] for row in self.rows])
+        return self.scale(-ONE)
 
     def scale(self, scalar: Scalar) -> Matrix:
-        if not scalar:
-            return Matrix.zeros(self.nrows, self.ncols)
-        return Matrix([[a * scalar if a else a for a in row] for row in self.rows])
+        return Matrix.combination(((scalar, self),), self.nrows, self.ncols)
 
     def __mul__(self, other: Matrix) -> Matrix:
+        """Column j of the product is the sum of B[k, j] * A[:, k]."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        out = [[ZERO] * other.ncols for _ in range(self.nrows)]
-        for i, arow in enumerate(self.rows):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue
-                brow = other.rows[k]
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        orow[j] = orow[j] + aik * bkj
-        return Matrix(out)
+        return Matrix.from_sparse([self.apply(col) for col in other.cols], self.nrows)
+
+    def apply(self, vec: dict) -> dict:
+        """The product with a sparse vector {index: nonzero}, as one."""
+        out: dict = {}
+        for j, v in vec.items():
+            add_scaled(out, v, self.cols[j])
+        return out
 
     def matvec(self, vec) -> Vector:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
-        out = [ZERO] * self.nrows
-        for i, row in enumerate(self.rows):
-            acc = ZERO
-            for a, v in zip(row, vec):
-                if a and v:
-                    acc = acc + a * v
-            out[i] = acc
-        return tuple(out)
+        return dense(self.apply(sparse(vec)), self.nrows)
 
     def transpose(self) -> Matrix:
-        return Matrix(list(zip(*self.rows))) if self.rows else Matrix([])
+        cols = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, a in col.items():
+                cols[i][j] = a
+        return Matrix.from_sparse(cols, self.ncols)
 
     def conj_transpose(self) -> Matrix:
-        return Matrix([[a.conjugate() for a in col] for col in zip(*self.rows)])
+        cols = [{i: a.conjugate() for i, a in col.items()} for col in self.transpose().cols]
+        return Matrix.from_sparse(cols, self.ncols)
 
     def trace(self) -> Scalar:
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), ZERO)
+        return sum((col.get(j, ZERO) for j, col in enumerate(self.cols[: self.nrows])), ZERO)
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
+        return not any(self.cols)
 
     def scalar_value(self) -> Scalar | None:
         """The scalar s when this matrix is s * identity, else None."""
         if self.nrows != self.ncols or self.nrows == 0:
             return None
-        s = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if (a != s) if i == j else bool(a):
-                    return None
+        s = self.cols[0].get(0, ZERO)
+        for j, col in enumerate(self.cols):
+            if col != ({j: s} if s else {}):
+                return None
         return s
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (self.nrows, self.ncols, self.cols) == (other.nrows, other.ncols, other.cols)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nrows, self.ncols, tuple(frozenset(col.items()) for col in self.cols)))
 
     def _same_shape(self, other: Matrix) -> None:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -141,16 +158,30 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols}>"
 
 
+def sparse(vec) -> dict:
+    """A dense vector as {index: nonzero}."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def dense(vec: dict, n: int) -> Vector:
+    """A sparse vector {index: nonzero} as a dense tuple of length n."""
+    out = [ZERO] * n
+    for i, v in vec.items():
+        out[i] = v
+    return tuple(out)
+
+
 def sparse_kernel(columns: list[dict], one) -> list[dict]:
     """Null-space combinations of sparse columns {row: nonzero}.
 
     Each column is reduced against the pivot columns before it, always at
     its lowest nonzero row, while the combination of input columns it has
     become is tracked; a column that reduces to zero gives a kernel vector.
-    Entries may come from any exact field: `one` is its unit (ONE for
-    Scalar, Fraction(1) for rationals), and no other constant is built.
+    Each pivot is inverted once, when it is stored.  Entries may come from
+    any exact field: `one` is its unit (ONE for Scalar, Fraction(1) for
+    rationals), and no other constant is built.
     """
-    pivots: dict[int, tuple[dict, dict]] = {}
+    pivots: dict[int, tuple[dict, dict, object]] = {}
     kernel = []
     for j, column in enumerate(columns):
         cur = dict(column)
@@ -159,80 +190,91 @@ def sparse_kernel(columns: list[dict], one) -> list[dict]:
             row = min(cur)
             hit = pivots.get(row)
             if hit is None:
-                pivots[row] = (cur, combo)
+                pivots[row] = (cur, combo, -(one / cur[row]))
                 break
-            pcol, pcombo = hit
-            factor = cur[row] / pcol[row]
-            _sub_scaled(cur, factor, pcol)
-            _sub_scaled(combo, factor, pcombo)
+            pcol, pcombo, neg_inv = hit
+            factor = cur[row] * neg_inv
+            add_scaled(cur, factor, pcol)
+            add_scaled(combo, factor, pcombo)
         else:
             kernel.append(combo)
     return kernel
 
 
-def _sub_scaled(target: dict, factor, source: dict) -> None:
-    """target -= factor * source, dropping the entries that cancel."""
+def add_scaled(target: dict, factor, source: dict) -> None:
+    """target += factor * source for a nonzero factor, dropping the entries that cancel."""
     for key, val in source.items():
-        if key in target:
-            new = target[key] - factor * val
+        prev = target.get(key)
+        if prev is None:
+            target[key] = factor * val
+        else:
+            new = prev + factor * val
             if new:
                 target[key] = new
             else:
                 del target[key]
-        else:
-            target[key] = -(factor * val)
-
-
-def _first_nonzero(vec) -> int | None:
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return None
 
 
 class Subspace:
-    """A subspace of Scalar^ambient in reduced column echelon form."""
+    """A subspace of Scalar^ambient in reduced column echelon form.
 
-    __slots__ = ("ambient", "basis", "pivots")
+    The basis is kept as sparse {index: nonzero} dicts in `vectors`, with
+    pivot rows in `pivots`; `basis` is the dense view of the same vectors.
+    """
+
+    __slots__ = ("ambient", "vectors", "pivots")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.basis: list[Vector] = []
+        self.vectors: list[dict] = []
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
-    def _reduce(self, vec) -> tuple[list[Scalar], list[Scalar]]:
-        """Residual of vec against the basis, plus the coordinates used."""
-        res = list(vec)
-        coords = []
-        for bvec, p in zip(self.basis, self.pivots):
-            c = res[p]
-            coords.append(c)
-            if c:
-                res = [r - c * b for r, b in zip(res, bvec)]
+    @property
+    def basis(self) -> list[Vector]:
+        return [dense(vec, self.ambient) for vec in self.vectors]
+
+    def _residual(self, vec: dict) -> tuple[dict, dict]:
+        """vec reduced against the basis, plus its coordinates {basis index: nonzero}."""
+        res = dict(vec)
+        coords = {}
+        for t, (bvec, p) in enumerate(zip(self.vectors, self.pivots)):
+            c = res.get(p)
+            if c is not None:
+                coords[t] = c
+                add_scaled(res, -c, bvec)
         return res, coords
+
+    def _coords(self, vec: dict) -> dict:
+        res, coords = self._residual(vec)
+        if res:
+            raise ValueError("vector not in subspace")
+        return coords
+
+    def _insert(self, vec: dict) -> bool:
+        res, _ = self._residual(vec)
+        if not res:
+            return False
+        p = min(res)
+        inv = res[p].inverse()
+        new = {i: r * inv for i, r in res.items()}
+        for bvec in self.vectors:
+            c = bvec.get(p)
+            if c is not None:
+                add_scaled(bvec, -c, new)
+        at = bisect.bisect(self.pivots, p)
+        self.vectors.insert(at, new)
+        self.pivots.insert(at, p)
+        return True
 
     def add_vector(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the space."""
         if len(vec) != self.ambient:
             raise ValueError("dimension mismatch")
-        res, _ = self._reduce(vec)
-        p = _first_nonzero(res)
-        if p is None:
-            return False
-        inv = res[p].inverse()
-        new = tuple(r * inv for r in res)
-        self.basis = [
-            tuple(b - bvec_p * nv for b, nv in zip(bvec, new)) if (bvec_p := bvec[p]) else bvec
-            for bvec in self.basis
-        ]
-        at = sum(1 for q in self.pivots if q < p)
-        self.basis.insert(at, new)
-        self.pivots.insert(at, p)
-        return True
+        return self._insert(sparse(vec))
 
     @classmethod
     def from_vectors(cls, vectors, ambient: int) -> Subspace:
@@ -242,64 +284,59 @@ class Subspace:
         return space
 
     @classmethod
+    def spanned_by(cls, vectors, ambient: int) -> Subspace:
+        """The span of sparse vectors {index: nonzero}."""
+        space = cls(ambient)
+        for vec in vectors:
+            space._insert(vec)
+        return space
+
+    @classmethod
     def full(cls, ambient: int) -> Subspace:
-        return cls.from_vectors(Matrix.identity(ambient).columns(), ambient)
+        return cls.spanned_by(Matrix.identity(ambient).cols, ambient)
 
     @classmethod
     def image(cls, matrix: Matrix) -> Subspace:
-        return cls.from_vectors(matrix.columns(), matrix.nrows)
+        return cls.spanned_by(matrix.cols, matrix.nrows)
 
     @classmethod
     def kernel(cls, matrix: Matrix) -> Subspace:
         """Exact null space by sparse column elimination."""
-        columns = [{i: a for i, a in enumerate(col) if a} for col in matrix.columns()]
-        vectors = []
-        for combo in sparse_kernel(columns, ONE):
-            vec = [ZERO] * matrix.ncols
-            for j, coef in combo.items():
-                vec[j] = coef
-            vectors.append(tuple(vec))
-        return cls.from_vectors(vectors, matrix.ncols)
+        return cls.spanned_by(sparse_kernel(matrix.cols, ONE), matrix.ncols)
 
     def contains(self, vec) -> bool:
-        res, _ = self._reduce(vec)
-        return _first_nonzero(res) is None
+        return not self._residual(sparse(vec))[0]
 
     def coords(self, vec) -> list[Scalar]:
-        res, coords = self._reduce(vec)
-        if _first_nonzero(res) is not None:
-            raise ValueError("vector not in subspace")
-        return coords
+        return list(dense(self._coords(sparse(vec)), self.dim))
 
     def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(b) for b in other.basis)
+        return all(not self._residual(vec)[0] for vec in other.vectors)
 
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection from the null-space combinations of both bases."""
         if self.ambient != other.ambient:
             raise ValueError("dimension mismatch")
-        if not self.basis or not other.basis:
+        if not self.vectors or not other.vectors:
             return Subspace(self.ambient)
-        columns = [{i: a for i, a in enumerate(b) if a} for b in self.basis + other.basis]
         vectors = []
-        for combo in sparse_kernel(columns, ONE):
-            vec = [ZERO] * self.ambient
+        for combo in sparse_kernel(self.vectors + other.vectors, ONE):
+            vec: dict = {}
             for j, coef in combo.items():
                 if j < self.dim:
-                    vec = [v + coef * b if b else v for v, b in zip(vec, self.basis[j])]
-            vectors.append(tuple(vec))
-        return Subspace.from_vectors(vectors, self.ambient)
+                    add_scaled(vec, coef, self.vectors[j])
+            vectors.append(vec)
+        return Subspace.spanned_by(vectors, self.ambient)
 
     def is_invariant(self, matrix: Matrix) -> bool:
-        return all(self.contains(matrix.matvec(b)) for b in self.basis)
+        return all(not self._residual(matrix.apply(vec))[0] for vec in self.vectors)
 
     def restricted_matrix(self, matrix: Matrix) -> Matrix:
         """The action of an invariant operator in this basis."""
-        cols = [self.coords(matrix.matvec(b)) for b in self.basis]
-        return Matrix.from_columns(cols, self.dim)
+        return Matrix.from_sparse([self._coords(matrix.apply(vec)) for vec in self.vectors], self.dim)
 
     def to_matrix(self) -> Matrix:
-        return Matrix.from_columns([list(b) for b in self.basis], self.ambient)
+        return Matrix.from_sparse([dict(vec) for vec in self.vectors], self.ambient)
 
     def __repr__(self):
         return f"<Subspace dim {self.dim} of {self.ambient}>"
@@ -319,11 +356,10 @@ def quotient_matrix(matrix: Matrix, space: Subspace, sub: Subspace) -> tuple[Mat
     """
     if not space.is_invariant(matrix) or not sub.is_invariant(matrix):
         raise ValueError("operator does not preserve the filtration")
-    inner = Subspace.from_vectors([space.coords(b) for b in sub.basis], space.dim)
+    inner = Subspace.spanned_by([space._coords(vec) for vec in sub.vectors], space.dim)
     rep_idx = [i for i in range(space.dim) if i not in inner.pivots]
     cols = []
     for i in rep_idx:
-        img = space.coords(matrix.matvec(space.basis[i]))
-        residual, _ = inner._reduce(img)
-        cols.append([residual[j] for j in rep_idx])
-    return Matrix.from_columns(cols, len(rep_idx)), rep_idx
+        residual, _ = inner._residual(space._coords(matrix.apply(space.vectors[i])))
+        cols.append({r: residual[j] for r, j in enumerate(rep_idx) if j in residual})
+    return Matrix.from_sparse(cols, len(rep_idx)), rep_idx

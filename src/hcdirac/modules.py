@@ -6,6 +6,12 @@ realisation of arbitrary algebra elements, the positive-definite Hermitian
 form on X_lambda, and a relation checker that verifies every defining
 relation as a matrix identity (run by every constructor).
 
+Every matrix is built directly in the sparse column form of
+`linalg.Matrix`: generator columns are assembled from {index: nonzero}
+vectors, realisations and relation sums add up stored entries only, and a
+product of generators starts from its first factor (an empty word is the
+identity matrix).
+
 The induced module is computed by straightening: a generator applied to a
 basis vector w_t (x) v is normalised in the engine, and each resulting PBW
 word is pushed back into the coset-representative basis by moving x- and
@@ -16,7 +22,8 @@ x-degree, so the recursion terminates.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
+import operator
 
 from .engine import (
     AlgebraParams,
@@ -28,7 +35,7 @@ from .engine import (
     defining_relations,
     perm_on_cliff,
 )
-from .linalg import Matrix
+from .linalg import Matrix, add_scaled
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
@@ -81,37 +88,25 @@ class ModuleRep:
             raise ValueError("module has no group action")
         cached = self._group_cache.get(w.images)
         if cached is None:
-            cached = Matrix.identity(self.dim)
-            for idx in self.ctx.reduced_word(w):
-                cached = cached * self.gens[self._simple_key(idx)]
-            self._group_cache[w.images] = cached
+            word = [self.gens[self._simple_key(idx)] for idx in self.ctx.reduced_word(w)]
+            cached = self._group_cache[w.images] = _product(word, self.dim)
         return cached
 
     def mono_matrix(self, mono: PbwMonomial) -> Matrix:
-        out = self.group_matrix(mono.w)
+        """x^exps c^cliff w, multiplied out from the first factor."""
         n = self.params.n
-        for i in range(n, 0, -1):
-            if mono.cliff & (1 << (i - 1)):
-                out = self.gens[f"c{i}"] * out
-        for i in range(n, 0, -1):
-            for _ in range(mono.exps[i - 1]):
-                out = self.gens[f"x{i}"] * out
-        return out
+        factors = [self.gens[f"x{i}"] for i in range(1, n + 1) for _ in range(mono.exps[i - 1])]
+        factors += [self.gens[f"c{i}"] for i in range(1, n + 1) if mono.cliff & (1 << (i - 1))]
+        if not mono.w.is_identity():
+            factors.append(self.group_matrix(mono.w))
+        return _product(factors, self.dim)
 
     def act(self, elem: AlgElem) -> Matrix:
         """pi(elem) as an exact dim x dim matrix."""
         if self.params is None or elem.params != self.params:
             raise ValueError("params mismatch")
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for mono, coef in elem.terms.items():
-            mat = self.mono_matrix(mono)
-            for r in range(self.dim):
-                mrow = mat.rows[r]
-                orow = rows[r]
-                for c in range(self.dim):
-                    if mrow[c]:
-                        orow[c] = orow[c] + coef * mrow[c]
-        return Matrix(rows)
+        terms = ((coef, self.mono_matrix(mono)) for mono, coef in elem.terms.items())
+        return Matrix.combination(terms, self.dim, self.dim)
 
     def summary(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim}
@@ -136,6 +131,11 @@ class ModuleRep:
 # ---------------------------------------------------------------------------
 # Relation checking (direct matrix arithmetic; independent of the engine's
 # straightening, so engine and modules certify each other).
+
+
+def _product(factors: list[Matrix], dim: int) -> Matrix:
+    """The product of the factors in order; the identity when there are none."""
+    return functools.reduce(operator.mul, factors) if factors else Matrix.identity(dim)
 
 
 def _token_matrix(module: ModuleRep, token) -> Matrix:
@@ -166,33 +166,21 @@ def check_module_relations(module: ModuleRep) -> dict:
         rels = _clifford_relations(n)
     else:
         rels = defining_relations(module.params)
-    identity = Matrix.identity(module.dim)
     failures = []
     for name, terms in rels:
-        rows = [[ZERO] * module.dim for _ in range(module.dim)]
-        for coef, word in terms:
-            prod = identity
-            for token in word:
-                prod = prod * _token_matrix(module, token)
-            for r in range(module.dim):
-                prow = prod.rows[r]
-                orow = rows[r]
-                for c in range(module.dim):
-                    if prow[c]:
-                        orow[c] = orow[c] + coef * prow[c]
-        if not Matrix(rows).is_zero():
+        products = (
+            (coef, _product([_token_matrix(module, token) for token in word], module.dim))
+            for coef, word in terms
+            if coef
+        )
+        if not Matrix.combination(products, module.dim, module.dim).is_zero():
             failures.append(name)
     # Structural check: c-generators are odd maps, everything else even.
+    parity = module.parity
     for key, mat in module.gens.items():
         flip = 1 if key.startswith("c") else 0
-        for r in range(module.dim):
-            for c in range(module.dim):
-                if mat.rows[r][c] and module.parity[r] != module.parity[c] ^ flip:
-                    failures.append(f"parity_{key}")
-                    break
-            else:
-                continue
-            break
+        if any(parity[r] != parity[c] ^ flip for c, col in enumerate(mat.cols) for r in col):
+            failures.append(f"parity_{key}")
     return {
         "check": "module_relations",
         "kind": module.kind,
@@ -215,15 +203,12 @@ def _pauli() -> tuple[Matrix, Matrix, Matrix, Matrix]:
 
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            row = []
-            for j in range(a.ncols):
-                aij = a.rows[i][j]
-                row.extend([aij * b.rows[k][l] for l in range(b.ncols)])
-            rows.append(row)
-    return Matrix(rows)
+    cols = [
+        {i * b.nrows + k: x * y for i, x in acol.items() for k, y in bcol.items()}
+        for acol in a.cols
+        for bcol in b.cols
+    ]
+    return Matrix.from_sparse(cols, a.nrows * b.nrows)
 
 
 def clifford_c_matrices(n: int) -> tuple[list[Matrix], list[int]]:
@@ -256,23 +241,18 @@ def clifford_supermodule(n: int) -> ModuleRep:
 # Steinberg-type modules.
 
 
+def _signed_permutation(moves: list[tuple[int, int]]) -> Matrix:
+    """The matrix sending basis vector j to sign * basis vector m, for (sign, m) = moves[j]."""
+    return Matrix.from_sparse([{m: ONE if sign > 0 else -ONE} for sign, m in moves], len(moves))
+
+
 def _cl_basis_w_matrix(w: SignedPerm, n: int) -> Matrix:
     """Action of a group element on the Clifford-monomial basis of Cl_n."""
-    dim = 1 << n
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for mask in range(dim):
-        sign, m2 = perm_on_cliff(w, mask)
-        rows[m2][mask] = ONE if sign > 0 else -ONE
-    return Matrix(rows)
+    return _signed_permutation([perm_on_cliff(w, mask) for mask in range(1 << n)])
 
 
 def _cl_basis_c_matrix(i: int, n: int) -> Matrix:
-    dim = 1 << n
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for mask in range(dim):
-        sign, m2 = cliff_insert(i, mask)
-        rows[m2][mask] = ONE if sign > 0 else -ONE
-    return Matrix(rows)
+    return _signed_permutation([cliff_insert(i, mask) for mask in range(1 << n)])
 
 
 def _st_lambda_x_matrix(i: int, lam: Partition, k: Scalar, n: int) -> Matrix:
@@ -319,25 +299,13 @@ def forced_n_constant(params: AlgebraParams) -> Scalar:
     return base
 
 
-def _graded_pair_op(p_mat: Matrix, q_mat: Matrix, parity_u: list[int], sign_on_odd: bool, coef: Scalar) -> Matrix:
-    """coef * (P u) (x) (Q v), optionally twisted by (-1)^{deg u}."""
-    du = p_mat.nrows
-    dv = q_mat.nrows
-    rows = [[ZERO] * (du * dv) for _ in range(du * dv)]
-    for p in range(du):
-        factor = coef
-        if sign_on_odd and parity_u[p]:
-            factor = -factor
-        for p2 in range(du):
-            a = p_mat.rows[p2][p]
-            if not a:
-                continue
-            for q in range(dv):
-                for q2 in range(dv):
-                    b = q_mat.rows[q2][q]
-                    if b:
-                        rows[p2 * dv + q2][p * dv + q] = factor * a * b
-    return Matrix(rows)
+def _graded_pair_op(p_mat: Matrix, q_mat: Matrix, parity_u: list[int], coef: Scalar) -> Matrix:
+    """coef * (-1)^{deg u} (P u) (x) (Q v): the columns of P at odd u are negated."""
+    twisted = [
+        {p2: (-coef if odd else coef) * a for p2, a in col.items()}
+        for odd, col in zip(parity_u, p_mat.cols)
+    ]
+    return _kron(Matrix.from_sparse(twisted, p_mat.nrows), q_mat)
 
 
 def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:
@@ -352,12 +320,12 @@ def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:
         for t in range(1, i):
             a_i = a_i + cs[t - 1].scale(params.k_long)
         a_i = a_i + cs[i - 1].scale(params.k_long * (n - i) + HALF_SQRT2 * params.k_short)
-        gens[f"x{i}"] = _graded_pair_op(a_i, cs[i - 1], parity_u, True, -I)
-        gens[f"c{i}"] = _graded_pair_op(id_u, cs[i - 1], parity_u, True, ONE)
+        gens[f"x{i}"] = _graded_pair_op(a_i, cs[i - 1], parity_u, -I)
+        gens[f"c{i}"] = _graded_pair_op(id_u, cs[i - 1], parity_u, ONE)
     for t in range(1, n):
         b_t = (cs[t - 1] - cs[t]).scale(HALF_SQRT2)
-        gens[f"s{t}"] = _graded_pair_op(b_t, b_t, parity_u, True, I)
-    gens["sn"] = _graded_pair_op(cs[n - 1], cs[n - 1], parity_u, True, I)
+        gens[f"s{t}"] = _graded_pair_op(b_t, b_t, parity_u, I)
+    gens["sn"] = _graded_pair_op(cs[n - 1], cs[n - 1], parity_u, I)
     return gens
 
 
@@ -450,29 +418,28 @@ class _InducedBuilder:
     def basis_index(self, t: int, mask: int) -> int:
         return t * self.cl_dim + mask
 
-    def eval_elem(self, elem: AlgElem, vec: list[Scalar], coef: Scalar, out: list[Scalar]):
+    def eval_elem(self, elem: AlgElem, vec: dict, coef: Scalar, out: dict):
         for mono, c in elem.terms.items():
             self.eval_mono(mono, vec, coef * c, out)
 
-    def eval_mono(self, mono: PbwMonomial, vec: list[Scalar], coef: Scalar, out: list[Scalar]):
+    def eval_mono(self, mono: PbwMonomial, vec: dict, coef: Scalar, out: dict):
+        """Add coef * mono applied to the sparse vector vec of St_lambda into out."""
         i = next((t for t in range(self.n, 0, -1) if mono.exps[t - 1] > 0), None)
         if i is None:
             t, u = self.coset_factor[mono.w.images]
             rep = self.reps[t]
             sign, eps2 = perm_on_cliff(rep.inverse(), mono.cliff)
-            moved = self.st_w(u).matvec(vec)
             scale = coef if sign > 0 else -coef
-            for mask, value in enumerate(moved):
-                if value:
-                    s2, m2 = cliff_mul(eps2, mask)
-                    out[self.basis_index(t, m2)] += scale * value * s2
+            for mask, value in self.st_w(u).apply(vec).items():
+                s2, m2 = cliff_mul(eps2, mask)
+                add_scaled(out, scale * s2, {self.basis_index(t, m2): value})
             return
         exps = list(mono.exps)
         exps[i - 1] -= 1
         rest = PbwMonomial(tuple(exps), mono.cliff, mono.w)
         sign0 = -ONE if mono.cliff & (1 << (i - 1)) else ONE
         j, corr = self.push_x(i, mono.w)
-        self.eval_mono(rest, list(self.st_x[j - 1].matvec(vec)), coef * sign0, out)
+        self.eval_mono(rest, self.st_x[j - 1].apply(vec), coef * sign0, out)
         if not corr.is_zero():
             head = AlgElem(
                 self.params,
@@ -481,17 +448,13 @@ class _InducedBuilder:
             self.eval_elem(self.alg.multiply(head, corr), vec, coef * sign0, out)
 
     def generator_matrix(self, elem: AlgElem) -> Matrix:
-        dim = len(self.reps) * self.cl_dim
         cols = []
-        for t, rep in enumerate(self.reps):
+        for rep in self.reps:
             shifted = self.alg.multiply(elem, self.alg.w(rep))
             for mask in range(self.cl_dim):
-                vec = [ZERO] * self.cl_dim
-                vec[mask] = ONE
-                out = [ZERO] * dim
-                self.eval_elem(shifted, vec, ONE, out)
-                cols.append(out)
-        return Matrix.from_columns(cols, dim)
+                cols.append({})
+                self.eval_elem(shifted, {mask: ONE}, ONE, cols[-1])
+        return Matrix.from_sparse(cols, len(self.reps) * self.cl_dim)
 
 
 def induced_module(lam: Partition, k: Scalar) -> ModuleRep:
@@ -545,19 +508,17 @@ def hermitian_form(module: ModuleRep) -> tuple[Matrix, dict]:
     cl_dim = 1 << n
     reps = module.cosets
     dim = module.dim
-    rows = [[ZERO] * dim for _ in range(dim)]
+    cols: list[dict] = [{} for _ in range(dim)]
     for t, wt in enumerate(reps):
         for s, ws in enumerate(reps):
             u = ws.inverse() * wt
             if not _in_parabolic(u, module.lam):
                 continue
             mat = _cl_basis_w_matrix(u, n)
-            for mask_i in range(cl_dim):
-                moved = mat.column(mask_i)  # pi(u) applied to c^I
-                for mask_j in range(cl_dim):
-                    if moved[mask_j]:
-                        rows[t * cl_dim + mask_i][s * cl_dim + mask_j] = moved[mask_j]
-    gram = Matrix(rows)
+            for mask_i, moved in enumerate(mat.cols):  # pi(u) applied to c^I
+                for mask_j, value in moved.items():
+                    cols[s * cl_dim + mask_j][t * cl_dim + mask_i] = value
+    gram = Matrix.from_sparse(cols, dim)
     pi_d = module.act(dirac_element(module.params))
     residual = pi_d.conj_transpose() * gram + gram * pi_d
     report = {

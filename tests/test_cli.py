@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hcdirac
 from hcdirac.cli import main, report_schema_version
 
 
@@ -175,3 +179,21 @@ def test_all_suite_n1_passes_without_center(capsys):
     code, report = run_cli(capsys, ["all", "--n", "1", "--k", "1"])
     assert code == 0
     assert not any(c["name"].startswith("center-") for c in report["checks"])
+
+
+def test_module_run_writes_nothing_to_stderr():
+    # The package must not import cli itself, or `python -m hcdirac.cli`
+    # warns that hcdirac.cli is already in sys.modules.
+    src = os.path.dirname(os.path.dirname(hcdirac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcdirac.cli", "phi", "--n", "2"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_schema_version_exported_by_package():
+    assert hcdirac.REPORT_SCHEMA_VERSION == hcdirac.report_schema_version() == report_schema_version()

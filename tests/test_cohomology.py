@@ -179,3 +179,16 @@ def test_verify_vogan_preconditions():
 def test_verify_vogan_eigenvalue_values():
     assert verify_vogan(Partition((2, 1)), ONE)["omega_seg_spectrum"] == [["2", 8]]
     assert verify_vogan(Partition((3,)), ONE)["omega_seg_spectrum"] == [["8", 8]]
+
+
+@pytest.mark.parametrize("parts, k", [((2, 1), ONE), ((1, 1), ONE), ((2,), ZERO)])
+def test_image_dimensions_from_kernel_ranks(parts, k):
+    # dirac_cohomology reads dim im D and dim(ker D cap im D) off kernel dimensions.
+    from hcdirac.dirac import dirac_element
+
+    module = cached_module(parts, k)
+    d_mat = module.act(dirac_element(module.params))
+    ker, im = Subspace.kernel(d_mat), Subspace.image(d_mat)
+    report = dirac_cohomology(module)
+    assert report.dim_im == im.dim
+    assert report.dim_im_cap_ker == ker.intersect(im).dim

@@ -160,3 +160,83 @@ def test_invariance_and_restriction():
     assert line.restricted_matrix(m).scalar_value() == ONE
     other = Subspace.from_vectors([(ZERO, ONE)], 2)
     assert not other.is_invariant(m)
+
+
+def test_explicit_zero_is_not_stored():
+    m = Matrix([[ZERO]])
+    assert m == Matrix.zeros(1, 1)
+    assert m.cols == [{}]
+    assert Matrix([[ONE, ZERO], [ZERO, ONE]]) == Matrix.identity(2)
+
+
+def test_equal_matrices_hash_equal():
+    a = Matrix([[ONE, SQRT2], [ZERO, I]])
+    doubled = a + a
+    assert doubled == a.scale(Scalar(2))
+    assert hash(doubled) == hash(a.scale(Scalar(2)))
+    assert hash(a - a) == hash(Matrix.zeros(2, 2))
+    assert hash(Matrix([[ONE, ZERO], [ZERO, ONE]])) == hash(Matrix.identity(2))
+    assert len({a, Matrix(a.rows), a * Matrix.identity(2)}) == 1
+
+
+def _rand_irrational(rng, nrows, ncols, zero_share=0.7):
+    units = [SQRT2, I, SQRT2 * I, ONE]
+    return [
+        [ZERO if rng.random() < zero_share else rng.choice(units) * Scalar(rng.randint(-3, 3) or 1)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _dense_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def test_sparse_operations_match_dense_reference():
+    rng = random.Random(31)
+    for _ in range(20):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, a2, b = _rand_irrational(rng, n, k), _rand_irrational(rng, n, k), _rand_irrational(rng, k, m)
+        vec = [row[0] for row in _rand_irrational(rng, k, 1)]
+        A, A2, B = Matrix(a), Matrix(a2), Matrix(b)
+        assert (A * B).rows == tuple(map(tuple, _dense_mul(a, b)))
+        assert (A + A2).rows == tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, a2))
+        assert (A - A2).rows == tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, a2))
+        assert A.matvec(vec) == tuple(sum((x * v for x, v in zip(r, vec)), ZERO) for r in a)
+        assert A.transpose().rows == tuple(zip(*a))
+        assert A.conj_transpose().rows == tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
+        assert all(v for col in (A * B).cols + (A - A2).cols for v in col.values())
+
+
+def test_dense_views_round_trip():
+    rng = random.Random(32)
+    for _ in range(10):
+        a = Matrix(_rand_irrational(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        assert Matrix(a.rows) == a
+        assert Matrix(list(zip(*a.columns()))) == a
+        assert all(a.column(j) == tuple(row[j] for row in a.rows) for j in range(a.ncols))
+
+
+def _jordan_block(n):
+    return Matrix([[ONE if j == i + 1 else ZERO for j in range(n)] for i in range(n)])
+
+
+def test_ker_cap_im_dimension_from_kernel_ranks():
+    # dim(ker D cap im D) = dim ker D^2 - dim ker D for any square D.
+    rng = random.Random(33)
+    cases = [_jordan_block(n) for n in (1, 2, 4)]
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        rows = _rand_irrational(rng, n, n, zero_share=0.6)
+        if rng.random() < 0.5:  # strictly upper triangular, hence nilpotent
+            rows = [[x if j > i else ZERO for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        cases.append(Matrix(rows))
+    seen_nonzero = False
+    for m in cases:
+        ker = Subspace.kernel(m)
+        inter = ker.intersect(Subspace.image(m))
+        assert inter.dim == Subspace.kernel(m * m).dim - ker.dim
+        seen_nonzero |= inter.dim > 0
+    assert seen_nonzero
+    assert Subspace.kernel(_jordan_block(4)).intersect(Subspace.image(_jordan_block(4))).dim == 1
