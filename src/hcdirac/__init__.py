@@ -9,7 +9,7 @@ def report_schema_version() -> str:
     return REPORT_SCHEMA_VERSION
 
 
-from .scalars import Scalar, scalar_arith, scalar_embed
+from .scalars import Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm
 from .engine import (
     AlgebraParams,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import AlgebraParams, AlgElem, algebra_for, multiply, parity
-from .scalars import HALF_SQRT2, ONE, SQRT2, Scalar
+from .scalars import HALF, HALF_SQRT2, ONE, SQRT2, Scalar
 from .weyl import Root, SignedPerm
 
 
@@ -88,7 +88,6 @@ def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
     omega_seg = alg.zero()
     roots = alg.ctx.positive_roots
     stilde = {root: twisted_reflection(params, root) for root in roots}
-    half = Scalar(Fraction(1, 2))
     for alpha in roots:
         s_alpha = alg.ctx.reflection(alpha)
         k_alpha = params.k_for(alpha)
@@ -98,7 +97,7 @@ def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
             _, sign = s_alpha.act_root(beta)
             if sign > 0:
                 continue
-            coef = half * alpha.length_sq() * beta.length_sq() * k_alpha * params.k_for(beta)
+            coef = HALF * alpha.length_sq() * beta.length_sq() * k_alpha * params.k_for(beta)
             if coef:
                 omega_seg = omega_seg + alg.multiply(stilde[alpha], stilde[beta]).scale(coef)
     return omega_h, omega_seg

@@ -3,139 +3,136 @@
 Every constant appearing in the algebra relations and module actions lives
 here once the deformation parameters are specialised to rationals: sqrt(2)
 enters through the Clifford-weighted reflections, i through the type-B
-module actions.  An element is stored as four arbitrary-precision rationals
-
-    a + b*sqrt(2) + c*i + d*i*sqrt(2)
-
-and all operations are exact; there is no floating point anywhere in this
-package.
+module actions.  An element (a + b*sqrt(2) + c*i + d*i*sqrt(2)) / q is stored
+as five Python ints, four numerators over one common denominator (the layout
+of Antic's nf_elem), always in the canonical form q > 0, gcd(a, b, c, d, q) = 1,
+so equality and hashing compare ints.  Fraction appears only in the text forms
+and the read-only components `a`..`d`.  There is no floating point anywhere
+in this package.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-RationalLike = "int | Fraction"
+from math import gcd, lcm
 
 _COMPACT_TOKEN = re.compile(r"[+-]?[^+-]+")
 
 
 class Scalar:
-    """An element a + b*sqrt2 + c*i + d*i*sqrt2 with rational a, b, c, d."""
+    """An element (a + b*sqrt2 + c*i + d*i*sqrt2) / q with integer a, b, c, d, q.
 
-    __slots__ = ("a", "b", "c", "d")
+    Immutable in the way Fraction is: the private slots are written only
+    when an instance is made, and `a`..`d` are read-only.
+    """
 
-    def __init__(self, a=0, b=0, c=0, d=0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+    __slots__ = ("_a", "_b", "_c", "_d", "_q")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Scalar:
-        """Internal constructor for components already known to be Fractions."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        return self
-
-    @classmethod
-    def from_rational(cls, q) -> Scalar:
-        """Embed a rational as q + 0*sqrt2 + 0*i + 0*i*sqrt2."""
-        return cls(Fraction(q))
+    def __new__(cls, a=0, b=0, c=0, d=0) -> Scalar:
+        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is int:
+            return _new(a, b, c, d, 1)
+        comps = [Fraction(x) for x in (a, b, c, d)]
+        # Over the lcm of reduced denominators the gcd is already 1.
+        q = lcm(*(x.denominator for x in comps))
+        return _new(*(x.numerator * (q // x.denominator) for x in comps), q)
 
     @staticmethod
     def _coerce(value) -> "Scalar | None":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
-        return None
+        return Scalar(value) if isinstance(value, (int, Fraction)) else None
+
+    # -- components ---------------------------------------------------------
+
+    a = property(lambda self: Fraction(self._a, self._q))
+    b = property(lambda self: Fraction(self._b, self._q))
+    c = property(lambda self: Fraction(self._c, self._q))
+    d = property(lambda self: Fraction(self._d, self._q))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other) -> Scalar:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not (self.a or self.b or self.c or self.d):
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1, q1 = self._a, self._b, self._c, self._d, self._q
+        if not (a1 or b1 or c1 or d1):
             return other
-        if not (other.a or other.b or other.c or other.d):
+        a2, b2, c2, d2, q2 = other._a, other._b, other._c, other._d, other._q
+        if not (a2 or b2 or c2 or d2):
             return self
-        return Scalar._raw(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+        if q1 == q2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, c1 * q2 + c2 * q1,
+                        d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        return Scalar._raw(-self.a, -self.b, -self.c, -self.d)
+        return _new(-self._a, -self._b, -self._c, -self._d, self._q)
 
     def __sub__(self, other) -> Scalar:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar._raw(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> Scalar:
         return (-self) + other
 
     def __mul__(self, other) -> Scalar:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        # Purely rational factors are by far the most common case.
-        if not (b1 or c1 or d1):
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1, q1 = self._a, self._b, self._c, self._d, self._q
+        a2, b2, c2, d2, q2 = other._a, other._b, other._c, other._d, other._q
+        if b1 or c1 or d1:
+            if b2 or c2 or d2:
+                # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2.
+                return _reduced(
+                    a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2,
+                    a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                    a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+                    a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+                    q1 * q2,
+                )
+            # Make the rational factor the first one.
+            other, a1, q1, a2, b2, c2, d2, q2 = self, a2, q2, a1, b1, c1, d1, q1
+        # A rational factor is by far the most common case, and most often +-1.
+        if q1 == 1:
+            if a1 == 1:
+                return other
+            if a1 == -1:
+                return _new(-a2, -b2, -c2, -d2, q2)
             if not a1:
                 return ZERO
-            return Scalar._raw(a1 * other.a, a1 * other.b, a1 * other.c, a1 * other.d)
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        if not (b2 or c2 or d2):
-            if not a2:
-                return ZERO
-            return Scalar._raw(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
-        # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2.
-        return Scalar._raw(
-            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        return _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q1 * q2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
         """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
-        conj_i = self.conjugate()
-        p = self * conj_i  # lands in Q(sqrt2)
-        p_bar = Scalar(p.a, -p.b, p.c, -p.d)
-        norm = (p * p_bar).a  # rational field norm
-        if norm == 0:
+        a, b, c, d, q = self._a, self._b, self._c, self._d, self._q
+        # With x = alpha + beta*i (alpha, beta in Z[sqrt2]), 1/x is
+        # conj(x) / (alpha^2 + beta^2), and alpha^2 + beta^2 = p + r*sqrt2 is
+        # inverted through its norm p^2 - 2r^2, which is positive for x != 0
+        # since both real embeddings of a sum of real squares are positive.
+        p = a * a + 2 * b * b + c * c + 2 * d * d
+        r = 2 * (a * b + c * d)
+        norm = p * p - 2 * r * r
+        if not norm:
             raise ZeroDivisionError("inversion of zero in Q(i, sqrt2)")
-        return conj_i * p_bar * Scalar(Fraction(1, 1) / norm)
+        return _reduced(q * (a * p - 2 * b * r), q * (b * p - a * r),
+                        q * (2 * d * r - c * p), q * (c * r - d * p), norm)
 
     def __truediv__(self, other) -> Scalar:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other) -> Scalar:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced * self.inverse()
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __pow__(self, exponent: int) -> Scalar:
         if exponent < 0:
@@ -151,27 +148,31 @@ class Scalar:
 
     def conjugate(self) -> Scalar:
         """Complex conjugation i -> -i; a field automorphism fixing sqrt2."""
-        return Scalar._raw(self.a, self.b, -self.c, -self.d)
+        return _new(self._a, self._b, -self._c, -self._d, self._q)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.d)
+        return bool(self._a or self._b or self._c or self._d)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return (self._a, self._b, self._c, self._d, self._q) == (
+            other._a, other._b, other._c, other._d, other._q)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+        # A rational element hashes like the equal int or Fraction.
+        if not (self._b or self._c or self._d):
+            return hash(self._a) if self._q == 1 else hash(Fraction(self._a, self._q))
+        return hash((self._a, self._b, self._c, self._d, self._q))
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._b or self._c or self._d)
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        return not (self._c or self._d)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -235,6 +236,22 @@ class Scalar:
         return f"Scalar({self.a}, {self.b}, {self.c}, {self.d})"
 
 
+def _new(a: int, b: int, c: int, d: int, q: int) -> Scalar:
+    """A Scalar from components already in canonical form."""
+    self = object.__new__(Scalar)
+    self._a, self._b, self._c, self._d, self._q = a, b, c, d, q
+    return self
+
+
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> Scalar:
+    """A Scalar from components over a positive q, divided by their gcd."""
+    if q != 1:
+        g = gcd(a, b, c, d, q)
+        if g != 1:
+            return _new(a // g, b // g, c // g, d // g, q // g)
+    return _new(a, b, c, d, q)
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 TWO = Scalar(2)
@@ -243,21 +260,3 @@ SQRT2 = Scalar(0, 1)
 HALF_SQRT2 = Scalar(0, Fraction(1, 2))
 I = Scalar(0, 0, 1)
 I_SQRT2 = Scalar(0, 0, 0, 1)
-
-
-def scalar_arith(op: str, lhs: Scalar, rhs: Scalar | None = None) -> Scalar:
-    """Dispatch form of the field operations (add, mul, neg, inv)."""
-    if op == "add":
-        return lhs + rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "neg":
-        return -lhs
-    if op == "inv":
-        return lhs.inverse()
-    raise ValueError(f"unknown scalar operation {op!r}")
-
-
-def scalar_embed(q) -> Scalar:
-    """Embed a rational number into the field."""
-    return Scalar.from_rational(q)
