@@ -4,19 +4,31 @@ Elements are sparse linear combinations of basis words
 
     x_1^{m_1} ... x_n^{m_n} c_1^{e_1} ... c_n^{e_n} w
 
-with scalar coefficients in Q(i, sqrt2).  The only rewriting primitive is
-left multiplication by a single generator on a basis word; general products
-iterate it right-to-left over the generator string of the left factor.
+with scalar coefficients in Q(i, sqrt2).  The rewriting primitives are left
+multiplications by a single generator on a basis word (`_lmul_simple`,
+`_lmul_x`, `_lmul_c`, and `_lmul_w` along a reduced word).
 
-Straightening strategy.  A group element is pushed past the x-block one
-simple reflection at a time (using a reduced word), and each crossing of a
-simple reflection over a single x-generator produces a main term of the same
-x-degree plus correction terms of strictly smaller x-degree.  Clifford
-generators cross the x-block with a sign only, and type-B x-generators cross
+Straightening strategy.  The Sergeev part Seg = Cl_n x| W acts on x and c by
+signed permutations, so a product of basis words
+
+    (x^a c^e w)(x^b c^f v)
+
+needs real rewriting in two places only: T = w x^b, and x^a x^b1 for each
+x^b1 of T (a plain exponent sum in type A).  The Clifford word c^e crosses
+x^b1 with the sign (-1)^{sum_{i in e} b1_i}, and c^f v joins on the right
+through u c^f = +-c^{u(f)} u and the group product uv.  Within w x^b, a group
+element is pushed past the x-block one simple reflection at a time; each
+crossing of a single x-generator produces a main term of the same x-degree
+plus corrections of strictly smaller x-degree.  Type-B x-generators cross
 each other at the cost of an N-weighted Clifford correction, again of smaller
 x-degree.  The measure (x-degree, then remaining disorder) strictly
 decreases, so the rewriting terminates; confluence is not assumed but tested
 through associativity (check_pbw_consistency).
+
+Memo tables.  Each Algebra memoises w x^b on (w, b), x^a x^b1 on (a, b1), and
+the single-generator steps on (generator, word); these grow with the
+x-degrees met.  The Seg lookups u c^f (keys W x masks), uv (keys W x W) and
+the module-level `cliff_mul` (keys masks x masks) are bounded by the group.
 
 Type D has no standalone engine: its elements live inside the type-B engine
 with the short-root parameter frozen at zero, and only group elements with an
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .scalars import HALF, I, I_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
@@ -51,8 +64,10 @@ def cliff_insert(i: int, mask: int) -> tuple[int, int]:
     return sign, mask | bit
 
 
+@cache
 def cliff_mul(mask1: int, mask2: int) -> tuple[int, int]:
-    """Product c^mask1 * c^mask2 as (sign, mask)."""
+    """Product c^mask1 * c^mask2 as (sign, mask); memoised, as the keys are
+    bounded by 4^n."""
     sign = 1
     mask = mask2
     for i in range(mask1.bit_length(), 0, -1):
@@ -292,7 +307,11 @@ class Algebra:
         self.simples = self.push_ctx.simple_reflections
         self._simple_cache: dict[tuple[int, PbwMonomial], tuple] = {}
         self._x_cache: dict[tuple[int, PbwMonomial], tuple] = {}
-        self._mono_cache: dict[tuple[PbwMonomial, PbwMonomial], tuple] = {}
+        self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
+        self._xx_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+        # Seg-part lookups: keys range over W x masks and W x W, so bounded.
+        self._perm_cliff_cache: dict[tuple[SignedPerm, int], tuple[int, int]] = {}
+        self._group_cache: dict[tuple[SignedPerm, SignedPerm], SignedPerm] = {}
         self._id = SignedPerm.identity(params.n)
         self._zero_exps = (0,) * params.n
 
@@ -453,28 +472,81 @@ class Algebra:
                     _add_term(out, m3, c3)
         return out
 
+    def _w_times_x(self, w: SignedPerm, exps: tuple[int, ...]) -> tuple:
+        """w * x^exps in normal form, as ((exps1, odd, cliff, u, coefficient), ...).
+
+        `odd` is the mask of the odd entries of exps1, which is all that the
+        sign of moving a Clifford word past x^exps1 depends on.
+        """
+        key = (w, exps)
+        cached = self._wx_cache.get(key)
+        if cached is None:
+            terms = self._lmul_w(w, {PbwMonomial(exps, 0, self._id): ONE})
+            cached = tuple(
+                (m.exps, sum((e & 1) << i for i, e in enumerate(m.exps)), m.cliff, m.w, c)
+                for m, c in terms.items()
+            )
+            self._wx_cache[key] = cached
+        return cached
+
+    def _x_times_x(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple:
+        """x^a * x^b in normal form, as ((exps, cliff, coefficient), ...)."""
+        key = (a, b)
+        cached = self._xx_cache.get(key)
+        if cached is None:
+            cur: Terms = {PbwMonomial(b, 0, self._id): ONE}
+            for i in range(self.params.n, 0, -1):
+                for _ in range(a[i - 1]):
+                    nxt: Terms = {}
+                    for mono, coef in cur.items():
+                        for m2, c2 in self._lmul_x(i, mono):
+                            _add_term(nxt, m2, coef * c2)
+                    cur = nxt
+            cached = tuple((m.exps, m.cliff, c) for m, c in cur.items())
+            self._xx_cache[key] = cached
+        return cached
+
+    def _perm_on_cliff(self, u: SignedPerm, mask: int) -> tuple[int, int]:
+        key = (u, mask)
+        cached = self._perm_cliff_cache.get(key)
+        if cached is None:
+            cached = self._perm_cliff_cache[key] = perm_on_cliff(u, mask)
+        return cached
+
+    def _group_mul(self, u: SignedPerm, v: SignedPerm) -> SignedPerm:
+        key = (u, v)
+        cached = self._group_cache.get(key)
+        if cached is None:
+            cached = self._group_cache[key] = u * v
+        return cached
+
     def _mono_product(self, left: PbwMonomial, right: PbwMonomial) -> tuple:
-        """Normal form of the product of two basis words (memoised)."""
-        key = (left, right)
-        cached = self._mono_cache.get(key)
-        if cached is not None:
-            return cached
-        cur: Terms = {right: ONE}
-        if not left.w.is_identity():
-            cur = self._lmul_w(left.w, cur)
-        for i in range(self.params.n, 0, -1):
-            if left.cliff & (1 << (i - 1)):
-                cur = self._lmul_c(i, cur)
-        for i in range(self.params.n, 0, -1):
-            for _ in range(left.exps[i - 1]):
-                nxt: Terms = {}
-                for mono, coef in cur.items():
-                    for m2, c2 in self._lmul_x(i, mono):
-                        _add_term(nxt, m2, coef * c2)
-                cur = nxt
-        result = tuple(cur.items())
-        self._mono_cache[key] = result
-        return result
+        """Normal form of (x^a c^e w)(x^b c^f v), factored through Seg.
+
+        1. T = w x^b = sum x^b1 c^g u, memoised on (w, b).
+        2. c^e x^b1 = (-1)^{sum_{i in e} b1_i} x^b1 c^e, then c^e c^g.
+        3. x^a x^b1 = sum x^b2 c^h, memoised on (a, b1).
+        4. c^g u c^f v = +-c^g c^{u(f)} uv, with u(f) and uv looked up in
+           tables keyed by W x masks and W x W, which the group bounds.
+
+        Only steps 1 and 3 straighten; the rest is Clifford sign bookkeeping.
+        """
+        e, f, v = left.cliff, right.cliff, right.w
+        out: Terms = {}
+        for b1, odd, g, u, coef in self._w_times_x(left.w, right.exps):
+            sign, mask = cliff_mul(e, g)
+            if (odd & e).bit_count() & 1:
+                sign = -sign
+            s, moved = self._perm_on_cliff(u, f)
+            sign *= s
+            s, mask = cliff_mul(mask, moved)
+            sign *= s
+            uv = self._group_mul(u, v)
+            for b2, h, coef2 in self._x_times_x(left.exps, b1):
+                s, mask2 = cliff_mul(h, mask)
+                c = coef * coef2
+                _add_term(out, PbwMonomial(b2, mask2, uv), c if sign * s > 0 else -c)
+        return tuple(out.items())
 
     def multiply(self, a: AlgElem, b: AlgElem) -> AlgElem:
         if a.params != self.params or b.params != self.params:
@@ -647,10 +719,11 @@ def defining_relations(params: AlgebraParams) -> list[Relation]:
                 (f"c{i}_c{j}", [(ONE, (("c", i), ("c", j))), (ONE, (("c", j), ("c", i)))])
             )
 
+    # The first n - 1 simple reflections of the ambient A or B group are s_1..s_{n-1}.
+    simples = algebra_for(params).simples
     simple_tokens: list[tuple[tuple, SignedPerm]] = []
-    a_ctx = RootSystemCtx("A", n)
     for t in range(1, n):
-        simple_tokens.append(((("s", t),), a_ctx.simple_reflections[t - 1]))
+        simple_tokens.append(((("s", t),), simples[t - 1]))
     if params.type == "B":
         simple_tokens.append(((("sn",),), reflection_perm(Root("short", n), n)))
     elif params.type == "D" and n >= 2:
@@ -780,7 +853,7 @@ def eval_relation_tokens(params: AlgebraParams, word: tuple) -> AlgElem:
         elif token[0] == "c":
             factor = alg.c(token[1])
         elif token[0] == "s":
-            factor = alg.w(RootSystemCtx("A", params.n).simple_reflections[token[1] - 1])
+            factor = alg.w(alg.simples[token[1] - 1])
         elif token[0] == "sn":
             factor = alg.w(reflection_perm(Root("short", params.n), params.n))
         elif token[0] == "sd":

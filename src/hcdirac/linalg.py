@@ -335,9 +335,6 @@ class Subspace:
         """The action of an invariant operator in this basis."""
         return Matrix.from_sparse([self._coords(matrix.apply(vec)) for vec in self.vectors], self.dim)
 
-    def to_matrix(self) -> Matrix:
-        return Matrix.from_sparse([dict(vec) for vec in self.vectors], self.ambient)
-
     def __repr__(self):
         return f"<Subspace dim {self.dim} of {self.ambient}>"
 

@@ -40,21 +40,6 @@ class Partition:
             start += p
         return out
 
-    def block_starts(self) -> list[int]:
-        starts = []
-        total = 0
-        for p in self.parts:
-            starts.append(total)
-            total += p
-        return starts
-
-    def local_position(self, i: int) -> int:
-        """1-based position of global index i inside its block."""
-        for start, stop in self.blocks():
-            if start <= i <= stop:
-                return i - start + 1
-        raise ValueError(f"index {i} outside 1..{self.n}")
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 

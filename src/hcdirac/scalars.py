@@ -171,9 +171,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
 
-    def is_real(self) -> bool:
-        return not (self._c or self._d)
-
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")

@@ -30,6 +30,7 @@ B2 = AlgebraParams("B", 2, ONE, k_short=ONE, N=Scalar(3))
 B2_FREE = AlgebraParams("B", 2, ONE, k_short=ONE, N=Scalar(2) + SQRT2)
 D2 = AlgebraParams("D", 2, ONE, N=Scalar(2))
 D3 = AlgebraParams("D", 3, ONE, N=Scalar(4))
+B3_FREE = AlgebraParams("B", 3, ONE, k_short=HALF, N=Scalar(2) + SQRT2)
 
 
 def mono(params, exps, cliff, images):
@@ -232,3 +233,37 @@ def test_params_mismatch_raises():
     b = algebra_for(A3).one()
     with pytest.raises(ValueError):
         multiply(A2, a, b)
+
+
+def _reference_mono_product(alg, left, right):
+    """Reference product with no factoring through Seg: push w, then the c's,
+    then the x's of `left` onto `right`, one generator at a time."""
+    cur = alg._lmul_w(left.w, {right: ONE})
+    for i in range(alg.params.n, 0, -1):
+        if left.cliff & (1 << (i - 1)):
+            cur = alg._lmul_c(i, cur)
+    for i in range(alg.params.n, 0, -1):
+        for _ in range(left.exps[i - 1]):
+            nxt = {}
+            for m, c in cur.items():
+                for m2, c2 in alg._lmul_x(i, m):
+                    nxt[m2] = nxt.get(m2, ZERO) + c * c2
+            cur = {m: c for m, c in nxt.items() if c}
+    return cur
+
+
+@pytest.mark.parametrize("params", [A3, B3_FREE, D3])
+def test_mono_product_matches_reference_order(params):
+    rng = random.Random(101)
+    alg = algebra_for(params)
+    for _ in range(150):
+        left = next(iter(random_element(params, rng, max_deg=3, max_terms=1).terms))
+        right = next(iter(random_element(params, rng, max_deg=3, max_terms=1).terms))
+        assert dict(alg._mono_product(left, right)) == _reference_mono_product(alg, left, right)
+
+
+@pytest.mark.parametrize("params", [B3_FREE, D3])
+@pytest.mark.parametrize("seed", [13, 2024])
+def test_pbw_consistency_rank_three(params, seed):
+    report = check_pbw_consistency(params, trials=10, max_deg=2, seed=seed)
+    assert report["status"] == "pass", report["failures"]
