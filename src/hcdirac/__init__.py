@@ -38,7 +38,6 @@ from .modules import (
     ModuleRep,
     check_module_relations,
     clifford_supermodule,
-    hermitian_form,
     induced_module,
     steinberg_module,
 )

@@ -91,7 +91,7 @@ def seg_mono_mul(
     perm_a = SignedPerm(wa)
     s1, moved = perm_on_cliff(perm_a, mask_b)
     s2, mask = cliff_mul(mask_a, moved)
-    return s1 * s2, (mask, (perm_a * SignedPerm(wb)).images)
+    return s1 * s2, (mask, tuple(perm_a.image(v) for v in wb))
 
 
 def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, tuple[int, ...]]]]:

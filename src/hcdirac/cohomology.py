@@ -3,11 +3,26 @@
 H_D(X) = ker pi(D) / (ker pi(D) cap im pi(D)) carries an action of the
 x-degree-zero subalgebra because D commutes with the Weyl group and
 anticommutes with the Clifford generators; both stabilities are verified
-before quotienting.  The induced-module spectrum of Omega_Seg on H_D is
-computed exactly: candidate eigenvalues come from the k^2 |phi1(mu)|^2
-table over distinct-part partitions, an exact kernel dimension is taken per
-candidate, and a characteristic-polynomial fallback reports anything the
-table misses.
+before the spectrum is taken.  Two exact shortcuts apply when their checks
+hold on the actual matrices, and otherwise the general computation runs:
+
+- Certificate.  If pi(D)^dagger = -pi(D), then ker D cap im D = 0 and
+  ker D^2 = ker D, with no second elimination.  The standard form
+  sum_j v_j conj(v_j) is anisotropic on Q(i, sqrt2)^n: each term is
+  a^2 + b^2 with a, b in Q(sqrt2), >= 0 under both real embeddings.  So
+  v = Dw with Dv = 0 gives <v, v> = -<w, Dv> = 0, hence v = 0.  On an
+  induced module the invariant form is this standard form in the coset
+  basis (w_s^{-1} w_t lies outside S_lambda for distinct coset
+  representatives), so the check needs no Gram matrix.
+- Read-off.  If H_D = ker D and pi(Omega_Seg) acts on it by one scalar,
+  checked on every basis vector, and that scalar is a candidate, it is the
+  whole spectrum.
+
+In general the spectrum of Omega_Seg on H_D is computed on the quotient:
+candidate eigenvalues come from the k^2 |phi1(mu)|^2 table over
+distinct-part partitions and an exact kernel dimension is taken per
+candidate.  `dirac_cohomology` marks a spectrum the table does not exhaust
+incomplete; `omega_seg_spectrum` reports its characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -199,28 +214,45 @@ def _seg_generator_keys(module: ModuleRep) -> list[str]:
 
 
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
-    """ker pi(D) / (ker cap im), with Seg-stability verified before quotienting.
+    """ker pi(D) / (ker cap im), with Seg-stability verified before the spectrum.
 
-    D maps ker D^2 onto ker D cap im D with kernel ker D, so
-    dim(ker D cap im D) = dim ker D^2 - dim ker D; the intersection is built
-    only when that difference is nonzero.
+    Certificate.  When pi(D)^dagger = -pi(D), checked exactly, the form
+    <v, v> = sum_j v_j conj(v_j), anisotropic on Q(i, sqrt2)^n, gives
+    <v, v> = <Dw, v> = -<w, Dv> = 0 for v = Dw in ker D, so v = 0: then
+    ker D cap im D = 0 and ker D^2 = ker D, and neither D^2 nor the image
+    is formed.  Otherwise D maps ker D^2 onto ker D cap im D with kernel
+    ker D, so dim(ker D cap im D) = dim ker D^2 - dim ker D, and the
+    intersection is built only when that difference is nonzero.
+
+    Read-off.  When the intersection is zero and pi(Omega_Seg) acts on
+    ker D by a candidate eigenvalue, checked exactly on every basis vector,
+    that scalar with multiplicity dim ker D is the whole spectrum.
+    Otherwise the spectrum comes from the quotient matrix, one exact kernel
+    per candidate.
     """
     params = module.params
     d_mat = module.act(dirac_element(params))
     ker = Subspace.kernel(d_mat)
-    ker_sq = Subspace.kernel(d_mat * d_mat)
-    if ker_sq.dim > ker.dim:
-        inter = ker.intersect(Subspace.image(d_mat))
+    inter = Subspace(d_mat.nrows)
+    if d_mat.conj_transpose() == -d_mat:
+        dim_ker_sq = ker.dim
     else:
-        inter = Subspace(d_mat.nrows)
+        dim_ker_sq = Subspace.kernel(d_mat * d_mat).dim
+        if dim_ker_sq > ker.dim:
+            inter = ker.intersect(Subspace.image(d_mat))
     for key in _seg_generator_keys(module):
         mat = module.gen(key)
         if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
     _, omega_seg = casimirs(params)
     omega_mat = module.act(omega_seg)
-    quotient, rep_idx = quotient_matrix(omega_mat, ker, inter)
-    spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(params))
+    candidates = _candidate_eigenvalues(params)
+    value = None if inter.dim else ker.eigenvalue(omega_mat)
+    if value is not None and value in candidates:
+        spectrum, complete, rep_idx = [(value, ker.dim)], True, list(range(ker.dim))
+    else:
+        quotient, rep_idx = quotient_matrix(omega_mat, ker, inter)
+        spectrum, complete = _spectrum_of(quotient, candidates)
     ksq = params.k_long * params.k_long
     matched = []
     for mu in distinct_partitions(params.n):
@@ -235,7 +267,7 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         dim_im=d_mat.ncols - ker.dim,
         dim_im_cap_ker=inter.dim,
         dim_hd=ker.dim - inter.dim,
-        ker_equals_ker_sq=(ker.dim == ker_sq.dim),
+        ker_equals_ker_sq=(ker.dim == dim_ker_sq),
         spectrum=spectrum,
         spectrum_complete=complete,
         matched_partition=matched,

@@ -331,6 +331,21 @@ class Subspace:
     def is_invariant(self, matrix: Matrix) -> bool:
         return all(not self._residual(matrix.apply(vec))[0] for vec in self.vectors)
 
+    def eigenvalue(self, matrix: Matrix) -> Scalar | None:
+        """The scalar by which matrix acts on this nonzero space, else None.
+
+        The value is read at the first pivot, where the first basis vector
+        has entry 1, and then checked exactly on every basis vector.
+        """
+        if not self.vectors:
+            return None
+        value = matrix.apply(self.vectors[0]).get(self.pivots[0], ZERO)
+        for vec in self.vectors:
+            scaled = {i: value * a for i, a in vec.items()} if value else {}
+            if matrix.apply(vec) != scaled:
+                return None
+        return value
+
     def restricted_matrix(self, matrix: Matrix) -> Matrix:
         """The action of an invariant operator in this basis."""
         return Matrix.from_sparse([self._coords(matrix.apply(vec)) for vec in self.vectors], self.dim)

@@ -2,9 +2,9 @@
 
 Contents: the irreducible Clifford supermodule U(n), the Steinberg-type
 modules for types A, B, D, the induced modules X_lambda of type A, matrix
-realisation of arbitrary algebra elements, the positive-definite Hermitian
-form on X_lambda, and a relation checker that verifies every defining
-relation as a matrix identity (run by every constructor).
+realisation of arbitrary algebra elements, and a relation checker that
+verifies every defining relation as a matrix identity (run by every
+constructor).
 
 Every matrix is built directly in the sparse column form of
 `linalg.Matrix`: generator columns are assembled from {index: nonzero}
@@ -52,7 +52,6 @@ class ModuleRep:
         parity: list[int],
         gens: dict[str, Matrix],
         lam: Partition | None = None,
-        cosets: list[SignedPerm] | None = None,
         check: bool = True,
     ):
         self.params = params
@@ -61,7 +60,6 @@ class ModuleRep:
         self.parity = tuple(parity)
         self.gens = dict(gens)
         self.lam = lam
-        self.cosets = list(cosets) if cosets is not None else None
         self.dim = len(self.basis_labels)
         self.ctx = RootSystemCtx(params.type, params.n) if params is not None else None
         self._group_cache: dict[tuple[int, ...], Matrix] = {}
@@ -478,52 +476,4 @@ def induced_module(lam: Partition, k: Scalar) -> ModuleRep:
         parity,
         gens,
         lam=lam,
-        cosets=builder.reps,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hermitian form on X_lambda.
-
-
-def _in_parabolic(u: SignedPerm, lam: Partition) -> bool:
-    """Whether u lies in S_lambda, i.e. preserves every block of positions."""
-    return all(
-        all(start <= u.image(i) <= stop for i in range(start, stop + 1))
-        for start, stop in lam.blocks()
-    )
-
-
-def hermitian_form(module: ModuleRep) -> tuple[Matrix, dict]:
-    """Gram matrix of the induced-module form, plus the anti-adjoint check.
-
-    <w_t (x) v1, w_s (x) v2> = delta_{cosets} <pi(w_s^{-1} w_t) v1, v2>_lambda
-    with the Clifford monomials orthonormal for <.,.>_lambda.
-    """
-    if module.kind != "induced":
-        raise ValueError("hermitian_form is defined for induced modules only")
-    from .dirac import dirac_element
-
-    n = module.params.n
-    cl_dim = 1 << n
-    reps = module.cosets
-    dim = module.dim
-    cols: list[dict] = [{} for _ in range(dim)]
-    for t, wt in enumerate(reps):
-        for s, ws in enumerate(reps):
-            u = ws.inverse() * wt
-            if not _in_parabolic(u, module.lam):
-                continue
-            mat = _cl_basis_w_matrix(u, n)
-            for mask_i, moved in enumerate(mat.cols):  # pi(u) applied to c^I
-                for mask_j, value in moved.items():
-                    cols[s * cl_dim + mask_j][t * cl_dim + mask_i] = value
-    gram = Matrix.from_sparse(cols, dim)
-    pi_d = module.act(dirac_element(module.params))
-    residual = pi_d.conj_transpose() * gram + gram * pi_d
-    report = {
-        "check": "dirac_anti_self_adjoint",
-        "gram_is_identity": gram == Matrix.identity(dim),
-        "status": "pass" if residual.is_zero() else "fail",
-    }
-    return gram, report

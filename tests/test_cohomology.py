@@ -8,6 +8,8 @@ import pytest
 
 from hcdirac.cohomology import (
     CentralCharacter,
+    _candidate_eigenvalues,
+    _spectrum_of,
     central_character,
     char_poly,
     dirac_cohomology,
@@ -15,11 +17,12 @@ from hcdirac.cohomology import (
     omega_seg_spectrum,
     verify_vogan,
 )
+from hcdirac.dirac import casimirs, dirac_element
 from hcdirac.engine import AlgebraParams
-from hcdirac.linalg import Matrix, Subspace
-from hcdirac.modules import induced_module, steinberg_module
+from hcdirac.linalg import Matrix, Subspace, quotient_matrix
+from hcdirac.modules import forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
-from hcdirac.scalars import HALF, ONE, SQRT2, TWO, ZERO, Scalar
+from hcdirac.scalars import HALF, I, ONE, SQRT2, TWO, ZERO, Scalar
 
 HALF_K = Scalar(Fraction(1, 2))
 
@@ -176,6 +179,18 @@ def test_verify_vogan_preconditions():
         verify_vogan(Partition((2,)), ZERO)
 
 
+@pytest.mark.parametrize(
+    "parts, dim_hd, norms_sq, spectrum",
+    [((4, 1), 96, 20, [["20", 96]]), ((3, 2), 64, 10, [["10", 64]])],
+    ids=["4,1", "3,2"],
+)
+def test_verify_vogan_n5(parts, dim_hd, norms_sq, spectrum):
+    report = verify_vogan(Partition(parts), ONE)
+    assert report["status"] == "pass", report
+    assert (report["dim_HD"], report["norms_sq"]) == (dim_hd, norms_sq)
+    assert report["omega_seg_spectrum"] == spectrum
+
+
 def test_verify_vogan_eigenvalue_values():
     assert verify_vogan(Partition((2, 1)), ONE)["omega_seg_spectrum"] == [["2", 8]]
     assert verify_vogan(Partition((3,)), ONE)["omega_seg_spectrum"] == [["8", 8]]
@@ -192,3 +207,49 @@ def test_image_dimensions_from_kernel_ranks(parts, k):
     report = dirac_cohomology(module)
     assert report.dim_im == im.dim
     assert report.dim_im_cap_ker == ker.intersect(im).dim
+
+
+def test_dirac_skew_hermitian_on_induced_modules():
+    # The induced-module form is the standard one in the coset basis, so
+    # pi(D) is anti-self-adjoint exactly when pi(D)^dagger = -pi(D).
+    for parts in ((1,), (2,), (2, 1)):
+        module = cached_module(parts, ONE)
+        d_mat = module.act(dirac_element(module.params))
+        assert d_mat.conj_transpose() == -d_mat
+
+
+def _assert_matches_direct_computation(module, certified):
+    # dirac_cohomology against ker D^2, ker D cap im D and the quotient
+    # spectrum, computed here with no shortcut.
+    d_mat = module.act(dirac_element(module.params))
+    assert (d_mat.conj_transpose() == -d_mat) == certified
+    ker = Subspace.kernel(d_mat)
+    inter = ker.intersect(Subspace.image(d_mat))
+    omega_seg = module.act(casimirs(module.params)[1])
+    quotient, rep_idx = quotient_matrix(omega_seg, ker, inter)
+    spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(module.params))
+    report = dirac_cohomology(module)
+    assert report.dim_im_cap_ker == inter.dim
+    assert report.ker_equals_ker_sq == (Subspace.kernel(d_mat * d_mat).dim == ker.dim)
+    assert (report.spectrum, report.spectrum_complete) == (spectrum, complete)
+    assert report.representatives == rep_idx
+
+
+@pytest.mark.parametrize(
+    "parts, k, certified",
+    [(parts, k, True) for parts in ((2, 2), (3, 1), (2, 1, 1)) for k in (ONE, HALF_K, SQRT2)]
+    + [((2, 1), I, False), ((3, 1), I, False)],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_dirac_cohomology_matches_direct_computation(parts, k, certified):
+    # k = i breaks pi(D)^dagger = -pi(D), so the general path runs.
+    _assert_matches_direct_computation(cached_module(parts, k), certified)
+
+
+def test_dirac_cohomology_outside_candidates_uses_quotient():
+    # On the type B Steinberg module D = 0, and Omega_Seg acts on ker D by a
+    # value outside the type A candidate table, so the read-off falls back.
+    params = AlgebraParams("B", 2, ONE, HALF_K)
+    module = steinberg_module(AlgebraParams("B", 2, ONE, HALF_K, forced_n_constant(params)))
+    _assert_matches_direct_computation(module, True)
+    assert not dirac_cohomology(module).spectrum_complete

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hcdirac.linalg import Matrix, Subspace, quotient_dim, quotient_matrix, sparse_kernel
-from hcdirac.scalars import I, ONE, SQRT2, ZERO, Scalar
+from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6):
@@ -240,3 +240,34 @@ def test_ker_cap_im_dimension_from_kernel_ranks():
         seen_nonzero |= inter.dim > 0
     assert seen_nonzero
     assert Subspace.kernel(_jordan_block(4)).intersect(Subspace.image(_jordan_block(4))).dim == 1
+
+
+def test_skew_hermitian_kernel_meets_image_trivially():
+    # A^dagger = -A gives ker A cap im A = 0 over Q(i, sqrt2), since the
+    # standard form is anisotropic there; hence dim ker A^2 = dim ker A.
+    rng = random.Random(34)
+    entries = [ONE, -ONE, SQRT2, -SQRT2, I, -I, I * SQRT2, -(I * SQRT2), Scalar(Fraction(1, 2))]
+    singular = gaps = 0
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        b = Matrix([[rng.choice(entries) if rng.random() < 0.2 else ZERO for _ in range(n)]
+                    for _ in range(n)])
+        a = b - b.conj_transpose()
+        assert a.conj_transpose() == -a
+        ker = Subspace.kernel(a)
+        assert Subspace.kernel(a * a).dim == ker.dim
+        assert ker.intersect(Subspace.image(a)).dim == 0
+        singular += ker.dim > 0
+        gaps += Subspace.kernel(b * b).dim > Subspace.kernel(b).dim  # B alone may fail it
+    assert singular >= 10 and gaps >= 10
+
+
+def test_subspace_eigenvalue():
+    diag = Matrix([[TWO, ZERO, ZERO], [ZERO, TWO, ZERO], [ZERO, ZERO, SQRT2]])
+    plane = Subspace.from_vectors([(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)], 3)
+    assert plane.eigenvalue(diag) == TWO
+    assert Subspace.full(3).eigenvalue(diag) is None  # diagonal but not scalar
+    shift = Matrix([[ZERO, ZERO, ZERO], [ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+    assert plane.eigenvalue(shift) is None  # leaves the plane
+    assert Subspace.from_vectors([(ZERO, ZERO, ONE)], 3).eigenvalue(shift) == ZERO
+    assert Subspace(3).eigenvalue(diag) is None

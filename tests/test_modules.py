@@ -1,4 +1,4 @@
-"""Module constructions: U(n), Steinberg modules, induced modules, the form."""
+"""Module constructions: U(n), Steinberg modules and induced modules."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from hcdirac.modules import (
     clifford_c_matrices,
     clifford_supermodule,
     forced_n_constant,
-    hermitian_form,
     induced_module,
     minimal_coset_reps,
     steinberg_module,
@@ -187,20 +186,6 @@ def test_steinberg_x_squared_eigenvalues():
     for i in range(1, 4):
         sq = st.gen(f"x{i}") * st.gen(f"x{i}")
         assert sq.scalar_value() == TWO * TWO * (i - 1) * i
-
-
-def test_hermitian_form_identity_and_antiadjoint():
-    for parts, k in (((2,), ONE), ((2, 1), ONE), ((1,), ONE)):
-        module = induced_module(Partition(parts), k)
-        gram, report = hermitian_form(module)
-        assert report["gram_is_identity"]
-        assert gram == Matrix.identity(module.dim)
-        assert report["status"] == "pass"
-
-
-def test_hermitian_form_rejects_non_induced():
-    with pytest.raises(ValueError):
-        hermitian_form(clifford_supermodule(2))
 
 
 def test_module_summary():
