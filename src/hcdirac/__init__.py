@@ -18,7 +18,6 @@ from .engine import (
     algebra_for,
     check_pbw_consistency,
     generator,
-    linear_combine,
     multiply,
     parity,
     supercommutator,
@@ -37,7 +36,6 @@ from .partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from .modules import (
     ModuleRep,
     check_module_relations,
-    clifford_supermodule,
     induced_module,
     steinberg_module,
 )
@@ -46,7 +44,6 @@ from .cohomology import (
     CohomologyReport,
     central_character,
     dirac_cohomology,
-    omega_seg_spectrum,
     verify_vogan,
 )
 from .centers import (

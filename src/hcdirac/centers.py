@@ -16,15 +16,14 @@ from fractions import Fraction
 from .engine import (
     AlgebraParams,
     AlgElem,
-    PbwMonomial,
     algebra_for,
     cliff_mul,
     perm_on_cliff,
 )
-from .dirac import dirac_element, twisted_reflection
+from .dirac import twisted_reflection
 from .linalg import Subspace, sparse_kernel
 from .partitions import distinct_partitions
-from .scalars import ONE, SQRT2, ZERO, Scalar
+from .scalars import SQRT2, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
 
 

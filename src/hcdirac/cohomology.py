@@ -15,27 +15,26 @@ hold on the actual matrices, and otherwise the general computation runs:
   basis (w_s^{-1} w_t lies outside S_lambda for distinct coset
   representatives), so the check needs no Gram matrix.
 - Read-off.  If H_D = ker D and pi(Omega_Seg) acts on it by one scalar,
-  checked on every basis vector, and that scalar is a candidate, it is the
-  whole spectrum.
+  checked on every basis vector, that scalar is the whole spectrum, whether
+  or not the type-A table below lists it.
 
 In general the spectrum of Omega_Seg on H_D is computed on the quotient:
 candidate eigenvalues come from the k^2 |phi1(mu)|^2 table over
 distinct-part partitions and an exact kernel dimension is taken per
 candidate.  `dirac_cohomology` marks a spectrum the table does not exhaust
-incomplete; `omega_seg_spectrum` reports its characteristic polynomial.
+incomplete.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .dirac import casimirs, dirac_element
 from .engine import AlgebraParams
 from .linalg import Matrix, Subspace, quotient_matrix
 from .modules import ModuleRep, induced_module
-from .partitions import Partition, all_partitions, distinct_partitions, phi_maps
-from .scalars import ONE, ZERO, Scalar
+from .partitions import Partition, distinct_partitions, phi_maps
+from .scalars import ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ def central_character(module: ModuleRep) -> CentralCharacter:
     additionally witnessed by whole-module scalarity of the first two
     elementary symmetric functions of the x_j^2.
     """
-    if module.params is None:
-        raise ValueError("module has no polynomial action")
     n = module.params.n
     squares = [module.gen(f"x{i}") * module.gen(f"x{i}") for i in range(1, n + 1)]
     values = []
@@ -117,19 +114,6 @@ def central_character(module: ModuleRep) -> CentralCharacter:
 # Spectra of Omega_Seg.
 
 
-def char_poly(matrix: Matrix) -> list[Scalar]:
-    """Characteristic polynomial coefficients [1, c_1, ..., c_n] (Faddeev-LeVerrier)."""
-    n = matrix.nrows
-    coeffs = [ONE]
-    m = matrix
-    for k in range(1, n + 1):
-        c = -(m.trace() * Scalar(Fraction(1, k)))
-        coeffs.append(c)
-        if k < n:
-            m = matrix * (m + Matrix.identity(n).scale(c))
-    return coeffs
-
-
 def _candidate_eigenvalues(params: AlgebraParams) -> list[Scalar]:
     ksq = params.k_long * params.k_long
     seen = []
@@ -156,22 +140,6 @@ def _spectrum_of(matrix: Matrix, candidates) -> tuple[list[tuple[Scalar, int]], 
     return spectrum, total == matrix.nrows
 
 
-def omega_seg_spectrum(module: ModuleRep, subspace: Subspace) -> list[tuple[Scalar, int]]:
-    """Exact eigenvalues of pi(Omega_Seg) restricted to a stable subspace."""
-    _, omega_seg = casimirs(module.params)
-    mat = module.act(omega_seg)
-    if not subspace.is_invariant(mat):
-        raise ValueError("subspace is not Omega_Seg stable")
-    restricted = subspace.restricted_matrix(mat)
-    spectrum, complete = _spectrum_of(restricted, _candidate_eigenvalues(module.params))
-    if not complete:
-        raise ValueError(
-            "eigenvalues outside the candidate table; characteristic polynomial "
-            f"{[c.compact() for c in char_poly(restricted)]}"
-        )
-    return spectrum
-
-
 @dataclass
 class CohomologyReport:
     """Exact dimensions and Omega_Seg data for H_D of one module."""
@@ -187,7 +155,6 @@ class CohomologyReport:
     spectrum: list[tuple[Scalar, int]]
     spectrum_complete: bool
     matched_partition: list[str]
-    representatives: list[int] = field(default_factory=list)
     status: str = "pass"
 
     def to_json(self) -> dict:
@@ -225,10 +192,9 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     intersection is built only when that difference is nonzero.
 
     Read-off.  When the intersection is zero and pi(Omega_Seg) acts on
-    ker D by a candidate eigenvalue, checked exactly on every basis vector,
-    that scalar with multiplicity dim ker D is the whole spectrum.
-    Otherwise the spectrum comes from the quotient matrix, one exact kernel
-    per candidate.
+    ker D by a scalar, checked exactly on every basis vector, that scalar
+    with multiplicity dim ker D is the whole spectrum.  Otherwise the
+    spectrum comes from the quotient matrix, one exact kernel per candidate.
     """
     params = module.params
     d_mat = module.act(dirac_element(params))
@@ -246,13 +212,12 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
     _, omega_seg = casimirs(params)
     omega_mat = module.act(omega_seg)
-    candidates = _candidate_eigenvalues(params)
     value = None if inter.dim else ker.eigenvalue(omega_mat)
-    if value is not None and value in candidates:
-        spectrum, complete, rep_idx = [(value, ker.dim)], True, list(range(ker.dim))
+    if value is not None:
+        spectrum, complete = [(value, ker.dim)], True
     else:
-        quotient, rep_idx = quotient_matrix(omega_mat, ker, inter)
-        spectrum, complete = _spectrum_of(quotient, candidates)
+        quotient = quotient_matrix(omega_mat, ker, inter)
+        spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(params))
     ksq = params.k_long * params.k_long
     matched = []
     for mu in distinct_partitions(params.n):
@@ -271,7 +236,6 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         spectrum=spectrum,
         spectrum_complete=complete,
         matched_partition=matched,
-        representatives=rep_idx,
         status="pass" if complete else "incomplete",
     )
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import AlgebraParams, AlgElem, algebra_for, multiply, parity
-from .scalars import HALF, HALF_SQRT2, ONE, SQRT2, Scalar
-from .weyl import Root, SignedPerm
+from .engine import AlgebraParams, AlgElem, algebra_for, parity
+from .scalars import HALF, HALF_SQRT2, ONE, Scalar
+from .weyl import Root
 
 
 def clifford_root_element(params: AlgebraParams, root: Root) -> AlgElem:

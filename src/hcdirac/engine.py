@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .scalars import HALF, I, I_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
@@ -252,38 +252,6 @@ class AlgElem:
 
     def __repr__(self) -> str:
         return f"<AlgElem {self.to_string()}>"
-
-
-def from_string(params: AlgebraParams, text: str) -> AlgElem:
-    """Parse the deterministic text form produced by AlgElem.to_string()."""
-    if text == "0":
-        return AlgElem(params)
-    terms: Terms = {}
-    for piece in text.split(" + "):
-        if not piece.startswith("("):
-            raise ValueError(f"malformed monomial {piece!r}")
-        close = piece.index(")")
-        coef = Scalar.parse_compact(piece[1:close])
-        exps = [0] * params.n
-        cliff = 0
-        w = None
-        rest = piece[close + 1 :]
-        if not rest.startswith("*"):
-            raise ValueError(f"malformed monomial {piece!r}")
-        for token in rest[1:].split("*"):
-            if token.startswith("["):
-                w = SignedPerm.parse(token)
-            elif token.startswith("x"):
-                base, _, power = token.partition("^")
-                exps[int(base[1:]) - 1] += int(power) if power else 1
-            elif token.startswith("c"):
-                cliff |= 1 << (int(token[1:]) - 1)
-            else:
-                raise ValueError(f"malformed factor {token!r}")
-        if w is None:
-            raise ValueError(f"missing group factor in {piece!r}")
-        _add_term(terms, PbwMonomial(tuple(exps), cliff, w), coef)
-    return AlgElem(params, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +557,6 @@ def generator(params: AlgebraParams, kind: str, arg) -> AlgElem:
 
 def multiply(params: AlgebraParams, a: AlgElem, b: AlgElem) -> AlgElem:
     return algebra_for(params).multiply(a, b)
-
-
-def linear_combine(terms: Iterable[tuple[Scalar, AlgElem]]) -> AlgElem:
-    terms = list(terms)
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    params = terms[0][1].params
-    out: Terms = {}
-    for coef, elem in terms:
-        if elem.params != params:
-            raise ValueError("params mismatch")
-        if not coef:
-            continue
-        for mono, c in elem.terms.items():
-            _add_term(out, mono, coef * c)
-    return AlgElem(params, out)
 
 
 def parity(a: AlgElem) -> str:

@@ -126,9 +126,6 @@ class Matrix:
         cols = [{i: a.conjugate() for i, a in col.items()} for col in self.transpose().cols]
         return Matrix.from_sparse(cols, self.ncols)
 
-    def trace(self) -> Scalar:
-        return sum((col.get(j, ZERO) for j, col in enumerate(self.cols[: self.nrows])), ZERO)
-
     def is_zero(self) -> bool:
         return not any(self.cols)
 
@@ -310,9 +307,6 @@ class Subspace:
     def coords(self, vec) -> list[Scalar]:
         return list(dense(self._coords(sparse(vec)), self.dim))
 
-    def contains_subspace(self, other: Subspace) -> bool:
-        return all(not self._residual(vec)[0] for vec in other.vectors)
-
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection from the null-space combinations of both bases."""
         if self.ambient != other.ambient:
@@ -346,25 +340,15 @@ class Subspace:
                 return None
         return value
 
-    def restricted_matrix(self, matrix: Matrix) -> Matrix:
-        """The action of an invariant operator in this basis."""
-        return Matrix.from_sparse([self._coords(matrix.apply(vec)) for vec in self.vectors], self.dim)
-
     def __repr__(self):
         return f"<Subspace dim {self.dim} of {self.ambient}>"
 
 
-def quotient_dim(space: Subspace, sub: Subspace) -> int:
-    if not space.contains_subspace(sub):
-        raise ValueError("not a subspace")
-    return space.dim - sub.dim
-
-
-def quotient_matrix(matrix: Matrix, space: Subspace, sub: Subspace) -> tuple[Matrix, list[int]]:
+def quotient_matrix(matrix: Matrix, space: Subspace, sub: Subspace) -> Matrix:
     """Induced action on space/sub for an operator preserving both.
 
-    Returns the quotient matrix together with the indices of the basis
-    vectors of `space` chosen as coset representatives.
+    The basis vectors of `space` off the pivots of `sub` (in `space`
+    coordinates) stand for the cosets.
     """
     if not space.is_invariant(matrix) or not sub.is_invariant(matrix):
         raise ValueError("operator does not preserve the filtration")
@@ -374,4 +358,4 @@ def quotient_matrix(matrix: Matrix, space: Subspace, sub: Subspace) -> tuple[Mat
     for i in rep_idx:
         residual, _ = inner._residual(space._coords(matrix.apply(space.vectors[i])))
         cols.append({r: residual[j] for r, j in enumerate(rep_idx) if j in residual})
-    return Matrix.from_sparse(cols, len(rep_idx)), rep_idx
+    return Matrix.from_sparse(cols, len(rep_idx))

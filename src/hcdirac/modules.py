@@ -1,9 +1,9 @@
 """Finite-dimensional modules with exact generator matrices.
 
-Contents: the irreducible Clifford supermodule U(n), the Steinberg-type
-modules for types A, B, D, the induced modules X_lambda of type A, matrix
-realisation of arbitrary algebra elements, and a relation checker that
-verifies every defining relation as a matrix identity (run by every
+Contents: the Steinberg-type modules for types A, B, D (built on the
+Jordan-Wigner Clifford matrices), the induced modules X_lambda of type A,
+matrix realisation of arbitrary algebra elements, and a relation checker
+that verifies every defining relation as a matrix identity (run by every
 constructor).
 
 Every matrix is built directly in the sparse column form of
@@ -23,6 +23,7 @@ x-degree, so the recursion terminates.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .engine import (
@@ -46,7 +47,7 @@ class ModuleRep:
 
     def __init__(
         self,
-        params: AlgebraParams | None,
+        params: AlgebraParams,
         kind: str,
         basis_labels: list[str],
         parity: list[int],
@@ -61,7 +62,7 @@ class ModuleRep:
         self.gens = dict(gens)
         self.lam = lam
         self.dim = len(self.basis_labels)
-        self.ctx = RootSystemCtx(params.type, params.n) if params is not None else None
+        self.ctx = RootSystemCtx(params.type, params.n)
         self._group_cache: dict[tuple[int, ...], Matrix] = {}
         # The relation-check report, kept for callers; None when unchecked.
         self.relations = check_module_relations(self) if check else None
@@ -82,8 +83,6 @@ class ModuleRep:
         return f"s{idx + 1}"
 
     def group_matrix(self, w: SignedPerm) -> Matrix:
-        if self.params is None:
-            raise ValueError("module has no group action")
         cached = self._group_cache.get(w.images)
         if cached is None:
             word = [self.gens[self._simple_key(idx)] for idx in self.ctx.reduced_word(w)]
@@ -101,23 +100,21 @@ class ModuleRep:
 
     def act(self, elem: AlgElem) -> Matrix:
         """pi(elem) as an exact dim x dim matrix."""
-        if self.params is None or elem.params != self.params:
+        if elem.params != self.params:
             raise ValueError("params mismatch")
         terms = ((coef, self.mono_matrix(mono)) for mono, coef in elem.terms.items())
         return Matrix.combination(terms, self.dim, self.dim)
 
     def summary(self) -> dict:
-        out = {"kind": self.kind, "dim": self.dim}
-        if self.params is not None:
-            out.update(
-                {
-                    "type": self.params.type,
-                    "n": self.params.n,
-                    "k_long": self.params.k_long.compact(),
-                    "k_short": self.params.k_short.compact(),
-                    "N": self.params.N.compact(),
-                }
-            )
+        out = {
+            "kind": self.kind,
+            "dim": self.dim,
+            "type": self.params.type,
+            "n": self.params.n,
+            "k_long": self.params.k_long.compact(),
+            "k_short": self.params.k_short.compact(),
+            "N": self.params.N.compact(),
+        }
         if self.lam is not None:
             out["lambda"] = str(self.lam)
         return out
@@ -148,24 +145,10 @@ def _token_matrix(module: ModuleRep, token) -> Matrix:
     raise ValueError(f"unknown token {token!r}")
 
 
-def _clifford_relations(n: int):
-    rels = []
-    for i in range(1, n + 1):
-        rels.append((f"c{i}_sq", [(ONE, (("c", i), ("c", i))), (ONE, ())]))
-        for j in range(i + 1, n + 1):
-            rels.append((f"c{i}_c{j}", [(ONE, (("c", i), ("c", j))), (ONE, (("c", j), ("c", i)))]))
-    return rels
-
-
 def check_module_relations(module: ModuleRep) -> dict:
     """Assert every defining relation as an exact matrix identity."""
-    if module.params is None:
-        n = max(int(k[1:]) for k in module.gens)
-        rels = _clifford_relations(n)
-    else:
-        rels = defining_relations(module.params)
     failures = []
-    for name, terms in rels:
+    for name, terms in defining_relations(module.params):
         products = (
             (coef, _product([_token_matrix(module, token) for token in word], module.dim))
             for coef, word in terms
@@ -189,7 +172,7 @@ def check_module_relations(module: ModuleRep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The Clifford supermodule U(n).
+# Jordan-Wigner Clifford matrices, the building blocks of U(n) (x) U(n).
 
 
 def _pauli() -> tuple[Matrix, Matrix, Matrix, Matrix]:
@@ -223,16 +206,6 @@ def clifford_c_matrices(n: int) -> tuple[list[Matrix], list[int]]:
         cs.append(mat.scale(I))
     parity = [bin(b).count("1") & 1 for b in range(1 << qubits)]
     return cs, parity
-
-
-def clifford_supermodule(n: int) -> ModuleRep:
-    """The irreducible Cl_n-supermodule: dim 2^{n/2} (n even), 2^{(n+1)/2} (odd)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    cs, parity = clifford_c_matrices(n)
-    gens = {f"c{i}": mat for i, mat in enumerate(cs, start=1)}
-    labels = [f"u{b}" for b in range(len(parity))]
-    return ModuleRep(None, "clifford", labels, parity, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +332,30 @@ def _coset_key(w: SignedPerm, blocks) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(w.image(i) for i in range(start, stop + 1)) for start, stop in blocks)
 
 
+def _inversions(window: tuple[int, ...]) -> int:
+    """The length of a permutation in S_n: the number of its inversions."""
+    return sum(a > b for i, a in enumerate(window) for b in window[i + 1 :])
+
+
 def minimal_coset_reps(lam: Partition) -> list[SignedPerm]:
-    """Length-minimal representatives of S_n / S_lambda, deterministic order."""
-    n = lam.n
-    ctx = RootSystemCtx("A", n)
-    blocks = lam.blocks()
-    by_coset: dict[tuple, SignedPerm] = {}
-    for w in ctx.elements():
-        key = _coset_key(w, blocks)
-        best = by_coset.get(key)
-        if best is None or (ctx.length(w), w.images) < (ctx.length(best), best.images):
-            by_coset[key] = w
-    reps = sorted(by_coset.values(), key=lambda w: (ctx.length(w), w.images))
-    return reps
+    """Length-minimal representatives of S_n / S_lambda, by (length, window).
+
+    The shortest element of a coset w S_lambda is the one whose window is
+    increasing on every block of positions, so the representatives are the
+    shuffles of 1..n into blocks of sizes lambda, built without enumerating
+    S_n.
+    """
+    windows: list[tuple[int, ...]] = [()]
+    for part in lam.parts:
+        windows = [
+            window + chosen
+            for window in windows
+            for chosen in itertools.combinations(
+                [v for v in range(1, lam.n + 1) if v not in window], part
+            )
+        ]
+    windows.sort(key=lambda window: (_inversions(window), window))
+    return [SignedPerm(window) for window in windows]
 
 
 class _InducedBuilder:
@@ -383,18 +367,22 @@ class _InducedBuilder:
         self.alg = algebra_for(self.params)
         self.cl_dim = 1 << self.n
         self.reps = minimal_coset_reps(lam)
-        # Factor every w as w_t * u with u in S_lambda, without a search.
-        blocks = lam.blocks()
-        coset_of = {_coset_key(rep, blocks): t for t, rep in enumerate(self.reps)}
-        self.coset_factor: dict[tuple[int, ...], tuple[int, SignedPerm]] = {}
-        for w in RootSystemCtx("A", self.n).elements():
-            t = coset_of[_coset_key(w, blocks)]
-            self.coset_factor[w.images] = (t, self.reps[t].inverse() * w)
+        self.blocks = lam.blocks()
+        self.coset_of = {_coset_key(rep, self.blocks): t for t, rep in enumerate(self.reps)}
+        self._factor_cache: dict[tuple[int, ...], tuple[int, SignedPerm]] = {}
         self.st_x = [
             _st_lambda_x_matrix(i, lam, k, self.n) for i in range(1, self.n + 1)
         ]
         self._st_w_cache: dict[tuple[int, ...], Matrix] = {}
         self._push_cache: dict[tuple[int, tuple[int, ...]], tuple[int, AlgElem]] = {}
+
+    def coset_factor(self, w: SignedPerm) -> tuple[int, SignedPerm]:
+        """(t, u) with w = w_t * u and u in S_lambda, read off the coset key."""
+        cached = self._factor_cache.get(w.images)
+        if cached is None:
+            t = self.coset_of[_coset_key(w, self.blocks)]
+            cached = self._factor_cache[w.images] = (t, self.reps[t].inverse() * w)
+        return cached
 
     def st_w(self, u: SignedPerm) -> Matrix:
         cached = self._st_w_cache.get(u.images)
@@ -424,7 +412,7 @@ class _InducedBuilder:
         """Add coef * mono applied to the sparse vector vec of St_lambda into out."""
         i = next((t for t in range(self.n, 0, -1) if mono.exps[t - 1] > 0), None)
         if i is None:
-            t, u = self.coset_factor[mono.w.images]
+            t, u = self.coset_factor(mono.w)
             rep = self.reps[t]
             sign, eps2 = perm_on_cliff(rep.inverse(), mono.cliff)
             scale = coef if sign > 0 else -coef

@@ -7,17 +7,15 @@ module actions.  An element (a + b*sqrt(2) + c*i + d*i*sqrt(2)) / q is stored
 as five Python ints, four numerators over one common denominator (the layout
 of Antic's nf_elem), always in the canonical form q > 0, gcd(a, b, c, d, q) = 1,
 so equality and hashing compare ints.  Fraction appears only in the text forms
-and the read-only components `a`..`d`.  There is no floating point anywhere
-in this package.
+and the read-only components `a`..`d`.  The text forms (`compact`, which
+`str` returns, and `repr`) are output for reports; nothing parses them back.
+There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
-
-_COMPACT_TOKEN = re.compile(r"[+-]?[^+-]+")
 
 
 class Scalar:
@@ -168,33 +166,7 @@ class Scalar:
             return hash(self._a) if self._q == 1 else hash(Fraction(self._a, self._q))
         return hash((self._a, self._b, self._c, self._d, self._q))
 
-    def is_rational(self) -> bool:
-        return not (self._b or self._c or self._d)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.a
-
     # -- text forms ----------------------------------------------------------
-
-    def render(self) -> str:
-        """Canonical four-component form 'a + b*r2 + c*i + d*i*r2'."""
-        return f"{self.a} + {self.b}*r2 + {self.c}*i + {self.d}*i*r2"
-
-    @classmethod
-    def parse(cls, text: str) -> Scalar:
-        """Inverse of render()."""
-        parts = text.split(" + ")
-        if len(parts) != 4:
-            raise ValueError(f"malformed scalar {text!r}")
-        suffixes = ("", "*r2", "*i", "*i*r2")
-        comps = []
-        for part, suffix in zip(parts, suffixes):
-            if suffix and not part.endswith(suffix):
-                raise ValueError(f"malformed scalar component {part!r}")
-            comps.append(Fraction(part[: len(part) - len(suffix)] if suffix else part))
-        return cls(*comps)
 
     def compact(self) -> str:
         """Short form with zero components omitted, e.g. '1/2-1*i'."""
@@ -207,24 +179,6 @@ class Scalar:
                 pieces.append("+")
             pieces.append(text)
         return "".join(pieces) if pieces else "0"
-
-    @classmethod
-    def parse_compact(cls, text: str) -> Scalar:
-        """Inverse of compact()."""
-        if text == "0":
-            return ZERO
-        comps = {"": None, "*r2": None, "*i": None, "*i*r2": None}
-        tokens = _COMPACT_TOKEN.findall(text)
-        if "".join(tokens) != text:
-            raise ValueError(f"malformed scalar {text!r}")
-        for token in tokens:
-            for suffix in ("*i*r2", "*r2", "*i", ""):
-                if token.endswith(suffix):
-                    if comps[suffix] is not None:
-                        raise ValueError(f"repeated component in {text!r}")
-                    comps[suffix] = Fraction(token[: len(token) - len(suffix)] if suffix else token)
-                    break
-        return cls(*(comps[s] or 0 for s in ("", "*r2", "*i", "*i*r2")))
 
     def __str__(self) -> str:
         return self.compact()

@@ -54,14 +54,6 @@ class Root:
             return f"e{self.i}+e{self.j}"
         return f"e{self.i}"
 
-    @classmethod
-    def parse(cls, text: str) -> Root:
-        for sep, kind in (("-", "diff"), ("+", "sum")):
-            if sep in text:
-                left, right = text.split(sep)
-                return cls(kind, int(left[1:]), int(right[1:]))
-        return cls("short", int(text[1:]))
-
 
 @dataclass(frozen=True)
 class SignedPerm:
@@ -126,12 +118,6 @@ class SignedPerm:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
-
-    @classmethod
-    def parse(cls, text: str) -> SignedPerm:
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"malformed window {text!r}")
-        return cls(tuple(int(v) for v in text[1:-1].split(",")))
 
 
 def reflection_perm(root: Root, n: int) -> SignedPerm:
@@ -198,11 +184,6 @@ class RootSystemCtx:
             raise ValueError(f"{root} is not a positive root of {self.type}_{self.n}")
         return reflection_perm(root, self.n)
 
-    def act_on_root(self, w: SignedPerm, root: Root) -> tuple[Root, int]:
-        if w.n != self.n:
-            raise ValueError("rank mismatch")
-        return w.act_root(root)
-
     def is_member(self, w: SignedPerm) -> bool:
         if w.n != self.n:
             return False
@@ -241,12 +222,6 @@ class RootSystemCtx:
         except KeyError:
             raise ValueError(f"{w} does not lie in W({self.type}_{self.n})") from None
 
-    def length(self, w: SignedPerm) -> int:
-        return len(self.reduced_word(w))
-
     def elements(self) -> list[SignedPerm]:
         """All group elements, in a deterministic BFS-then-window order."""
         return [SignedPerm(images) for images in sorted(self._word_table)]
-
-    def order(self) -> int:
-        return len(self._word_table)

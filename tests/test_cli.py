@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -197,3 +198,43 @@ def test_module_run_writes_nothing_to_stderr():
 
 def test_schema_version_exported_by_package():
     assert hcdirac.REPORT_SCHEMA_VERSION == hcdirac.report_schema_version() == report_schema_version()
+
+
+# sha256 of each report without elapsed_ms, serialised with sorted keys and
+# compact separators.  A refactor must leave every report byte-identical, so
+# these digests change only with a deliberate change to what a suite reports.
+REPORT_DIGESTS = [
+    (["cohomology", "--lambda", "2,1", "--k", "1"],
+     "9be6e2f638d5bd66e8bb7bfab73922d87cbb55accbfb9c9f0bd6ae3764ee1388"),
+    (["cohomology", "--lambda", "2,2", "--k", "1/2"],
+     "dae847e322b63d15810f1426b1b1f2fe6563ca37b2cd4c7022ebd03db80f4626"),
+    (["cohomology", "--lambda", "3,1", "--k=-2/3"],
+     "35fb06c3ff3a18cbc5ff0fa15ad09f7476add9cea7872df98c1cbaad5bdc0e33"),
+    (["cohomology", "--lambda", "2,1,1", "--k", "1"],
+     "df0ebf68eef2da8a50ce292a416086c399ed92abf846d4e41724808fed7b7b04"),
+    (["steinberg", "--type", "A", "--n", "4", "--k", "1"],
+     "46a1343c30fef896eacb9435ffa81a94a512a1f72d277e145aaf7c39b66ab13a"),
+    (["steinberg", "--type", "B", "--n", "3", "--k", "1", "--ks", "1/2"],
+     "82839dc27271ef18146e6975363a65945a4132599a0eca6e43a9930387ad75c8"),
+    (["steinberg", "--type", "D", "--n", "3", "--k", "2/3"],
+     "e7bca1855291407620aaafeab5411a0b8c8c361a659b6085919ab7ec00b9cac5"),
+    (["dirac-square", "--type", "B", "--n", "2", "--k", "1", "--ks", "1", "--N", "1"],
+     "c77a786ce8425fa4eff18c010524fc1b16bc779829aa38e08a45cc74175be03a"),
+    (["pbw", "--type", "A", "--n", "3", "--k", "2/3", "--trials", "5"],
+     "4abb51cfe045b7d068c9b2a71ad013928cabbea3a6a46356928125696758c0b0"),
+    (["center", "--n", "3", "--k", "1/2"],
+     "9b8677e94a202f9d19ed3980e31d4d0bc651b5edabaeb934f729cc5ea5a7bb51"),
+    (["phi", "--n", "5"],
+     "cc09f7eae8ad7c9e1253f0446f26fc44967b52d73da43eaadd05821f5f3b6850"),
+    (["all", "--n", "2", "--k", "1"],
+     "2cd1598f56acef260347b82b45b5328dc7828fbe909ed4b7535b78d62b12b520"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS, ids=[" ".join(a) for a, _ in REPORT_DIGESTS])
+def test_report_digest_pinned(capsys, argv, digest):
+    code, report = run_cli(capsys, argv)
+    assert code == 0
+    del report["elapsed_ms"]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -11,15 +11,13 @@ from hcdirac.cohomology import (
     _candidate_eigenvalues,
     _spectrum_of,
     central_character,
-    char_poly,
     dirac_cohomology,
     expected_central_character,
-    omega_seg_spectrum,
     verify_vogan,
 )
 from hcdirac.dirac import casimirs, dirac_element
 from hcdirac.engine import AlgebraParams
-from hcdirac.linalg import Matrix, Subspace, quotient_matrix
+from hcdirac.linalg import Subspace, quotient_matrix
 from hcdirac.modules import forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from hcdirac.scalars import HALF, I, ONE, SQRT2, TWO, ZERO, Scalar
@@ -136,34 +134,6 @@ def test_hd_dimension_stable_under_k():
         assert len(dims) == 1
 
 
-def test_omega_seg_spectrum_on_subspaces():
-    module = cached_module((2, 1), ONE)
-    from hcdirac.dirac import dirac_element
-
-    d_mat = module.act(dirac_element(module.params))
-    ker = Subspace.kernel(d_mat)
-    spectrum = omega_seg_spectrum(module, ker)
-    assert spectrum == [(TWO, 8)]
-    # whole module at k = 0: Omega_Seg vanishes
-    module0 = cached_module((2,), ZERO)
-    full = Subspace.full(module0.dim)
-    assert omega_seg_spectrum(module0, full) == [(ZERO, module0.dim)]
-
-
-def test_omega_seg_spectrum_requires_stability():
-    module = cached_module((2, 1), ONE)
-    bad = Subspace.from_vectors([tuple([ONE] + [ZERO] * (module.dim - 1))], module.dim)
-    with pytest.raises(ValueError):
-        omega_seg_spectrum(module, bad)
-
-
-def test_char_poly_of_diagonal():
-    m = Matrix([[ONE, ZERO], [ZERO, TWO]])
-    coeffs = char_poly(m)
-    # t^2 - 3t + 2
-    assert coeffs == [ONE, Scalar(-3), TWO]
-
-
 @pytest.mark.parametrize("parts", [(2, 1), (3,)])
 @pytest.mark.parametrize("k", [ONE, HALF_K])
 def test_verify_vogan_small(parts, k):
@@ -226,13 +196,12 @@ def _assert_matches_direct_computation(module, certified):
     ker = Subspace.kernel(d_mat)
     inter = ker.intersect(Subspace.image(d_mat))
     omega_seg = module.act(casimirs(module.params)[1])
-    quotient, rep_idx = quotient_matrix(omega_seg, ker, inter)
+    quotient = quotient_matrix(omega_seg, ker, inter)
     spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(module.params))
     report = dirac_cohomology(module)
     assert report.dim_im_cap_ker == inter.dim
     assert report.ker_equals_ker_sq == (Subspace.kernel(d_mat * d_mat).dim == ker.dim)
     assert (report.spectrum, report.spectrum_complete) == (spectrum, complete)
-    assert report.representatives == rep_idx
 
 
 @pytest.mark.parametrize(
@@ -246,10 +215,23 @@ def test_dirac_cohomology_matches_direct_computation(parts, k, certified):
     _assert_matches_direct_computation(cached_module(parts, k), certified)
 
 
-def test_dirac_cohomology_outside_candidates_uses_quotient():
-    # On the type B Steinberg module D = 0, and Omega_Seg acts on ker D by a
-    # value outside the type A candidate table, so the read-off falls back.
-    params = AlgebraParams("B", 2, ONE, HALF_K)
-    module = steinberg_module(AlgebraParams("B", 2, ONE, HALF_K, forced_n_constant(params)))
-    _assert_matches_direct_computation(module, True)
-    assert not dirac_cohomology(module).spectrum_complete
+@pytest.mark.parametrize(
+    "typ, n, k_short, value, dim",
+    [
+        ("B", 2, HALF_K, Scalar(Fraction(17, 4), 1), 4),
+        ("B", 3, HALF_K, Scalar(Fraction(163, 8), 3), 16),
+        ("D", 3, ZERO, Scalar(20), 16),
+    ],
+    ids=["B2", "B3", "D3"],
+)
+def test_dirac_cohomology_reads_off_spectrum_outside_candidates(typ, n, k_short, value, dim):
+    # On a type B or D Steinberg module D = 0, and Omega_Seg acts on the
+    # whole module by a scalar outside the type A candidate table; the
+    # read-off reports that scalar as the complete spectrum.
+    base = AlgebraParams(typ, n, ONE, k_short)
+    module = steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
+    assert value not in _candidate_eigenvalues(module.params)
+    assert module.act(casimirs(module.params)[1]).scalar_value() == value
+    report = dirac_cohomology(module)
+    assert (report.dim_hd, report.spectrum) == (dim, [(value, dim)])
+    assert report.spectrum_complete and report.status == "pass"

@@ -247,7 +247,7 @@ def test_conjugation_lemma():
                 total = alg.zero()
                 w_ei = s.image(i)
                 for beta in alg.ctx.positive_roots:
-                    _, sign = alg.ctx.act_on_root(s.inverse(), beta)
+                    _, sign = s.inverse().act_root(beta)
                     if sign > 0:
                         continue
                     touches = (

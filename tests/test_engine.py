@@ -13,9 +13,7 @@ from hcdirac.engine import (
     algebra_for,
     check_pbw_consistency,
     check_relations_in_engine,
-    from_string,
     generator,
-    linear_combine,
     multiply,
     parity,
     random_element,
@@ -98,17 +96,6 @@ def test_short_reflection_past_x():
     got = multiply(B2, sn, alg.x(2))
     expected = -multiply(B2, alg.x(2), sn) - alg.one().scale(SQRT2 * B2.k_short)
     assert got == expected
-
-
-def test_linear_combine():
-    a = random_element(A2, random.Random(3))
-    assert linear_combine([(ONE, a), (-ONE, a)]).is_zero()
-    assert linear_combine([(ZERO, a)]).is_zero()
-    alg = algebra_for(A2)
-    elem = linear_combine([(SQRT2, alg.c(1)), (SQRT2, alg.c(2))])
-    assert elem == alg.c(1).scale(SQRT2) + alg.c(2).scale(SQRT2)
-    with pytest.raises(ValueError):
-        linear_combine([])
 
 
 def test_parity_classes():
@@ -208,24 +195,11 @@ def test_type_d_products_stay_in_subalgebra():
         assert all(m.w.neg_count() % 2 == 0 for m in prod.terms)
 
 
-def test_serialization_roundtrip():
-    rng = random.Random(31)
-    for params in (A3, B2):
-        for _ in range(40):
-            a = random_element(params, rng)
-            assert from_string(params, a.to_string()) == a
-    assert from_string(A2, "0").is_zero()
+def test_text_form():
+    assert algebra_for(A2).zero().to_string() == "0"
     alg = algebra_for(A2)
     elem = multiply(A2, alg.x(1), alg.x(1)) + alg.c(2).scale(SQRT2)
     assert elem.to_string() == "(1*r2)*c2*[1,2] + (1)*x1^2*[1,2]"
-    assert from_string(A2, elem.to_string()) == elem
-
-
-def test_serialization_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_string(A2, "(1)*y1*[1,2]")
-    with pytest.raises(ValueError):
-        from_string(A2, "x1")
 
 
 def test_params_mismatch_raises():

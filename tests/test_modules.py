@@ -1,7 +1,8 @@
-"""Module constructions: U(n), Steinberg modules and induced modules."""
+"""Module constructions: Clifford matrices, Steinberg modules and induced modules."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,43 +13,41 @@ from hcdirac.engine import AlgebraParams, algebra_for, multiply, random_element
 from hcdirac.linalg import Matrix, Subspace
 from hcdirac.modules import (
     ModuleRep,
+    _InducedBuilder,
     _cl_basis_c_matrix,
     _cl_basis_w_matrix,
     _steinberg_b_ambient,
     check_module_relations,
     clifford_c_matrices,
-    clifford_supermodule,
     forced_n_constant,
     induced_module,
     minimal_coset_reps,
     steinberg_module,
 )
-from hcdirac.partitions import Partition
+from hcdirac.partitions import Partition, all_partitions
 from hcdirac.scalars import HALF, ONE, SQRT2, TWO, ZERO, Scalar
 from hcdirac.weyl import Root, SignedPerm, reflection_perm
 
 
 def test_clifford_supermodule_dimensions():
-    assert clifford_supermodule(1).dim == 2
-    assert clifford_supermodule(2).dim == 2
-    assert clifford_supermodule(3).dim == 4
-    assert clifford_supermodule(4).dim == 4
-    assert clifford_supermodule(5).dim == 8
+    # U(n) has dimension 2^{n/2} for even n and 2^{(n+1)/2} for odd n.
+    assert [len(clifford_c_matrices(n)[1]) for n in range(1, 6)] == [2, 2, 4, 4, 8]
 
 
 def test_clifford_anticommutators_vanish():
-    u = clifford_supermodule(3)
-    c1, c2 = u.gen("c1"), u.gen("c2")
+    cs, parity = clifford_c_matrices(3)
+    c1, c2 = cs[0], cs[1]
+    dim = len(parity)
     assert (c1 * c2 + c2 * c1).is_zero()
-    assert (c1 * c1 + Matrix.identity(u.dim)).is_zero()
+    assert (c1 * c1 + Matrix.identity(dim)).is_zero()
 
 
 def test_relation_checker_detects_breakage():
-    u = clifford_supermodule(2)
-    broken = dict(u.gens)
-    broken["c1"] = Matrix.identity(u.dim)
+    st = steinberg_module(AlgebraParams("A", 2, ONE))
+    broken = dict(st.gens)
+    broken["c1"] = Matrix.identity(st.dim)
     with pytest.raises(AssertionError):
-        ModuleRep(None, "clifford", u.basis_labels, u.parity, broken)
+        ModuleRep(st.params, "steinberg", st.basis_labels, st.parity, broken, lam=st.lam)
 
 
 def test_steinberg_a_actions():
@@ -119,6 +118,38 @@ def test_minimal_coset_reps():
     assert reps[0].is_identity()
     reps4 = minimal_coset_reps(Partition((3, 1)))
     assert len(reps4) == 4
+
+
+def _brute_force_coset_reps(lam: Partition) -> list[tuple[int, ...]]:
+    """Shortest window per coset w S_lambda by a search over all of S_n."""
+
+    def inversions(window):
+        return sum(window[a] > window[b] for a in range(len(window)) for b in range(a + 1, len(window)))
+
+    best: dict[tuple, tuple[int, ...]] = {}
+    for window in itertools.permutations(range(1, lam.n + 1)):
+        key = tuple(frozenset(window[start - 1 : stop]) for start, stop in lam.blocks())
+        if key not in best or (inversions(window), window) < (inversions(best[key]), best[key]):
+            best[key] = window
+    return sorted(best.values(), key=lambda window: (inversions(window), window))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minimal_coset_reps_match_search_over_sn(n):
+    for lam in all_partitions(n):
+        assert [w.images for w in minimal_coset_reps(lam)] == _brute_force_coset_reps(lam)
+
+
+def test_coset_factor_splits_every_permutation():
+    lam = Partition((2, 1, 1))
+    builder = _InducedBuilder(lam, ONE)
+    blocks = lam.blocks()
+    for window in itertools.permutations(range(1, lam.n + 1)):
+        w = SignedPerm(window)
+        t, u = builder.coset_factor(w)
+        assert builder.reps[t] * u == w
+        # u lies in S_lambda: it maps every block of positions onto itself.
+        assert all(start <= u.image(i) <= stop for start, stop in blocks for i in range(start, stop + 1))
 
 
 @pytest.mark.parametrize(
