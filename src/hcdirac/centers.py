@@ -75,37 +75,36 @@ def zeta_on_power_sums(n: int, r: int, k: Scalar) -> AlgElem:
 # The even center of Seg_n via sparse rational elimination.
 
 
-def seg_monomials(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All (cliff mask, window) monomials of Seg_n in deterministic order."""
+def seg_monomials(n: int) -> list[tuple[int, SignedPerm]]:
+    """All (cliff mask, w) monomials of Seg_n in deterministic order."""
     ctx = RootSystemCtx("A", n)
-    return [(mask, w.images) for mask in range(1 << n) for w in ctx.elements()]
+    return [(mask, w) for mask in range(1 << n) for w in ctx.elements()]
 
 
 def seg_mono_mul(
-    a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
-) -> tuple[int, tuple[int, tuple[int, ...]]]:
+    a: tuple[int, SignedPerm], b: tuple[int, SignedPerm]
+) -> tuple[int, tuple[int, SignedPerm]]:
     """(sign, product) for two Sergeev basis monomials c^mask w."""
     mask_a, wa = a
     mask_b, wb = b
-    perm_a = SignedPerm(wa)
-    s1, moved = perm_on_cliff(perm_a, mask_b)
+    s1, moved = perm_on_cliff(wa, mask_b)
     s2, mask = cliff_mul(mask_a, moved)
-    return s1 * s2, (mask, tuple(perm_a.image(v) for v in wb))
+    return s1 * s2, (mask, wa * wb)
 
 
-def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, tuple[int, ...]]]]:
+def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, SignedPerm]]]:
     """Basis of Z(Seg_n)_0 in even-monomial coordinates, plus the index list."""
     if n > 5:
         raise ValueError("seg_even_center is sized for n <= 5")
     monos = seg_monomials(n)
     mono_index = {m: idx for idx, m in enumerate(monos)}
     even = [m for m in monos if bin(m[0]).count("1") % 2 == 0]
-    gens: list[tuple[int, tuple[int, ...]]] = []
+    gens: list[tuple[int, SignedPerm]] = []
     identity = SignedPerm.identity(n)
     for i in range(1, n + 1):
-        gens.append((1 << (i - 1), identity.images))
+        gens.append((1 << (i - 1), identity))
     for s in RootSystemCtx("A", n).simple_reflections:
-        gens.append((0, s.images))
+        gens.append((0, s))
     columns = []
     stride = len(monos)
     for mono in even:
@@ -133,16 +132,14 @@ def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, tuple[int, ...]]]
     return space, even
 
 
-def seg_elem_coordinates(
-    elem: AlgElem, even: list[tuple[int, tuple[int, ...]]]
-) -> tuple[Scalar, ...]:
+def seg_elem_coordinates(elem: AlgElem, even: list[tuple[int, SignedPerm]]) -> tuple[Scalar, ...]:
     """Coordinates of an even Seg element over the even-monomial basis."""
     index = {m: idx for idx, m in enumerate(even)}
     vec = [ZERO] * len(even)
     for mono, coef in elem.terms.items():
         if mono.x_degree() != 0:
             raise ValueError("element does not lie in Seg_n")
-        key = (mono.cliff, mono.w.images)
+        key = (mono.cliff, mono.w)
         if key not in index:
             raise ValueError("element is not even")
         vec[index[key]] = coef

@@ -25,10 +25,13 @@ x-degree.  The measure (x-degree, then remaining disorder) strictly
 decreases, so the rewriting terminates; confluence is not assumed but tested
 through associativity (check_pbw_consistency).
 
-Memo tables.  Each Algebra memoises w x^b on (w, b), x^a x^b1 on (a, b1), and
-the single-generator steps on (generator, word); these grow with the
-x-degrees met.  The Seg lookups u c^f (keys W x masks), uv (keys W x W) and
-the module-level `cliff_mul` (keys masks x masks) are bounded by the group.
+Memo tables and accumulation.  Each Algebra memoises w x^b on (w, b), x^a x^b1
+on (a, b1), and the single-generator steps on (generator, word); these grow
+with the x-degrees met.  The Seg lookups u c^f (keys W x masks), uv (keys
+W x W) and the module-level `cliff_mul` (keys masks x masks) are bounded by
+the group.  `multiply` builds no per-word result: `_mono_product` adds
+ca*cb times each product of basis words straight into one dict.  Words and
+memo keys are tuples all the way down (`SignedPerm` too), so they hash in C.
 
 Type D has no standalone engine: its elements live inside the type-B engine
 with the short-root parameter frozen at zero, and only group elements with an
@@ -86,7 +89,7 @@ def perm_on_cliff(w: SignedPerm, mask: int) -> tuple[int, int]:
     images = []
     for i in range(1, mask.bit_length() + 1):
         if mask & (1 << (i - 1)):
-            v = w.image(i)
+            v = w[i - 1]
             if v < 0:
                 sign = -sign
                 v = -v
@@ -151,9 +154,6 @@ class PbwMonomial(NamedTuple):
     def parity(self) -> int:
         return self.cliff.bit_count() & 1
 
-    def sort_key(self):
-        return (self.exps, self.cliff, self.w.images)
-
     def render(self, coef: Scalar) -> str:
         parts = [f"({coef.compact()})"]
         for i, m in enumerate(self.exps, start=1):
@@ -199,7 +199,8 @@ class AlgElem:
         return all(m.x_degree() == 0 for m in self.terms)
 
     def sorted_terms(self) -> list[tuple[PbwMonomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+        # A word is the tuple (exps, cliff, w), so words sort as tuples.
+        return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __add__(self, other: AlgElem) -> AlgElem:
         if self.params != other.params:
@@ -488,8 +489,9 @@ class Algebra:
             cached = self._group_cache[key] = u * v
         return cached
 
-    def _mono_product(self, left: PbwMonomial, right: PbwMonomial) -> tuple:
-        """Normal form of (x^a c^e w)(x^b c^f v), factored through Seg.
+    def _mono_product(self, out: Terms, left: PbwMonomial, right: PbwMonomial,
+                      scale: Scalar) -> None:
+        """Add scale * (x^a c^e w)(x^b c^f v) to `out`, factored through Seg.
 
         1. T = w x^b = sum x^b1 c^g u, memoised on (w, b).
         2. c^e x^b1 = (-1)^{sum_{i in e} b1_i} x^b1 c^e, then c^e c^g.
@@ -498,9 +500,11 @@ class Algebra:
            tables keyed by W x masks and W x W, which the group bounds.
 
         Only steps 1 and 3 straighten; the rest is Clifford sign bookkeeping.
+        Each term of T forms +-scale * coef once, so a term of step 3 costs one
+        Scalar product, which is nonzero: only a sum onto a word in `out` can
+        cancel.
         """
-        e, f, v = left.cliff, right.cliff, right.w
-        out: Terms = {}
+        e, f, v, a = left.cliff, right.cliff, right.w, left.exps
         for b1, odd, g, u, coef in self._w_times_x(left.w, right.exps):
             sign, mask = cliff_mul(e, g)
             if (odd & e).bit_count() & 1:
@@ -508,13 +512,19 @@ class Algebra:
             s, moved = self._perm_on_cliff(u, f)
             sign *= s
             s, mask = cliff_mul(mask, moved)
-            sign *= s
             uv = self._group_mul(u, v)
-            for b2, h, coef2 in self._x_times_x(left.exps, b1):
+            c = scale * coef if sign * s > 0 else -(scale * coef)
+            for b2, h, coef2 in self._x_times_x(a, b1):
                 s, mask2 = cliff_mul(h, mask)
-                c = coef * coef2
-                _add_term(out, PbwMonomial(b2, mask2, uv), c if sign * s > 0 else -c)
-        return tuple(out.items())
+                term = c * coef2 if s > 0 else -(c * coef2)
+                mono = PbwMonomial(b2, mask2, uv)
+                old = out.get(mono)
+                if old is None:
+                    out[mono] = term
+                elif new := old + term:
+                    out[mono] = new
+                else:
+                    del out[mono]
 
     def multiply(self, a: AlgElem, b: AlgElem) -> AlgElem:
         if a.params != self.params or b.params != self.params:
@@ -522,9 +532,7 @@ class Algebra:
         out: Terms = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                coef = ca * cb
-                for mono, c in self._mono_product(ma, mb):
-                    _add_term(out, mono, coef * c)
+                self._mono_product(out, ma, mb, ca * cb)
         return AlgElem(self.params, out)
 
 

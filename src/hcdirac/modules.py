@@ -63,7 +63,7 @@ class ModuleRep:
         self.lam = lam
         self.dim = len(self.basis_labels)
         self.ctx = RootSystemCtx(params.type, params.n)
-        self._group_cache: dict[tuple[int, ...], Matrix] = {}
+        self._group_cache: dict[SignedPerm, Matrix] = {}
         # The relation-check report, kept for callers; None when unchecked.
         self.relations = check_module_relations(self) if check else None
         if check and self.relations["status"] != "pass":
@@ -83,10 +83,10 @@ class ModuleRep:
         return f"s{idx + 1}"
 
     def group_matrix(self, w: SignedPerm) -> Matrix:
-        cached = self._group_cache.get(w.images)
+        cached = self._group_cache.get(w)
         if cached is None:
             word = [self.gens[self._simple_key(idx)] for idx in self.ctx.reduced_word(w)]
-            cached = self._group_cache[w.images] = _product(word, self.dim)
+            cached = self._group_cache[w] = _product(word, self.dim)
         return cached
 
     def mono_matrix(self, mono: PbwMonomial) -> Matrix:
@@ -369,30 +369,30 @@ class _InducedBuilder:
         self.reps = minimal_coset_reps(lam)
         self.blocks = lam.blocks()
         self.coset_of = {_coset_key(rep, self.blocks): t for t, rep in enumerate(self.reps)}
-        self._factor_cache: dict[tuple[int, ...], tuple[int, SignedPerm]] = {}
+        self._factor_cache: dict[SignedPerm, tuple[int, SignedPerm]] = {}
         self.st_x = [
             _st_lambda_x_matrix(i, lam, k, self.n) for i in range(1, self.n + 1)
         ]
-        self._st_w_cache: dict[tuple[int, ...], Matrix] = {}
-        self._push_cache: dict[tuple[int, tuple[int, ...]], tuple[int, AlgElem]] = {}
+        self._st_w_cache: dict[SignedPerm, Matrix] = {}
+        self._push_cache: dict[tuple[int, SignedPerm], tuple[int, AlgElem]] = {}
 
     def coset_factor(self, w: SignedPerm) -> tuple[int, SignedPerm]:
         """(t, u) with w = w_t * u and u in S_lambda, read off the coset key."""
-        cached = self._factor_cache.get(w.images)
+        cached = self._factor_cache.get(w)
         if cached is None:
             t = self.coset_of[_coset_key(w, self.blocks)]
-            cached = self._factor_cache[w.images] = (t, self.reps[t].inverse() * w)
+            cached = self._factor_cache[w] = (t, self.reps[t].inverse() * w)
         return cached
 
     def st_w(self, u: SignedPerm) -> Matrix:
-        cached = self._st_w_cache.get(u.images)
+        cached = self._st_w_cache.get(u)
         if cached is None:
-            cached = self._st_w_cache[u.images] = _cl_basis_w_matrix(u, self.n)
+            cached = self._st_w_cache[u] = _cl_basis_w_matrix(u, self.n)
         return cached
 
     def push_x(self, i: int, w: SignedPerm) -> tuple[int, AlgElem]:
         """x_i w = w x_j + corr with j = w^{-1}(i) and corr of x-degree 0."""
-        key = (i, w.images)
+        key = (i, w)
         cached = self._push_cache.get(key)
         if cached is None:
             j = w.inverse().image(i)

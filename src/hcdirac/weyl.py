@@ -11,7 +11,7 @@ targets (group order at most a few thousand).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 _KIND_ORDER = {"diff": 0, "sum": 1, "short": 2}
 
@@ -55,51 +55,55 @@ class Root:
         return f"e{self.i}"
 
 
-@dataclass(frozen=True)
-class SignedPerm:
-    """A signed permutation, stored as the window (w(1), ..., w(n))."""
+class SignedPerm(tuple):
+    """A signed permutation: the window (w(1), ..., w(n)) as a tuple, so that
+    hashing and equality, on every PBW basis word and memo key, run in C.
 
-    images: tuple[int, ...]
+    The constructor checks windows that come from outside.  Products and
+    inverses skip the check, as signed permutations are closed under both.
+    """
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(abs(v) for v in self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a signed permutation: {self.images}")
+    __slots__ = ()
+
+    def __new__(cls, images) -> SignedPerm:
+        self = tuple.__new__(cls, images)
+        if sorted(abs(v) for v in self) != list(range(1, len(self) + 1)):
+            raise ValueError(f"not a signed permutation: {tuple(self)}")
+        return self
 
     @classmethod
     def identity(cls, n: int) -> SignedPerm:
-        return cls(tuple(range(1, n + 1)))
+        return cls(range(1, n + 1))
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def image(self, i: int) -> int:
         """Signed image of a signed index: w(-i) = -w(i)."""
-        if i > 0:
-            return self.images[i - 1]
-        return -self.images[-i - 1]
+        return self[i - 1] if i > 0 else -self[-i - 1]
 
     def __mul__(self, other: SignedPerm) -> SignedPerm:
         """Composition (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
+        if len(self) != len(other):
             raise ValueError("rank mismatch")
-        return SignedPerm(tuple(self.image(other.images[i]) for i in range(self.n)))
+        return _UNCHECKED([self[v - 1] if v > 0 else -self[-v - 1] for v in other])
 
     def inverse(self) -> SignedPerm:
-        images = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            if v > 0:
-                images[v - 1] = i
-            else:
-                images[-v - 1] = -i
-        return SignedPerm(tuple(images))
+        images = [0] * len(self)
+        for i, v in enumerate(self, start=1):
+            images[abs(v) - 1] = i if v > 0 else -i
+        return _UNCHECKED(images)
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.n + 1))
+        return self == tuple(range(1, len(self) + 1))
 
     def neg_count(self) -> int:
-        return sum(1 for v in self.images if v < 0)
+        return sum(1 for v in self if v < 0)
 
     def act_root(self, root: Root) -> tuple[Root, int]:
         """Image of a root, returned as (positive root, sign)."""
@@ -117,7 +121,14 @@ class SignedPerm:
         return Root("diff", a, b), ca
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.images) + "]"
+        return "[" + ",".join(str(v) for v in self) + "]"
+
+    def __repr__(self) -> str:
+        return f"SignedPerm(images={tuple(self)!r})"
+
+
+# A SignedPerm from a window known to be a signed permutation.
+_UNCHECKED = partial(tuple.__new__, SignedPerm)
 
 
 def reflection_perm(root: Root, n: int) -> SignedPerm:
@@ -142,7 +153,6 @@ class RootSystemCtx:
             raise ValueError("rank must be at least 1")
         self.type = type
         self.n = n
-        self._words: dict[tuple[int, ...], list[int]] | None = None
 
     def __repr__(self) -> str:
         return f"RootSystemCtx({self.type!r}, {self.n})"
@@ -193,35 +203,35 @@ class RootSystemCtx:
             return w.neg_count() % 2 == 0
         return True
 
-    def _build_words(self) -> dict[tuple[int, ...], list[int]]:
+    def _build_words(self) -> dict[SignedPerm, list[int]]:
         """BFS over the Cayley graph; words multiply left-to-right to w."""
         identity = SignedPerm.identity(self.n)
-        words: dict[tuple[int, ...], list[int]] = {identity.images: []}
+        words: dict[SignedPerm, list[int]] = {identity: []}
         frontier = [identity]
         simples = self.simple_reflections
         while frontier:
             next_frontier = []
             for w in frontier:
-                word = words[w.images]
+                word = words[w]
                 for idx, s in enumerate(simples):
                     w2 = w * s
-                    if w2.images not in words:
-                        words[w2.images] = word + [idx]
+                    if w2 not in words:
+                        words[w2] = word + [idx]
                         next_frontier.append(w2)
             frontier = next_frontier
         return words
 
     @cached_property
-    def _word_table(self) -> dict[tuple[int, ...], list[int]]:
+    def _word_table(self) -> dict[SignedPerm, list[int]]:
         return self._build_words()
 
     def reduced_word(self, w: SignedPerm) -> list[int]:
         """Indices into simple_reflections whose ordered product is w."""
         try:
-            return list(self._word_table[w.images])
+            return list(self._word_table[w])
         except KeyError:
             raise ValueError(f"{w} does not lie in W({self.type}_{self.n})") from None
 
     def elements(self) -> list[SignedPerm]:
         """All group elements, in a deterministic BFS-then-window order."""
-        return [SignedPerm(images) for images in sorted(self._word_table)]
+        return sorted(self._word_table)

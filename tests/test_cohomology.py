@@ -20,7 +20,7 @@ from hcdirac.engine import AlgebraParams
 from hcdirac.linalg import Subspace, quotient_matrix
 from hcdirac.modules import forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
-from hcdirac.scalars import HALF, I, ONE, SQRT2, TWO, ZERO, Scalar
+from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
 
 HALF_K = Scalar(Fraction(1, 2))
 

@@ -7,14 +7,12 @@ built from scratch in this file (no engine involvement).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from hcdirac.dirac import (
     casimirs,
-    clifford_root_element,
     d_squared_constant,
     dirac_bundle,
     dirac_element,
@@ -22,8 +20,8 @@ from hcdirac.dirac import (
     twisted_reflection,
     verify_identities,
 )
-from hcdirac.engine import AlgebraParams, algebra_for, multiply, parity, supercommutator
-from hcdirac.scalars import HALF, HALF_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
+from hcdirac.engine import AlgebraParams, algebra_for, multiply, parity
+from hcdirac.scalars import HALF_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
 from hcdirac.weyl import Root, SignedPerm
 
 K_VALUES = (ONE, TWO, Scalar(Fraction(1, 2)))

@@ -8,7 +8,6 @@ import pytest
 
 from hcdirac.engine import (
     AlgebraParams,
-    AlgElem,
     PbwMonomial,
     algebra_for,
     check_pbw_consistency,
@@ -233,7 +232,29 @@ def test_mono_product_matches_reference_order(params):
     for _ in range(150):
         left = next(iter(random_element(params, rng, max_deg=3, max_terms=1).terms))
         right = next(iter(random_element(params, rng, max_deg=3, max_terms=1).terms))
-        assert dict(alg._mono_product(left, right)) == _reference_mono_product(alg, left, right)
+        out = {}
+        alg._mono_product(out, left, right, ONE)
+        assert out == _reference_mono_product(alg, left, right)
+
+
+@pytest.mark.parametrize("params", [A3, B3_FREE, D3])
+def test_multiply_matches_reference_with_coefficients(params):
+    """Products of multi-term elements against sum ca * cb * (ma mb), with the
+    basis-word products taken from the reference order."""
+    rng = random.Random(202)
+    alg = algebra_for(params)
+    seen = set()
+    for _ in range(100):
+        a = random_element(params, rng, max_deg=2, max_terms=3)
+        b = random_element(params, rng, max_deg=2, max_terms=3)
+        seen.update(a.terms.values(), b.terms.values())
+        expected = {}
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                for m, c in _reference_mono_product(alg, ma, mb).items():
+                    expected[m] = expected.get(m, ZERO) + ca * cb * c
+        assert multiply(params, a, b).terms == {m: c for m, c in expected.items() if c}
+    assert {I, SQRT2, HALF} <= seen
 
 
 @pytest.mark.parametrize("params", [B3_FREE, D3])

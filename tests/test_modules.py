@@ -10,7 +10,7 @@ import pytest
 
 from hcdirac.dirac import dirac_element
 from hcdirac.engine import AlgebraParams, algebra_for, multiply, random_element
-from hcdirac.linalg import Matrix, Subspace
+from hcdirac.linalg import Matrix
 from hcdirac.modules import (
     ModuleRep,
     _InducedBuilder,
@@ -25,8 +25,8 @@ from hcdirac.modules import (
     steinberg_module,
 )
 from hcdirac.partitions import Partition, all_partitions
-from hcdirac.scalars import HALF, ONE, SQRT2, TWO, ZERO, Scalar
-from hcdirac.weyl import Root, SignedPerm, reflection_perm
+from hcdirac.scalars import ONE, TWO, ZERO, Scalar
+from hcdirac.weyl import SignedPerm
 
 
 def test_clifford_supermodule_dimensions():

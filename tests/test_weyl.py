@@ -81,6 +81,32 @@ def test_window_roundtrip():
         SignedPerm((1, 1))
 
 
+def _compose(u, v):
+    """Window of u * v, composed by hand: (u v)(i) = u(v(i)), u(-j) = -u(j)."""
+    return tuple(u[j - 1] if j > 0 else -u[-j - 1] for j in v)
+
+
+def test_signed_perm_tuple_semantics():
+    for window in ((1, 1), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            SignedPerm(window)
+    a, b = SignedPerm((2, -1, 3)), SignedPerm((2, -1, 3))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a: 1}[b] == 1
+    assert str(a) == "[2,-1,3]"
+    assert repr(a) == "SignedPerm(images=(2, -1, 3))"
+    assert a.images == (2, -1, 3) and type(a.images) is tuple
+    for ctx in (RootSystemCtx("B", 3), RootSystemCtx("A", 4)):
+        elements = ctx.elements()
+        identity = tuple(range(1, ctx.n + 1))
+        for u in elements:
+            inv = u.inverse()
+            assert type(inv) is SignedPerm and _compose(u.images, inv.images) == identity
+            for v in elements:
+                uv = u * v
+                assert type(uv) is SignedPerm and uv.images == _compose(u.images, v.images)
+
+
 def test_reduced_word_identity_and_examples():
     ctx = RootSystemCtx("A", 3)
     assert ctx.reduced_word(SignedPerm.identity(3)) == []
