@@ -4,14 +4,12 @@ zeta'(x_i) is the k-weighted Jucys-Murphy element of the x-degree-zero
 subalgebra Seg_n; its images of the central power sums p_r(x^2) are compared
 against the even center of Seg_n, which is computed as the simultaneous
 kernel of all generator commutators on the even part of the regular
-representation.  The commutator kernel runs over plain rationals (Sergeev
-structure constants are signs), independent of the engine's scalar type,
-through the package's one eliminator, `linalg.sparse_kernel`.
+representation.  The commutator columns hold the Sergeev structure
+constants, which are signs, as `Scalar`s, and their kernel is
+`Subspace.kernel`, the package's one eliminator.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .engine import (
     AlgebraParams,
@@ -21,7 +19,7 @@ from .engine import (
     perm_on_cliff,
 )
 from .dirac import twisted_reflection
-from .linalg import Subspace, sparse_kernel
+from .linalg import Matrix, Subspace
 from .partitions import distinct_partitions
 from .scalars import SQRT2, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
@@ -72,7 +70,7 @@ def zeta_on_power_sums(n: int, r: int, k: Scalar) -> AlgElem:
 
 
 # ---------------------------------------------------------------------------
-# The even center of Seg_n via sparse rational elimination.
+# The even center of Seg_n via sparse elimination.
 
 
 def seg_monomials(n: int) -> list[tuple[int, SignedPerm]]:
@@ -108,22 +106,16 @@ def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, SignedPerm]]]:
     columns = []
     stride = len(monos)
     for mono in even:
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         for g_idx, gen in enumerate(gens):
             s1, left = seg_mono_mul(gen, mono)
             s2, right = seg_mono_mul(mono, gen)
             base = g_idx * stride
             for sign, prod in ((s1, left), (-s2, right)):
                 key = base + mono_index[prod]
-                new = col.get(key, Fraction(0)) + sign
-                if new:
-                    col[key] = new
-                else:
-                    col.pop(key, None)
-        columns.append(col)
-    combos = sparse_kernel(columns, Fraction(1))
-    vectors = [{idx: Scalar(value) for idx, value in combo.items()} for combo in combos]
-    space = Subspace.spanned_by(vectors, len(even))
+                col[key] = col.get(key, 0) + sign
+        columns.append({key: Scalar(value) for key, value in col.items() if value})
+    space = Subspace.kernel(Matrix.from_sparse(columns, len(gens) * stride))
     expected = len(distinct_partitions(n))
     if space.dim != expected:
         raise AssertionError(

@@ -4,9 +4,7 @@ Elements are sparse linear combinations of basis words
 
     x_1^{m_1} ... x_n^{m_n} c_1^{e_1} ... c_n^{e_n} w
 
-with scalar coefficients in Q(i, sqrt2).  The rewriting primitives are left
-multiplications by a single generator on a basis word (`_lmul_simple`,
-`_lmul_x`, `_lmul_c`, and `_lmul_w` along a reduced word).
+with scalar coefficients in Q(i, sqrt2).
 
 Straightening strategy.  The Sergeev part Seg = Cl_n x| W acts on x and c by
 signed permutations, so a product of basis words
@@ -16,22 +14,23 @@ signed permutations, so a product of basis words
 needs real rewriting in two places only: T = w x^b, and x^a x^b1 for each
 x^b1 of T (a plain exponent sum in type A).  The Clifford word c^e crosses
 x^b1 with the sign (-1)^{sum_{i in e} b1_i}, and c^f v joins on the right
-through u c^f = +-c^{u(f)} u and the group product uv.  Within w x^b, a group
-element is pushed past the x-block one simple reflection at a time; each
-crossing of a single x-generator produces a main term of the same x-degree
-plus corrections of strictly smaller x-degree.  Type-B x-generators cross
-each other at the cost of an N-weighted Clifford correction, again of smaller
-x-degree.  The measure (x-degree, then remaining disorder) strictly
-decreases, so the rewriting terminates; confluence is not assumed but tested
-through associativity (check_pbw_consistency).
+through u c^f = +-c^{u(f)} u and the group product uv.  Both rewritings act
+on exponent vectors only (`_x_times_x`, and `_s_times_x` composed along a
+reduced word of w in `_w_times_x`).  A reflection crosses one x-generator at
+a time, with a main term of the same x-degree plus corrections of strictly
+smaller x-degree; type-B x-generators cross each other at the cost of an
+N-weighted Clifford correction, again of smaller x-degree.  The measure
+(x-degree, then remaining disorder) strictly decreases, so the rewriting
+terminates; confluence is not assumed but tested through associativity.
 
-Memo tables and accumulation.  Each Algebra memoises w x^b on (w, b), x^a x^b1
-on (a, b1), and the single-generator steps on (generator, word); these grow
-with the x-degrees met.  The Seg lookups u c^f (keys W x masks), uv (keys
-W x W) and the module-level `cliff_mul` (keys masks x masks) are bounded by
-the group.  `multiply` builds no per-word result: `_mono_product` adds
-ca*cb times each product of basis words straight into one dict.  Words and
-memo keys are tuples all the way down (`SignedPerm` too), so they hash in C.
+Memo tables and accumulation.  Each Algebra memoises x^a x^b on (a, b), s x^b
+on (simple index, b) and w x^b on (w, b): no key holds a Clifford word or a
+group tail, so these tables grow with the x-degrees met.  The Seg lookups
+u c^f (keys W x masks), uv (keys W x W) and the module-level `cliff_mul`
+(keys masks x masks) are bounded by the group.  `multiply` builds no
+per-word result: `_mono_product` adds ca*cb times each product of basis
+words straight into one dict.  Words and memo keys are tuples all the way
+down (`SignedPerm` too), so they hash in C.
 
 Type D has no standalone engine: its elements live inside the type-B engine
 with the short-root parameter frozen at zero, and only group elements with an
@@ -46,7 +45,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .scalars import HALF, I, I_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
-from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
+from .weyl import Root, RootSystemCtx, SignedPerm
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +170,37 @@ class PbwMonomial(NamedTuple):
 Terms = dict[PbwMonomial, Scalar]
 
 
-def _add_term(terms: Terms, mono: PbwMonomial, coef: Scalar) -> None:
-    new = terms.get(mono, ZERO) + coef
+def _add_term(terms: dict, key, coef: Scalar) -> None:
+    new = terms.get(key, ZERO) + coef
     if new:
-        terms[mono] = new
+        terms[key] = new
     else:
-        terms.pop(mono, None)
+        terms.pop(key, None)
+
+
+def _shift(exps: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
+    """exps with its i-th entry (1-based) moved by delta."""
+    return exps[:i - 1] + (exps[i - 1] + delta,) + exps[i:]
+
+
+def _odd_mask(exps: tuple[int, ...]) -> int:
+    """Bitmask of the odd entries of exps: c_i passes x^exps with the sign
+    (-1)^{exps_i}."""
+    return sum((e & 1) << i for i, e in enumerate(exps))
 
 
 class AlgElem:
-    """A finite Scalar-linear combination of PBW basis words."""
+    """A finite Scalar-linear combination of PBW basis words.
+
+    `terms` is kept as given, without a copy, and must store no zero
+    coefficient: every constructor in the package builds it zero-free.
+    """
 
     __slots__ = ("params", "terms")
 
     def __init__(self, params: AlgebraParams, terms: Terms | None = None):
         self.params = params
-        self.terms: Terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms: Terms = {} if terms is None else terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -273,16 +287,15 @@ class Algebra:
         self.push_ctx = RootSystemCtx("A" if params.type == "A" else "B", params.n)
         # The group of the algebra itself (used for membership and roots).
         self.ctx = RootSystemCtx(params.type, params.n)
-        self.simples = self.push_ctx.simple_reflections
-        self._simple_cache: dict[tuple[int, PbwMonomial], tuple] = {}
-        self._x_cache: dict[tuple[int, PbwMonomial], tuple] = {}
-        self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
         self._xx_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+        self._sx_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
         # Seg-part lookups: keys range over W x masks and W x W, so bounded.
         self._perm_cliff_cache: dict[tuple[SignedPerm, int], tuple[int, int]] = {}
         self._group_cache: dict[tuple[SignedPerm, SignedPerm], SignedPerm] = {}
         self._id = SignedPerm.identity(params.n)
         self._zero_exps = (0,) * params.n
+        self._units = [_shift(self._zero_exps, i, 1) for i in range(1, params.n + 1)]
 
     # -- element constructors ------------------------------------------------
 
@@ -316,163 +329,119 @@ class Algebra:
         if not 1 <= i <= self.params.n:
             raise ValueError(f"index {i} out of range 1..{self.params.n}")
 
-    # -- single-generator left multiplication on basis words ------------------
+    # -- straightening on x-exponent vectors ---------------------------------
 
-    def _lmul_c_mono(self, i: int, mono: PbwMonomial) -> tuple[int, PbwMonomial]:
-        sign = -1 if mono.exps[i - 1] & 1 else 1
-        s2, cliff = cliff_insert(i, mono.cliff)
-        return sign * s2, PbwMonomial(mono.exps, cliff, mono.w)
+    def _x_times_x(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple:
+        """x^a * x^b in normal form, as ((exps, cliff, coefficient), ...).
 
-    def _lmul_c(self, i: int, terms: Terms) -> Terms:
-        out: Terms = {}
-        for mono, coef in terms.items():
-            sign, mono2 = self._lmul_c_mono(i, mono)
-            _add_term(out, mono2, coef if sign > 0 else -coef)
-        return out
-
-    def _lmul_x(self, i: int, mono: PbwMonomial) -> tuple:
-        """x_i * mono in normal form, as ((monomial, coefficient), ...)."""
-        key = (i, mono)
-        cached = self._x_cache.get(key)
+        x^a = x^head x_i for the last i with a_i > 0, so x^a x^b is x^head
+        applied to x_i x^b.  A single x_i passes the first x_j of x^b with
+        j < i by x_i x_j = x_j x_i + N c_j c_i; the correction drops two
+        x-factors, so the recursion is well founded.
+        """
+        key = (a, b)
+        cached = self._xx_cache.get(key)
         if cached is not None:
             return cached
-        j = next((t for t in range(1, i) if mono.exps[t - 1] > 0), None)
-        out: Terms = {}
-        if j is None:
-            exps = list(mono.exps)
-            exps[i - 1] += 1
-            out[PbwMonomial(tuple(exps), mono.cliff, mono.w)] = ONE
+        out: dict = {}
+        i = next((t for t in range(len(a), 0, -1) if a[t - 1]), None)
+        if i is None:
+            out[b, 0] = ONE
+        elif a != self._units[i - 1]:
+            self._x_into(out, _shift(a, i, -1), self._x_times_x(self._units[i - 1], b))
         else:
-            exps = list(mono.exps)
-            exps[j - 1] -= 1
-            inner = PbwMonomial(tuple(exps), mono.cliff, mono.w)
-            # x_i x_j = x_j x_i + N c_j c_i   (the correction drops two
-            # x-factors, so the recursion is well founded)
-            for mono2, coef2 in self._lmul_x(i, inner):
-                for mono3, coef3 in self._lmul_x(j, mono2):
-                    _add_term(out, mono3, coef2 * coef3)
-            if self.params.N:
-                s1, m1 = self._lmul_c_mono(i, inner)
-                s2, m2 = self._lmul_c_mono(j, m1)
-                _add_term(out, m2, self.params.N * (s1 * s2))
-        result = tuple(out.items())
-        self._x_cache[key] = result
-        return result
+            j = next((t for t in range(1, i) if b[t - 1]), None)
+            if j is None:
+                out[_shift(b, i, 1), 0] = ONE
+            else:
+                rest = _shift(b, j, -1)
+                self._x_into(out, self._units[j - 1], self._x_times_x(a, rest))
+                if self.params.N:
+                    # c_j c_i x^rest = (-1)^{rest_i + rest_j} x^rest c_j c_i
+                    mask = (1 << (j - 1)) | (1 << (i - 1))
+                    odd = (_odd_mask(rest) & mask).bit_count() & 1
+                    _add_term(out, (rest, mask), -self.params.N if odd else self.params.N)
+        cached = tuple((exps, mask, c) for (exps, mask), c in out.items())
+        self._xx_cache[key] = cached
+        return cached
 
-    def _lmul_simple(self, idx: int, mono: PbwMonomial) -> tuple:
-        """s_idx * mono in normal form, as ((monomial, coefficient), ...)."""
-        key = (idx, mono)
-        cached = self._simple_cache.get(key)
+    def _x_into(self, out: dict, a: tuple[int, ...], terms: tuple) -> None:
+        """Add x^a * sum x^b c^g coef, over the (b, g, coef) of terms, to
+        `out` as {(exps, cliff): coefficient}; c^g stays on the right."""
+        for b, g, coef in terms:
+            for exps, h, coef2 in self._x_times_x(a, b):
+                sign, mask = cliff_mul(h, g)
+                _add_term(out, (exps, mask), coef * coef2 if sign > 0 else -(coef * coef2))
+
+    def _s_times_x(self, idx: int, b: tuple[int, ...]) -> tuple:
+        """s_idx * x^b in normal form, as ((exps, cliff, v, coefficient), ...),
+        where v is s_idx on the main terms and 1 on the corrections."""
+        key = (idx, b)
+        cached = self._sx_cache.get(key)
         if cached is not None:
             return cached
-        s = self.simples[idx]
         n = self.params.n
-        out: Terms = {}
-        j = next((t for t in range(1, n + 1) if mono.exps[t - 1] > 0), None)
+        j = next((t for t in range(1, n + 1) if b[t - 1]), None)
         if j is None:
-            sign, cliff = perm_on_cliff(s, mono.cliff)
-            mono2 = PbwMonomial(mono.exps, cliff, s * mono.w)
-            out[mono2] = ONE if sign > 0 else -ONE
-        else:
-            exps = list(mono.exps)
-            exps[j - 1] -= 1
-            inner = PbwMonomial(tuple(exps), mono.cliff, mono.w)
-            short_case = self.params.type != "A" and idx == n - 1
-            sign = ONE
-            corrections: list[tuple[Scalar, int]] = []  # (coefficient, cliff mask)
-            if short_case:
-                # s_n x_n = -x_n s_n - sqrt2 * k_short;  s_n x_j = x_j s_n.
-                target = j
-                if j == n:
-                    sign = -ONE
-                    corrections.append((-(SQRT2 * self.params.k_short), 0))
-            else:
-                t = idx + 1
-                mask_tt = (1 << (t - 1)) | (1 << t)
-                if j == t:
-                    # s_t x_t = x_{t+1} s_t + k(-1 + c_t c_{t+1})
-                    target = t + 1
-                    corrections.append((-self.params.k_long, 0))
-                    corrections.append((self.params.k_long, mask_tt))
-                elif j == t + 1:
-                    # s_t x_{t+1} = x_t s_t + k(1 + c_t c_{t+1})
-                    target = t
-                    corrections.append((self.params.k_long, 0))
-                    corrections.append((self.params.k_long, mask_tt))
-                else:
-                    target = j
-            for mono2, coef2 in self._lmul_simple(idx, inner):
-                for mono3, coef3 in self._lmul_x(target, mono2):
-                    _add_term(out, mono3, sign * coef2 * coef3)
-            for coef, mask in corrections:
-                if not coef:
-                    continue
-                cur: Terms = {inner: coef}
-                for i in range(n, 0, -1):
-                    if mask & (1 << (i - 1)):
-                        cur = self._lmul_c(i, cur)
-                for mono3, coef3 in cur.items():
-                    _add_term(out, mono3, coef3)
-        result = tuple(out.items())
-        self._simple_cache[key] = result
-        return result
-
-    def _lmul_w(self, w: SignedPerm, terms: Terms) -> Terms:
-        if w.is_identity():
-            return dict(terms)
-        word = None
-        out: Terms = {}
-        for mono, coef in terms.items():
-            if mono.x_degree() == 0:
-                sign, cliff = perm_on_cliff(w, mono.cliff)
-                mono2 = PbwMonomial(mono.exps, cliff, w * mono.w)
-                _add_term(out, mono2, coef if sign > 0 else -coef)
-            else:
-                if word is None:
-                    word = self.push_ctx.reduced_word(w)
-                cur: Terms = {mono: coef}
-                for idx in reversed(word):
-                    nxt: Terms = {}
-                    for m2, c2 in cur.items():
-                        for m3, c3 in self._lmul_simple(idx, m2):
-                            _add_term(nxt, m3, c2 * c3)
-                    cur = nxt
-                for m3, c3 in cur.items():
-                    _add_term(out, m3, c3)
-        return out
+            s = self.push_ctx.simple_reflections[idx]
+            return self._sx_cache.setdefault(key, ((b, 0, s, ONE),))
+        rest = _shift(b, j, -1)
+        k = self.params.k_long
+        sign, target, corrections = 1, j, []  # corrections: (coefficient, cliff mask)
+        if self.params.type != "A" and idx == n - 1:
+            # s_n x_n = -x_n s_n - sqrt2 * k_short;  s_n x_j = x_j s_n.
+            if j == n:
+                sign, corrections = -1, [(-(SQRT2 * self.params.k_short), 0)]
+        elif j in (idx + 1, idx + 2):
+            # With t = idx + 1:  s_t x_t = x_{t+1} s_t + k(-1 + c_t c_{t+1}),
+            #                    s_t x_{t+1} = x_t s_t + k(1 + c_t c_{t+1}).
+            target = 2 * idx + 3 - j
+            corrections = [(-k if j == idx + 1 else k, 0), (k, 0b11 << idx)]
+        out: dict = {}
+        # The main term x_target (s x^rest), with s x^rest = sum x^b1 c^g v.
+        for b1, g, v, coef in self._s_times_x(idx, rest):
+            for exps, h, coef2 in self._x_times_x(self._units[target - 1], b1):
+                s2, mask = cliff_mul(h, g)
+                term = coef * coef2
+                _add_term(out, (exps, mask, v), term if sign * s2 > 0 else -term)
+        # The corrections c^mask x^rest = (-1)^{sum_{i in mask} rest_i} x^rest c^mask.
+        odd = _odd_mask(rest)
+        for coef, mask in corrections:
+            if coef:
+                _add_term(out, (rest, mask, self._id),
+                          -coef if (odd & mask).bit_count() & 1 else coef)
+        cached = tuple((exps, mask, v, c) for (exps, mask, v), c in out.items())
+        self._sx_cache[key] = cached
+        return cached
 
     def _w_times_x(self, w: SignedPerm, exps: tuple[int, ...]) -> tuple:
         """w * x^exps in normal form, as ((exps1, odd, cliff, u, coefficient), ...).
 
-        `odd` is the mask of the odd entries of exps1, which is all that the
-        sign of moving a Clifford word past x^exps1 depends on.
+        w acts one simple reflection at a time along a reduced word.  Each
+        step s x^b = sum x^b1 c^h v joins the tail c^g u by the Seg product
+        c^h v c^g u = +-c^h c^{v(g)} vu.  `odd` is the mask of the odd entries
+        of exps1, which is all that the sign of moving a Clifford word past
+        x^exps1 depends on.
         """
         key = (w, exps)
         cached = self._wx_cache.get(key)
-        if cached is None:
-            terms = self._lmul_w(w, {PbwMonomial(exps, 0, self._id): ONE})
-            cached = tuple(
-                (m.exps, sum((e & 1) << i for i, e in enumerate(m.exps)), m.cliff, m.w, c)
-                for m, c in terms.items()
-            )
-            self._wx_cache[key] = cached
-        return cached
-
-    def _x_times_x(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple:
-        """x^a * x^b in normal form, as ((exps, cliff, coefficient), ...)."""
-        key = (a, b)
-        cached = self._xx_cache.get(key)
-        if cached is None:
-            cur: Terms = {PbwMonomial(b, 0, self._id): ONE}
-            for i in range(self.params.n, 0, -1):
-                for _ in range(a[i - 1]):
-                    nxt: Terms = {}
-                    for mono, coef in cur.items():
-                        for m2, c2 in self._lmul_x(i, mono):
-                            _add_term(nxt, m2, coef * c2)
-                    cur = nxt
-            cached = tuple((m.exps, m.cliff, c) for m, c in cur.items())
-            self._xx_cache[key] = cached
+        if cached is not None:
+            return cached
+        if not any(exps):  # w x^0 = w, without the reduced word, which enumerates the group
+            return self._wx_cache.setdefault(key, ((exps, 0, 0, w, ONE),))
+        cur = {(exps, 0, self._id): ONE}
+        for idx in reversed(self.push_ctx.reduced_word(w)):
+            nxt: dict = {}
+            for (b, g, u), coef in cur.items():
+                for b1, h, v, coef2 in self._s_times_x(idx, b):
+                    sign, moved = perm_on_cliff(v, g)
+                    s2, mask = cliff_mul(h, moved)
+                    term = coef * coef2
+                    _add_term(nxt, (b1, mask, v * u),
+                              term if sign * s2 > 0 else -term)
+            cur = nxt
+        cached = tuple((b, _odd_mask(b), g, u, c) for (b, g, u), c in cur.items())
+        self._wx_cache[key] = cached
         return cached
 
     def _perm_on_cliff(self, u: SignedPerm, mask: int) -> tuple[int, int]:
@@ -679,17 +648,16 @@ def defining_relations(params: AlgebraParams) -> list[Relation]:
                 (f"c{i}_c{j}", [(ONE, (("c", i), ("c", j))), (ONE, (("c", j), ("c", i)))])
             )
 
-    # The first n - 1 simple reflections of the ambient A or B group are s_1..s_{n-1}.
-    simples = algebra_for(params).simples
-    simple_tokens: list[tuple[tuple, SignedPerm]] = []
-    for t in range(1, n):
-        simple_tokens.append(((("s", t),), simples[t - 1]))
+    # The algebra's own simple reflections: s_1..s_{n-1}, then s_n in type B
+    # or the fork s_{n-1,-n} in type D.
+    tokens = [(("s", t),) for t in range(1, n)]
     if params.type == "B":
-        simple_tokens.append(((("sn",),), reflection_perm(Root("short", n), n)))
+        tokens.append((("sn",),))
     elif params.type == "D" and n >= 2:
-        simple_tokens.append(((("sd",),), reflection_perm(Root("sum", n - 1, n), n)))
+        tokens.append((("sd",),))
+    simples = algebra_for(params).ctx.simple_reflections
 
-    for tok, perm in simple_tokens:
+    for tok, perm in zip(tokens, simples, strict=True):
         name = tok[0][0] if len(tok[0]) == 1 else f"s{tok[0][1]}"
         rels.append((f"{name}_sq", [(ONE, tok + tok), (-ONE, ())]))
         for i in range(1, n + 1):
@@ -813,11 +781,9 @@ def eval_relation_tokens(params: AlgebraParams, word: tuple) -> AlgElem:
         elif token[0] == "c":
             factor = alg.c(token[1])
         elif token[0] == "s":
-            factor = alg.w(alg.simples[token[1] - 1])
-        elif token[0] == "sn":
-            factor = alg.w(reflection_perm(Root("short", params.n), params.n))
-        elif token[0] == "sd":
-            factor = alg.w(reflection_perm(Root("sum", params.n - 1, params.n), params.n))
+            factor = alg.w(alg.ctx.simple_reflections[token[1] - 1])
+        elif token[0] in ("sn", "sd"):
+            factor = alg.w(alg.ctx.simple_reflections[params.n - 1])
         else:
             raise ValueError(f"unknown token {token!r}")
         result = alg.multiply(result, factor)

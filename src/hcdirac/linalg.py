@@ -10,8 +10,8 @@ exact.  That form is unique for a subspace, so a kernel or intersection
 does not depend on which spanning vectors the eliminator finds.
 
 `sparse_kernel` is the package's one null-space routine: column elimination
-on {row: nonzero} dicts over any exact field, used by `Subspace.kernel`,
-`Subspace.intersect` and the rational even-center computation in `centers`.
+on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel` and
+`Subspace.intersect`.
 """
 
 from __future__ import annotations
@@ -168,26 +168,24 @@ def dense(vec: dict, n: int) -> Vector:
     return tuple(out)
 
 
-def sparse_kernel(columns: list[dict], one) -> list[dict]:
+def sparse_kernel(columns: list[dict]) -> list[dict]:
     """Null-space combinations of sparse columns {row: nonzero}.
 
     Each column is reduced against the pivot columns before it, always at
     its lowest nonzero row, while the combination of input columns it has
     become is tracked; a column that reduces to zero gives a kernel vector.
-    Each pivot is inverted once, when it is stored.  Entries may come from
-    any exact field: `one` is its unit (ONE for Scalar, Fraction(1) for
-    rationals), and no other constant is built.
+    Each pivot is inverted once, when it is stored.
     """
-    pivots: dict[int, tuple[dict, dict, object]] = {}
+    pivots: dict[int, tuple[dict, dict, Scalar]] = {}
     kernel = []
     for j, column in enumerate(columns):
         cur = dict(column)
-        combo = {j: one}
+        combo = {j: ONE}
         while cur:
             row = min(cur)
             hit = pivots.get(row)
             if hit is None:
-                pivots[row] = (cur, combo, -(one / cur[row]))
+                pivots[row] = (cur, combo, -cur[row].inverse())
                 break
             pcol, pcombo, neg_inv = hit
             factor = cur[row] * neg_inv
@@ -299,7 +297,7 @@ class Subspace:
     @classmethod
     def kernel(cls, matrix: Matrix) -> Subspace:
         """Exact null space by sparse column elimination."""
-        return cls.spanned_by(sparse_kernel(matrix.cols, ONE), matrix.ncols)
+        return cls.spanned_by(sparse_kernel(matrix.cols), matrix.ncols)
 
     def contains(self, vec) -> bool:
         return not self._residual(sparse(vec))[0]
@@ -314,7 +312,7 @@ class Subspace:
         if not self.vectors or not other.vectors:
             return Subspace(self.ambient)
         vectors = []
-        for combo in sparse_kernel(self.vectors + other.vectors, ONE):
+        for combo in sparse_kernel(self.vectors + other.vectors):
             vec: dict = {}
             for j, coef in combo.items():
                 if j < self.dim:

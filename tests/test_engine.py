@@ -8,6 +8,7 @@ import pytest
 
 from hcdirac.engine import (
     AlgebraParams,
+    AlgElem,
     PbwMonomial,
     algebra_for,
     check_pbw_consistency,
@@ -209,20 +210,21 @@ def test_params_mismatch_raises():
 
 
 def _reference_mono_product(alg, left, right):
-    """Reference product with no factoring through Seg: push w, then the c's,
-    then the x's of `left` onto `right`, one generator at a time."""
-    cur = alg._lmul_w(left.w, {right: ONE})
+    """Reference product with no factoring through Seg: left-multiply `right`
+    by the generators of `left` one at a time, through `Algebra.multiply`:
+    a reduced word of w (in the algebra's own group), then the c's, then the
+    x's."""
+    cur = AlgElem(alg.params, {right: ONE})
+    simples = alg.ctx.simple_reflections
+    for idx in reversed(alg.ctx.reduced_word(left.w)):
+        cur = alg.multiply(alg.w(simples[idx]), cur)
     for i in range(alg.params.n, 0, -1):
         if left.cliff & (1 << (i - 1)):
-            cur = alg._lmul_c(i, cur)
+            cur = alg.multiply(alg.c(i), cur)
     for i in range(alg.params.n, 0, -1):
         for _ in range(left.exps[i - 1]):
-            nxt = {}
-            for m, c in cur.items():
-                for m2, c2 in alg._lmul_x(i, m):
-                    nxt[m2] = nxt.get(m2, ZERO) + c * c2
-            cur = {m: c for m, c in nxt.items() if c}
-    return cur
+            cur = alg.multiply(alg.x(i), cur)
+    return cur.terms
 
 
 @pytest.mark.parametrize("params", [A3, B3_FREE, D3])
@@ -262,3 +264,24 @@ def test_multiply_matches_reference_with_coefficients(params):
 def test_pbw_consistency_rank_three(params, seed):
     report = check_pbw_consistency(params, trials=10, max_deg=2, seed=seed)
     assert report["status"] == "pass", report["failures"]
+
+
+def _is_exponent_key_part(part) -> bool:
+    """A generator index or Clifford mask, a group element, or an exponent tuple."""
+    if isinstance(part, PbwMonomial):
+        return False
+    if isinstance(part, (int, SignedPerm)):
+        return True
+    return isinstance(part, tuple) and all(isinstance(e, int) for e in part)
+
+
+def test_straightening_tables_keyed_on_exponents():
+    check_pbw_consistency(B3_FREE, trials=5)
+    alg = algebra_for(B3_FREE)
+    tables = {name: table for name, table in vars(alg).items() if isinstance(table, dict)}
+    assert {"_xx_cache", "_sx_cache", "_wx_cache"} <= tables.keys()
+    for name, table in tables.items():
+        assert table, name
+        for key in table:
+            assert isinstance(key, tuple) and not isinstance(key, PbwMonomial), (name, key)
+            assert all(_is_exponent_key_part(part) for part in key), (name, key)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hcdirac.linalg import Matrix, Subspace, quotient_matrix, sparse_kernel
-from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
+from hcdirac.scalars import HALF, I, ONE, SQRT2, TWO, ZERO, Scalar
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6):
@@ -75,15 +75,14 @@ def test_kernel_with_irrational_pivots():
 
 def test_sparse_kernel_over_fractions():
     # Columns c0, c1, c2 = c0 + 2 c1, c3 = c1 / 2 in Q^3, as {row: value} dicts.
-    columns = [{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(2)},
-               {0: Fraction(1), 1: Fraction(4), 2: Fraction(3)}, {1: Fraction(1)}]
-    kernel = sparse_kernel(columns, Fraction(1))
+    columns = [{0: ONE, 2: Scalar(3)}, {1: TWO}, {0: ONE, 1: Scalar(4), 2: Scalar(3)}, {1: ONE}]
+    kernel = sparse_kernel(columns)
     assert len(kernel) == 2
     for combo in kernel:
-        assert all(isinstance(v, Fraction) and v for v in combo.values())
+        assert all(isinstance(v, Scalar) and v for v in combo.values())
         for row in range(3):
-            assert sum(c * columns[j].get(row, 0) for j, c in combo.items()) == 0
-    assert kernel == [{2: Fraction(1), 0: Fraction(-1), 1: Fraction(-2)}, {3: Fraction(1), 1: Fraction(-1, 2)}]
+            assert sum((c * columns[j].get(row, ZERO) for j, c in combo.items()), ZERO) == ZERO
+    assert kernel == [{2: ONE, 0: -ONE, 1: -TWO}, {3: ONE, 1: -HALF}]
 
 
 def test_kernel_edge_cases():
