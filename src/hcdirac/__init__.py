@@ -17,7 +17,6 @@ from .engine import (
     Algebra,
     algebra_for,
     check_pbw_consistency,
-    generator,
     multiply,
     parity,
     supercommutator,

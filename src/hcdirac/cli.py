@@ -14,6 +14,12 @@ usage message and no report, before any check runs:
 - a flag the chosen type does not take (--ks on types A and D, --N on type
   A), and a steinberg --N of type B or D that differs from the forced value
   2(n-1)k^2 + sqrt2 k ks.
+
+A negative rational may follow its flag after a space or after "=": --k -1/2
+and --k=-1/2 give the same report.  argparse alone would read "-1/2" as a
+flag, since it takes only decimal-looking strings for negative numbers, so
+`main` first joins a rational flag and a following word that starts with "-"
+into the "=" form; a word that is not a rational then still exits 2.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .scalars import ZERO, Scalar
 from .dirac import dirac_element
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_FLAGS = ("--k", "--ks", "--N")
 
 
 def _scalar_flag(text: str) -> Scalar:
@@ -46,6 +53,17 @@ def _scalar_flag(text: str) -> Scalar:
         return Scalar(Fraction(text))
     except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from exc
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each rational flag and a following "-..." word joined by "="."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _int_flag(low: int, high: int | None = None):
@@ -292,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     conflict = _flag_conflict(args)
     if conflict is not None:
         parser.error(conflict)

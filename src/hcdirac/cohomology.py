@@ -81,7 +81,7 @@ def central_character(module: ModuleRep) -> CentralCharacter:
     elementary symmetric functions of the x_j^2.
     """
     n = module.params.n
-    squares = [module.gen(f"x{i}") * module.gen(f"x{i}") for i in range(1, n + 1)]
+    squares = [module.gens[f"x{i}"] * module.gens[f"x{i}"] for i in range(1, n + 1)]
     values = []
     slice_dim = (1 << n) if module.kind == "induced" else module.dim
     for i, sq in enumerate(squares, start=1):
@@ -175,9 +175,7 @@ class CohomologyReport:
 
 
 def _seg_generator_keys(module: ModuleRep) -> list[str]:
-    keys = [f"c{i}" for i in range(1, module.params.n + 1)]
-    keys += [k for k in module.gens if k.startswith("s")]
-    return keys
+    return [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names
 
 
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
@@ -207,7 +205,7 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         if dim_ker_sq > ker.dim:
             inter = ker.intersect(Subspace.image(d_mat))
     for key in _seg_generator_keys(module):
-        mat = module.gen(key)
+        mat = module.gens[key]
         if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
     _, omega_seg = casimirs(params)

@@ -110,33 +110,23 @@ def d_squared_constant(params: AlgebraParams) -> Scalar:
 
 @dataclass(frozen=True)
 class DiracBundle:
-    """All distinguished elements for one parameter set, cross-checked."""
+    """The Dirac element and the two Casimirs for one parameter set, cross-checked."""
 
-    params: AlgebraParams
     D: AlgElem
     omega_h: AlgElem
     omega_seg: AlgElem
-    stilde: dict
-    y: tuple
-    y_prime: tuple
-    x_prime: tuple
 
 
 def dirac_bundle(params: AlgebraParams) -> DiracBundle:
     alg = algebra_for(params)
     D = dirac_element(params)
     omega_h, omega_seg = casimirs(params)
-    stilde = {root: twisted_reflection(params, root) for root in alg.ctx.positive_roots}
-    dressed = [dressed_generators(params, i) for i in range(1, params.n + 1)]
-    y = tuple(d[0] for d in dressed)
-    y_prime = tuple(d[1] for d in dressed)
-    x_prime = tuple(d[2] for d in dressed)
-
     sum_y_prime = alg.zero()
     sum_xc = alg.zero()
-    for i in range(params.n):
-        sum_y_prime = sum_y_prime + y_prime[i]
-        sum_xc = sum_xc + alg.multiply(x_prime[i], alg.c(i + 1))
+    for i in range(1, params.n + 1):
+        _, y_prime, x_prime = dressed_generators(params, i)
+        sum_y_prime = sum_y_prime + y_prime
+        sum_xc = sum_xc + alg.multiply(x_prime, alg.c(i))
     if D != sum_y_prime or D != sum_xc:
         raise AssertionError("Dirac element presentations disagree")
     if parity(D) not in ("odd", "even"):  # zero D (n=1, k=0 short) counts as even
@@ -145,7 +135,7 @@ def dirac_bundle(params: AlgebraParams) -> DiracBundle:
         raise AssertionError("Casimir elements must be even")
     if not omega_seg.is_seg():
         raise AssertionError("Omega_Seg must have x-degree zero")
-    return DiracBundle(params, D, omega_h, omega_seg, stilde, y, y_prime, x_prime)
+    return DiracBundle(D, omega_h, omega_seg)
 
 
 def _root_sum_square_checks(params: AlgebraParams) -> list[dict]:

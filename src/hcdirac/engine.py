@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, partial, reduce
 from typing import NamedTuple
 
 from .scalars import HALF, I, I_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
@@ -169,6 +169,10 @@ class PbwMonomial(NamedTuple):
 
 Terms = dict[PbwMonomial, Scalar]
 
+# A PbwMonomial from a (exps, cliff, w) tuple, skipping the Python-level
+# NamedTuple __new__ on the engine's hot path.
+_new_mono = partial(tuple.__new__, PbwMonomial)
+
 
 def _add_term(terms: dict, key, coef: Scalar) -> None:
     new = terms.get(key, ZERO) + coef
@@ -282,11 +286,11 @@ class Algebra:
 
     def __init__(self, params: AlgebraParams):
         self.params = params
-        # The ambient group whose simple reflections drive the rewriting:
-        # type D elements are straightened inside W(B_n).
-        self.push_ctx = RootSystemCtx("A" if params.type == "A" else "B", params.n)
         # The group of the algebra itself (used for membership and roots).
         self.ctx = RootSystemCtx(params.type, params.n)
+        # The ambient group whose simple reflections drive the rewriting:
+        # type D elements are straightened inside W(B_n).
+        self.push_ctx = RootSystemCtx("B", params.n) if params.type == "D" else self.ctx
         self._xx_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         self._sx_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
         self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
@@ -324,6 +328,15 @@ class Algebra:
 
     def scalar(self, value: Scalar) -> AlgElem:
         return self.one().scale(value)
+
+    @cached_property
+    def generators(self) -> dict[str, AlgElem]:
+        """The generators by name: x1..xn, c1..cn and RootSystemCtx.simple_names."""
+        n = self.params.n
+        gens = {f"x{i}": self.x(i) for i in range(1, n + 1)}
+        gens.update((f"c{i}", self.c(i)) for i in range(1, n + 1))
+        gens.update(zip(self.ctx.simple_names, map(self.w, self.ctx.simple_reflections)))
+        return gens
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.params.n:
@@ -486,7 +499,7 @@ class Algebra:
             for b2, h, coef2 in self._x_times_x(a, b1):
                 s, mask2 = cliff_mul(h, mask)
                 term = c * coef2 if s > 0 else -(c * coef2)
-                mono = PbwMonomial(b2, mask2, uv)
+                mono = _new_mono((b2, mask2, uv))
                 old = out.get(mono)
                 if old is None:
                     out[mono] = term
@@ -518,18 +531,6 @@ def algebra_for(params: AlgebraParams) -> Algebra:
 
 # ---------------------------------------------------------------------------
 # Spec-level operations.
-
-
-def generator(params: AlgebraParams, kind: str, arg) -> AlgElem:
-    """One of the generators: x(i), c(i), or a group element w."""
-    alg = algebra_for(params)
-    if kind == "x":
-        return alg.x(arg)
-    if kind == "c":
-        return alg.c(arg)
-    if kind == "w":
-        return alg.w(arg)
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def multiply(params: AlgebraParams, a: AlgElem, b: AlgElem) -> AlgElem:
@@ -616,178 +617,97 @@ def check_pbw_consistency(
 # ---------------------------------------------------------------------------
 # Defining relations, shared by the engine tests and the module checker.
 # Each relation is (name, [(coefficient, word), ...]) asserting that the sum
-# of the scalar-weighted generator words vanishes.  Words use the tokens
-# ("x", i), ("c", i), ("s", k) for the k-th standard simple reflection and
-# ("sd",) for the type-D fork generator.
+# of the scalar-weighted generator words vanishes.  A word is a tuple of
+# generator names, the keys of Algebra.generators and of ModuleRep.gens:
+# x1..xn, c1..cn and the simple reflections of RootSystemCtx.simple_names.
 
-Relation = tuple[str, list[tuple[Scalar, tuple]]]
+Relation = tuple[str, list[tuple[Scalar, tuple[str, ...]]]]
 
 
 def defining_relations(params: AlgebraParams) -> list[Relation]:
     n = params.n
     k = params.k_long
+    ctx = algebra_for(params).ctx
+    names = ctx.simple_names
     rels: list[Relation] = []
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            terms = [(ONE, (("x", i), ("x", j))), (-ONE, (("x", j), ("x", i)))]
+            terms = [(ONE, (f"x{i}", f"x{j}")), (-ONE, (f"x{j}", f"x{i}"))]
             if params.type != "A":
-                terms.append((-params.N, (("c", j), ("c", i))))
+                terms.append((-params.N, (f"c{j}", f"c{i}")))
             rels.append((f"x{i}_x{j}", terms))
     for i in range(1, n + 1):
-        rels.append((f"x{i}_c{i}", [(ONE, (("x", i), ("c", i))), (ONE, (("c", i), ("x", i)))]))
-        for j in range(1, n + 1):
-            if i != j:
-                rels.append(
-                    (f"x{i}_c{j}", [(ONE, (("x", i), ("c", j))), (-ONE, (("c", j), ("x", i)))])
-                )
+        for j in (i, *(j for j in range(1, n + 1) if j != i)):
+            sign = ONE if j == i else -ONE  # x_i anticommutes with c_i only
+            rels.append((f"x{i}_c{j}", [(ONE, (f"x{i}", f"c{j}")), (sign, (f"c{j}", f"x{i}"))]))
     for i in range(1, n + 1):
-        rels.append((f"c{i}_sq", [(ONE, (("c", i), ("c", i))), (ONE, ())]))
+        rels.append((f"c{i}_sq", [(ONE, (f"c{i}", f"c{i}")), (ONE, ())]))
         for j in range(i + 1, n + 1):
-            rels.append(
-                (f"c{i}_c{j}", [(ONE, (("c", i), ("c", j))), (ONE, (("c", j), ("c", i)))])
-            )
+            rels.append((f"c{i}_c{j}", [(ONE, (f"c{i}", f"c{j}")), (ONE, (f"c{j}", f"c{i}"))]))
 
     # The algebra's own simple reflections: s_1..s_{n-1}, then s_n in type B
     # or the fork s_{n-1,-n} in type D.
-    tokens = [(("s", t),) for t in range(1, n)]
-    if params.type == "B":
-        tokens.append((("sn",),))
-    elif params.type == "D" and n >= 2:
-        tokens.append((("sd",),))
-    simples = algebra_for(params).ctx.simple_reflections
-
-    for tok, perm in zip(tokens, simples, strict=True):
-        name = tok[0][0] if len(tok[0]) == 1 else f"s{tok[0][1]}"
-        rels.append((f"{name}_sq", [(ONE, tok + tok), (-ONE, ())]))
+    for s, perm in zip(names, ctx.simple_reflections, strict=True):
+        rels.append((f"{s}_sq", [(ONE, (s, s)), (-ONE, ())]))
         for i in range(1, n + 1):
             v = perm.image(i)
             sign = ONE if v > 0 else -ONE
-            rels.append(
-                (
-                    f"{name}_c{i}",
-                    [(ONE, tok + (("c", i),)), (-sign, (("c", abs(v)),) + tok)],
-                )
-            )
+            rels.append((f"{s}_c{i}", [(ONE, (s, f"c{i}")), (-sign, (f"c{abs(v)}", s))]))
 
     # Cross relations between simple reflections and the x-generators.
     for t in range(1, n):
-        st = (("s", t),)
-        mask_pair = ((("c", t), ("c", t + 1)),)
-        rels.append(
-            (
-                f"s{t}_x{t}",
-                [
-                    (ONE, st + (("x", t),)),
-                    (-ONE, (("x", t + 1),) + st),
-                    (k, ()),
-                    (-k, mask_pair[0]),
-                ],
-            )
-        )
+        s, xt, xu, cc = names[t - 1], f"x{t}", f"x{t + 1}", (f"c{t}", f"c{t + 1}")
+        rels.append((f"{s}_{xt}", [(ONE, (s, xt)), (-ONE, (xu, s)), (k, ()), (-k, cc)]))
         # Derived companion: s_t x_{t+1} = x_t s_t + k(1 + c_t c_{t+1}).
-        rels.append(
-            (
-                f"s{t}_x{t + 1}",
-                [
-                    (ONE, st + (("x", t + 1),)),
-                    (-ONE, (("x", t),) + st),
-                    (-k, ()),
-                    (-k, mask_pair[0]),
-                ],
-            )
-        )
+        rels.append((f"{s}_{xu}", [(ONE, (s, xu)), (-ONE, (xt, s)), (-k, ()), (-k, cc)]))
         for j in range(1, n + 1):
             if j not in (t, t + 1):
-                rels.append(
-                    (f"s{t}_x{j}", [(ONE, st + (("x", j),)), (-ONE, (("x", j),) + st)])
-                )
+                rels.append((f"{s}_x{j}", [(ONE, (s, f"x{j}")), (-ONE, (f"x{j}", s))]))
 
     if params.type == "B":
-        sn = (("sn",),)
-        rels.append(
-            (
-                "sn_xn",
-                [
-                    (ONE, sn + (("x", n),)),
-                    (ONE, (("x", n),) + sn),
-                    (SQRT2 * params.k_short, ()),
-                ],
-            )
-        )
+        s, xn = names[n - 1], f"x{n}"
+        rels.append((f"{s}_xn", [(ONE, (s, xn)), (ONE, (xn, s)), (SQRT2 * params.k_short, ())]))
         for j in range(1, n):
-            rels.append((f"sn_x{j}", [(ONE, sn + (("x", j),)), (-ONE, (("x", j),) + sn)]))
+            rels.append((f"{s}_x{j}", [(ONE, (s, f"x{j}")), (-ONE, (f"x{j}", s))]))
     if params.type == "D" and n >= 2:
-        sd = (("sd",),)
+        s, xm, xn, cm, cn = names[n - 1], f"x{n - 1}", f"x{n}", f"c{n - 1}", f"c{n}"
         # s_{n-1,-n} x_{n-1} + x_n s_{n-1,-n} = k(-1 + c_n c_{n-1}); derived
         # from the type-B presentation (the Clifford factors anticommute, so
         # their order carries a sign).
-        rels.append(
-            (
-                "sd_xfork",
-                [
-                    (ONE, sd + (("x", n - 1),)),
-                    (ONE, (("x", n),) + sd),
-                    (k, ()),
-                    (-k, (("c", n), ("c", n - 1))),
-                ],
-            )
-        )
-        rels.append(
-            (
-                "sd_xfork2",
-                [
-                    (ONE, sd + (("x", n),)),
-                    (ONE, (("x", n - 1),) + sd),
-                    (k, ()),
-                    (-k, (("c", n - 1), ("c", n))),
-                ],
-            )
-        )
+        rels.append((f"{s}_xfork", [(ONE, (s, xm)), (ONE, (xn, s)), (k, ()), (-k, (cn, cm))]))
+        rels.append((f"{s}_xfork2", [(ONE, (s, xn)), (ONE, (xm, s)), (k, ()), (-k, (cm, cn))]))
         for j in range(1, n - 1):
-            rels.append((f"sd_x{j}", [(ONE, sd + (("x", j),)), (-ONE, (("x", j),) + sd)]))
+            rels.append((f"{s}_x{j}", [(ONE, (s, f"x{j}")), (-ONE, (f"x{j}", s))]))
 
     # Braid relations of the group.
     for t in range(1, n - 1):
-        a, b = ("s", t), ("s", t + 1)
-        rels.append((f"braid_s{t}", [(ONE, (a, b, a)), (-ONE, (b, a, b))]))
+        a, b = names[t - 1], names[t]
+        rels.append((f"braid_{a}", [(ONE, (a, b, a)), (-ONE, (b, a, b))]))
     for t in range(1, n):
         for u in range(t + 2, n):
-            a, b = ("s", t), ("s", u)
-            rels.append((f"comm_s{t}_s{u}", [(ONE, (a, b)), (-ONE, (b, a))]))
+            a, b = names[t - 1], names[u - 1]
+            rels.append((f"comm_{a}_{b}", [(ONE, (a, b)), (-ONE, (b, a))]))
     if params.type == "B" and n >= 2:
-        a, b = ("s", n - 1), ("sn",)
-        rels.append(("braid_sn", [(ONE, (a, b, a, b)), (-ONE, (b, a, b, a))]))
-        for t in range(1, n - 1):
-            rels.append((f"comm_s{t}_sn", [(ONE, (("s", t), b)), (-ONE, (b, ("s", t)))]))
+        a, b = names[n - 2], names[n - 1]
+        rels.append((f"braid_{b}", [(ONE, (a, b, a, b)), (-ONE, (b, a, b, a))]))
+        for a in names[: n - 2]:
+            rels.append((f"comm_{a}_{b}", [(ONE, (a, b)), (-ONE, (b, a))]))
     if params.type == "D" and n >= 2:
-        b = ("sd",)
-        for t in range(1, n):
+        b = names[n - 1]
+        for t, a in enumerate(names[: n - 1], start=1):
             if t == n - 2:
-                a = ("s", t)
-                rels.append(("braid_sd", [(ONE, (a, b, a)), (-ONE, (b, a, b))]))
+                rels.append((f"braid_{b}", [(ONE, (a, b, a)), (-ONE, (b, a, b))]))
             else:
-                rels.append((f"comm_s{t}_sd", [(ONE, (("s", t), b)), (-ONE, (b, ("s", t)))]))
+                rels.append((f"comm_{a}_{b}", [(ONE, (a, b)), (-ONE, (b, a))]))
     return rels
 
 
-def eval_relation_tokens(params: AlgebraParams, word: tuple) -> AlgElem:
-    """Evaluate a relation word inside the engine."""
+def eval_relation_tokens(params: AlgebraParams, word: tuple[str, ...]) -> AlgElem:
+    """Evaluate a relation word, a tuple of generator names, inside the engine."""
     alg = algebra_for(params)
-    result = alg.one()
-    for token in word:
-        if token[0] == "x":
-            factor = alg.x(token[1])
-        elif token[0] == "c":
-            factor = alg.c(token[1])
-        elif token[0] == "s":
-            factor = alg.w(alg.ctx.simple_reflections[token[1] - 1])
-        elif token[0] in ("sn", "sd"):
-            factor = alg.w(alg.ctx.simple_reflections[params.n - 1])
-        else:
-            raise ValueError(f"unknown token {token!r}")
-        result = alg.multiply(result, factor)
-    return result
+    factors = [alg.generators[name] for name in word]
+    return reduce(alg.multiply, factors) if factors else alg.one()
 
 
 def check_relations_in_engine(params: AlgebraParams) -> dict:

@@ -6,6 +6,13 @@ matrix realisation of arbitrary algebra elements, and a relation checker
 that verifies every defining relation as a matrix identity (run by every
 constructor).
 
+Generator matrices are keyed by the engine's generator names: x1..xn,
+c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
+then sn in type B or sd in type D).  A relation word of
+`engine.defining_relations` is a tuple of those names, so the checker
+multiplies `module.gens[name]` along it, and the induced module builds one
+matrix per entry of `Algebra.generators`.
+
 Every matrix is built directly in the sparse column form of
 `linalg.Matrix`: generator columns are assembled from {index: nonzero}
 vectors, realisations and relation sums add up stored entries only, and a
@@ -39,7 +46,7 @@ from .engine import (
 from .linalg import Matrix, add_scaled
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
-from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
+from .weyl import Root, SignedPerm, reflection_perm
 
 
 class ModuleRep:
@@ -62,7 +69,7 @@ class ModuleRep:
         self.gens = dict(gens)
         self.lam = lam
         self.dim = len(self.basis_labels)
-        self.ctx = RootSystemCtx(params.type, params.n)
+        self.ctx = algebra_for(params).ctx
         self._group_cache: dict[SignedPerm, Matrix] = {}
         # The relation-check report, kept for callers; None when unchecked.
         self.relations = check_module_relations(self) if check else None
@@ -71,21 +78,11 @@ class ModuleRep:
 
     # -- matrix realisation ----------------------------------------------
 
-    def gen(self, key: str) -> Matrix:
-        return self.gens[key]
-
-    def _simple_key(self, idx: int) -> str:
-        n = self.params.n
-        if self.params.type == "B" and idx == n - 1:
-            return "sn"
-        if self.params.type == "D" and idx == n - 1:
-            return "sd"
-        return f"s{idx + 1}"
-
     def group_matrix(self, w: SignedPerm) -> Matrix:
         cached = self._group_cache.get(w)
         if cached is None:
-            word = [self.gens[self._simple_key(idx)] for idx in self.ctx.reduced_word(w)]
+            names = self.ctx.simple_names
+            word = [self.gens[names[idx]] for idx in self.ctx.reduced_word(w)]
             cached = self._group_cache[w] = _product(word, self.dim)
         return cached
 
@@ -133,24 +130,12 @@ def _product(factors: list[Matrix], dim: int) -> Matrix:
     return functools.reduce(operator.mul, factors) if factors else Matrix.identity(dim)
 
 
-def _token_matrix(module: ModuleRep, token) -> Matrix:
-    if token[0] == "x":
-        return module.gens[f"x{token[1]}"]
-    if token[0] == "c":
-        return module.gens[f"c{token[1]}"]
-    if token[0] == "s":
-        return module.gens[f"s{token[1]}"]
-    if token[0] in ("sn", "sd"):
-        return module.gens[token[0]]
-    raise ValueError(f"unknown token {token!r}")
-
-
 def check_module_relations(module: ModuleRep) -> dict:
     """Assert every defining relation as an exact matrix identity."""
     failures = []
     for name, terms in defining_relations(module.params):
         products = (
-            (coef, _product([_token_matrix(module, token) for token in word], module.dim))
+            (coef, _product([module.gens[gen] for gen in word], module.dim))
             for coef, word in terms
             if coef
         )
@@ -255,9 +240,9 @@ def _steinberg_a(params: AlgebraParams) -> ModuleRep:
     for i in range(1, n + 1):
         gens[f"c{i}"] = _cl_basis_c_matrix(i, n)
         gens[f"x{i}"] = _st_lambda_x_matrix(i, lam, params.k_long, n)
-    ctx = RootSystemCtx("A", n)
-    for t, s in enumerate(ctx.simple_reflections, start=1):
-        gens[f"s{t}"] = _cl_basis_w_matrix(s, n)
+    ctx = algebra_for(params).ctx
+    for name, s in zip(ctx.simple_names, ctx.simple_reflections):
+        gens[name] = _cl_basis_w_matrix(s, n)
     parity = [mask.bit_count() & 1 for mask in range(1 << n)]
     return ModuleRep(params, "steinberg", _cliff_labels(n), parity, gens, lam=lam)
 
@@ -293,10 +278,9 @@ def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:
         a_i = a_i + cs[i - 1].scale(params.k_long * (n - i) + HALF_SQRT2 * params.k_short)
         gens[f"x{i}"] = _graded_pair_op(a_i, cs[i - 1], parity_u, -I)
         gens[f"c{i}"] = _graded_pair_op(id_u, cs[i - 1], parity_u, ONE)
-    for t in range(1, n):
-        b_t = (cs[t - 1] - cs[t]).scale(HALF_SQRT2)
-        gens[f"s{t}"] = _graded_pair_op(b_t, b_t, parity_u, I)
-    gens["sn"] = _graded_pair_op(cs[n - 1], cs[n - 1], parity_u, I)
+    b_mats = [(cs[t - 1] - cs[t]).scale(HALF_SQRT2) for t in range(1, n)] + [cs[n - 1]]
+    for name, b in zip(algebra_for(params).push_ctx.simple_names, b_mats, strict=True):
+        gens[name] = _graded_pair_op(b, b, parity_u, I)
     return gens
 
 
@@ -315,11 +299,13 @@ def steinberg_module(params: AlgebraParams) -> ModuleRep:
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
     labels = [f"u{p}*v{q}" for p in range(du) for q in range(du)]
     if params.type == "D":
+        # W(D_n) keeps s_1..s_{n-1} of W(B_n) and trades s_n for the fork
+        # s_{n-1,-n} = s_n s_{n-1} s_n, which D_1 lacks.
+        alg = algebra_for(params)
+        b_names = alg.push_ctx.simple_names
+        sn = gens.pop(b_names[-1])
         if params.n >= 2:
-            sn = gens.pop("sn")
-            gens["sd"] = sn * gens[f"s{params.n - 1}"] * sn
-        else:
-            gens.pop("sn")
+            gens[alg.ctx.simple_names[-1]] = sn * gens[b_names[-2]] * sn
     return ModuleRep(params, "steinberg", labels, parity, gens)
 
 
@@ -446,22 +432,8 @@ class _InducedBuilder:
 def induced_module(lam: Partition, k: Scalar) -> ModuleRep:
     """X_lambda on the basis {minimal coset rep} x {Clifford monomials}."""
     builder = _InducedBuilder(lam, k)
-    n = builder.n
-    alg = builder.alg
-    gens: dict[str, Matrix] = {}
-    for i in range(1, n + 1):
-        gens[f"x{i}"] = builder.generator_matrix(alg.x(i))
-        gens[f"c{i}"] = builder.generator_matrix(alg.c(i))
-    for t, s in enumerate(RootSystemCtx("A", n).simple_reflections, start=1):
-        gens[f"s{t}"] = builder.generator_matrix(alg.w(s))
-    cl_labels = _cliff_labels(n)
+    gens = {name: builder.generator_matrix(elem) for name, elem in builder.alg.generators.items()}
+    cl_labels = _cliff_labels(builder.n)
     labels = [f"{rep}|{cl}" for rep in builder.reps for cl in cl_labels]
-    parity = [mask.bit_count() & 1 for _ in builder.reps for mask in range(1 << n)]
-    return ModuleRep(
-        builder.params,
-        "induced",
-        labels,
-        parity,
-        gens,
-        lam=lam,
-    )
+    parity = [mask.bit_count() & 1 for _ in builder.reps for mask in range(builder.cl_dim)]
+    return ModuleRep(builder.params, "induced", labels, parity, gens, lam=lam)

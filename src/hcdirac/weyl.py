@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-_KIND_ORDER = {"diff": 0, "sum": 1, "short": 2}
+_KINDS = ("diff", "sum", "short")
 
 
 @dataclass(frozen=True, order=False)
@@ -25,16 +25,13 @@ class Root:
     j: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown root kind {self.kind!r}")
         if self.kind == "short":
             if self.j != 0 or self.i < 1:
                 raise ValueError("short root takes a single index")
         elif not 1 <= self.i < self.j:
             raise ValueError("diff/sum roots require 1 <= i < j")
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (_KIND_ORDER[self.kind], self.i, self.j)
 
     def coords(self) -> dict[int, int]:
         if self.kind == "diff":
@@ -188,6 +185,15 @@ class RootSystemCtx:
     @cached_property
     def simple_reflections(self) -> list[SignedPerm]:
         return [reflection_perm(root, self.n) for root in self.simple_roots]
+
+    @cached_property
+    def simple_names(self) -> list[str]:
+        """The generator names of simple_reflections, in the same order:
+        s1..s(n-1), then sn (type B) or sd (the type-D fork s_{n-1,-n})."""
+        names = [f"s{t}" for t in range(1, self.n)]
+        if len(self.simple_roots) > len(names):
+            names.append("sn" if self.type == "B" else "sd")
+        return names
 
     def reflection(self, root: Root) -> SignedPerm:
         if not self.contains_root(root):

@@ -150,6 +150,43 @@ def test_integer_and_negative_rationals_still_parse(capsys):
     assert report["params"]["k"] == "2/3"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["cohomology", "--lambda", "2,1"], "--k", "-1/2"),
+        (["pbw", "--type", "B", "--n", "2", "--k", "1", "--N", "1", "--trials", "3"],
+         "--ks", "-1/2"),
+        (["dirac-square", "--type", "D", "--n", "2", "--k", "1"], "--N", "-3/2"),
+    ],
+)
+def test_negative_rational_after_a_space(capsys, argv, flag, value):
+    code, spaced = run_cli(capsys, argv + [flag, value])
+    assert code == 0
+    code, joined = run_cli(capsys, argv + [f"{flag}={value}"])
+    assert code == 0
+    del spaced["elapsed_ms"], joined["elapsed_ms"]
+    assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--lambda", "2,1", "--k", "-x"],
+        ["cohomology", "--lambda", "2,1", "--k", "-0.5"],
+        ["pbw", "--type", "B", "--n", "2", "--k", "1", "--ks", "-1/0"],
+        ["dirac-square", "--type", "D", "--n", "2", "--k", "1", "--N", "-1e0"],
+        ["dirac-square", "--type", "D", "--n", "2", "--k", "--N", "1"],
+    ],
+)
+def test_negative_non_rational_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
 def test_steinberg_accepts_the_forced_n(capsys):
     code, report = run_cli(
         capsys, ["steinberg", "--type", "D", "--n", "3", "--k", "1", "--N", "4"]

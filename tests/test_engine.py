@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +16,7 @@ from hcdirac.engine import (
     algebra_for,
     check_pbw_consistency,
     check_relations_in_engine,
-    generator,
+    defining_relations,
     multiply,
     parity,
     random_element,
@@ -47,22 +50,22 @@ def test_params_validation():
 
 
 def test_generators():
-    x1 = generator(A2, "x", 1)
+    x1 = algebra_for(A2).x(1)
     assert x1.terms == {mono(A2, (1, 0), 0, (1, 2)): ONE}
-    c2 = generator(A2, "c", 2)
+    c2 = algebra_for(A2).c(2)
     assert c2.terms == {mono(A2, (0, 0), 0b10, (1, 2)): ONE}
-    s12 = generator(A2, "w", SignedPerm((2, 1)))
+    s12 = algebra_for(A2).w(SignedPerm((2, 1)))
     assert s12.terms == {mono(A2, (0, 0), 0, (2, 1)): ONE}
 
 
 def test_type_d_rejects_odd_window():
     with pytest.raises(ValueError):
-        generator(D2, "w", SignedPerm((1, -2)))
-    generator(D2, "w", SignedPerm((-1, -2)))  # even sign count is fine
+        algebra_for(D2).w(SignedPerm((1, -2)))
+    algebra_for(D2).w(SignedPerm((-1, -2)))  # even sign count is fine
 
 
 def test_clifford_square():
-    c1 = generator(A3, "c", 1)
+    c1 = algebra_for(A3).c(1)
     assert multiply(A3, c1, c1) == -algebra_for(A3).one()
 
 
@@ -137,6 +140,42 @@ def test_supercommutator_examples():
 def test_relation_closure(params):
     report = check_relations_in_engine(params)
     assert report["status"] == "pass", report["failures"]
+
+
+K23 = Scalar(Fraction(2, 3))
+KS = Scalar(Fraction(-1, 2))
+N57 = Scalar(Fraction(5, 7))
+# sha256 of each relation list as [[name, [[coefficient.compact(), word], ...]], ...]
+# with compact separators, where a word is a list of generator names.  They
+# pin every relation name, coefficient, word and their order.
+RELATION_DIGESTS = [
+    (AlgebraParams("A", 3, K23), 33,
+     "0193a6e8fc2cafdc155e2cf5ad32d21aad9084b915e0340667901a1cff4947ab"),
+    (AlgebraParams("B", 3, K23, k_short=KS, N=N57), 42,
+     "2a37ff34c3c174d4d114423c37a9b4c23e44835d06be8b0c45bb184a8a26a56f"),
+    (AlgebraParams("D", 4, K23, N=N57), 74,
+     "51c9c89cecbcfdb66b5eddcb4dfa2d170d64ad51461bfce40dc944793a61e144"),
+]
+
+
+@pytest.mark.parametrize("params, count, digest", RELATION_DIGESTS, ids=["A3", "B3", "D4"])
+def test_relation_lists_pinned(params, count, digest):
+    rows = [[name, [[coef.compact(), list(word)] for coef, word in terms]]
+            for name, terms in defining_relations(params)]
+    assert len(rows) == count
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_relation_words_are_generator_names():
+    b3 = dict(defining_relations(RELATION_DIGESTS[1][0]))
+    assert b3["sn_xn"] == [(ONE, ("sn", "x3")), (ONE, ("x3", "sn")), (SQRT2 * KS, ())]
+    assert b3["braid_sn"] == [(ONE, ("s2", "sn", "s2", "sn")), (-ONE, ("sn", "s2", "sn", "s2"))]
+    d4 = dict(defining_relations(RELATION_DIGESTS[2][0]))
+    assert d4["sd_xfork"] == [
+        (ONE, ("sd", "x3")), (ONE, ("x4", "sd")), (K23, ()), (-K23, ("c4", "c3"))
+    ]
+    assert d4["braid_sd"] == [(ONE, ("s2", "sd", "s2")), (-ONE, ("sd", "s2", "sd"))]
 
 
 def test_identity_is_neutral():

@@ -1,7 +1,8 @@
-"""Every name a test file or package module imports is used in that file.
+"""Every name a test file or package module imports is used in that file,
+and every definition in the package is referred to somewhere.
 
-The package's `__init__.py` is not scanned: its imports are the package's
-exports.
+The package's `__init__.py` is not scanned for unused imports: its imports
+are the package's exports.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ from pathlib import Path
 import pytest
 
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
-PACKAGE = Path(__file__).parent.parent / "src" / "hcdirac"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "hcdirac"
+# Where a package definition may be referred to.
+REFERRING_FILES = sorted(
+    path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")
+)
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # Names a module imports only to re-export them; tests/test_cli.py imports
 # report_schema_version from the CLI.
@@ -53,3 +59,55 @@ def test_no_unused_imports_in_package(path):
     reexported = REEXPORTS.get(path.name, set())
     unused = unused_imports(path.read_text())
     assert [entry for entry in unused if entry.split(" ")[0] not in reexported] == []
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and the classes' non-dunder methods,
+    by qualified name."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return out
+
+
+def referred_names(source: str) -> set[str]:
+    """Every name an ast.Name or ast.Attribute of the source refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def dead_definitions(package: dict[str, str], referring: list[str]) -> list[str]:
+    """The definitions of the package sources, by file, that no referring source names."""
+    used = set().union(*map(referred_names, referring))
+    return [
+        f"{name}:{qualname}"
+        for name, source in package.items()
+        for qualname in definitions(source)
+        if qualname.rsplit(".", 1)[-1] not in used
+    ]
+
+
+def test_dead_scan_finds_unreferenced_definitions():
+    package = {"m.py": "def f(): pass\ndef g(): pass\nclass C:\n    def h(self): pass\n"
+                       "    def k(self): pass\n    def __len__(self): return 0\n"}
+    referring = [package["m.py"], "f()\nC().h\n"]
+    assert dead_definitions(package, referring) == ["m.py:g", "m.py:C.k"]
+
+
+def test_no_dead_definitions_in_package():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert "engine.py" in package
+    assert dead_definitions(package, [path.read_text() for path in REFERRING_FILES]) == []

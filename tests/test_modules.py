@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hcdirac.dirac import dirac_element
-from hcdirac.engine import AlgebraParams, algebra_for, multiply, random_element
+from hcdirac.engine import AlgebraParams, algebra_for, defining_relations, multiply, random_element
 from hcdirac.linalg import Matrix
 from hcdirac.modules import (
     ModuleRep,
@@ -26,7 +26,7 @@ from hcdirac.modules import (
 )
 from hcdirac.partitions import Partition, all_partitions
 from hcdirac.scalars import ONE, TWO, ZERO, Scalar
-from hcdirac.weyl import SignedPerm
+from hcdirac.weyl import Root, SignedPerm, reflection_perm
 
 
 def test_clifford_supermodule_dimensions():
@@ -54,17 +54,17 @@ def test_steinberg_a_actions():
     p = AlgebraParams("A", 2, ONE)
     st = steinberg_module(p)
     assert st.dim == 4
-    assert st.gen("x1").is_zero()
+    assert st.gens["x1"].is_zero()
     s12 = _cl_basis_w_matrix(SignedPerm((2, 1)), 2)
     c1, c2 = _cl_basis_c_matrix(1, 2), _cl_basis_c_matrix(2, 2)
     expected_x2 = s12 * (Matrix.identity(4) - c2 * c1)
-    assert st.gen("x2") == expected_x2
+    assert st.gens["x2"] == expected_x2
 
 
 def test_steinberg_a_rank_one():
     p = AlgebraParams("A", 1, ONE)
     st = steinberg_module(p)
-    assert st.gen("x1").is_zero()
+    assert st.gens["x1"].is_zero()
     assert st.act(dirac_element(p)).is_zero()
 
 
@@ -87,6 +87,34 @@ def test_steinberg_bd_dirac_vanishes(typ, n, ks):
     cs, parity_u = clifford_c_matrices(n)
     assert st.dim == len(parity_u) ** 2
     assert st.act(dirac_element(p)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "typ,n", [("A", n) for n in range(1, 5)] + [("B", n) for n in range(1, 4)]
+    + [("D", n) for n in range(1, 5)],
+)
+def test_engine_and_modules_share_generator_names(typ, n):
+    k = Scalar(Fraction(2, 3))
+    base = AlgebraParams(typ, n, k, k_short=Scalar(Fraction(-1, 2)) if typ == "B" else ZERO)
+    params = base if typ == "A" else AlgebraParams(
+        typ, n, k, k_short=base.k_short, N=forced_n_constant(base))
+    alg = algebra_for(params)
+    roots = {f"s{t}": Root("diff", t, t + 1) for t in range(1, n)}
+    if typ == "B":
+        roots["sn"] = Root("short", n)
+    elif typ == "D" and n >= 2:
+        roots["sd"] = Root("sum", n - 1, n)
+    assert alg.ctx.simple_names == list(roots)
+    assert alg.ctx.simple_reflections == [reflection_perm(root, n) for root in roots.values()]
+    for name, root in roots.items():
+        assert alg.generators[name] == alg.w(reflection_perm(root, n))
+    words = {name for _, terms in defining_relations(params) for _, word in terms for name in word}
+    assert words == set(alg.generators)
+    modules = [steinberg_module(params)]
+    if typ == "A":
+        modules.append(induced_module(Partition((n - 1, 1) if n > 1 else (1,)), k))
+    for module in modules:
+        assert set(module.gens) == words
 
 
 def test_steinberg_b_rejects_wrong_n():
@@ -166,7 +194,7 @@ def test_induced_of_full_partition_matches_steinberg():
     module = induced_module(lam, ONE)
     st = steinberg_module(AlgebraParams("A", 3, ONE))
     for key in st.gens:
-        assert module.gen(key) == st.gen(key)
+        assert module.gens[key] == st.gens[key]
 
 
 def test_act_matrix_is_algebra_map():
@@ -200,7 +228,7 @@ def test_block_x_squared_on_slice():
     cl_dim = 1 << 3
     expected = [ZERO, k * k * 2, ZERO]
     for i in range(1, 4):
-        sq = module.gen(f"x{i}") * module.gen(f"x{i}")
+        sq = module.gens[f"x{i}"] * module.gens[f"x{i}"]
         for col in range(cl_dim):
             column = sq.column(col)
             for row, entry in enumerate(column):
@@ -215,7 +243,7 @@ def test_steinberg_x_squared_eigenvalues():
     p = AlgebraParams("A", 3, TWO)
     st = steinberg_module(p)
     for i in range(1, 4):
-        sq = st.gen(f"x{i}") * st.gen(f"x{i}")
+        sq = st.gens[f"x{i}"] * st.gens[f"x{i}"]
         assert sq.scalar_value() == TWO * TWO * (i - 1) * i
 
 
