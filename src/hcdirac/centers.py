@@ -2,14 +2,17 @@
 
 zeta'(x_i) is the k-weighted Jucys-Murphy element of the x-degree-zero
 subalgebra Seg_n; its images of the central power sums p_r(x^2) are compared
-against the even center of Seg_n, which is computed as the simultaneous
-kernel of all generator commutators on the even part of the regular
-representation.  The commutator columns hold the Sergeev structure
-constants, which are signs, as `Scalar`s, and their kernel is
-`Subspace.kernel`, the package's one eliminator.
+against the even center of Seg_n.  Seg_n is a twisted group algebra:
+conjugation by the units c_i and s_j maps each monomial c^mask w to +-1
+times a monomial, so the even center is spanned by one signed class sum per
+orbit of even monomials, and an orbit reached with both signs contributes
+nothing (Karpilovsky, Projective Representations of Finite Groups, 1985).
+There is one class sum per strict partition of n (Sergeev, 1985).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .engine import (
     AlgebraParams,
@@ -19,20 +22,15 @@ from .engine import (
     perm_on_cliff,
 )
 from .dirac import twisted_reflection
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .partitions import distinct_partitions
 from .scalars import SQRT2, ZERO, Scalar
-from .weyl import Root, RootSystemCtx, SignedPerm, reflection_perm
-
-
-def _type_a_params(n: int, k: Scalar) -> AlgebraParams:
-    return AlgebraParams("A", n, k)
+from .weyl import Root, SignedPerm, reflection_perm
 
 
 def jucys_murphy(n: int, i: int, k: Scalar) -> AlgElem:
     """zeta'(x_i) = k * sum_{j<i} s_{ij}(1 - c_i c_j), an element of Seg_n."""
-    params = _type_a_params(n, k)
-    alg = algebra_for(params)
+    alg = algebra_for(AlgebraParams("A", n, k))
     total = alg.zero()
     for j in range(1, i):
         s_ij = alg.w(reflection_perm(Root("diff", j, i), n))
@@ -43,7 +41,7 @@ def jucys_murphy(n: int, i: int, k: Scalar) -> AlgElem:
 
 def zeta_on_dirac(n: int, k: Scalar) -> AlgElem:
     """zeta'(D) = sum_i JM_i c_i + sqrt2 k sum_{alpha>0} stilde_alpha."""
-    params = _type_a_params(n, k)
+    params = AlgebraParams("A", n, k)
     alg = algebra_for(params)
     total = alg.zero()
     for i in range(1, n + 1):
@@ -53,30 +51,26 @@ def zeta_on_dirac(n: int, k: Scalar) -> AlgElem:
     return total
 
 
-def zeta_on_power_sums(n: int, r: int, k: Scalar) -> AlgElem:
-    """zeta'(p_r(x^2)) = sum_i JM_i^{2r}, computed in the engine."""
-    if r < 1:
+def zeta_on_power_sums(n: int, max_r: int, k: Scalar) -> list[AlgElem]:
+    """zeta'(p_r(x^2)) = sum_i JM_i^{2r} for r = 1..max_r, computed in the engine.
+
+    Each JM_i^2 is formed once, and each further power is one product with it.
+    """
+    if max_r < 1:
         raise ValueError("power sum index must be positive")
-    params = _type_a_params(n, k)
-    alg = algebra_for(params)
-    total = alg.zero()
+    alg = algebra_for(AlgebraParams("A", n, k))
+    images = [alg.zero()] * max_r
     for i in range(1, n + 1):
         jm = jucys_murphy(n, i, k)
-        power = alg.one()
-        for _ in range(2 * r):
-            power = alg.multiply(power, jm)
-        total = total + power
-    return total
+        powers = [alg.multiply(jm, jm)]
+        while len(powers) < max_r:
+            powers.append(alg.multiply(powers[-1], powers[0]))
+        images = [image + power for image, power in zip(images, powers)]
+    return images
 
 
 # ---------------------------------------------------------------------------
-# The even center of Seg_n via sparse elimination.
-
-
-def seg_monomials(n: int) -> list[tuple[int, SignedPerm]]:
-    """All (cliff mask, w) monomials of Seg_n in deterministic order."""
-    ctx = RootSystemCtx("A", n)
-    return [(mask, w) for mask in range(1 << n) for w in ctx.elements()]
+# The even center of Seg_n as signed class sums.
 
 
 def seg_mono_mul(
@@ -90,56 +84,61 @@ def seg_mono_mul(
     return s1 * s2, (mask, wa * wb)
 
 
-def seg_even_center(n: int) -> tuple[Subspace, list[tuple[int, SignedPerm]]]:
-    """Basis of Z(Seg_n)_0 in even-monomial coordinates, plus the index list."""
+def seg_even_center(n: int) -> list[dict[tuple[int, SignedPerm], int]]:
+    """A basis of Z(Seg_n)_0: the signed class sums {(mask, w): +-1}.
+
+    Each orbit of the even monomials under conjugation by c_i (whose inverse
+    is -c_i) and s_j (its own inverse) is walked from its first monomial,
+    which gets sign +1; the orbit gives a class sum unless it reaches some
+    monomial with both signs.
+    """
     if n > 5:
         raise ValueError("seg_even_center is sized for n <= 5")
-    monos = seg_monomials(n)
-    mono_index = {m: idx for idx, m in enumerate(monos)}
-    even = [m for m in monos if bin(m[0]).count("1") % 2 == 0]
-    gens: list[tuple[int, SignedPerm]] = []
     identity = SignedPerm.identity(n)
-    for i in range(1, n + 1):
-        gens.append((1 << (i - 1), identity))
-    for s in RootSystemCtx("A", n).simple_reflections:
-        gens.append((0, s))
-    columns = []
-    stride = len(monos)
-    for mono in even:
-        col: dict[int, int] = {}
-        for g_idx, gen in enumerate(gens):
-            s1, left = seg_mono_mul(gen, mono)
-            s2, right = seg_mono_mul(mono, gen)
-            base = g_idx * stride
-            for sign, prod in ((s1, left), (-s2, right)):
-                key = base + mono_index[prod]
-                col[key] = col.get(key, 0) + sign
-        columns.append({key: Scalar(value) for key, value in col.items() if value})
-    space = Subspace.kernel(Matrix.from_sparse(columns, len(gens) * stride))
+    # (unit, sign of its inverse): g^{-1} = sign * g for every generator.
+    units = [((1 << (i - 1), identity), -1) for i in range(1, n + 1)]
+    units += [((0, reflection_perm(Root("diff", j, j + 1), n)), 1) for j in range(1, n)]
+    seen: set[tuple[int, SignedPerm]] = set()
+    sums = []
+    for mask in range(1 << n):
+        if mask.bit_count() & 1:
+            continue
+        for w in map(SignedPerm, itertools.permutations(range(1, n + 1))):
+            if (mask, w) in seen:
+                continue
+            orbit = {(mask, w): 1}
+            stack = [(mask, w)]
+            consistent = True
+            while stack:
+                mono = stack.pop()
+                for unit, inv_sign in units:
+                    s1, left = seg_mono_mul(unit, mono)
+                    s2, image = seg_mono_mul(left, unit)
+                    sign = orbit[mono] * s1 * s2 * inv_sign
+                    prev = orbit.get(image)
+                    if prev is None:
+                        orbit[image] = sign
+                        stack.append(image)
+                    elif prev != sign:
+                        consistent = False
+            seen.update(orbit)
+            if consistent:
+                sums.append(orbit)
     expected = len(distinct_partitions(n))
-    if space.dim != expected:
+    if len(sums) != expected:
         raise AssertionError(
-            f"dim Z(Seg_{n})_0 = {space.dim}, expected |distinct partitions| = {expected}"
+            f"dim Z(Seg_{n})_0 = {len(sums)}, expected |distinct partitions| = {expected}"
         )
-    return space, even
-
-
-def seg_elem_coordinates(elem: AlgElem, even: list[tuple[int, SignedPerm]]) -> tuple[Scalar, ...]:
-    """Coordinates of an even Seg element over the even-monomial basis."""
-    index = {m: idx for idx, m in enumerate(even)}
-    vec = [ZERO] * len(even)
-    for mono, coef in elem.terms.items():
-        if mono.x_degree() != 0:
-            raise ValueError("element does not lie in Seg_n")
-        key = (mono.cliff, mono.w)
-        if key not in index:
-            raise ValueError("element is not even")
-        vec[index[key]] = coef
-    return tuple(vec)
+    return sums
 
 
 def verify_zeta_surjective(n: int, k: Scalar, max_r: int) -> dict:
     """Span of zeta'(p_r(x^2)), r <= max_r, against the full even center.
+
+    An image is central when it lies in Seg_n and equals sum_O a_O z_O over
+    the class sums z_O, where a_O is its coefficient at the first monomial of
+    z_O.  `rank` is the rank of the rows (a_O)_O; when every image is
+    central, it is the rank of the images.
 
     n = 1 is excluded: there zeta'(p_r(x^2)) = 0 for every r >= 1, while
     Z(Seg_1)_0 is the constants.
@@ -148,23 +147,29 @@ def verify_zeta_surjective(n: int, k: Scalar, max_r: int) -> dict:
         raise ValueError("verify_zeta_surjective needs n >= 2")
     if n > 4:
         raise ValueError("verify_zeta_surjective is sized for n <= 4")
-    center, even = seg_even_center(n)
-    span = Subspace(len(even))
-    memberships = []
-    for r in range(1, max_r + 1):
-        image = zeta_on_power_sums(n, r, k)
-        coords = seg_elem_coordinates(image, even)
-        memberships.append(center.contains(coords))
-        span.add_vector(coords)
-    rank = span.dim
-    ok = rank == center.dim and all(memberships)
+    sums = seg_even_center(n)
+    rows = []
+    central = []
+    for image in zeta_on_power_sums(n, max_r, k):
+        terms = {(mono.cliff, mono.w): coef for mono, coef in image.terms.items()}
+        coefs = [terms.get(next(iter(z)), ZERO) for z in sums]
+        combo = {
+            mono: a if sign > 0 else -a
+            for a, z in zip(coefs, sums)
+            if a
+            for mono, sign in z.items()
+        }
+        central.append(image.is_seg() and terms == combo)
+        rows.append({o: a for o, a in enumerate(coefs) if a})
+    rank = Subspace.spanned_by(rows, len(sums)).dim
+    ok = rank == len(sums) and all(central)
     return {
         "check": "zeta_surjective",
         "n": n,
         "k": k.compact(),
         "max_r": max_r,
         "rank": rank,
-        "center_dim": center.dim,
-        "images_in_center": all(memberships),
+        "center_dim": len(sums),
+        "images_in_center": all(central),
         "status": "pass" if ok else "fail",
     }

@@ -34,12 +34,11 @@ from fractions import Fraction
 from . import REPORT_SCHEMA_VERSION, report_schema_version
 from .centers import verify_zeta_surjective, zeta_on_dirac
 from .cohomology import dirac_cohomology, verify_vogan
-from .dirac import verify_identities
+from .dirac import dirac_element, verify_identities
 from .engine import AlgebraParams, check_pbw_consistency, check_relations_in_engine
 from .modules import forced_n_constant, induced_module, steinberg_module
 from .partitions import Partition, all_partitions, phi_maps
 from .scalars import ZERO, Scalar
-from .dirac import dirac_element
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _RATIONAL_FLAGS = ("--k", "--ks", "--N")

@@ -34,7 +34,7 @@ from .engine import AlgebraParams
 from .linalg import Matrix, Subspace, quotient_matrix
 from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,6 @@ def expected_central_character(lam: Partition, k: Scalar) -> CentralCharacter:
     return CentralCharacter.from_values(values)
 
 
-def _slice_eigenvalue(module: ModuleRep, mat: Matrix, slice_dim: int) -> Scalar:
-    """Scalar by which mat acts on the leading slice of the basis, exactly."""
-    value = None
-    for col in range(slice_dim):
-        entries = mat.cols[col]
-        if any(row >= slice_dim for row in entries):
-            raise ValueError("operator does not preserve the St slice")
-        diagonal = entries.get(col, ZERO)
-        if any(row != col for row in entries) or (value is not None and diagonal != value):
-            raise ValueError("non-scalar action on the St slice")
-        value = diagonal
-    return value if value is not None else ZERO
-
-
 def central_character(module: ModuleRep) -> CentralCharacter:
     """The multiset of x_i^2 eigenvalues of a quasisimple module.
 
@@ -84,13 +70,13 @@ def central_character(module: ModuleRep) -> CentralCharacter:
     squares = [module.gens[f"x{i}"] * module.gens[f"x{i}"] for i in range(1, n + 1)]
     values = []
     slice_dim = (1 << n) if module.kind == "induced" else module.dim
+    st_slice = Subspace.spanned_by([{j: ONE} for j in range(slice_dim)], module.dim)
     for i, sq in enumerate(squares, start=1):
         scalar = sq.scalar_value()
         if scalar is None:
-            try:
-                scalar = _slice_eigenvalue(module, sq, slice_dim)
-            except ValueError as exc:
-                raise ValueError(f"x_{i}^2 acts non-scalar: not quasisimple") from exc
+            scalar = st_slice.eigenvalue(sq)
+        if scalar is None:
+            raise ValueError(f"x_{i}^2 acts non-scalar: not quasisimple")
         values.append(scalar)
     # Symmetric combinations must be scalar on the whole module.
     e1 = Matrix.zeros(module.dim, module.dim)
@@ -174,8 +160,21 @@ class CohomologyReport:
         }
 
 
-def _seg_generator_keys(module: ModuleRep) -> list[str]:
-    return [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names
+def _omega_seg_spectrum(
+    module: ModuleRep, ker: Subspace, inter: Subspace
+) -> tuple[list[tuple[Scalar, int]], bool]:
+    """The spectrum of pi(Omega_Seg) on ker D / inter, once Seg is checked to keep both."""
+    for key in [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names:
+        mat = module.gens[key]
+        if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
+            raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
+    _, omega_seg = casimirs(module.params)
+    omega_mat = module.act(omega_seg)
+    value = None if inter.dim else ker.eigenvalue(omega_mat)
+    if value is not None:
+        return [(value, ker.dim)], True
+    quotient = quotient_matrix(omega_mat, ker, inter)
+    return _spectrum_of(quotient, _candidate_eigenvalues(module.params))
 
 
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
@@ -193,29 +192,19 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     ker D by a scalar, checked exactly on every basis vector, that scalar
     with multiplicity dim ker D is the whole spectrum.  Otherwise the
     spectrum comes from the quotient matrix, one exact kernel per candidate.
+    When ker D = 0, none of this runs: H_D = 0 has the empty spectrum.
     """
     params = module.params
     d_mat = module.act(dirac_element(params))
     ker = Subspace.kernel(d_mat)
     inter = Subspace(d_mat.nrows)
-    if d_mat.conj_transpose() == -d_mat:
-        dim_ker_sq = ker.dim
-    else:
+    dim_ker_sq = ker.dim
+    if ker.dim and d_mat.conj_transpose() != -d_mat:
         dim_ker_sq = Subspace.kernel(d_mat * d_mat).dim
         if dim_ker_sq > ker.dim:
             inter = ker.intersect(Subspace.image(d_mat))
-    for key in _seg_generator_keys(module):
-        mat = module.gens[key]
-        if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
-            raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
-    _, omega_seg = casimirs(params)
-    omega_mat = module.act(omega_seg)
-    value = None if inter.dim else ker.eigenvalue(omega_mat)
-    if value is not None:
-        spectrum, complete = [(value, ker.dim)], True
-    else:
-        quotient = quotient_matrix(omega_mat, ker, inter)
-        spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(params))
+    # ker D = 0 makes D, hence D^2, injective: H_D = 0 and its spectrum is empty.
+    spectrum, complete = _omega_seg_spectrum(module, ker, inter) if ker.dim else ([], True)
     ksq = params.k_long * params.k_long
     matched = []
     for mu in distinct_partitions(params.n):

@@ -11,7 +11,8 @@ does not depend on which spanning vectors the eliminator finds.
 
 `sparse_kernel` is the package's one null-space routine: column elimination
 on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel` and
-`Subspace.intersect`.
+`Subspace.intersect`.  Vectors are {index: nonzero} dicts throughout; the
+only dense views are those of `Matrix`.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class Subspace:
     """A subspace of Scalar^ambient in reduced column echelon form.
 
     The basis is kept as sparse {index: nonzero} dicts in `vectors`, with
-    pivot rows in `pivots`; `basis` is the dense view of the same vectors.
+    pivot rows in `pivots`, and every vector passed in is such a dict.
     """
 
     __slots__ = ("ambient", "vectors", "pivots")
@@ -228,10 +229,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.vectors)
 
-    @property
-    def basis(self) -> list[Vector]:
-        return [dense(vec, self.ambient) for vec in self.vectors]
-
     def _residual(self, vec: dict) -> tuple[dict, dict]:
         """vec reduced against the basis, plus its coordinates {basis index: nonzero}."""
         res = dict(vec)
@@ -243,52 +240,32 @@ class Subspace:
                 add_scaled(res, -c, bvec)
         return res, coords
 
-    def _coords(self, vec: dict) -> dict:
+    def coords(self, vec: dict) -> dict:
+        """The coordinates {basis index: nonzero} of a vector in this space."""
         res, coords = self._residual(vec)
         if res:
             raise ValueError("vector not in subspace")
         return coords
 
-    def _insert(self, vec: dict) -> bool:
-        res, _ = self._residual(vec)
-        if not res:
-            return False
-        p = min(res)
-        inv = res[p].inverse()
-        new = {i: r * inv for i, r in res.items()}
-        for bvec in self.vectors:
-            c = bvec.get(p)
-            if c is not None:
-                add_scaled(bvec, -c, new)
-        at = bisect.bisect(self.pivots, p)
-        self.vectors.insert(at, new)
-        self.pivots.insert(at, p)
-        return True
-
-    def add_vector(self, vec) -> bool:
-        """Insert a vector; returns True when it enlarged the space."""
-        if len(vec) != self.ambient:
-            raise ValueError("dimension mismatch")
-        return self._insert(sparse(vec))
-
-    @classmethod
-    def from_vectors(cls, vectors, ambient: int) -> Subspace:
-        space = cls(ambient)
-        for vec in vectors:
-            space.add_vector(vec)
-        return space
-
     @classmethod
     def spanned_by(cls, vectors, ambient: int) -> Subspace:
-        """The span of sparse vectors {index: nonzero}."""
+        """The span of sparse vectors {index: nonzero}, each reduced in turn."""
         space = cls(ambient)
         for vec in vectors:
-            space._insert(vec)
+            res, _ = space._residual(vec)
+            if not res:
+                continue
+            p = min(res)
+            inv = res[p].inverse()
+            new = {i: r * inv for i, r in res.items()}
+            for bvec in space.vectors:
+                c = bvec.get(p)
+                if c is not None:
+                    add_scaled(bvec, -c, new)
+            at = bisect.bisect(space.pivots, p)
+            space.vectors.insert(at, new)
+            space.pivots.insert(at, p)
         return space
-
-    @classmethod
-    def full(cls, ambient: int) -> Subspace:
-        return cls.spanned_by(Matrix.identity(ambient).cols, ambient)
 
     @classmethod
     def image(cls, matrix: Matrix) -> Subspace:
@@ -299,11 +276,8 @@ class Subspace:
         """Exact null space by sparse column elimination."""
         return cls.spanned_by(sparse_kernel(matrix.cols), matrix.ncols)
 
-    def contains(self, vec) -> bool:
-        return not self._residual(sparse(vec))[0]
-
-    def coords(self, vec) -> list[Scalar]:
-        return list(dense(self._coords(sparse(vec)), self.dim))
+    def contains(self, vec: dict) -> bool:
+        return not self._residual(vec)[0]
 
     def intersect(self, other: Subspace) -> Subspace:
         """Intersection from the null-space combinations of both bases."""
@@ -350,10 +324,10 @@ def quotient_matrix(matrix: Matrix, space: Subspace, sub: Subspace) -> Matrix:
     """
     if not space.is_invariant(matrix) or not sub.is_invariant(matrix):
         raise ValueError("operator does not preserve the filtration")
-    inner = Subspace.spanned_by([space._coords(vec) for vec in sub.vectors], space.dim)
+    inner = Subspace.spanned_by([space.coords(vec) for vec in sub.vectors], space.dim)
     rep_idx = [i for i in range(space.dim) if i not in inner.pivots]
     cols = []
     for i in rep_idx:
-        residual, _ = inner._residual(space._coords(matrix.apply(space.vectors[i])))
+        residual, _ = inner._residual(space.coords(matrix.apply(space.vectors[i])))
         cols.append({r: residual[j] for r, j in enumerate(rep_idx) if j in residual})
     return Matrix.from_sparse(cols, len(rep_idx))

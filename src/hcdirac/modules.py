@@ -56,7 +56,6 @@ class ModuleRep:
         self,
         params: AlgebraParams,
         kind: str,
-        basis_labels: list[str],
         parity: list[int],
         gens: dict[str, Matrix],
         lam: Partition | None = None,
@@ -64,11 +63,10 @@ class ModuleRep:
     ):
         self.params = params
         self.kind = kind
-        self.basis_labels = list(basis_labels)
         self.parity = tuple(parity)
         self.gens = dict(gens)
         self.lam = lam
-        self.dim = len(self.basis_labels)
+        self.dim = len(parity)
         self.ctx = algebra_for(params).ctx
         self._group_cache: dict[SignedPerm, Matrix] = {}
         # The relation-check report, kept for callers; None when unchecked.
@@ -225,14 +223,6 @@ def _st_lambda_x_matrix(i: int, lam: Partition, k: Scalar, n: int) -> Matrix:
     return out
 
 
-def _cliff_labels(n: int) -> list[str]:
-    labels = []
-    for mask in range(1 << n):
-        word = "".join(f"c{i}" for i in range(1, n + 1) if mask & (1 << (i - 1)))
-        labels.append(word or "1")
-    return labels
-
-
 def _steinberg_a(params: AlgebraParams) -> ModuleRep:
     n = params.n
     lam = Partition((n,))
@@ -244,7 +234,7 @@ def _steinberg_a(params: AlgebraParams) -> ModuleRep:
     for name, s in zip(ctx.simple_names, ctx.simple_reflections):
         gens[name] = _cl_basis_w_matrix(s, n)
     parity = [mask.bit_count() & 1 for mask in range(1 << n)]
-    return ModuleRep(params, "steinberg", _cliff_labels(n), parity, gens, lam=lam)
+    return ModuleRep(params, "steinberg", parity, gens, lam=lam)
 
 
 def forced_n_constant(params: AlgebraParams) -> Scalar:
@@ -297,7 +287,6 @@ def steinberg_module(params: AlgebraParams) -> ModuleRep:
     _, parity_u = clifford_c_matrices(params.n)
     du = len(parity_u)
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
-    labels = [f"u{p}*v{q}" for p in range(du) for q in range(du)]
     if params.type == "D":
         # W(D_n) keeps s_1..s_{n-1} of W(B_n) and trades s_n for the fork
         # s_{n-1,-n} = s_n s_{n-1} s_n, which D_1 lacks.
@@ -306,7 +295,7 @@ def steinberg_module(params: AlgebraParams) -> ModuleRep:
         sn = gens.pop(b_names[-1])
         if params.n >= 2:
             gens[alg.ctx.simple_names[-1]] = sn * gens[b_names[-2]] * sn
-    return ModuleRep(params, "steinberg", labels, parity, gens)
+    return ModuleRep(params, "steinberg", parity, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +422,5 @@ def induced_module(lam: Partition, k: Scalar) -> ModuleRep:
     """X_lambda on the basis {minimal coset rep} x {Clifford monomials}."""
     builder = _InducedBuilder(lam, k)
     gens = {name: builder.generator_matrix(elem) for name, elem in builder.alg.generators.items()}
-    cl_labels = _cliff_labels(builder.n)
-    labels = [f"{rep}|{cl}" for rep in builder.reps for cl in cl_labels]
     parity = [mask.bit_count() & 1 for _ in builder.reps for mask in range(builder.cl_dim)]
-    return ModuleRep(builder.params, "induced", labels, parity, gens, lam=lam)
+    return ModuleRep(builder.params, "induced", parity, gens, lam=lam)

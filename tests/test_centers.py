@@ -6,19 +6,25 @@ import random
 
 import pytest
 
+from hcdirac import centers
 from hcdirac.centers import (
     jucys_murphy,
     seg_even_center,
     seg_mono_mul,
-    seg_monomials,
     verify_zeta_surjective,
     zeta_on_dirac,
     zeta_on_power_sums,
 )
 from hcdirac.engine import AlgebraParams, algebra_for, multiply, parity
+from hcdirac.linalg import Matrix, Subspace
 from hcdirac.partitions import distinct_partitions
-from hcdirac.scalars import ONE, TWO, ZERO, Scalar
-from hcdirac.weyl import SignedPerm
+from hcdirac.scalars import HALF, ONE, TWO, ZERO, Scalar
+from hcdirac.weyl import RootSystemCtx, SignedPerm
+
+
+def seg_monomials(n):
+    """All (cliff mask, w) monomials of Seg_n."""
+    return [(mask, w) for mask in range(1 << n) for w in RootSystemCtx("A", n).elements()]
 
 
 def test_jucys_murphy_examples():
@@ -44,8 +50,8 @@ def test_zeta_on_dirac_vanishes(n):
 
 
 def test_power_sum_images_rank_one_and_k_zero():
-    assert zeta_on_power_sums(1, 1, ONE).is_zero()
-    assert zeta_on_power_sums(3, 2, ZERO).is_zero()
+    assert zeta_on_power_sums(1, 1, ONE)[0].is_zero()
+    assert all(image.is_zero() for image in zeta_on_power_sums(3, 2, ZERO))
     with pytest.raises(ValueError):
         zeta_on_power_sums(2, 0, ONE)
 
@@ -54,7 +60,7 @@ def test_power_sum_image_n2_matches_hand_value():
     # JM_2^2 = 2 k^2, so zeta'(p_1) = 2 k^2 * 1 in Seg_2.
     p = AlgebraParams("A", 2, ONE)
     alg = algebra_for(p)
-    image = zeta_on_power_sums(2, 1, ONE)
+    (image,) = zeta_on_power_sums(2, 1, ONE)
     jm = jucys_murphy(2, 2, ONE)
     assert image == multiply(p, jm, jm)
     assert image == alg.one().scale(TWO)
@@ -64,8 +70,7 @@ def test_power_sum_images_are_central_and_even():
     p = AlgebraParams("A", 3, ONE)
     alg = algebra_for(p)
     gens = [alg.c(i) for i in (1, 2, 3)] + [alg.w(s) for s in alg.ctx.simple_reflections]
-    for r in (1, 2):
-        image = zeta_on_power_sums(3, r, ONE)
+    for image in zeta_on_power_sums(3, 2, ONE):
         assert parity(image) in ("even",)
         for g in gens:
             assert (multiply(p, image, g) - multiply(p, g, image)).is_zero()
@@ -96,8 +101,7 @@ def _as_elem(alg, mono):
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 2)])
 def test_even_center_dimension(n, expected):
-    space, even = seg_even_center(n)
-    assert space.dim == expected
+    assert len(seg_even_center(n)) == expected
     assert expected == len(distinct_partitions(n))
 
 
@@ -120,7 +124,88 @@ def test_zeta_surjective(n, max_r):
     assert report["images_in_center"]
 
 
+@pytest.mark.parametrize("extra", ["s1", "x1"])
+def test_zeta_surjective_flags_non_central_image(monkeypatch, extra):
+    # s_1 is even and in Seg_3 but not central; x_1 is not in Seg_3 at all.
+    alg = algebra_for(AlgebraParams("A", 3, ONE))
+    real = centers.zeta_on_power_sums
+
+    def perturbed(n, max_r, k):
+        images = real(n, max_r, k)
+        return [images[0] + alg.generators[extra]] + images[1:]
+
+    monkeypatch.setattr(centers, "zeta_on_power_sums", perturbed)
+    report = verify_zeta_surjective(3, ONE, 3)
+    assert not report["images_in_center"]
+    assert report["status"] == "fail"
+
+
 def test_zeta_surjective_degenerate_at_k_zero():
     report = verify_zeta_surjective(2, ZERO, 2)
     assert report["status"] == "fail"
     assert report["rank"] == 0
+
+
+def _commutator_kernel(n):
+    """Z(Seg_n)_0 as the kernel of all generator commutators on even monomials."""
+    monos = seg_monomials(n)
+    index = {m: idx for idx, m in enumerate(monos)}
+    even = [m for m in monos if m[0].bit_count() % 2 == 0]
+    identity = SignedPerm.identity(n)
+    gens = [(1 << (i - 1), identity) for i in range(1, n + 1)]
+    gens += [(0, s) for s in RootSystemCtx("A", n).simple_reflections]
+    columns = []
+    for mono in even:
+        col = {}
+        for g_idx, gen in enumerate(gens):
+            s1, left = seg_mono_mul(gen, mono)
+            s2, right = seg_mono_mul(mono, gen)
+            for sign, prod in ((s1, left), (-s2, right)):
+                key = g_idx * len(monos) + index[prod]
+                col[key] = col.get(key, 0) + sign
+        columns.append({key: Scalar(v) for key, v in col.items() if v})
+    return Subspace.kernel(Matrix.from_sparse(columns, len(gens) * len(monos))), even
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_class_sums_span_commutator_kernel(n):
+    kernel, even = _commutator_kernel(n)
+    index = {m: idx for idx, m in enumerate(even)}
+    sums = seg_even_center(n)
+    span = Subspace.spanned_by(
+        [{index[mono]: Scalar(sign) for mono, sign in z.items()} for z in sums], len(even)
+    )
+    assert span.dim == len(sums) == kernel.dim
+    # reduced column echelon form is unique, so equal spans have equal bases
+    assert (span.pivots, span.vectors) == (kernel.pivots, kernel.vectors)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_class_sums_commute_with_generators(n):
+    p = AlgebraParams("A", n, ONE)
+    alg = algebra_for(p)
+    gens = [alg.c(i) for i in range(1, n + 1)] + [alg.w(s) for s in alg.ctx.simple_reflections]
+    for z in seg_even_center(n):
+        elem = alg.zero()
+        for mono, sign in z.items():
+            elem = elem + _as_elem(alg, mono).scale(Scalar(sign))
+        assert not elem.is_zero()
+        for g in gens:
+            assert (multiply(p, elem, g) - multiply(p, g, elem)).is_zero()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k", [ONE, -HALF])
+def test_power_sums_match_per_r_products(n, k):
+    alg = algebra_for(AlgebraParams("A", n, k))
+    images = zeta_on_power_sums(n, 4, k)
+    assert len(images) == 4
+    for r, image in enumerate(images, start=1):
+        expected = alg.zero()
+        for i in range(1, n + 1):
+            jm = jucys_murphy(n, i, k)
+            power = alg.one()
+            for _ in range(2 * r):
+                power = alg.multiply(power, jm)
+            expected = expected + power
+        assert image == expected

@@ -17,8 +17,8 @@ from hcdirac.cohomology import (
 )
 from hcdirac.dirac import casimirs, dirac_element
 from hcdirac.engine import AlgebraParams
-from hcdirac.linalg import Subspace, quotient_matrix
-from hcdirac.modules import forced_n_constant, induced_module, steinberg_module
+from hcdirac.linalg import Matrix, Subspace, quotient_matrix
+from hcdirac.modules import ModuleRep, forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
 
@@ -88,6 +88,27 @@ def test_central_character_examples():
 def test_central_character_scales_with_k_squared():
     cc = central_character(cached_module((2,), HALF_K))
     assert cc == CentralCharacter.from_values([ZERO, HALF_K * HALF_K * 2])
+
+
+def test_central_character_rejects_non_scalar_square():
+    # x1 = diag(1, 2) gives x1^2 = diag(1, 4): diagonal, but not a scalar.
+    params = AlgebraParams("A", 1, ONE)
+    x1 = Matrix([[ONE, ZERO], [ZERO, TWO]])
+    module = ModuleRep(params, "steinberg", [0, 1], {"x1": x1}, check=False)
+    with pytest.raises(ValueError, match="not quasisimple"):
+        central_character(module)
+
+
+def test_dirac_cohomology_stops_when_ker_d_is_zero(monkeypatch):
+    module = cached_module((2, 2), ONE)
+    acted = []
+    act = module.act
+    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
+    report = dirac_cohomology(module)
+    assert acted == [dirac_element(module.params)]
+    assert (report.dim_ker, report.dim_hd) == (0, 0)
+    assert (report.spectrum, report.spectrum_complete, report.status) == ([], True, "pass")
+    assert report.ker_equals_ker_sq and report.matched_partition == []
 
 
 def test_dirac_cohomology_on_steinberg():

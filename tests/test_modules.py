@@ -47,7 +47,7 @@ def test_relation_checker_detects_breakage():
     broken = dict(st.gens)
     broken["c1"] = Matrix.identity(st.dim)
     with pytest.raises(AssertionError):
-        ModuleRep(st.params, "steinberg", st.basis_labels, st.parity, broken, lam=st.lam)
+        ModuleRep(st.params, "steinberg", st.parity, broken, lam=st.lam)
 
 
 def test_steinberg_a_actions():
@@ -131,8 +131,7 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     cs, parity_u = clifford_c_matrices(2)
     du = len(parity_u)
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
-    labels = [f"u{p}*v{q}" for p in range(du) for q in range(du)]
-    module = ModuleRep(bad, "steinberg", labels, parity, gens, check=False)
+    module = ModuleRep(bad, "steinberg", parity, gens, check=False)
     assert module.relations is None
     report = check_module_relations(module)
     assert report["status"] == "fail"
