@@ -47,6 +47,7 @@ from .cohomology import (
 )
 from .centers import (
     jucys_murphy,
+    jucys_murphy_elements,
     seg_even_center,
     verify_zeta_surjective,
     zeta_on_dirac,

@@ -39,29 +39,33 @@ def jucys_murphy(n: int, i: int, k: Scalar) -> AlgElem:
     return total
 
 
-def zeta_on_dirac(n: int, k: Scalar) -> AlgElem:
-    """zeta'(D) = sum_i JM_i c_i + sqrt2 k sum_{alpha>0} stilde_alpha."""
-    params = AlgebraParams("A", n, k)
+def jucys_murphy_elements(n: int, k: Scalar) -> list[AlgElem]:
+    """[zeta'(x_1), ..., zeta'(x_n)], built once for the center checks to share."""
+    return [jucys_murphy(n, i, k) for i in range(1, n + 1)]
+
+
+def zeta_on_dirac(jms: list[AlgElem]) -> AlgElem:
+    """zeta'(D) = sum_i JM_i c_i + sqrt2 k sum_{alpha>0} stilde_alpha, from jms = [JM_1..JM_n]."""
+    params = jms[0].params
     alg = algebra_for(params)
     total = alg.zero()
-    for i in range(1, n + 1):
-        total = total + alg.multiply(jucys_murphy(n, i, k), alg.c(i))
+    for i, jm in enumerate(jms, start=1):
+        total = total + alg.multiply(jm, alg.c(i))
     for root in alg.ctx.positive_roots:
-        total = total + twisted_reflection(params, root).scale(SQRT2 * k)
+        total = total + twisted_reflection(params, root).scale(SQRT2 * params.k_long)
     return total
 
 
-def zeta_on_power_sums(n: int, max_r: int, k: Scalar) -> list[AlgElem]:
+def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:
     """zeta'(p_r(x^2)) = sum_i JM_i^{2r} for r = 1..max_r, computed in the engine.
 
     Each JM_i^2 is formed once, and each further power is one product with it.
     """
     if max_r < 1:
         raise ValueError("power sum index must be positive")
-    alg = algebra_for(AlgebraParams("A", n, k))
+    alg = algebra_for(jms[0].params)
     images = [alg.zero()] * max_r
-    for i in range(1, n + 1):
-        jm = jucys_murphy(n, i, k)
+    for jm in jms:
         powers = [alg.multiply(jm, jm)]
         while len(powers) < max_r:
             powers.append(alg.multiply(powers[-1], powers[0]))
@@ -132,25 +136,27 @@ def seg_even_center(n: int) -> list[dict[tuple[int, SignedPerm], int]]:
     return sums
 
 
-def verify_zeta_surjective(n: int, k: Scalar, max_r: int) -> dict:
+def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
     """Span of zeta'(p_r(x^2)), r <= max_r, against the full even center.
 
-    An image is central when it lies in Seg_n and equals sum_O a_O z_O over
-    the class sums z_O, where a_O is its coefficient at the first monomial of
-    z_O.  `rank` is the rank of the rows (a_O)_O; when every image is
-    central, it is the rank of the images.
+    jms = [JM_1..JM_n] fixes n and k.  An image is central when it lies in
+    Seg_n and equals sum_O a_O z_O over the class sums z_O, where a_O is its
+    coefficient at the first monomial of z_O.  `rank` is the rank of the
+    rows (a_O)_O; when every image is central, it is the rank of the images.
 
     n = 1 is excluded: there zeta'(p_r(x^2)) = 0 for every r >= 1, while
     Z(Seg_1)_0 is the constants.
     """
+    n = len(jms)
     if n < 2:
         raise ValueError("verify_zeta_surjective needs n >= 2")
     if n > 4:
         raise ValueError("verify_zeta_surjective is sized for n <= 4")
+    k = jms[0].params.k_long
     sums = seg_even_center(n)
     rows = []
     central = []
-    for image in zeta_on_power_sums(n, max_r, k):
+    for image in zeta_on_power_sums(jms, max_r):
         terms = {(mono.cliff, mono.w): coef for mono, coef in image.terms.items()}
         coefs = [terms.get(next(iter(z)), ZERO) for z in sums]
         combo = {

@@ -32,7 +32,7 @@ import time
 from fractions import Fraction
 
 from . import REPORT_SCHEMA_VERSION, report_schema_version
-from .centers import verify_zeta_surjective, zeta_on_dirac
+from .centers import jucys_murphy_elements, verify_zeta_surjective, zeta_on_dirac
 from .cohomology import dirac_cohomology, verify_vogan
 from .dirac import dirac_element, verify_identities
 from .engine import AlgebraParams, check_pbw_consistency, check_relations_in_engine
@@ -223,8 +223,9 @@ def _cmd_phi(args) -> dict:
 
 def _cmd_center(args) -> dict:
     started = time.monotonic()
-    zd = zeta_on_dirac(args.n, args.k)
-    surj = verify_zeta_surjective(args.n, args.k, args.max_r)
+    jms = jucys_murphy_elements(args.n, args.k)
+    zd = zeta_on_dirac(jms)
+    surj = verify_zeta_surjective(jms, args.max_r)
     checks = [
         _check("zeta_dirac_zero", zd.is_zero(), None),
         _check("zeta_surjective", surj["status"] == "pass",

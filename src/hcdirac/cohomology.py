@@ -16,7 +16,9 @@ hold on the actual matrices, and otherwise the general computation runs:
   representatives), so the check needs no Gram matrix.
 - Read-off.  If H_D = ker D and pi(Omega_Seg) acts on it by one scalar,
   checked on every basis vector, that scalar is the whole spectrum, whether
-  or not the type-A table below lists it.
+  or not the type-A table below lists it.  Omega_Seg lies in Seg, whose
+  generators keep ker D, so pi(Omega_Seg) v lies in ker D and the check
+  compares the pivot rows of ker D only.
 
 In general the spectrum of Omega_Seg on H_D is computed on the quotient:
 candidate eigenvalues come from the k^2 |phi1(mu)|^2 table over
@@ -160,6 +162,26 @@ class CohomologyReport:
         }
 
 
+def _eigenvalue_at_pivots(space: Subspace, matrix: Matrix) -> Scalar | None:
+    """The scalar by which matrix acts on a nonzero space it keeps, else None.
+
+    Only the pivot rows are compared.  matrix * v lies in the space, and a
+    vector of the space is fixed by its entries at the pivots, where the
+    basis vector v_t has 1 at its own pivot and 0 at the others; so
+    matrix * v_t = value * v_t exactly when the pivot rows agree.  The caller
+    must have checked that matrix keeps the space.
+    """
+    pivots = set(space.pivots)
+    rows = Matrix.from_sparse(
+        [{r: a for r, a in col.items() if r in pivots} for col in matrix.cols], matrix.nrows
+    )
+    value = rows.apply(space.vectors[0]).get(space.pivots[0], ZERO)
+    for vec, p in zip(space.vectors, space.pivots):
+        if rows.apply(vec) != ({p: value} if value else {}):
+            return None
+    return value
+
+
 def _omega_seg_spectrum(
     module: ModuleRep, ker: Subspace, inter: Subspace
 ) -> tuple[list[tuple[Scalar, int]], bool]:
@@ -169,8 +191,10 @@ def _omega_seg_spectrum(
         if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
     _, omega_seg = casimirs(module.params)
+    if not omega_seg.is_seg():
+        raise AssertionError("Omega_Seg does not lie in Seg")
     omega_mat = module.act(omega_seg)
-    value = None if inter.dim else ker.eigenvalue(omega_mat)
+    value = None if inter.dim else _eigenvalue_at_pivots(ker, omega_mat)
     if value is not None:
         return [(value, ker.dim)], True
     quotient = quotient_matrix(omega_mat, ker, inter)
@@ -189,9 +213,10 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     intersection is built only when that difference is nonzero.
 
     Read-off.  When the intersection is zero and pi(Omega_Seg) acts on
-    ker D by a scalar, checked exactly on every basis vector, that scalar
-    with multiplicity dim ker D is the whole spectrum.  Otherwise the
-    spectrum comes from the quotient matrix, one exact kernel per candidate.
+    ker D by a scalar, checked exactly on every basis vector at the pivot
+    rows of ker D, that scalar with multiplicity dim ker D is the whole
+    spectrum.  Otherwise the spectrum comes from the quotient matrix, one
+    exact kernel per candidate.
     When ker D = 0, none of this runs: H_D = 0 has the empty spectrum.
     """
     params = module.params

@@ -2,7 +2,12 @@
 
 A matrix is stored by columns, each a {row: nonzero} dict with no zero
 stored, and every operation walks the stored entries only: a product forms
-column j of AB as the sum of B[k, j] * A[:, k].  Subspaces keep sparse basis
+column j of AB as the sum of B[k, j] * A[:, k].  All of it runs through
+`add_scaled`, which adds or subtracts without a product when the factor is
+the singleton ONE or MINUS_ONE (the common case: signed permutation
+matrices and relation coefficients +-1).  `Matrix.sum_of_products` forms a
+sum of coef * F1 ... Fk with the last factor applied straight into the sum,
+so a whole word's product is never stored.  Subspaces keep sparse basis
 vectors in reduced column echelon form (pivot rows strictly increasing,
 pivot entries 1, zeros above and below every pivot), which makes
 membership, intersection and quotient computations deterministic and
@@ -18,8 +23,10 @@ only dense views are those of `Matrix`.
 from __future__ import annotations
 
 import bisect
+import functools
+import operator
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 
@@ -65,13 +72,27 @@ class Matrix:
         return cls.from_sparse([{} for _ in range(ncols)], nrows)
 
     @classmethod
-    def combination(cls, terms, nrows: int, ncols: int) -> Matrix:
-        """The sum of coef * matrix over the (coef, matrix) pairs of terms."""
+    def sum_of_products(cls, terms, nrows: int, ncols: int) -> Matrix:
+        """The sum of coef * F1 ... Fk over the (coef, [F1, ..., Fk]) pairs of terms.
+
+        F1 ... F(k-1) is multiplied out, and Fk is applied to it column by
+        column straight into the sum, so the product of a whole word is
+        never stored; a one-factor word adds coef * F1 directly.  An empty
+        word stands for the identity.
+        """
         cols = [{} for _ in range(ncols)]
-        for coef, mat in terms:
-            if coef:
-                for acc, col in zip(cols, mat.cols):
+        for coef, factors in terms:
+            if not coef:
+                continue
+            *head, last = factors or (cls.identity(nrows),)
+            if not head:
+                for acc, col in zip(cols, last.cols):
                     add_scaled(acc, coef, col)
+                continue
+            prefix = functools.reduce(operator.mul, head).cols
+            for acc, col in zip(cols, last.cols):
+                for k, a in col.items():
+                    add_scaled(acc, a if coef is ONE else coef * a, prefix[k])
         return cls.from_sparse(cols, nrows)
 
     @property
@@ -86,17 +107,17 @@ class Matrix:
 
     def __add__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix.combination(((ONE, self), (ONE, other)), self.nrows, self.ncols)
+        return Matrix.sum_of_products(((ONE, [self]), (ONE, [other])), self.nrows, self.ncols)
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix.combination(((ONE, self), (-ONE, other)), self.nrows, self.ncols)
+        return Matrix.sum_of_products(((ONE, [self]), (MINUS_ONE, [other])), self.nrows, self.ncols)
 
     def __neg__(self) -> Matrix:
-        return self.scale(-ONE)
+        return self.scale(MINUS_ONE)
 
     def scale(self, scalar: Scalar) -> Matrix:
-        return Matrix.combination(((scalar, self),), self.nrows, self.ncols)
+        return Matrix.sum_of_products(((scalar, [self]),), self.nrows, self.ncols)
 
     def __mul__(self, other: Matrix) -> Matrix:
         """Column j of the product is the sum of B[k, j] * A[:, k]."""
@@ -197,18 +218,53 @@ def sparse_kernel(columns: list[dict]) -> list[dict]:
     return kernel
 
 
-def add_scaled(target: dict, factor, source: dict) -> None:
-    """target += factor * source for a nonzero factor, dropping the entries that cancel."""
-    for key, val in source.items():
-        prev = target.get(key)
-        if prev is None:
-            target[key] = factor * val
+def add_scaled(target: dict, factor: Scalar, source: dict) -> None:
+    """target += factor * source for a nonzero factor, dropping the entries that cancel.
+
+    The factors ONE and MINUS_ONE, recognised by identity, add or subtract
+    the entries without a product, and an empty target takes a copy.  Any
+    other factor, a +-1 that is not the singleton included, multiplies.
+    """
+    if not target:
+        if factor is ONE:
+            target.update(source)
+        elif factor is MINUS_ONE:
+            target.update({key: -val for key, val in source.items()})
         else:
-            new = prev + factor * val
-            if new:
-                target[key] = new
+            target.update({key: factor * val for key, val in source.items()})
+    elif factor is ONE:
+        for key, val in source.items():
+            prev = target.get(key)
+            if prev is None:
+                target[key] = val
             else:
-                del target[key]
+                new = prev + val
+                if new:
+                    target[key] = new
+                else:
+                    del target[key]
+    elif factor is MINUS_ONE:
+        for key, val in source.items():
+            prev = target.get(key)
+            if prev is None:
+                target[key] = -val
+            else:
+                new = prev - val
+                if new:
+                    target[key] = new
+                else:
+                    del target[key]
+    else:
+        for key, val in source.items():
+            prev = target.get(key)
+            if prev is None:
+                target[key] = factor * val
+            else:
+                new = prev + factor * val
+                if new:
+                    target[key] = new
+                else:
+                    del target[key]
 
 
 class Subspace:

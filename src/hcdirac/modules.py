@@ -15,9 +15,12 @@ matrix per entry of `Algebra.generators`.
 
 Every matrix is built directly in the sparse column form of
 `linalg.Matrix`: generator columns are assembled from {index: nonzero}
-vectors, realisations and relation sums add up stored entries only, and a
-product of generators starts from its first factor (an empty word is the
-identity matrix).
+vectors, and realisations and relation sums add up stored entries only.  A
+realisation or relation is one `Matrix.sum_of_products` over its words: all
+factors but the last are multiplied out, and the last is applied column by
+column straight into the sum, so no product of a whole word is stored.  A
+group element w is one factor pi(w), cached and built with one product from
+the element one letter shorter.
 
 The induced module is computed by straightening: a generator applied to a
 basis vector w_t (x) v is normalised in the engine, and each resulting PBW
@@ -29,9 +32,7 @@ x-degree, so the recursion terminates.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 
 from .engine import (
     AlgebraParams,
@@ -77,28 +78,39 @@ class ModuleRep:
     # -- matrix realisation ----------------------------------------------
 
     def group_matrix(self, w: SignedPerm) -> Matrix:
+        """pi(w) = pi(w s) pi(s) for the last letter s of w's reduced word.
+
+        Reduced words are prefix-closed, so w s has the word without that
+        letter: each element costs one product, and the cache holds the
+        prefix closure of the elements asked for.
+        """
         cached = self._group_cache.get(w)
         if cached is None:
-            names = self.ctx.simple_names
-            word = [self.gens[names[idx]] for idx in self.ctx.reduced_word(w)]
-            cached = self._group_cache[w] = _product(word, self.dim)
+            word = self.ctx.reduced_word(w)
+            if not word:
+                cached = Matrix.identity(self.dim)
+            else:
+                s = self.gens[self.ctx.simple_names[word[-1]]]
+                rest = w * self.ctx.simple_reflections[word[-1]]
+                cached = s if len(word) == 1 else self.group_matrix(rest) * s
+            self._group_cache[w] = cached
         return cached
 
-    def mono_matrix(self, mono: PbwMonomial) -> Matrix:
-        """x^exps c^cliff w, multiplied out from the first factor."""
+    def _mono_factors(self, mono: PbwMonomial) -> list[Matrix]:
+        """The factors of x^exps c^cliff w, in order; pi(w) is one factor."""
         n = self.params.n
         factors = [self.gens[f"x{i}"] for i in range(1, n + 1) for _ in range(mono.exps[i - 1])]
         factors += [self.gens[f"c{i}"] for i in range(1, n + 1) if mono.cliff & (1 << (i - 1))]
         if not mono.w.is_identity():
             factors.append(self.group_matrix(mono.w))
-        return _product(factors, self.dim)
+        return factors
 
     def act(self, elem: AlgElem) -> Matrix:
-        """pi(elem) as an exact dim x dim matrix."""
+        """pi(elem) as an exact dim x dim matrix, one fused sum over its monomials."""
         if elem.params != self.params:
             raise ValueError("params mismatch")
-        terms = ((coef, self.mono_matrix(mono)) for mono, coef in elem.terms.items())
-        return Matrix.combination(terms, self.dim, self.dim)
+        terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
+        return Matrix.sum_of_products(terms, self.dim, self.dim)
 
     def summary(self) -> dict:
         out = {
@@ -123,21 +135,12 @@ class ModuleRep:
 # straightening, so engine and modules certify each other).
 
 
-def _product(factors: list[Matrix], dim: int) -> Matrix:
-    """The product of the factors in order; the identity when there are none."""
-    return functools.reduce(operator.mul, factors) if factors else Matrix.identity(dim)
-
-
 def check_module_relations(module: ModuleRep) -> dict:
     """Assert every defining relation as an exact matrix identity."""
     failures = []
     for name, terms in defining_relations(module.params):
-        products = (
-            (coef, _product([module.gens[gen] for gen in word], module.dim))
-            for coef, word in terms
-            if coef
-        )
-        if not Matrix.combination(products, module.dim, module.dim).is_zero():
+        words = ((coef, [module.gens[gen] for gen in word]) for coef, word in terms)
+        if not Matrix.sum_of_products(words, module.dim, module.dim).is_zero():
             failures.append(name)
     # Structural check: c-generators are odd maps, everything else even.
     parity = module.parity
@@ -393,7 +396,7 @@ class _InducedBuilder:
             scale = coef if sign > 0 else -coef
             for mask, value in self.st_w(u).apply(vec).items():
                 s2, m2 = cliff_mul(eps2, mask)
-                add_scaled(out, scale * s2, {self.basis_index(t, m2): value})
+                add_scaled(out, scale if s2 > 0 else -scale, {self.basis_index(t, m2): value})
             return
         exps = list(mono.exps)
         exps[i - 1] -= 1

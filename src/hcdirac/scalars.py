@@ -9,6 +9,13 @@ of Antic's nf_elem), always in the canonical form q > 0, gcd(a, b, c, d, q) = 1,
 so equality and hashing compare ints.  Fraction appears only in the text forms
 and the read-only components `a`..`d`.  The text forms (`compact`, which
 `str` returns, and `repr`) are output for reports; nothing parses them back.
+
+The units +-1 are the singletons ONE and MINUS_ONE wherever they come from a
+unit: building a Scalar from 1 or -1 (int or Fraction), negating ONE or
+MINUS_ONE, and a product with ONE or MINUS_ONE as its left factor (ONE * x
+is x and MINUS_ONE * x is -x).  So `linalg` tests a factor with `is` and
+adds or subtracts without a product.  A sum or another product that equals
++-1 is a new object: exact and equal to the singleton, only not identical.
 There is no floating point anywhere in this package.
 """
 
@@ -28,12 +35,16 @@ class Scalar:
     __slots__ = ("_a", "_b", "_c", "_d", "_q")
 
     def __new__(cls, a=0, b=0, c=0, d=0) -> Scalar:
-        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is int:
-            return _new(a, b, c, d, 1)
-        comps = [Fraction(x) for x in (a, b, c, d)]
-        # Over the lcm of reduced denominators the gcd is already 1.
-        q = lcm(*(x.denominator for x in comps))
-        return _new(*(x.numerator * (q // x.denominator) for x in comps), q)
+        if not (a.__class__ is b.__class__ is c.__class__ is d.__class__ is int):
+            comps = [Fraction(x) for x in (a, b, c, d)]
+            # Over the lcm of reduced denominators the gcd is already 1.
+            q = lcm(*(x.denominator for x in comps))
+            if q != 1:
+                return _new(*(x.numerator * (q // x.denominator) for x in comps), q)
+            a, b, c, d = (x.numerator for x in comps)
+        if not (b or c or d) and (a == 1 or a == -1):
+            return ONE if a == 1 else MINUS_ONE
+        return _new(a, b, c, d, 1)
 
     @staticmethod
     def _coerce(value) -> "Scalar | None":
@@ -69,11 +80,18 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
+        if self is ONE:
+            return MINUS_ONE
+        if self is MINUS_ONE:
+            return ONE
         return _new(-self._a, -self._b, -self._c, -self._d, self._q)
 
     def __sub__(self, other) -> Scalar:
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + (-other)
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> Scalar:
         return (-self) + other
@@ -102,7 +120,7 @@ class Scalar:
             if a1 == 1:
                 return other
             if a1 == -1:
-                return _new(-a2, -b2, -c2, -d2, q2)
+                return -other
             if not a1:
                 return ZERO
         return _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q1 * q2)
@@ -203,8 +221,10 @@ def _reduced(a: int, b: int, c: int, d: int, q: int) -> Scalar:
     return _new(a, b, c, d, q)
 
 
+# The units +-1 are singletons: see the module docstring.
+ONE = _new(1, 0, 0, 0, 1)
+MINUS_ONE = _new(-1, 0, 0, 0, 1)
 ZERO = Scalar(0)
-ONE = Scalar(1)
 TWO = Scalar(2)
 HALF = Scalar(Fraction(1, 2))
 SQRT2 = Scalar(0, 1)

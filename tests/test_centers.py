@@ -9,6 +9,7 @@ import pytest
 from hcdirac import centers
 from hcdirac.centers import (
     jucys_murphy,
+    jucys_murphy_elements,
     seg_even_center,
     seg_mono_mul,
     verify_zeta_surjective,
@@ -45,22 +46,22 @@ def test_jm_with_k_prefactor():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_zeta_on_dirac_vanishes(n):
-    assert zeta_on_dirac(n, ONE).is_zero()
-    assert zeta_on_dirac(n, TWO).is_zero()
+    assert zeta_on_dirac(jucys_murphy_elements(n, ONE)).is_zero()
+    assert zeta_on_dirac(jucys_murphy_elements(n, TWO)).is_zero()
 
 
 def test_power_sum_images_rank_one_and_k_zero():
-    assert zeta_on_power_sums(1, 1, ONE)[0].is_zero()
-    assert all(image.is_zero() for image in zeta_on_power_sums(3, 2, ZERO))
+    assert zeta_on_power_sums(jucys_murphy_elements(1, ONE), 1)[0].is_zero()
+    assert all(image.is_zero() for image in zeta_on_power_sums(jucys_murphy_elements(3, ZERO), 2))
     with pytest.raises(ValueError):
-        zeta_on_power_sums(2, 0, ONE)
+        zeta_on_power_sums(jucys_murphy_elements(2, ONE), 0)
 
 
 def test_power_sum_image_n2_matches_hand_value():
     # JM_2^2 = 2 k^2, so zeta'(p_1) = 2 k^2 * 1 in Seg_2.
     p = AlgebraParams("A", 2, ONE)
     alg = algebra_for(p)
-    (image,) = zeta_on_power_sums(2, 1, ONE)
+    (image,) = zeta_on_power_sums(jucys_murphy_elements(2, ONE), 1)
     jm = jucys_murphy(2, 2, ONE)
     assert image == multiply(p, jm, jm)
     assert image == alg.one().scale(TWO)
@@ -70,7 +71,7 @@ def test_power_sum_images_are_central_and_even():
     p = AlgebraParams("A", 3, ONE)
     alg = algebra_for(p)
     gens = [alg.c(i) for i in (1, 2, 3)] + [alg.w(s) for s in alg.ctx.simple_reflections]
-    for image in zeta_on_power_sums(3, 2, ONE):
+    for image in zeta_on_power_sums(jucys_murphy_elements(3, ONE), 2):
         assert parity(image) in ("even",)
         for g in gens:
             assert (multiply(p, image, g) - multiply(p, g, image)).is_zero()
@@ -113,12 +114,12 @@ def test_even_center_guard():
 @pytest.mark.parametrize("n", [1, 5])
 def test_zeta_surjective_guard(n):
     with pytest.raises(ValueError):
-        verify_zeta_surjective(n, ONE, 1)
+        verify_zeta_surjective(jucys_murphy_elements(n, ONE), 1)
 
 
 @pytest.mark.parametrize("n,max_r", [(2, 2), (3, 3)])
 def test_zeta_surjective(n, max_r):
-    report = verify_zeta_surjective(n, ONE, max_r)
+    report = verify_zeta_surjective(jucys_murphy_elements(n, ONE), max_r)
     assert report["status"] == "pass"
     assert report["rank"] == report["center_dim"]
     assert report["images_in_center"]
@@ -130,18 +131,18 @@ def test_zeta_surjective_flags_non_central_image(monkeypatch, extra):
     alg = algebra_for(AlgebraParams("A", 3, ONE))
     real = centers.zeta_on_power_sums
 
-    def perturbed(n, max_r, k):
-        images = real(n, max_r, k)
+    def perturbed(jms, max_r):
+        images = real(jms, max_r)
         return [images[0] + alg.generators[extra]] + images[1:]
 
     monkeypatch.setattr(centers, "zeta_on_power_sums", perturbed)
-    report = verify_zeta_surjective(3, ONE, 3)
+    report = verify_zeta_surjective(jucys_murphy_elements(3, ONE), 3)
     assert not report["images_in_center"]
     assert report["status"] == "fail"
 
 
 def test_zeta_surjective_degenerate_at_k_zero():
-    report = verify_zeta_surjective(2, ZERO, 2)
+    report = verify_zeta_surjective(jucys_murphy_elements(2, ZERO), 2)
     assert report["status"] == "fail"
     assert report["rank"] == 0
 
@@ -198,7 +199,7 @@ def test_class_sums_commute_with_generators(n):
 @pytest.mark.parametrize("k", [ONE, -HALF])
 def test_power_sums_match_per_r_products(n, k):
     alg = algebra_for(AlgebraParams("A", n, k))
-    images = zeta_on_power_sums(n, 4, k)
+    images = zeta_on_power_sums(jucys_murphy_elements(n, k), 4)
     assert len(images) == 4
     for r, image in enumerate(images, start=1):
         expected = alg.zero()

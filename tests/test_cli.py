@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import hcdirac
+from hcdirac import centers
 from hcdirac.cli import main, report_schema_version
 
 
@@ -87,6 +88,15 @@ def test_center_command(capsys):
     code, report = run_cli(capsys, ["center", "--n", "2", "--k", "1", "--max-r", "2"])
     assert code == 0
     assert report["checks"][1]["details"] == {"rank": 1, "center_dim": 1}
+
+
+def test_center_builds_each_jucys_murphy_element_once(capsys, monkeypatch):
+    built = []
+    real = centers.jucys_murphy
+    monkeypatch.setattr(centers, "jucys_murphy", lambda n, i, k: built.append(i) or real(n, i, k))
+    code, _ = run_cli(capsys, ["center", "--n", "3", "--k", "1"])
+    assert code == 0
+    assert built == [1, 2, 3]
 
 
 def test_center_fails_at_k_zero(capsys):

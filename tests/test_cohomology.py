@@ -9,6 +9,7 @@ import pytest
 from hcdirac.cohomology import (
     CentralCharacter,
     _candidate_eigenvalues,
+    _eigenvalue_at_pivots,
     _spectrum_of,
     central_character,
     dirac_cohomology,
@@ -139,6 +140,20 @@ def test_dirac_cohomology_x21():
     json_form = report.to_json()
     assert json_form["omega_seg_spectrum"] == [["2", 8]]
     assert json_form["dim_HD"] == 8
+
+
+def test_pivot_read_off_matches_full_check():
+    # Omega_Seg keeps ker D, so its pivot rows decide the eigenvalue.
+    module = cached_module((2, 1), ONE)
+    ker = Subspace.kernel(module.act(dirac_element(module.params)))
+    _, omega_seg = casimirs(module.params)
+    omega = module.act(omega_seg)
+    assert _eigenvalue_at_pivots(ker, omega) == ker.eigenvalue(omega) == TWO
+    # A kept space on which the operator is not scalar: the pivot rows disagree.
+    diag = Matrix([[TWO, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, TWO]])
+    plane = Subspace.spanned_by([{0: ONE}, {1: ONE}], 3)
+    assert _eigenvalue_at_pivots(plane, diag) is None
+    assert _eigenvalue_at_pivots(Subspace.spanned_by([{0: ONE}, {2: ONE}], 3), diag) == TWO
 
 
 def test_non_distinct_partition_pipeline_runs():

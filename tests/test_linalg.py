@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from hcdirac.linalg import Matrix, Subspace, dense, quotient_matrix, sparse, sparse_kernel
-from hcdirac.scalars import HALF, I, ONE, SQRT2, TWO, ZERO, Scalar
+from hcdirac.linalg import (
+    Matrix,
+    Subspace,
+    add_scaled,
+    dense,
+    quotient_matrix,
+    sparse,
+    sparse_kernel,
+)
+from hcdirac.scalars import HALF, I, MINUS_ONE, ONE, SQRT2, TWO, ZERO, Scalar
 
 
 def rand_matrix(rng, nrows, ncols, density=0.6):
@@ -268,3 +276,79 @@ def test_subspace_eigenvalue():
     assert plane.eigenvalue(shift) is None  # leaves the plane
     assert Subspace.spanned_by([sparse((ZERO, ZERO, ONE))], 3).eigenvalue(shift) == ZERO
     assert Subspace(3).eigenvalue(diag) is None
+
+
+def test_eigenvalue_checks_every_row():
+    # M e0 = 2 e0 + e1: the pivot row of span(e0) reads 2, but M leaves the span.
+    m = Matrix([[TWO, ZERO], [ONE, ONE]])
+    line = Subspace.spanned_by([{0: ONE}], 2)
+    assert m.apply(line.vectors[0])[line.pivots[0]] == TWO
+    assert line.eigenvalue(m) is None
+
+
+# Entries for add_scaled and sum_of_products: the singletons +-1, a +-1 that
+# no unit produced, and non-units.
+_LOOSE_ONE = TWO * HALF
+_ENTRIES = [ONE, MINUS_ONE, _LOOSE_ONE, -_LOOSE_ONE, TWO, HALF, SQRT2, I, -I * SQRT2]
+
+
+def _rand_entries(rng, nrows, ncols, zero_share=0.5):
+    return [[ZERO if rng.random() < zero_share else rng.choice(_ENTRIES) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _signed_perm(rng, n):
+    image = list(range(n))
+    rng.shuffle(image)
+    return Matrix.from_sparse([{image[j]: rng.choice([ONE, MINUS_ONE])} for j in range(n)], n)
+
+
+def _no_zero_stored(vectors):
+    return all(v for vec in vectors for v in vec.values())
+
+
+def test_add_scaled_matches_dense_reference():
+    rng = random.Random(41)
+    cancelled = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        factor = rng.choice(_ENTRIES)
+        source = sparse(_rand_entries(rng, 1, n)[0])
+        target = {} if rng.random() < 0.3 else sparse(_rand_entries(rng, 1, n)[0])
+        if target:
+            for key in rng.sample(sorted(source), len(source) // 2):
+                target[key] = -(factor * source[key])  # these entries cancel exactly
+        expected = tuple(t + factor * x for t, x in zip(dense(target, n), dense(source, n)))
+        before = dict(source)
+        add_scaled(target, factor, source)
+        assert dense(target, n) == expected
+        assert _no_zero_stored([target])
+        assert source == before
+        cancelled += sum(1 for key in source if key not in target)
+    assert cancelled > 100
+
+
+def test_sum_of_products_matches_dense_reference():
+    rng = random.Random(42)
+    cancelled = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        pool = [_signed_perm(rng, n) for _ in range(2)] + [Matrix(_rand_entries(rng, n, n))]
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            word = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            coef = rng.choice(_ENTRIES + [ZERO])
+            terms.append((coef, word))
+            if rng.random() < 0.4:
+                terms.append((-coef, word))  # cancels the term before it
+        expected = [[ZERO] * n for _ in range(n)]
+        for coef, word in terms:
+            prod = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+            for f in word:
+                prod = _dense_mul(prod, [list(r) for r in f.rows])
+            expected = [[e + coef * p for e, p in zip(er, pr)] for er, pr in zip(expected, prod)]
+        total = Matrix.sum_of_products(terms, n, n)
+        assert total.rows == tuple(map(tuple, expected))
+        assert _no_zero_stored(total.cols)
+        cancelled += total.is_zero()
+    assert cancelled > 5

@@ -117,6 +117,25 @@ def test_engine_and_modules_share_generator_names(typ, n):
         assert set(module.gens) == words
 
 
+@pytest.mark.parametrize("typ,n", [("A", 3), ("B", 3), ("D", 4)])
+def test_group_matrix_is_product_along_reduced_word(typ, n):
+    base = AlgebraParams(typ, n, ONE, k_short=ONE if typ == "B" else ZERO)
+    params = base if typ == "A" else AlgebraParams(
+        typ, n, ONE, k_short=base.k_short, N=forced_n_constant(base))
+    ctx = algebra_for(params).ctx
+    longest = max(ctx.elements(), key=lambda w: len(ctx.reduced_word(w)))
+    module = steinberg_module(params)
+    module.group_matrix(longest)
+    # One product per letter: the cache holds the nonempty prefixes of the word.
+    assert len(module._group_cache) == len(ctx.reduced_word(longest))
+    for w in ctx.elements():
+        expected = Matrix.identity(module.dim)
+        for idx in ctx.reduced_word(w):
+            expected = expected * module.gens[ctx.simple_names[idx]]
+        assert module.group_matrix(w) == expected
+    assert len(module._group_cache) == len(ctx.elements())
+
+
 def test_steinberg_b_rejects_wrong_n():
     with pytest.raises(ValueError):
         steinberg_module(AlgebraParams("B", 2, ONE, k_short=ONE, N=ZERO))

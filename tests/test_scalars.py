@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hcdirac.scalars import HALF_SQRT2, I, I_SQRT2, ONE, SQRT2, ZERO, Scalar
+from hcdirac.scalars import HALF, HALF_SQRT2, I, I_SQRT2, MINUS_ONE, ONE, SQRT2, TWO, ZERO, Scalar
 
 
 def random_scalar(rng: random.Random) -> Scalar:
@@ -79,6 +79,22 @@ def test_scalar_arith_dispatch():
     assert ONE + ONE == Scalar(2)
     assert SQRT2 * SQRT2 == Scalar(2)
     assert -ONE == Scalar(-1)
+
+
+def test_units_are_singletons():
+    for value in (1, Fraction(1), Fraction(2, 2)):
+        assert Scalar(value) is ONE
+        assert Scalar(-value) is MINUS_ONE
+    assert Scalar(1, 0, 0, 0) is ONE
+    assert -ONE is MINUS_ONE and -MINUS_ONE is ONE
+    assert MINUS_ONE * MINUS_ONE is ONE and ONE * MINUS_ONE is MINUS_ONE
+    assert MINUS_ONE * ONE is MINUS_ONE and ONE * ONE is ONE
+    for x in (SQRT2, I, HALF, Scalar(-3), HALF_SQRT2 + I):
+        assert ONE * x is x
+        assert MINUS_ONE * x == -x
+    # A one that no unit produced is equal to ONE, but it is its own object.
+    assert TWO * HALF == ONE and TWO * HALF is not ONE
+    assert ONE - ONE == ZERO and (ONE - ONE) is not ONE
 
 
 def test_power():
