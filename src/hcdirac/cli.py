@@ -25,6 +25,7 @@ into the "=" form; a word that is not a rational then still exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -266,7 +267,13 @@ def _cmd_all(args) -> dict:
     return _assemble("all", {"n": n, "k": k.compact(), "seed": args.seed}, checks, started)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later `main`.
+
+    parse_args keeps no state between calls (each gets a fresh Namespace),
+    so one parser serves any number of runs in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="hcdirac", description="Exact Hecke-Clifford / Dirac verification harness"
     )

@@ -1,10 +1,15 @@
 """Dirac cohomology, central characters and the Vogan-type consistency check.
 
 H_D(X) = ker pi(D) / (ker pi(D) cap im pi(D)) carries an action of the
-x-degree-zero subalgebra because D commutes with the Weyl group and
-anticommutes with the Clifford generators; both stabilities are verified
-before the spectrum is taken.  Two exact shortcuts apply when their checks
-hold on the actual matrices, and otherwise the general computation runs:
+x-degree-zero subalgebra Seg because D commutes with the Weyl group and
+anticommutes with the Clifford generators.  Both stabilities are verified
+before the spectrum is taken, without touching a kernel vector: the module's
+defining relations are certified, so pi is an algebra homomorphism, and
+g D = +-D g for each Seg generator g is checked in the engine.  Then
+pi(g) pi(D) = +-pi(D) pi(g), so pi(g) keeps ker D, and g D w = +-D g w shows
+that it keeps ker D cap im D too.  Two exact shortcuts apply when their
+checks hold on the actual matrices, and otherwise the general computation
+runs:
 
 - Certificate.  If pi(D)^dagger = -pi(D), then ker D cap im D = 0 and
   ker D^2 = ker D, with no second elimination.  The standard form
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dirac import casimirs, dirac_element
-from .engine import AlgebraParams
+from .dirac import casimirs, dirac_element, seg_commutators
+from .engine import AlgebraParams, AlgElem
 from .linalg import Matrix, Subspace, quotient_matrix
 from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
@@ -183,14 +188,15 @@ def _eigenvalue_at_pivots(space: Subspace, matrix: Matrix) -> Scalar | None:
 
 
 def _omega_seg_spectrum(
-    module: ModuleRep, ker: Subspace, inter: Subspace
+    module: ModuleRep, D: AlgElem, ker: Subspace, inter: Subspace, omega_seg: AlgElem | None
 ) -> tuple[list[tuple[Scalar, int]], bool]:
     """The spectrum of pi(Omega_Seg) on ker D / inter, once Seg is checked to keep both."""
-    for key in [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names:
-        mat = module.gens[key]
-        if not (ker.is_invariant(mat) and inter.is_invariant(mat)):
+    module.certify_relations()
+    for key, residual in seg_commutators(module.params, D):
+        if not residual.is_zero():
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
-    _, omega_seg = casimirs(module.params)
+    if omega_seg is None:
+        _, omega_seg = casimirs(module.params)
     if not omega_seg.is_seg():
         raise AssertionError("Omega_Seg does not lie in Seg")
     omega_mat = module.act(omega_seg)
@@ -201,8 +207,16 @@ def _omega_seg_spectrum(
     return _spectrum_of(quotient, _candidate_eigenvalues(module.params))
 
 
-def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
+def dirac_cohomology(module: ModuleRep, omega_seg: AlgElem | None = None) -> CohomologyReport:
     """ker pi(D) / (ker cap im), with Seg-stability verified before the spectrum.
+
+    Stability.  The module's relations are certified first (now, if it was
+    built unchecked), so pi is an algebra homomorphism.  The engine then
+    checks s D = D s for each simple reflection s and c_i D = -D c_i for
+    each c_i, so pi(g) pi(D) = +-pi(D) pi(g) for every Seg generator g:
+    pi(g) keeps ker D, and keeps ker D cap im D since g D w = +-D g w.
+    No kernel vector is touched.  Omega_Seg, when the caller has it, is
+    passed in rather than built again.
 
     Certificate.  When pi(D)^dagger = -pi(D), checked exactly, the form
     <v, v> = sum_j v_j conj(v_j), anisotropic on Q(i, sqrt2)^n, gives
@@ -220,7 +234,8 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     When ker D = 0, none of this runs: H_D = 0 has the empty spectrum.
     """
     params = module.params
-    d_mat = module.act(dirac_element(params))
+    D = dirac_element(params)
+    d_mat = module.act(D)
     ker = Subspace.kernel(d_mat)
     inter = Subspace(d_mat.nrows)
     dim_ker_sq = ker.dim
@@ -229,7 +244,10 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         if dim_ker_sq > ker.dim:
             inter = ker.intersect(Subspace.image(d_mat))
     # ker D = 0 makes D, hence D^2, injective: H_D = 0 and its spectrum is empty.
-    spectrum, complete = _omega_seg_spectrum(module, ker, inter) if ker.dim else ([], True)
+    if ker.dim:
+        spectrum, complete = _omega_seg_spectrum(module, D, ker, inter, omega_seg)
+    else:
+        spectrum, complete = [], True
     ksq = params.k_long * params.k_long
     matched = []
     for mu in distinct_partitions(params.n):
@@ -259,8 +277,8 @@ def verify_vogan(lam: Partition, k: Scalar) -> dict:
     if not k:
         raise ValueError("verify_vogan requires k != 0")
     module = induced_module(lam, k)
-    report = dirac_cohomology(module)
-    omega_h, _ = casimirs(module.params)
+    omega_h, omega_seg = casimirs(module.params)
+    report = dirac_cohomology(module, omega_seg)
     chi_omega_h = module.act(omega_h).scalar_value()
     _, norm1_sq, norm2_sq = phi_maps(lam)
     expected = k * k * norm2_sq

@@ -103,6 +103,24 @@ def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
     return omega_h, omega_seg
 
 
+def seg_commutators(params: AlgebraParams, D: AlgElem) -> list[tuple[str, AlgElem]]:
+    """(name, g D -+ D g) for each Seg generator g, in normal form.
+
+    The simple reflections, named as in RootSystemCtx.simple_names, give the
+    commutator s D - D s, and c1..cn the anticommutator c_i D + D c_i; all
+    vanish exactly when D commutes with W and anticommutes with every c_i.
+    """
+    alg = algebra_for(params)
+    out = []
+    for name in alg.ctx.simple_names:
+        s = alg.generators[name]
+        out.append((name, alg.multiply(s, D) - alg.multiply(D, s)))
+    for i in range(1, params.n + 1):
+        ci = alg.c(i)
+        out.append((f"c{i}", alg.multiply(ci, D) + alg.multiply(D, ci)))
+    return out
+
+
 def d_squared_constant(params: AlgebraParams) -> Scalar:
     """The constant n(n-1)/2 * N separating D^2 from Omega_H - Omega_Seg."""
     return params.N * Scalar(Fraction(params.n * (params.n - 1), 2))
@@ -161,20 +179,22 @@ def _root_sum_square_checks(params: AlgebraParams) -> list[dict]:
                     total = total + alg.multiply(stilde[alpha], stilde[beta])
         return total
 
-    checks = []
     long_sum, short_sum = sum_of(longs), sum_of(shorts)
     lhs = alg.multiply(long_sum, long_sum)
-    checks.append(("root_sum_sq_long", lhs - pair_sum(longs, longs)))
+    checks = [_residual_check("root_sum_sq_long", lhs - pair_sum(longs, longs))]
     lhs = alg.multiply(short_sum, short_sum)
-    checks.append(("root_sum_sq_short", lhs - pair_sum(shorts, shorts)))
+    checks.append(_residual_check("root_sum_sq_short", lhs - pair_sum(shorts, shorts)))
     mixed = alg.multiply(long_sum, short_sum) + alg.multiply(short_sum, long_sum)
     target = pair_sum(longs, shorts) + pair_sum(shorts, longs)
-    checks.append(("root_sum_sq_mixed", mixed - target))
-    return [
-        {"check": name, "status": "pass" if residual.is_zero() else "fail",
-         **({} if residual.is_zero() else {"witness": residual.to_string()})}
-        for name, residual in checks
-    ]
+    checks.append(_residual_check("root_sum_sq_mixed", mixed - target))
+    return checks
+
+
+def _residual_check(name: str, residual: AlgElem) -> dict:
+    """A check entry that passes when residual is zero, else carries it as witness."""
+    if residual.is_zero():
+        return {"check": name, "status": "pass"}
+    return {"check": name, "status": "fail", "witness": residual.to_string()}
 
 
 def verify_identities(params: AlgebraParams) -> dict:
@@ -196,20 +216,12 @@ def verify_identities(params: AlgebraParams) -> dict:
         entry["witness"] = (residual - correction).to_string()
     checks.append(entry)
 
-    for idx, s in enumerate(alg.ctx.simple_reflections):
-        ws = alg.w(s)
-        residual = alg.multiply(ws, bundle.D) - alg.multiply(bundle.D, ws)
-        checks.append(
-            {"check": f"w_comm_s{idx + 1}", "status": "pass" if residual.is_zero() else "fail",
-             **({} if residual.is_zero() else {"witness": residual.to_string()})}
-        )
-    for i in range(1, params.n + 1):
-        ci = alg.c(i)
-        residual = alg.multiply(ci, bundle.D) + alg.multiply(bundle.D, ci)
-        checks.append(
-            {"check": f"c{i}_anticomm", "status": "pass" if residual.is_zero() else "fail",
-             **({} if residual.is_zero() else {"witness": residual.to_string()})}
-        )
+    # The reflections keep their index labels w_comm_s1.. even in types B and D.
+    labels = [f"w_comm_s{idx + 1}" for idx in range(len(alg.ctx.simple_names))]
+    labels += [f"c{i}_anticomm" for i in range(1, params.n + 1)]
+    commutators = seg_commutators(params, bundle.D)
+    for label, (_, residual) in zip(labels, commutators, strict=True):
+        checks.append(_residual_check(label, residual))
     checks.extend(_root_sum_square_checks(params))
 
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"

@@ -4,7 +4,10 @@ Contents: the Steinberg-type modules for types A, B, D (built on the
 Jordan-Wigner Clifford matrices), the induced modules X_lambda of type A,
 matrix realisation of arbitrary algebra elements, and a relation checker
 that verifies every defining relation as a matrix identity (run by every
-constructor).
+constructor).  Once the relations pass, pi is an algebra homomorphism:
+`act` realises each PBW monomial as the product of its generator matrices,
+so an identity proved in the engine, such as g D = +-D g for the Seg
+generators g, holds for the realised matrices with no matrix computed.
 
 Generator matrices are keyed by the engine's generator names: x1..xn,
 c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
@@ -16,7 +19,8 @@ matrix per entry of `Algebra.generators`.
 Every matrix is built directly in the sparse column form of
 `linalg.Matrix`: generator columns are assembled from {index: nonzero}
 vectors, and realisations and relation sums add up stored entries only.  A
-realisation or relation is one `Matrix.sum_of_products` over its words: all
+realisation is one `Matrix.sum_of_products` over its words, and a relation
+coef0 * w0 + sum(rest) = 0 is two, compared as coef0 * w0 = -sum(rest): all
 factors but the last are multiplied out, and the last is applied column by
 column straight into the sum, so no product of a whole word is stored.  A
 group element w is one factor pi(w), cached and built with one product from
@@ -71,8 +75,15 @@ class ModuleRep:
         self.ctx = algebra_for(params).ctx
         self._group_cache: dict[SignedPerm, Matrix] = {}
         # The relation-check report, kept for callers; None when unchecked.
-        self.relations = check_module_relations(self) if check else None
-        if check and self.relations["status"] != "pass":
+        self.relations: dict | None = None
+        if check:
+            self.certify_relations()
+
+    def certify_relations(self) -> None:
+        """Run the relation check once, and raise unless every relation holds."""
+        if self.relations is None:
+            self.relations = check_module_relations(self)
+        if self.relations["status"] != "pass":
             raise AssertionError(f"module relations fail: {self.relations['failures']}")
 
     # -- matrix realisation ----------------------------------------------
@@ -136,11 +147,19 @@ class ModuleRep:
 
 
 def check_module_relations(module: ModuleRep) -> dict:
-    """Assert every defining relation as an exact matrix identity."""
+    """Assert every defining relation as an exact matrix identity.
+
+    A relation coef0 * w0 + sum(rest) = 0 is checked as the two-sided
+    identity coef0 * w0 = -sum(rest), each side one `sum_of_products`, so
+    no entry is added only to cancel; the comparison is exact because
+    neither side stores a zero.
+    """
     failures = []
-    for name, terms in defining_relations(module.params):
-        words = ((coef, [module.gens[gen] for gen in word]) for coef, word in terms)
-        if not Matrix.sum_of_products(words, module.dim, module.dim).is_zero():
+    dim = module.dim
+    for name, ((coef0, word0), *rest) in defining_relations(module.params):
+        lhs = Matrix.sum_of_products([(coef0, [module.gens[gen] for gen in word0])], dim, dim)
+        words = ((-coef, [module.gens[gen] for gen in word]) for coef, word in rest)
+        if lhs != Matrix.sum_of_products(words, dim, dim):
             failures.append(name)
     # Structural check: c-generators are odd maps, everything else even.
     parity = module.parity

@@ -12,7 +12,7 @@ import pytest
 
 import hcdirac
 from hcdirac import centers
-from hcdirac.cli import main, report_schema_version
+from hcdirac.cli import build_parser, main, report_schema_version
 
 
 def run_cli(capsys, argv):
@@ -241,6 +241,33 @@ def test_module_run_writes_nothing_to_stderr():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_main_reuses_one_parser_with_fresh_reports(capsys):
+    # One process runs several commands on one parser; each report must equal
+    # the one a fresh interpreter gives, so no flag value leaks between runs:
+    # center --n 4 without --max-r takes max_r 4 after center --n 3 did 3.
+    runs = [
+        ["center", "--n", "3", "--k", "1"],
+        ["center", "--n", "4", "--k", "1"],
+        ["pbw", "--type", "A", "--n", "2", "--k", "1", "--trials", "3", "--seed", "7"],
+        ["pbw", "--type", "A", "--n", "2", "--k", "1", "--trials", "3"],
+        ["cohomology", "--lambda", "2,1", "--k", "-1/2"],
+    ]
+    build_parser.cache_clear()
+    in_process = [run_cli(capsys, argv) for argv in runs]
+    assert build_parser.cache_info().misses == 1
+    assert [report["params"]["max_r"] for _, report in in_process[:2]] == [3, 4]
+    assert [report["params"]["seed"] for _, report in in_process[2:4]] == [7, 0]
+    src = os.path.dirname(os.path.dirname(hcdirac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, (code, report) in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "hcdirac.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        fresh = json.loads(proc.stdout)
+        assert (code, proc.returncode) == (0, 0)
+        del report["elapsed_ms"], fresh["elapsed_ms"]
+        assert report == fresh
 
 
 def test_schema_version_exported_by_package():

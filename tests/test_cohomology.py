@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcdirac import cohomology
 from hcdirac.cohomology import (
     CentralCharacter,
     _candidate_eigenvalues,
@@ -16,8 +17,8 @@ from hcdirac.cohomology import (
     expected_central_character,
     verify_vogan,
 )
-from hcdirac.dirac import casimirs, dirac_element
-from hcdirac.engine import AlgebraParams
+from hcdirac.dirac import casimirs, dirac_element, seg_commutators
+from hcdirac.engine import AlgebraParams, algebra_for
 from hcdirac.linalg import Matrix, Subspace, quotient_matrix
 from hcdirac.modules import ModuleRep, forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
@@ -110,6 +111,58 @@ def test_dirac_cohomology_stops_when_ker_d_is_zero(monkeypatch):
     assert (report.dim_ker, report.dim_hd) == (0, 0)
     assert (report.spectrum, report.spectrum_complete, report.status) == ([], True, "pass")
     assert report.ker_equals_ker_sq and report.matched_partition == []
+
+
+def test_seg_stability_from_engine_matches_kernel_stability():
+    # The engine identities g D = +-D g imply what the matrices show directly:
+    # every Seg generator keeps ker D.
+    for module in (cached_module((2, 1), ONE), cached_module((3,), TWO)):
+        ker = Subspace.kernel(module.act(dirac_element(module.params)))
+        assert ker.dim
+        for key, residual in seg_commutators(module.params, dirac_element(module.params)):
+            assert residual.is_zero()
+            assert ker.is_invariant(module.gens[key])
+
+
+def test_broken_c_anticommutation_is_named(monkeypatch):
+    # E = Omega_H - 2k^2 acts by 0 on the A2 Steinberg module and commutes with
+    # W, but c_i E + E c_i = 2 c_i E != 0: D + E realises as D, so only the
+    # engine check can see the broken anticommutation, and it names c1.
+    params = AlgebraParams("A", 2, ONE)
+    module = steinberg_module(params)
+    omega_h, _ = casimirs(params)
+    extra = omega_h - algebra_for(params).scalar(TWO)
+    assert module.act(extra).is_zero()
+    broken = dirac_element(params) + extra
+    monkeypatch.setattr(cohomology, "dirac_element", lambda p: broken)
+    with pytest.raises(AssertionError, match="Seg generator c1 does not"):
+        dirac_cohomology(module)
+
+
+def test_unchecked_module_is_certified_before_stability():
+    good = cached_module((2, 1), ONE)
+    unchecked = ModuleRep(good.params, "induced", good.parity, good.gens, lam=good.lam, check=False)
+    assert unchecked.relations is None
+    assert dirac_cohomology(unchecked) == dirac_cohomology(good)
+    assert unchecked.relations == good.relations
+    # x1 negated breaks s1_x1 and s1_x2 but leaves ker D nonzero, so the
+    # stability argument is reached, and refused.
+    gens = dict(good.gens, x1=-good.gens["x1"])
+    broken = ModuleRep(good.params, "induced", good.parity, gens, lam=good.lam, check=False)
+    assert Subspace.kernel(broken.act(dirac_element(good.params))).dim
+    with pytest.raises(AssertionError, match="module relations fail"):
+        dirac_cohomology(broken)
+    assert broken.relations["failures"] == ["s1_x1", "s1_x2"]
+
+
+def test_verify_vogan_builds_d_and_casimirs_once(monkeypatch):
+    calls = []
+    for name in ("casimirs", "dirac_element"):
+        real = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name,
+                            lambda p, real=real, name=name: calls.append(name) or real(p))
+    assert verify_vogan(Partition((2, 1)), ONE)["status"] == "pass"
+    assert sorted(calls) == ["casimirs", "dirac_element"]
 
 
 def test_dirac_cohomology_on_steinberg():

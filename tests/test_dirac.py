@@ -17,6 +17,7 @@ from hcdirac.dirac import (
     dirac_bundle,
     dirac_element,
     dressed_generators,
+    seg_commutators,
     twisted_reflection,
     verify_identities,
 )
@@ -205,6 +206,25 @@ def test_verify_identities_report(typ, n):
     assert "d_squared" in names and "root_sum_sq_mixed" in names
     d_sq = next(c for c in report["checks"] if c["check"] == "d_squared")
     assert d_sq["plain_identity"]  # N = 0 here
+
+
+@pytest.mark.parametrize("typ,n", [("A", 3), ("B", 2), ("D", 3)])
+def test_seg_commutators_name_the_module_generators(typ, n):
+    params = params_for(typ, n, ks=ONE if typ == "B" else ZERO)
+    alg = algebra_for(params)
+    d = dirac_element(params)
+    commutators = seg_commutators(params, d)
+    assert [name for name, _ in commutators] == (
+        alg.ctx.simple_names + [f"c{i}" for i in range(1, n + 1)])
+    assert all(residual.is_zero() for _, residual in commutators)
+    # The identity report keeps its index labels for the same residuals.
+    labels = [c["check"] for c in verify_identities(params)["checks"]][1 : 1 + len(commutators)]
+    assert labels == [f"w_comm_s{t}" for t in range(1, len(alg.ctx.simple_names) + 1)] + [
+        f"c{i}_anticomm" for i in range(1, n + 1)]
+    # D + 1 still commutes with W but anticommutes with no c_i.
+    shifted = seg_commutators(params, d + alg.one())
+    assert [name for name, residual in shifted if not residual.is_zero()] == [
+        f"c{i}" for i in range(1, n + 1)]
 
 
 def test_verify_identities_reports_correction_at_nonzero_n():

@@ -25,7 +25,7 @@ from hcdirac.modules import (
     steinberg_module,
 )
 from hcdirac.partitions import Partition, all_partitions
-from hcdirac.scalars import ONE, TWO, ZERO, Scalar
+from hcdirac.scalars import HALF, I, ONE, TWO, ZERO, Scalar
 from hcdirac.weyl import Root, SignedPerm, reflection_perm
 
 
@@ -154,8 +154,75 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     assert module.relations is None
     report = check_module_relations(module)
     assert report["status"] == "fail"
-    assert all(name.startswith("x") for name in report["failures"])
-    assert any(name == "x1_x2" for name in report["failures"])
+    assert report["failures"] == ["x1_x2"]
+
+
+def _summed_relation_failures(module: ModuleRep) -> list[str]:
+    """Reference check: every term of a relation multiplied out, summed, then tested for zero."""
+    failures = []
+    for name, terms in defining_relations(module.params):
+        total = Matrix.zeros(module.dim, module.dim)
+        for coef, word in terms:
+            product = Matrix.identity(module.dim)
+            for gen in word:
+                product = product * module.gens[gen]
+            total = total + product.scale(coef)
+        if not total.is_zero():
+            failures.append(name)
+    return failures
+
+
+def _tampered(gens: dict, rng: random.Random, dim: int) -> dict:
+    """gens with one or two matrices scaled, swapped, transposed or nudged in one entry."""
+    gens = dict(gens)
+    keys = sorted(gens)
+    for _ in range(rng.randint(1, 2)):
+        key = rng.choice(keys)
+        how = rng.randrange(4)
+        if how == 0:
+            gens[key] = gens[key].scale(rng.choice([-ONE, TWO, I]))
+        elif how == 1:
+            gens[key] = gens[rng.choice(keys)]
+        elif how == 2:
+            gens[key] = gens[key].transpose()
+        else:
+            cols = [dict(col) for col in gens[key].cols]
+            row, col = rng.randrange(dim), rng.randrange(dim)
+            entry = cols[col].get(row, ZERO) + ONE
+            if entry:
+                cols[col][row] = entry
+            else:
+                del cols[col][row]
+            gens[key] = Matrix.from_sparse(cols, dim)
+    return gens
+
+
+_TAMPER_MODULES = {
+    "steinberg-A3": lambda: steinberg_module(AlgebraParams("A", 3, Scalar(Fraction(2, 3)))),
+    "steinberg-B2": lambda: steinberg_module(AlgebraParams(
+        "B", 2, ONE, k_short=HALF, N=forced_n_constant(AlgebraParams("B", 2, ONE, k_short=HALF)))),
+    "steinberg-D3": lambda: steinberg_module(AlgebraParams(
+        "D", 3, ONE, N=forced_n_constant(AlgebraParams("D", 3, ONE)))),
+    "induced-2,1": lambda: induced_module(Partition((2, 1)), ONE),
+    "induced-3,1": lambda: induced_module(Partition((3, 1)), Scalar(Fraction(-1, 2))),
+}
+
+
+@pytest.mark.parametrize("which", list(_TAMPER_MODULES))
+def test_two_sided_relation_check_matches_summed_check(which):
+    good = _TAMPER_MODULES[which]()
+    assert _summed_relation_failures(good) == []
+    rng = random.Random(which)
+    broken = 0
+    for _ in range(6):
+        gens = _tampered(good.gens, rng, good.dim)
+        module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam, check=False)
+        expected = _summed_relation_failures(module)
+        got = [name for name in check_module_relations(module)["failures"]
+               if not name.startswith("parity_")]
+        assert got == expected
+        broken += bool(expected)
+    assert broken  # the tampering is seen at least once
 
 
 def test_minimal_coset_reps():
