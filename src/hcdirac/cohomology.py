@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dirac import casimirs, dirac_element, seg_commutators
+from .dirac import casimir_h, casimir_seg, dirac_element, seg_commutators
 from .engine import AlgebraParams, AlgElem
 from .linalg import Matrix, Subspace, quotient_matrix
 from .modules import ModuleRep, induced_module
@@ -188,15 +188,14 @@ def _eigenvalue_at_pivots(space: Subspace, matrix: Matrix) -> Scalar | None:
 
 
 def _omega_seg_spectrum(
-    module: ModuleRep, D: AlgElem, ker: Subspace, inter: Subspace, omega_seg: AlgElem | None
+    module: ModuleRep, D: AlgElem, ker: Subspace, inter: Subspace
 ) -> tuple[list[tuple[Scalar, int]], bool]:
     """The spectrum of pi(Omega_Seg) on ker D / inter, once Seg is checked to keep both."""
     module.certify_relations()
     for key, residual in seg_commutators(module.params, D):
         if not residual.is_zero():
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
-    if omega_seg is None:
-        _, omega_seg = casimirs(module.params)
+    omega_seg = casimir_seg(module.params)
     if not omega_seg.is_seg():
         raise AssertionError("Omega_Seg does not lie in Seg")
     omega_mat = module.act(omega_seg)
@@ -207,7 +206,7 @@ def _omega_seg_spectrum(
     return _spectrum_of(quotient, _candidate_eigenvalues(module.params))
 
 
-def dirac_cohomology(module: ModuleRep, omega_seg: AlgElem | None = None) -> CohomologyReport:
+def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     """ker pi(D) / (ker cap im), with Seg-stability verified before the spectrum.
 
     Stability.  The module's relations are certified first (now, if it was
@@ -215,8 +214,7 @@ def dirac_cohomology(module: ModuleRep, omega_seg: AlgElem | None = None) -> Coh
     checks s D = D s for each simple reflection s and c_i D = -D c_i for
     each c_i, so pi(g) pi(D) = +-pi(D) pi(g) for every Seg generator g:
     pi(g) keeps ker D, and keeps ker D cap im D since g D w = +-D g w.
-    No kernel vector is touched.  Omega_Seg, when the caller has it, is
-    passed in rather than built again.
+    No kernel vector is touched.
 
     Certificate.  When pi(D)^dagger = -pi(D), checked exactly, the form
     <v, v> = sum_j v_j conj(v_j), anisotropic on Q(i, sqrt2)^n, gives
@@ -245,7 +243,7 @@ def dirac_cohomology(module: ModuleRep, omega_seg: AlgElem | None = None) -> Coh
             inter = ker.intersect(Subspace.image(d_mat))
     # ker D = 0 makes D, hence D^2, injective: H_D = 0 and its spectrum is empty.
     if ker.dim:
-        spectrum, complete = _omega_seg_spectrum(module, D, ker, inter, omega_seg)
+        spectrum, complete = _omega_seg_spectrum(module, D, ker, inter)
     else:
         spectrum, complete = [], True
     ksq = params.k_long * params.k_long
@@ -277,9 +275,8 @@ def verify_vogan(lam: Partition, k: Scalar) -> dict:
     if not k:
         raise ValueError("verify_vogan requires k != 0")
     module = induced_module(lam, k)
-    omega_h, omega_seg = casimirs(module.params)
-    report = dirac_cohomology(module, omega_seg)
-    chi_omega_h = module.act(omega_h).scalar_value()
+    report = dirac_cohomology(module)
+    chi_omega_h = module.act(casimir_h(module.params)).scalar_value()
     _, norm1_sq, norm2_sq = phi_maps(lam)
     expected = k * k * norm2_sq
 

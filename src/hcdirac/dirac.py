@@ -79,12 +79,18 @@ def dirac_element(params: AlgebraParams) -> AlgElem:
     return total
 
 
-def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
-    """(Omega_H, Omega_Seg) = (sum x_i^2, the weighted reflection double sum)."""
+def casimir_h(params: AlgebraParams) -> AlgElem:
+    """Omega_H = sum_i x_i^2."""
     alg = algebra_for(params)
     omega_h = alg.zero()
     for i in range(1, params.n + 1):
         omega_h = omega_h + alg.multiply(alg.x(i), alg.x(i))
+    return omega_h
+
+
+def casimir_seg(params: AlgebraParams) -> AlgElem:
+    """Omega_Seg, the weighted double sum of stilde_alpha stilde_beta."""
+    alg = algebra_for(params)
     omega_seg = alg.zero()
     roots = alg.ctx.positive_roots
     stilde = {root: twisted_reflection(params, root) for root in roots}
@@ -100,7 +106,12 @@ def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
             coef = HALF * alpha.length_sq() * beta.length_sq() * k_alpha * params.k_for(beta)
             if coef:
                 omega_seg = omega_seg + alg.multiply(stilde[alpha], stilde[beta]).scale(coef)
-    return omega_h, omega_seg
+    return omega_seg
+
+
+def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
+    """(Omega_H, Omega_Seg)."""
+    return casimir_h(params), casimir_seg(params)
 
 
 def seg_commutators(params: AlgebraParams, D: AlgElem) -> list[tuple[str, AlgElem]]:

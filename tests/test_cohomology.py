@@ -157,12 +157,12 @@ def test_unchecked_module_is_certified_before_stability():
 
 def test_verify_vogan_builds_d_and_casimirs_once(monkeypatch):
     calls = []
-    for name in ("casimirs", "dirac_element"):
+    for name in ("casimir_h", "casimir_seg", "dirac_element"):
         real = getattr(cohomology, name)
         monkeypatch.setattr(cohomology, name,
                             lambda p, real=real, name=name: calls.append(name) or real(p))
     assert verify_vogan(Partition((2, 1)), ONE)["status"] == "pass"
-    assert sorted(calls) == ["casimirs", "dirac_element"]
+    assert sorted(calls) == ["casimir_h", "casimir_seg", "dirac_element"]
 
 
 def test_dirac_cohomology_on_steinberg():

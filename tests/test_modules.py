@@ -338,3 +338,31 @@ def test_module_summary():
     assert summary["lambda"] == "2"
     assert summary["dim"] == 4
     assert summary["type"] == "A"
+
+
+def _forced_steinberg(typ, n, k_short):
+    base = AlgebraParams(typ, n, ONE, k_short=k_short)
+    return steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
+        pytest.param(lambda: induced_module(Partition((2, 1, 1)), HALF), id="induced-2,1,1"),
+        pytest.param(lambda: induced_module(Partition((3, 1)), ONE), id="induced-3,1"),
+        pytest.param(lambda: _forced_steinberg("B", 3, HALF), id="steinberg-B3"),
+        pytest.param(lambda: _forced_steinberg("D", 4, ZERO), id="steinberg-D4"),
+    ],
+)
+def test_act_is_algebra_map_on_group_parts(build):
+    # Products of random elements whose group parts lie in a Weyl group with
+    # at least two simple reflections pin the order of pi(w) against the
+    # engine's product, which the Seg-stability argument of H_D relies on.
+    module = build()
+    params = module.params
+    rng = random.Random(73)
+    for _ in range(12):
+        a = random_element(params, rng, max_deg=1, max_terms=2)
+        b = random_element(params, rng, max_deg=1, max_terms=2)
+        assert module.act(multiply(params, a, b)) == module.act(a) * module.act(b)
