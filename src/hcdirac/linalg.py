@@ -2,17 +2,31 @@
 
 A matrix is stored by columns, each a {row: nonzero} dict with no zero
 stored, and every operation walks the stored entries only: a product forms
-column j of AB as the sum of B[k, j] * A[:, k].  All of it runs through
+column j of AB as the sum of B[k, j] * A[:, k].  Sums run through
 `add_scaled`, which adds or subtracts without a product when the factor is
 the singleton ONE or MINUS_ONE (the common case: signed permutation
 matrices and relation coefficients +-1).  `Matrix.sum_of_products` forms a
 sum of coef * F1 ... Fk with the last factor applied straight into the sum,
-so a whole word's product is never stored.  Subspaces keep sparse basis
-vectors in reduced column echelon form (pivot rows strictly increasing,
-pivot entries 1, zeros above and below every pivot), which makes
-membership, intersection and quotient computations deterministic and
-exact.  That form is unique for a subspace, so a kernel or intersection
-does not depend on which spanning vectors the eliminator finds.
+so a whole word's product is never stored.
+
+A matrix is monomial when it has exactly one nonzero sigma_k in each
+column k, and the rows p(k) of those nonzeros are pairwise distinct: signed
+permutation matrices are, and so are their rescalings by other nonzero
+entries.  A matrix finds out once, lazily, whether it is monomial, and
+keeps the answer.  A monomial left factor of a product, or a monomial
+multiplied-out prefix of a word, is applied by re-indexing: a column
+{k: b} of the other factor becomes {p(k): sigma_k b}, with no product when
+sigma_k is ONE or MINUS_ONE, so a product costs one new column per column
+instead of one `add_scaled` per entry.  The distinct rows are what keep
+this exact: two entries moved to the same row would have to be added up,
+and re-indexing would keep only one of them.
+
+Subspaces keep sparse basis vectors in reduced column echelon form (pivot
+rows strictly increasing, pivot entries 1, zeros above and below every
+pivot), which makes membership, intersection and quotient computations
+deterministic and exact.  That form is unique for a subspace, so a kernel
+or intersection does not depend on which spanning vectors the eliminator
+finds.
 
 `sparse_kernel` is the package's one null-space routine: column elimination
 on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel` and
@@ -37,9 +51,10 @@ class Matrix:
     `cols[j]` maps each row of a nonzero entry of column j to that entry;
     no zero is ever stored.  `Matrix(rows)`, `rows`, `column` and `columns`
     are dense views for literals and tests; the arithmetic never uses them.
+    `_monomial` caches `monomial()`: None until first asked, then False or (p, sigma).
     """
 
-    __slots__ = ("cols", "nrows", "ncols")
+    __slots__ = ("cols", "nrows", "ncols", "_monomial")
 
     def __init__(self, rows):
         rows = [tuple(r) for r in rows]
@@ -49,6 +64,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.cols = [{} for _ in range(ncols)]
+        self._monomial = None
         for i, row in enumerate(rows):
             for col, a in zip(self.cols, row):
                 if a:
@@ -61,6 +77,7 @@ class Matrix:
         self.cols = cols
         self.nrows = nrows
         self.ncols = len(cols)
+        self._monomial = None
         return self
 
     @classmethod
@@ -77,8 +94,9 @@ class Matrix:
 
         F1 ... F(k-1) is multiplied out, and Fk is applied to it column by
         column straight into the sum, so the product of a whole word is
-        never stored; a one-factor word adds coef * F1 directly.  An empty
-        word stands for the identity.
+        never stored; a one-factor word adds coef * F1 directly.  A
+        monomial prefix re-indexes each column of Fk, which is then added
+        at once.  An empty word stands for the identity.
         """
         cols = [{} for _ in range(ncols)]
         for coef, factors in terms:
@@ -89,10 +107,15 @@ class Matrix:
                 for acc, col in zip(cols, last.cols):
                     add_scaled(acc, coef, col)
                 continue
-            prefix = functools.reduce(operator.mul, head).cols
+            prefix = functools.reduce(operator.mul, head)
+            monomial = prefix.monomial()
+            if monomial is not None:
+                for acc, col in zip(cols, last.cols):
+                    add_scaled(acc, coef, _reindex(monomial, col))
+                continue
             for acc, col in zip(cols, last.cols):
                 for k, a in col.items():
-                    add_scaled(acc, a if coef is ONE else coef * a, prefix[k])
+                    add_scaled(acc, a if coef is ONE else coef * a, prefix.cols[k])
         return cls.from_sparse(cols, nrows)
 
     @property
@@ -125,8 +148,27 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix.from_sparse([self.apply(col) for col in other.cols], self.nrows)
 
+    def monomial(self) -> tuple[list[int], list[Scalar]] | None:
+        """(p, sigma) when this matrix is monomial, with column k = {p[k]: sigma[k]}, else None.
+
+        Monomial: exactly one nonzero per column, and those nonzeros in
+        pairwise distinct rows.  Found on the first call and cached.
+        """
+        found = self._monomial
+        if found is None:
+            found = False
+            if all(len(col) == 1 for col in self.cols):
+                rows = [next(iter(col)) for col in self.cols]
+                if len(set(rows)) == self.ncols:
+                    found = (rows, [col[row] for col, row in zip(self.cols, rows)])
+            self._monomial = found
+        return found or None
+
     def apply(self, vec: dict) -> dict:
-        """The product with a sparse vector {index: nonzero}, as one."""
+        """The product with a sparse vector {index: nonzero}, as one; re-indexed when monomial."""
+        monomial = self.monomial()
+        if monomial is not None:
+            return _reindex(monomial, vec)
         out: dict = {}
         for j, v in vec.items():
             add_scaled(out, v, self.cols[j])
@@ -188,6 +230,16 @@ def dense(vec: dict, n: int) -> Vector:
     for i, v in vec.items():
         out[i] = v
     return tuple(out)
+
+
+def _reindex(monomial: tuple[list[int], list[Scalar]], vec: dict) -> dict:
+    """The monomial matrix (p, sigma) times vec: entry k moves to row p[k], times sigma[k]."""
+    rows, sigmas = monomial
+    out = {}
+    for k, b in vec.items():
+        sigma = sigmas[k]
+        out[rows[k]] = b if sigma is ONE else -b if sigma is MINUS_ONE else sigma * b
+    return out
 
 
 def sparse_kernel(columns: list[dict]) -> list[dict]:

@@ -26,12 +26,18 @@ column straight into the sum, so no product of a whole word is stored.  A
 group element w is one factor pi(w), cached and built with one product from
 the element one letter shorter.
 
-The induced module is computed by straightening: a generator applied to a
-basis vector w_t (x) v is normalised in the engine, and each resulting PBW
-word is pushed back into the coset-representative basis by moving x- and
-c-factors rightwards across the group part, one factor at a time.  Every
-step either lands in the parabolic subalgebra or strictly drops the
-x-degree, so the recursion terminates.
+The induced module X_lambda = H (x)_{H_lambda} St_lambda has the basis
+w_t (x) c^mask, with w_t the minimal coset representatives and c^mask the
+Clifford monomials spanning St_lambda, and it is built one column block per
+w_t.  For a generator g, the product g w_t is straightened once in the
+engine.  On this basis every Seg word c^h w acts by a signed permutation:
+with w = w_t' u, u in S_lambda, and c^h w_t' = +-w_t' c^eps, it sends
+1 (x) v to +-w_t' (x) c^eps pi(u) v, one block of row block t'.  A word
+x_i c^h w of x-degree 1 equals +-c^h (w x_j + corr), where j = w^{-1}(i)
+and corr has x-degree 0; it adds the block of c^h w times x_j on
+St_lambda, and the blocks of the words of c^h corr, multiplied once per
+word and w_t rather than once per basis vector.  Generators have x-degree
+at most 1, and the builder refuses anything of higher degree.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .engine import (
     defining_relations,
     perm_on_cliff,
 )
-from .linalg import Matrix, add_scaled
+from .linalg import Matrix
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import Root, SignedPerm, reflection_perm
@@ -217,9 +223,13 @@ def clifford_c_matrices(n: int) -> tuple[list[Matrix], list[int]]:
 # Steinberg-type modules.
 
 
-def _signed_permutation(moves: list[tuple[int, int]]) -> Matrix:
-    """The matrix sending basis vector j to sign * basis vector m, for (sign, m) = moves[j]."""
-    return Matrix.from_sparse([{m: ONE if sign > 0 else -ONE} for sign, m in moves], len(moves))
+def _signed_permutation(moves: list[tuple[int, int]], nrows: int | None = None) -> Matrix:
+    """The matrix sending basis vector j to sign * basis vector m, for (sign, m) = moves[j].
+
+    It is square unless nrows is given.
+    """
+    rows = len(moves) if nrows is None else nrows
+    return Matrix.from_sparse([{m: ONE if sign > 0 else -ONE} for sign, m in moves], rows)
 
 
 def _cl_basis_w_matrix(w: SignedPerm, n: int) -> Matrix:
@@ -232,17 +242,17 @@ def _cl_basis_c_matrix(i: int, n: int) -> Matrix:
 
 
 def _st_lambda_x_matrix(i: int, lam: Partition, k: Scalar, n: int) -> Matrix:
-    """x_i on St_lambda: k * sum over same-block j < i of s_{ij}(1 - c_i c_j)."""
-    dim = 1 << n
-    out = Matrix.zeros(dim, dim)
-    start, stop = next(b for b in lam.blocks() if b[0] <= i <= b[1])
-    identity = Matrix.identity(dim)
+    """x_i on St_lambda: k * sum over same-block j < i of s_{ij}(1 - c_i c_j).
+
+    One `Matrix.sum_of_products` over the words k * s_ij and -k * s_ij c_i c_j.
+    """
+    start, _ = next(b for b in lam.blocks() if b[0] <= i <= b[1])
     ci = _cl_basis_c_matrix(i, n)
+    terms = []
     for j in range(start, i):
         sij = _cl_basis_w_matrix(reflection_perm(Root("diff", j, i), n), n)
-        cj = _cl_basis_c_matrix(j, n)
-        out = out + (sij * (identity - ci * cj)).scale(k)
-    return out
+        terms += [(k, [sij]), (-k, [sij, ci, _cl_basis_c_matrix(j, n)])]
+    return Matrix.sum_of_products(terms, 1 << n, 1 << n)
 
 
 def _steinberg_a(params: AlgebraParams) -> ModuleRep:
@@ -356,7 +366,7 @@ def minimal_coset_reps(lam: Partition) -> list[SignedPerm]:
 
 
 class _InducedBuilder:
-    """Scratch state for straightening generators into the X_lambda basis."""
+    """Scratch state for building the generator matrices of X_lambda block by block."""
 
     def __init__(self, lam: Partition, k: Scalar):
         self.n = lam.n
@@ -364,13 +374,16 @@ class _InducedBuilder:
         self.alg = algebra_for(self.params)
         self.cl_dim = 1 << self.n
         self.reps = minimal_coset_reps(lam)
+        self.dim = len(self.reps) * self.cl_dim
+        self.zero_exps = (0,) * self.n
+        self.identity = SignedPerm.identity(self.n)
         self.blocks = lam.blocks()
         self.coset_of = {_coset_key(rep, self.blocks): t for t, rep in enumerate(self.reps)}
         self._factor_cache: dict[SignedPerm, tuple[int, SignedPerm]] = {}
         self.st_x = [
             _st_lambda_x_matrix(i, lam, k, self.n) for i in range(1, self.n + 1)
         ]
-        self._st_w_cache: dict[SignedPerm, Matrix] = {}
+        self._block_cache: dict[tuple[int, SignedPerm], Matrix] = {}
         self._push_cache: dict[tuple[int, SignedPerm], tuple[int, AlgElem]] = {}
 
     def coset_factor(self, w: SignedPerm) -> tuple[int, SignedPerm]:
@@ -381,10 +394,25 @@ class _InducedBuilder:
             cached = self._factor_cache[w] = (t, self.reps[t].inverse() * w)
         return cached
 
-    def st_w(self, u: SignedPerm) -> Matrix:
-        cached = self._st_w_cache.get(u)
+    def seg_block(self, cliff: int, w: SignedPerm) -> Matrix:
+        """c^cliff w on the slice 1 (x) St_lambda, a dim x cl_dim signed permutation.
+
+        With w = w_t u and c^cliff w_t = sign * w_t c^eps, the vector 1 (x) v
+        goes to sign * w_t (x) c^eps pi(u) v in row block t, where pi(u)
+        permutes the Clifford monomials with signs and c^eps multiplies them
+        from the left.
+        """
+        key = (cliff, w)
+        cached = self._block_cache.get(key)
         if cached is None:
-            cached = self._st_w_cache[u] = _cl_basis_w_matrix(u, self.n)
+            t, u = self.coset_factor(w)
+            sign, eps = perm_on_cliff(self.reps[t].inverse(), cliff)
+            moves = []
+            for mask in range(self.cl_dim):
+                s1, m1 = perm_on_cliff(u, mask)
+                s2, m2 = cliff_mul(eps, m1)
+                moves.append((sign * s1 * s2, t * self.cl_dim + m2))
+            cached = self._block_cache[key] = _signed_permutation(moves, self.dim)
         return cached
 
     def push_x(self, i: int, w: SignedPerm) -> tuple[int, AlgElem]:
@@ -398,46 +426,33 @@ class _InducedBuilder:
             cached = self._push_cache[key] = (j, xi_w - w_xj)
         return cached
 
-    def basis_index(self, t: int, mask: int) -> int:
-        return t * self.cl_dim + mask
-
-    def eval_elem(self, elem: AlgElem, vec: dict, coef: Scalar, out: dict):
-        for mono, c in elem.terms.items():
-            self.eval_mono(mono, vec, coef * c, out)
-
-    def eval_mono(self, mono: PbwMonomial, vec: dict, coef: Scalar, out: dict):
-        """Add coef * mono applied to the sparse vector vec of St_lambda into out."""
-        i = next((t for t in range(self.n, 0, -1) if mono.exps[t - 1] > 0), None)
-        if i is None:
-            t, u = self.coset_factor(mono.w)
-            rep = self.reps[t]
-            sign, eps2 = perm_on_cliff(rep.inverse(), mono.cliff)
-            scale = coef if sign > 0 else -coef
-            for mask, value in self.st_w(u).apply(vec).items():
-                s2, m2 = cliff_mul(eps2, mask)
-                add_scaled(out, scale if s2 > 0 else -scale, {self.basis_index(t, m2): value})
-            return
-        exps = list(mono.exps)
-        exps[i - 1] -= 1
-        rest = PbwMonomial(tuple(exps), mono.cliff, mono.w)
-        sign0 = -ONE if mono.cliff & (1 << (i - 1)) else ONE
-        j, corr = self.push_x(i, mono.w)
-        self.eval_mono(rest, self.st_x[j - 1].apply(vec), coef * sign0, out)
-        if not corr.is_zero():
-            head = AlgElem(
-                self.params,
-                {PbwMonomial(rest.exps, rest.cliff, SignedPerm.identity(self.n)): ONE},
-            )
-            self.eval_elem(self.alg.multiply(head, corr), vec, coef * sign0, out)
-
     def generator_matrix(self, elem: AlgElem) -> Matrix:
+        """pi(elem) for an element of x-degree at most 1, one column block per w_t.
+
+        elem w_t is straightened once.  A word c^h w of it adds the block
+        `seg_block(h, w)`; a word x_i c^h w = +-c^h (w x_j + corr) adds
+        `seg_block(h, w)` times x_j on St_lambda, and the words of c^h corr.
+        """
+        if elem.x_degree() > 1:
+            raise ValueError("the induced-module builder takes elements of x-degree at most 1")
         cols = []
         for rep in self.reps:
-            shifted = self.alg.multiply(elem, self.alg.w(rep))
-            for mask in range(self.cl_dim):
-                cols.append({})
-                self.eval_elem(shifted, {mask: ONE}, ONE, cols[-1])
-        return Matrix.from_sparse(cols, len(self.reps) * self.cl_dim)
+            terms = []
+            for mono, coef in self.alg.multiply(elem, self.alg.w(rep)).terms.items():
+                if not mono.x_degree():
+                    terms.append((coef, [self.seg_block(mono.cliff, mono.w)]))
+                    continue
+                i = mono.exps.index(1) + 1
+                if mono.cliff & (1 << (i - 1)):  # x_i c_i = -c_i x_i
+                    coef = -coef
+                j, corr = self.push_x(i, mono.w)
+                terms.append((coef, [self.seg_block(mono.cliff, mono.w), self.st_x[j - 1]]))
+                if not corr.is_zero():
+                    head = AlgElem(self.params, {PbwMonomial(self.zero_exps, mono.cliff, self.identity): ONE})
+                    for word, c in self.alg.multiply(head, corr).terms.items():
+                        terms.append((coef * c, [self.seg_block(word.cliff, word.w)]))
+            cols += Matrix.sum_of_products(terms, self.dim, self.cl_dim).cols
+        return Matrix.from_sparse(cols, self.dim)
 
 
 def induced_module(lam: Partition, k: Scalar) -> ModuleRep:

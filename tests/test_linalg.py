@@ -212,6 +212,23 @@ def test_sparse_operations_match_dense_reference():
         assert A.transpose().rows == tuple(zip(*a))
         assert A.conj_transpose().rows == tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
         assert all(v for col in (A * B).cols + (A - A2).cols for v in col.values())
+    # Monomial left factors, re-indexed, and their one-entry-per-column
+    # look-alikes with a repeated row, which must add up.
+    for k in [0, 1, 1, 2, 3, 4, 5, 6, 6]:
+        m = rng.randint(0, 4)
+        B = Matrix.from_sparse([sparse(col) for col in _rand_irrational(rng, m, k, zero_share=0.4)], k)
+        lefts = [_monomial(rng, k, k), _monomial(rng, k + rng.randint(1, 2), k), _signed_perm(rng, k)]
+        lefts += [_repeated_row(rng, k)] if k >= 2 else []
+        for j, A in enumerate(lefts):
+            assert (A.monomial() is not None) == (j < 3)
+            assert (A * B).rows == _dense_product(A, B)
+            assert _no_zero_stored((A * B).cols)
+            vec = [ZERO if rng.random() < 0.3 else rng.choice(_ENTRIES) for _ in range(k)]
+            assert A.matvec(vec) == tuple(sum((x * v for x, v in zip(r, vec)), ZERO) for r in A.rows)
+    # One entry per column in a repeated row: [[1, 1], [0, 0]] [[1], [1]] = [[2], [0]].
+    repeated = Matrix([[ONE, ONE], [ZERO, ZERO]])
+    assert repeated.monomial() is None
+    assert (repeated * Matrix([[ONE], [ONE]])).rows == ((TWO,), (ZERO,))
 
 
 def test_dense_views_round_trip():
@@ -303,6 +320,29 @@ def _signed_perm(rng, n):
     return Matrix.from_sparse([{image[j]: rng.choice([ONE, MINUS_ONE])} for j in range(n)], n)
 
 
+# Entries of monomial matrices: units, non-units, and the non-singleton +-1.
+_MONOMIAL_ENTRIES = [ONE, MINUS_ONE, TWO, I, -SQRT2, _LOOSE_ONE, -_LOOSE_ONE]
+
+
+def _monomial(rng, nrows, ncols):
+    """One nonzero per column, in distinct rows: a rescaled signed permutation when square."""
+    rows = rng.sample(range(nrows), ncols)
+    return Matrix.from_sparse([{row: rng.choice(_MONOMIAL_ENTRIES)} for row in rows], nrows)
+
+
+def _repeated_row(rng, n):
+    """One nonzero per column, but two columns share their row: not monomial."""
+    rows = [rng.randrange(n) for _ in range(n)]
+    rows[rng.randrange(1, n)] = rows[0]
+    return Matrix.from_sparse([{row: rng.choice(_MONOMIAL_ENTRIES)} for row in rows], n)
+
+
+def _dense_product(a, b):
+    """The rows of a * b by dense arithmetic, for any shapes, empty ones included."""
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in b.columns())
+                 for row in a.rows)
+
+
 def _no_zero_stored(vectors):
     return all(v for vec in vectors for v in vec.values())
 
@@ -334,6 +374,8 @@ def test_sum_of_products_matches_dense_reference():
     for _ in range(60):
         n = rng.randint(1, 6)
         pool = [_signed_perm(rng, n) for _ in range(2)] + [Matrix(_rand_entries(rng, n, n))]
+        # Monomial prefixes with non-unit entries, and a look-alike that is not one.
+        pool += [_monomial(rng, n, n)] + ([_repeated_row(rng, n)] if n >= 2 else [])
         terms = []
         for _ in range(rng.randint(1, 4)):
             word = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
@@ -352,3 +394,11 @@ def test_sum_of_products_matches_dense_reference():
         assert _no_zero_stored(total.cols)
         cancelled += total.is_zero()
     assert cancelled > 5
+    # Empty and 1x1 shapes, with a monomial prefix of two factors.
+    for n in [0, 0, 1, 1, 1]:
+        a, b, c = _monomial(rng, n, n), _monomial(rng, n, n), Matrix(_rand_entries(rng, n, n))
+        coef = rng.choice(_ENTRIES)
+        total = Matrix.sum_of_products([(coef, [a, b, c]), (ONE, [a])], n, n)
+        abc = _dense_product(Matrix(_dense_product(a, b)), c)
+        assert (total.nrows, total.ncols) == (n, n)
+        assert total.rows == tuple(tuple(coef * x + y for x, y in zip(r, s)) for r, s in zip(abc, a.rows))

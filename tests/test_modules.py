@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -295,6 +296,80 @@ def test_act_matrix_is_algebra_map():
         a = random_element(p2, rng, max_deg=1, max_terms=2)
         b = random_element(p2, rng, max_deg=1, max_terms=2)
         assert module.act(multiply(p2, a, b)) == module.act(a) * module.act(b)
+
+
+# sha256 of the generator matrices of X_lambda, taken before the block-wise
+# builder; see _gens_sha256 for the text they are the digest of.
+_INDUCED_GENS_SHA256 = {
+    ((3,), "1"): "19f0c59082f759f8dc2c917d541bd75cb95f7298ea2bb7aa30064520f4219202",
+    ((3,), "-1/2"): "c0095aa2cfe85dd0a6a5edf6a6d3888cbcab7bda08045bead652bceb74a950fd",
+    ((3,), "2/3"): "8e4e495081004ed87ce21c28893b2b19ea1fe691733b478029025e0de8578e8c",
+    ((2, 1), "1"): "23f4796c6b4fabd1162a9de51f8822f86b4f765063d4d994ab22142533ff7818",
+    ((2, 1), "-1/2"): "3a378928d677148c6ffbfe89f2e91ba441dd6113bf8a24da985a2258476ecf93",
+    ((2, 1), "2/3"): "1a40e808961c50952bbb2583fec68c1bbe089b9caa6854338f5eface16b008b0",
+    ((3, 1), "1"): "1d228b2505527c4d1a10492485aab255a56c86cfa47859e51b86f588ef5bed88",
+    ((3, 1), "-1/2"): "d2e93c7d629b63d159e980f1700be40406c4259249febed9c0ebb51deaf606cc",
+    ((3, 1), "2/3"): "bcae0527ecce38859365bc7394ea7d04a92090550f421bd485a3270d29921ee1",
+    ((2, 2), "1"): "6571022a50d3adbd32162154ec73247db09ae4f27cad0e898c0ad5d0dad0b2b6",
+    ((2, 2), "-1/2"): "c03b308e13a5bd11b449b346c79f0a5ba9ca4c19a6ad80600d080182aa2ae610",
+    ((2, 2), "2/3"): "fc7903b42f8199ec1f8b0ee1324189cfbe23e362181df297cc00a6525c7fe6a5",
+    ((2, 1, 1), "1"): "9f4f061ff9030c737a47e04a26509a99d0550612acd8a65ee161423338af65d3",
+    ((2, 1, 1), "-1/2"): "cb5e75eb8f3f9f2aead6dec9524583291b9af5858b5fbb4b8f6f9ed47f866fd0",
+    ((2, 1, 1), "2/3"): "5ba6c2a452fec40634f6a04db06f67c9a54cc1f8860e61a61dd9b8c8ede5d052",
+}
+
+
+def _gens_sha256(module: ModuleRep) -> str:
+    """One line per generator, sorted by name: its (row, column, compact entry) triples, sorted."""
+    lines = []
+    for name in sorted(module.gens):
+        cols = module.gens[name].cols
+        entries = sorted((r, c, v.compact()) for c, col in enumerate(cols) for r, v in col.items())
+        lines.append(name + ":" + ";".join(f"{r},{c},{v}" for r, c, v in entries))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "parts,k", [pytest.param(*key, id=f"{key[0]}-{key[1]}") for key in _INDUCED_GENS_SHA256]
+)
+def test_induced_generator_matrices_are_pinned(parts, k):
+    # The relations pass for many wrong matrices; the digests pin every entry.
+    module = induced_module(Partition(parts), Scalar(Fraction(k)))
+    assert _gens_sha256(module) == _INDUCED_GENS_SHA256[parts, k]
+
+
+def test_seg_acts_by_monomial_matrices():
+    # c_i, s_i and every pi(w) are signed permutations on the bases of X_lambda
+    # and of the type-A Steinberg module, so products with them re-index.
+    for module in [induced_module(Partition((3, 1)), HALF), induced_module(Partition((2, 1)), ONE),
+                   steinberg_module(AlgebraParams("A", 4, TWO))]:
+        for name, mat in module.gens.items():
+            assert (mat.monomial() is not None) == (not name.startswith("x")), name
+        for w in module.ctx.elements():
+            module.group_matrix(w)
+        assert len(module._group_cache) == len(module.ctx.elements())
+        assert all(mat.monomial() is not None for mat in module._group_cache.values())
+    # x_i of X_(3,1) mixes basis vectors, and so does s_2 of the type-B Steinberg module.
+    b3 = _forced_steinberg("B", 3, HALF)
+    assert b3.gens["s2"].monomial() is None
+    # The builder takes x-degree at most 1.
+    builder = _InducedBuilder(Partition((2, 1)), ONE)
+    x1 = builder.alg.x(1)
+    with pytest.raises(ValueError):
+        builder.generator_matrix(builder.alg.multiply(x1, x1))
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (2, 1, 1)])
+def test_builder_agrees_with_act_in_x_degree_one(parts):
+    # Generators reach only words x_i w; random elements also bring x_i c^h w
+    # with c_i in c^h, and corrections c^h corr with c^h != 1.
+    lam = Partition(parts)
+    builder = _InducedBuilder(lam, HALF)
+    module = induced_module(lam, HALF)
+    rng = random.Random(str(parts))
+    for _ in range(8):
+        elem = random_element(module.params, rng, max_deg=1, max_terms=3)
+        assert builder.generator_matrix(elem) == module.act(elem)
 
 
 def test_act_identity_and_params_mismatch():
