@@ -8,23 +8,31 @@ times a monomial, so the even center is spanned by one signed class sum per
 orbit of even monomials, and an orbit reached with both signs contributes
 nothing (Karpilovsky, Projective Representations of Finite Groups, 1985).
 There is one class sum per strict partition of n (Sergeev, 1985).
+
+The class sums are also coordinates on Z(Seg_n)_0: a central element is
+read at the first monomial of every class (`center_coords`), multiplication
+by one is an r x r matrix (`center_multiplication`), and its minimal
+polynomial is the first Krylov relation on [1] (`minimal_polynomial`).
+`cohomology` takes dim H_D from these.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .engine import (
     AlgebraParams,
     AlgElem,
     algebra_for,
+    cliff_insert,
     cliff_mul,
     perm_on_cliff,
 )
 from .dirac import twisted_reflection
-from .linalg import Subspace
+from .linalg import Matrix, Subspace, sparse_kernel
 from .partitions import distinct_partitions
-from .scalars import SQRT2, ZERO, Scalar
+from .scalars import ONE, SQRT2, ZERO, Scalar
 from .weyl import Root, SignedPerm, reflection_perm
 
 
@@ -76,6 +84,9 @@ def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:
 # ---------------------------------------------------------------------------
 # The even center of Seg_n as signed class sums.
 
+# The largest n whose orbit walk is run: 322,560 even monomials at n = 7.
+MAX_CENTER_N = 7
+
 
 def seg_mono_mul(
     a: tuple[int, SignedPerm], b: tuple[int, SignedPerm]
@@ -88,20 +99,60 @@ def seg_mono_mul(
     return s1 * s2, (mask, wa * wb)
 
 
+def seg_mono_inverse(mono: tuple[int, SignedPerm]) -> tuple[int, tuple[int, SignedPerm]]:
+    """(sign, monomial) with (c^mask w)^{-1} = sign * monomial.
+
+    c^mask c^mask = eps, so (c^mask)^{-1} = eps c^mask, and w^{-1} c^mask is
+    moved past by `perm_on_cliff`.
+    """
+    mask, w = mono
+    eps, _ = cliff_mul(mask, mask)
+    inv = w.inverse()
+    sign, moved = perm_on_cliff(inv, mask)
+    return eps * sign, (moved, inv)
+
+
 def seg_even_center(n: int) -> list[dict[tuple[int, SignedPerm], int]]:
     """A basis of Z(Seg_n)_0: the signed class sums {(mask, w): +-1}.
 
     Each orbit of the even monomials under conjugation by c_i (whose inverse
     is -c_i) and s_j (its own inverse) is walked from its first monomial,
     which gets sign +1; the orbit gives a class sum unless it reaches some
-    monomial with both signs.
+    monomial with both signs.  A conjugate is formed in one step:
+    c_i c^h w (-c_i) = -c_i c^h c_{w(i)} w flips the bits i and w(i) of h,
+    and s_j c^h w s_j = +-c^{s_j(h)} (s_j w s_j) swaps the bits j and j+1,
+    with sign -1 when both are set.
     """
-    if n > 5:
-        raise ValueError("seg_even_center is sized for n <= 5")
-    identity = SignedPerm.identity(n)
-    # (unit, sign of its inverse): g^{-1} = sign * g for every generator.
-    units = [((1 << (i - 1), identity), -1) for i in range(1, n + 1)]
-    units += [((0, reflection_perm(Root("diff", j, j + 1), n)), 1) for j in range(1, n)]
+    if n > MAX_CENTER_N:
+        raise ValueError(f"seg_even_center is sized for n <= {MAX_CENTER_N}")
+    flips: dict[tuple[int, int, int], tuple[int, int]] = {}
+    conjugates: dict[tuple[int, SignedPerm], SignedPerm] = {}
+
+    def c_conj(i: int, mask: int, w: SignedPerm) -> tuple[int, tuple[int, SignedPerm]]:
+        key = (i, mask, w[i - 1])
+        hit = flips.get(key)
+        if hit is None:
+            s1, left = cliff_insert(i, mask)
+            s2, right = cliff_mul(left, 1 << (w[i - 1] - 1))
+            hit = flips[key] = (-s1 * s2, right)
+        return hit[0], (hit[1], w)
+
+    def s_conj(j: int, mask: int, w: SignedPerm) -> tuple[int, tuple[int, SignedPerm]]:
+        conj = conjugates.get((j, w))
+        if conj is None:
+            swap = {j: j + 1, j + 1: j}
+            window = list(w)
+            window[j - 1], window[j] = window[j], window[j - 1]
+            conj = conjugates[(j, w)] = SignedPerm([swap.get(v, v) for v in window])
+        pair = (mask >> (j - 1)) & 3
+        if pair == 3:
+            return -1, (mask, conj)
+        if pair:
+            mask ^= 3 << (j - 1)
+        return 1, (mask, conj)
+
+    units = [functools.partial(c_conj, i) for i in range(1, n + 1)]
+    units += [functools.partial(s_conj, j) for j in range(1, n)]
     seen: set[tuple[int, SignedPerm]] = set()
     sums = []
     for mask in range(1 << n):
@@ -115,10 +166,9 @@ def seg_even_center(n: int) -> list[dict[tuple[int, SignedPerm], int]]:
             consistent = True
             while stack:
                 mono = stack.pop()
-                for unit, inv_sign in units:
-                    s1, left = seg_mono_mul(unit, mono)
-                    s2, image = seg_mono_mul(left, unit)
-                    sign = orbit[mono] * s1 * s2 * inv_sign
+                for conjugate in units:
+                    s, image = conjugate(*mono)
+                    sign = orbit[mono] * s
                     prev = orbit.get(image)
                     if prev is None:
                         orbit[image] = sign
@@ -134,6 +184,79 @@ def seg_even_center(n: int) -> list[dict[tuple[int, SignedPerm], int]]:
             f"dim Z(Seg_{n})_0 = {len(sums)}, expected |distinct partitions| = {expected}"
         )
     return sums
+
+
+# (class sums, monomial -> (class, sign)); a monomial is (mask, w).
+Monomial = tuple[int, SignedPerm]
+ClassSums = tuple[list[dict[Monomial, int]], dict[Monomial, tuple[int, int]]]
+
+
+@functools.lru_cache(maxsize=2)
+def class_sums(n: int) -> ClassSums:
+    """(sums, index): `seg_even_center(n)` and the map monomial -> (class, sign) over its sums.
+
+    Kept for the two most recent n: every check of one run works at one n.
+    """
+    sums = seg_even_center(n)
+    index = {mono: (o, sign) for o, z in enumerate(sums) for mono, sign in z.items()}
+    return sums, index
+
+
+def center_coords(elem: AlgElem, sums) -> tuple[list[Scalar], bool]:
+    """(a_O, central): elem's coefficient a_O at the first monomial of each class
+    sum z_O, and whether elem lies in Seg and equals sum_O a_O z_O exactly."""
+    terms = {(mono.cliff, mono.w): coef for mono, coef in elem.terms.items()}
+    coefs = [terms.get(next(iter(z)), ZERO) for z in sums]
+    combo = {
+        mono: a if sign > 0 else -a
+        for a, z in zip(coefs, sums)
+        if a
+        for mono, sign in z.items()
+    }
+    return coefs, elem.is_seg() and terms == combo
+
+
+def center_multiplication(elem: AlgElem, table: ClassSums) -> Matrix:
+    """Multiplication by a central elem of Seg_n on the class sums, an r x r matrix.
+
+    Column O is elem * z_O, central and even, so it is read at the first
+    monomial f of every class: its coefficient there is the sum over the
+    terms coef * t of elem of coef * delta * z_O(u), where t^{-1} f = delta * u.
+    Raises ValueError unless elem is central (`center_coords`).
+    """
+    sums, index = table
+    if not center_coords(elem, sums)[1]:
+        raise ValueError("element is not central in Seg")
+    inverses = [
+        (coef, seg_mono_inverse((mono.cliff, mono.w))) for mono, coef in elem.terms.items()
+    ]
+    cols: list[dict] = [{} for _ in sums]
+    for row, z in enumerate(sums):
+        first = next(iter(z))
+        for coef, (inv_sign, inv) in inverses:
+            delta, u = seg_mono_mul(inv, first)
+            hit = index.get(u)
+            if hit is not None:
+                col, sign = hit
+                acc = cols[col]
+                acc[row] = acc.get(row, ZERO) + (coef if inv_sign * delta * sign > 0 else -coef)
+    return Matrix.from_sparse([{r: a for r, a in col.items() if a} for col in cols], len(sums))
+
+
+def minimal_polynomial(matrix: Matrix) -> list[Scalar]:
+    """The monic m, coefficients from degree 0 up, of least degree with m(matrix)[1] = 0.
+
+    [1] is the first basis vector, which is the class sum of 1 in the
+    coordinates of `class_sums`, so there m is the minimal polynomial of the
+    central element that the matrix multiplies by.  The Krylov vectors [1], M[1], ..., M^r[1]
+    are dependent; `sparse_kernel` meets the first dependent one first, and
+    its combination has coefficient 1 there.
+    """
+    krylov = [{0: ONE}]
+    for _ in range(matrix.ncols):
+        krylov.append(matrix.apply(krylov[-1]))
+    combo = sparse_kernel(krylov)[0]
+    return [combo.get(j, ZERO) for j in range(max(combo) + 1)]
 
 
 def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
@@ -153,19 +276,12 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
     if n > 4:
         raise ValueError("verify_zeta_surjective is sized for n <= 4")
     k = jms[0].params.k_long
-    sums = seg_even_center(n)
+    sums, _ = class_sums(n)
     rows = []
     central = []
     for image in zeta_on_power_sums(jms, max_r):
-        terms = {(mono.cliff, mono.w): coef for mono, coef in image.terms.items()}
-        coefs = [terms.get(next(iter(z)), ZERO) for z in sums]
-        combo = {
-            mono: a if sign > 0 else -a
-            for a, z in zip(coefs, sums)
-            if a
-            for mono, sign in z.items()
-        }
-        central.append(image.is_seg() and terms == combo)
+        coefs, is_central = center_coords(image, sums)
+        central.append(is_central)
         rows.append({o: a for o, a in enumerate(coefs) if a})
     rank = Subspace.spanned_by(rows, len(sums)).dim
     ok = rank == len(sums) and all(central)

@@ -1,44 +1,66 @@
 """Dirac cohomology, central characters and the Vogan-type consistency check.
 
-H_D(X) = ker pi(D) / (ker pi(D) cap im pi(D)) carries an action of the
-x-degree-zero subalgebra Seg because D commutes with the Weyl group and
-anticommutes with the Clifford generators.  Both stabilities are verified
-before the spectrum is taken, without touching a kernel vector: the module's
-defining relations are certified, so pi is an algebra homomorphism, and
-g D = +-D g for each Seg generator g is checked in the engine.  Then
-pi(g) pi(D) = +-pi(D) pi(g), so pi(g) keeps ker D, and g D w = +-D g w shows
-that it keeps ker D cap im D too.  Two exact shortcuts apply when their
-checks hold on the actual matrices, and otherwise the general computation
-runs:
+H_D(X) = ker pi(D) / (ker pi(D) cap im pi(D)) for a module pi: H -> End(X).
+Its dimension is the trace of one central idempotent of the Sergeev algebra
+Seg, with no elimination, once six premises are checked exactly:
 
-- Certificate.  If pi(D)^dagger = -pi(D), then ker D cap im D = 0 and
-  ker D^2 = ker D, with no second elimination.  The standard form
-  sum_j v_j conj(v_j) is anisotropic on Q(i, sqrt2)^n: each term is
-  a^2 + b^2 with a, b in Q(sqrt2), >= 0 under both real embeddings.  So
-  v = Dw with Dv = 0 gives <v, v> = -<w, Dv> = 0, hence v = 0.  On an
-  induced module the invariant form is this standard form in the coset
-  basis (w_s^{-1} w_t lies outside S_lambda for distinct coset
-  representatives), so the check needs no Gram matrix.
-- Read-off.  If H_D = ker D and pi(Omega_Seg) acts on it by one scalar,
-  checked on every basis vector, that scalar is the whole spectrum, whether
-  or not the type-A table below lists it.  Omega_Seg lies in Seg, whose
-  generators keep ker D, so pi(Omega_Seg) v lies in ker D and the check
-  compares the pivot rows of ker D only.
+- (a) the module's defining relations hold, so pi is an algebra map;
+- (b) D^2 = Omega_H - Omega_Seg + K in the engine, K = `d_squared_constant`;
+- (c) pi(Omega_H) = chi * 1;
+- (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero;
+- (e) Omega_Seg = sum_O a_O z_O over the signed class sums z_O of
+  `centers.class_sums`, a basis of Z(Seg)_0, with a_O read at the first
+  monomial of each class: Omega_Seg is central;
+- (f) m(M)[1] = 0, where M is multiplication by Omega_Seg on the class sums
+  (`centers.center_multiplication`) and m is the first Krylov relation among
+  [1], M[1], M^2[1], ...: then m(Omega_Seg) = 0 in Seg.
 
-In general the spectrum of Omega_Seg on H_D is computed on the quotient:
-candidate eigenvalues come from the k^2 |phi1(mu)|^2 table over
-distinct-part partitions and an exact kernel dimension is taken per
-candidate.  `dirac_cohomology` marks a spectrum the table does not exhaust
-incomplete.
+With c0 = chi + K, (a)-(c) give pi(D)^2 = c0 - pi(Omega_Seg), so
+ker D^2 = ker(pi(Omega_Seg) - c0).
+
+- If m(c0) != 0, then pi(Omega_Seg) - c0 is invertible, hence so is pi(D):
+  H_D = 0, and neither pi(D) nor (d) is formed.
+- If m = (t - c0) q with q(c0) != 0, then e = q(Omega_Seg) / q(c0) is an
+  idempotent of Z(Seg)_0, since m divides q (q - q(c0)).  Its image under
+  pi is exactly ker(pi(Omega_Seg) - c0), so dim ker D^2 = tr pi(e).  Each
+  signed term of z_O is a conjugate of the first monomial f_O, so
+  tr pi(e) = sum_O e_O |O| tr pi(f_O), where e_O are the class-sum
+  coordinates of e; every f_O acts by a signed permutation, whose trace is
+  a signed count of fixed points.  When the trace is nonzero, (d) makes
+  pi(D) skew for the standard form <v, w> = sum_j v_j conj(w_j), which is
+  anisotropic on Q(i, sqrt2)^n (each term of <v, v> is a^2 + b^2 with a, b
+  in Q(sqrt2), >= 0 under both real embeddings).  So v = Dw with Dv = 0
+  gives <v, v> = -<w, Dv> = 0: ker D cap im D = 0 and ker D = ker D^2.
+  Then H_D = ker D, Omega_Seg acts on it by c0, and the spectrum is
+  [(c0, tr pi(e))].  On an induced module the invariant form is the
+  standard one in the coset basis, so (d) needs no Gram matrix.
+- In type A the roots of m are asserted to be the values k^2 |phi(mu)|^2
+  over strict partitions mu of n, a statement of the paper.
+
+Fallback.  Exact elimination runs when a premise fails or does not apply:
+(b) or (c) fails, (d) fails (k = i), c0 is a double root of m, or the type
+is B or D or n > 7, where no class-sum table is built.  (a) or (e) failing,
+or an m whose roots are not the table's in type A, raises instead.  The
+fallback forms ker D, and ker D^2 and ker D cap im D only when (d) fails.
+When the intersection is zero and (b) and (c) hold, D^2 kills ker D, so
+Omega_Seg acts on it by c0 and that is the spectrum.  Otherwise the
+spectrum of Omega_Seg is taken on the quotient, after Seg is checked to
+keep ker D and ker D cap im D: the engine checks g D = +-D g for each Seg
+generator g, so pi(g) keeps ker D, and g D w = +-D g w shows that it keeps
+ker D cap im D.  Candidate eigenvalues come from the k^2 |phi(mu)|^2 table
+and one exact kernel dimension is taken per candidate;
+`dirac_cohomology` marks a spectrum the table does not exhaust incomplete.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .dirac import casimir_h, casimir_seg, dirac_element, seg_commutators
-from .engine import AlgebraParams, AlgElem
-from .linalg import Matrix, Subspace, quotient_matrix
+from .centers import MAX_CENTER_N, center_multiplication, class_sums, minimal_polynomial
+from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element, seg_commutators
+from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for
+from .linalg import Matrix, Subspace, add_scaled, quotient_matrix
 from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
 from .scalars import ONE, ZERO, Scalar
@@ -107,17 +129,20 @@ def central_character(module: ModuleRep) -> CentralCharacter:
 # Spectra of Omega_Seg.
 
 
-def _candidate_eigenvalues(params: AlgebraParams) -> list[Scalar]:
+def _phi_values(params: AlgebraParams) -> list[Scalar]:
+    """The distinct values k^2 |phi(mu)|^2 over strict partitions mu of n, in table order."""
     ksq = params.k_long * params.k_long
     seen = []
     for mu in distinct_partitions(params.n):
-        _, norm_sq, _ = phi_maps(mu)
-        value = ksq * norm_sq
+        value = ksq * phi_maps(mu)[1]
         if value not in seen:
             seen.append(value)
-    if ZERO not in seen:
-        seen.append(ZERO)
     return seen
+
+
+def _candidate_eigenvalues(params: AlgebraParams) -> list[Scalar]:
+    values = _phi_values(params)
+    return values if ZERO in values else values + [ZERO]
 
 
 def _spectrum_of(matrix: Matrix, candidates) -> tuple[list[tuple[Scalar, int]], bool]:
@@ -133,9 +158,97 @@ def _spectrum_of(matrix: Matrix, candidates) -> tuple[list[tuple[Scalar, int]], 
     return spectrum, total == matrix.nrows
 
 
+# Polynomials are coefficient lists from degree 0 up.
+
+
+def _divide_linear(poly: list[Scalar], root: Scalar) -> tuple[list[Scalar], Scalar]:
+    """(q, poly(root)) with poly = (t - root) q + poly(root), by synthetic division."""
+    acc = ZERO
+    out = []
+    for coef in reversed(poly):
+        acc = acc * root + coef
+        out.append(acc)
+    remainder = out.pop()
+    return out[::-1], remainder
+
+
+def _poly_apply(poly: list[Scalar], matrix: Matrix, vec: dict) -> dict:
+    """poly(matrix) vec on a sparse vector, by Horner's rule."""
+    acc: dict = {}
+    for coef in reversed(poly):
+        acc = matrix.apply(acc)
+        if coef:
+            add_scaled(acc, coef, vec)
+    return acc
+
+
+@functools.lru_cache(maxsize=8)
+def _seg_data(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem):
+    """(K, center), certified once per (D, Omega_H, Omega_Seg).
+
+    K is the constant of (b) when D^2 = Omega_H - Omega_Seg + K holds in the
+    engine, else None.  center = (class sums, M, m) in type A for n <= 7
+    once (b) holds, else None; (e) is checked in building M, and the roots
+    of m against the values k^2 |phi(mu)|^2.
+    """
+    params = D.params
+    alg = algebra_for(params)
+    constant = d_squared_constant(params)
+    if alg.multiply(D, D) != omega_h - omega_seg + alg.scalar(constant):
+        return None, None
+    if params.type != "A" or params.n > MAX_CENTER_N:
+        return constant, None
+    table = class_sums(params.n)
+    mult = center_multiplication(omega_seg, table)
+    minpoly = minimal_polynomial(mult)
+    expected = [ONE]
+    for value in _phi_values(params):
+        expected = [ZERO] + expected
+        for j in range(len(expected) - 1):
+            expected[j] = expected[j] - value * expected[j + 1]
+    if minpoly != expected:
+        raise AssertionError("the roots of m(Omega_Seg) are not the values k^2 |phi(mu)|^2")
+    return constant, (table, mult, minpoly)
+
+
+def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int | None:
+    """dim ker(pi(Omega_Seg) - c0) = tr pi(e), or None when c0 is a double root of m.
+
+    center = (class sums, M, m).  (f) is checked first.  When m(c0) != 0
+    the kernel is 0.  Otherwise m = (t - c0) q and
+    tr pi(e) = sum_O e_O |O| tr pi(f_O) with e = q(M)[1] / q(c0); the sum
+    must be an integer in 0..dim.
+    """
+    (sums, _), mult, minpoly = center
+    start = {0: ONE}
+    if _poly_apply(minpoly, mult, start):
+        raise AssertionError("m(Omega_Seg) != 0 on the class sums")
+    q, at_c0 = _divide_linear(minpoly, c0)
+    if at_c0:
+        return 0
+    q_c0 = _divide_linear(q, c0)[1]
+    if not q_c0:
+        return None
+    zero_exps = (0,) * module.params.n
+    total = ZERO
+    for o, coord in _poly_apply(q, mult, start).items():
+        mask, w = next(iter(sums[o]))
+        first = AlgElem(module.params, {PbwMonomial(zero_exps, mask, w): ONE})
+        total = total + coord * len(sums[o]) * module.act(first).trace()
+    total = total * q_c0.inverse()
+    dim = total.a
+    if total != Scalar(dim) or dim.denominator != 1 or not 0 <= dim <= module.dim:
+        raise AssertionError(f"tr pi(e) = {total.compact()} is no dimension")
+    return int(dim)
+
+
 @dataclass
 class CohomologyReport:
-    """Exact dimensions and Omega_Seg data for H_D of one module."""
+    """Exact dimensions and Omega_Seg data for H_D of one module.
+
+    chi_omega_h, the scalar pi(Omega_H) or None, is kept for `verify_vogan`
+    and is not part of the JSON form.
+    """
 
     module: dict
     lam: str | None
@@ -149,6 +262,7 @@ class CohomologyReport:
     spectrum_complete: bool
     matched_partition: list[str]
     status: str = "pass"
+    chi_omega_h: Scalar | None = None
 
     def to_json(self) -> dict:
         return {
@@ -167,85 +281,76 @@ class CohomologyReport:
         }
 
 
-def _eigenvalue_at_pivots(space: Subspace, matrix: Matrix) -> Scalar | None:
-    """The scalar by which matrix acts on a nonzero space it keeps, else None.
-
-    Only the pivot rows are compared.  matrix * v lies in the space, and a
-    vector of the space is fixed by its entries at the pivots, where the
-    basis vector v_t has 1 at its own pivot and 0 at the others; so
-    matrix * v_t = value * v_t exactly when the pivot rows agree.  The caller
-    must have checked that matrix keeps the space.
-    """
-    pivots = set(space.pivots)
-    rows = Matrix.from_sparse(
-        [{r: a for r, a in col.items() if r in pivots} for col in matrix.cols], matrix.nrows
-    )
-    value = rows.apply(space.vectors[0]).get(space.pivots[0], ZERO)
-    for vec, p in zip(space.vectors, space.pivots):
-        if rows.apply(vec) != ({p: value} if value else {}):
-            return None
-    return value
-
-
 def _omega_seg_spectrum(
-    module: ModuleRep, D: AlgElem, ker: Subspace, inter: Subspace
+    module: ModuleRep, D: AlgElem, omega_seg: AlgElem, ker: Subspace, inter: Subspace
 ) -> tuple[list[tuple[Scalar, int]], bool]:
     """The spectrum of pi(Omega_Seg) on ker D / inter, once Seg is checked to keep both."""
-    module.certify_relations()
     for key, residual in seg_commutators(module.params, D):
         if not residual.is_zero():
             raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
-    omega_seg = casimir_seg(module.params)
     if not omega_seg.is_seg():
         raise AssertionError("Omega_Seg does not lie in Seg")
-    omega_mat = module.act(omega_seg)
-    value = None if inter.dim else _eigenvalue_at_pivots(ker, omega_mat)
-    if value is not None:
-        return [(value, ker.dim)], True
-    quotient = quotient_matrix(omega_mat, ker, inter)
+    quotient = quotient_matrix(module.act(omega_seg), ker, inter)
     return _spectrum_of(quotient, _candidate_eigenvalues(module.params))
 
 
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
-    """ker pi(D) / (ker cap im), with Seg-stability verified before the spectrum.
+    """ker pi(D) / (ker cap im): dim H_D = tr pi(e) when premises (a)-(f) hold.
 
-    Stability.  The module's relations are certified first (now, if it was
-    built unchecked), so pi is an algebra homomorphism.  The engine then
-    checks s D = D s for each simple reflection s and c_i D = -D c_i for
-    each c_i, so pi(g) pi(D) = +-pi(D) pi(g) for every Seg generator g:
-    pi(g) keeps ker D, and keeps ker D cap im D since g D w = +-D g w.
-    No kernel vector is touched.
+    (a) the module's relations are certified (now, if it was built
+    unchecked); (c) chi = pi(Omega_H) is read off `act`; (b), (e) and m are
+    certified once per parameter set (`_seg_data`).  With c0 = chi + K:
 
-    Certificate.  When pi(D)^dagger = -pi(D), checked exactly, the form
-    <v, v> = sum_j v_j conj(v_j), anisotropic on Q(i, sqrt2)^n, gives
-    <v, v> = <Dw, v> = -<w, Dv> = 0 for v = Dw in ker D, so v = 0: then
-    ker D cap im D = 0 and ker D^2 = ker D, and neither D^2 nor the image
-    is formed.  Otherwise D maps ker D^2 onto ker D cap im D with kernel
-    ker D, so dim(ker D cap im D) = dim ker D^2 - dim ker D, and the
-    intersection is built only when that difference is nonzero.
+    - m(c0) != 0: H_D = 0 with the empty spectrum; pi(D) is not formed.
+    - m = (t - c0) q, q(c0) != 0: dim ker D^2 = tr pi(e) for
+      e = q(Omega_Seg) / q(c0).  A zero trace gives H_D = 0.  Otherwise
+      pi(D) is formed and (d) pi(D)^dagger = -pi(D) checked; then
+      H_D = ker D = ker D^2, and the spectrum is [(c0, tr pi(e))].
 
-    Read-off.  When the intersection is zero and pi(Omega_Seg) acts on
-    ker D by a scalar, checked exactly on every basis vector at the pivot
-    rows of ker D, that scalar with multiplicity dim ker D is the whole
-    spectrum.  Otherwise the spectrum comes from the quotient matrix, one
-    exact kernel per candidate.
-    When ker D = 0, none of this runs: H_D = 0 has the empty spectrum.
+    Otherwise (type B or D, (b) or (c) failing, a double root, or (d)
+    failing) ker D is found by elimination.  Under (d) ker D cap im D = 0
+    and ker D^2 = ker D; without it, dim(ker D cap im D) =
+    dim ker D^2 - dim ker D, and the intersection is built only when that is
+    nonzero.  ker D = 0 gives the empty spectrum.  A zero intersection with
+    (b) and (c) gives [(c0, dim ker D)], as D^2 = c0 - Omega_Seg kills
+    ker D.  Anything else is taken on the quotient, after Seg-stability is
+    checked in the engine; see the module docstring.
     """
     params = module.params
-    D = dirac_element(params)
-    d_mat = module.act(D)
-    ker = Subspace.kernel(d_mat)
-    inter = Subspace(d_mat.nrows)
-    dim_ker_sq = ker.dim
-    if ker.dim and d_mat.conj_transpose() != -d_mat:
-        dim_ker_sq = Subspace.kernel(d_mat * d_mat).dim
-        if dim_ker_sq > ker.dim:
-            inter = ker.intersect(Subspace.image(d_mat))
-    # ker D = 0 makes D, hence D^2, injective: H_D = 0 and its spectrum is empty.
-    if ker.dim:
-        spectrum, complete = _omega_seg_spectrum(module, D, ker, inter)
+    module.certify_relations()
+    D, omega_h, omega_seg = dirac_element(params), casimir_h(params), casimir_seg(params)
+    chi = module.act(omega_h).scalar_value()
+    constant, center = _seg_data(D, omega_h, omega_seg)
+    c0 = None if chi is None or constant is None else chi + constant
+    d_mat = None
+    dim_hd = None
+    if c0 is not None and center is not None:
+        dim_hd = _idempotent_trace(module, center, c0)
+        if dim_hd:
+            d_mat = module.act(D)
+            if d_mat.conj_transpose() != -d_mat:
+                dim_hd = None
+    if dim_hd is not None:
+        dim_ker = dim_ker_sq = dim_hd
+        dim_inter = 0
+        spectrum, complete = ([(c0, dim_hd)] if dim_hd else []), True
     else:
-        spectrum, complete = [], True
+        if d_mat is None:
+            d_mat = module.act(D)
+        ker = Subspace.kernel(d_mat)
+        inter = Subspace(d_mat.nrows)
+        dim_ker_sq = ker.dim
+        if ker.dim and d_mat.conj_transpose() != -d_mat:
+            dim_ker_sq = Subspace.kernel(d_mat * d_mat).dim
+            if dim_ker_sq > ker.dim:
+                inter = ker.intersect(Subspace.image(d_mat))
+        if not ker.dim:
+            spectrum, complete = [], True
+        elif not inter.dim and c0 is not None:
+            spectrum, complete = [(c0, ker.dim)], True
+        else:
+            spectrum, complete = _omega_seg_spectrum(module, D, omega_seg, ker, inter)
+        dim_ker, dim_inter = ker.dim, inter.dim
     ksq = params.k_long * params.k_long
     matched = []
     for mu in distinct_partitions(params.n):
@@ -256,15 +361,16 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         module=module.summary(),
         lam=str(module.lam) if module.lam is not None else None,
         k=params.k_long.compact(),
-        dim_ker=ker.dim,
-        dim_im=d_mat.ncols - ker.dim,
-        dim_im_cap_ker=inter.dim,
-        dim_hd=ker.dim - inter.dim,
-        ker_equals_ker_sq=(ker.dim == dim_ker_sq),
+        dim_ker=dim_ker,
+        dim_im=module.dim - dim_ker,
+        dim_im_cap_ker=dim_inter,
+        dim_hd=dim_ker - dim_inter,
+        ker_equals_ker_sq=(dim_ker == dim_ker_sq),
         spectrum=spectrum,
         spectrum_complete=complete,
         matched_partition=matched,
         status="pass" if complete else "incomplete",
+        chi_omega_h=chi,
     )
 
 
@@ -276,7 +382,7 @@ def verify_vogan(lam: Partition, k: Scalar) -> dict:
         raise ValueError("verify_vogan requires k != 0")
     module = induced_module(lam, k)
     report = dirac_cohomology(module)
-    chi_omega_h = module.act(casimir_h(module.params)).scalar_value()
+    chi_omega_h = report.chi_omega_h
     _, norm1_sq, norm2_sq = phi_maps(lam)
     expected = k * k * norm2_sq
 

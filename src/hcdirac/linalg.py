@@ -44,6 +44,10 @@ from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 
+# +-1 by value -> the singleton, so that a unit coefficient that is not the
+# singleton still skips the products (Scalar hashes and compares by value).
+_UNITS = {ONE: ONE, MINUS_ONE: MINUS_ONE}
+
 
 class Matrix:
     """An immutable exact matrix over Q(i, sqrt2), stored by sparse columns.
@@ -94,7 +98,9 @@ class Matrix:
 
         F1 ... F(k-1) is multiplied out, and Fk is applied to it column by
         column straight into the sum, so the product of a whole word is
-        never stored; a one-factor word adds coef * F1 directly.  A
+        never stored; a one-factor word adds coef * F1 directly.  A coef
+        equal to +-1 is replaced by the singleton once, so `add_scaled`
+        adds or subtracts it without products.  A
         monomial prefix re-indexes each column of Fk, which is then added
         at once.  An empty word stands for the identity.
         """
@@ -102,6 +108,8 @@ class Matrix:
         for coef, factors in terms:
             if not coef:
                 continue
+            if coef is not ONE and coef is not MINUS_ONE:
+                coef = _UNITS.get(coef, coef)
             *head, last = factors or (cls.identity(nrows),)
             if not head:
                 for acc, col in zip(cols, last.cols):
@@ -192,6 +200,10 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.cols)
+
+    def trace(self) -> Scalar:
+        """The sum of the diagonal entries; for a signed permutation, its signed fixed points."""
+        return sum((col.get(j, ZERO) for j, col in enumerate(self.cols)), ZERO)
 
     def scalar_value(self) -> Scalar | None:
         """The scalar s when this matrix is s * identity, else None."""

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from hcdirac import centers
 from hcdirac.centers import (
+    center_coords,
+    center_multiplication,
+    class_sums,
     jucys_murphy,
     jucys_murphy_elements,
+    minimal_polynomial,
     seg_even_center,
+    seg_mono_inverse,
     seg_mono_mul,
     verify_zeta_surjective,
     zeta_on_dirac,
     zeta_on_power_sums,
 )
+from hcdirac.dirac import casimir_seg
 from hcdirac.engine import AlgebraParams, algebra_for, multiply, parity
 from hcdirac.linalg import Matrix, Subspace
 from hcdirac.partitions import distinct_partitions
@@ -100,6 +107,83 @@ def _as_elem(alg, mono):
     return elem
 
 
+def test_seg_mono_inverse():
+    monos = seg_monomials(3)
+    identity = SignedPerm.identity(3)
+    for mono in monos:
+        sign, inv = seg_mono_inverse(mono)
+        assert seg_mono_mul(mono, inv) == seg_mono_mul(inv, mono) == (sign, (0, identity))
+
+
+def _product_walk(n):
+    """The class sums, each conjugate formed by two `seg_mono_mul` products per unit."""
+    identity = SignedPerm.identity(n)
+    # (unit, sign of its inverse)
+    units = [((1 << (i - 1), identity), -1) for i in range(1, n + 1)]
+    units += [((0, s), 1) for s in RootSystemCtx("A", n).simple_reflections]
+    seen, sums = set(), []
+    for mask in range(1 << n):
+        if mask.bit_count() & 1:
+            continue
+        for w in map(SignedPerm, itertools.permutations(range(1, n + 1))):
+            if (mask, w) in seen:
+                continue
+            orbit, stack, consistent = {(mask, w): 1}, [(mask, w)], True
+            while stack:
+                mono = stack.pop()
+                for unit, inv_sign in units:
+                    s1, left = seg_mono_mul(unit, mono)
+                    s2, image = seg_mono_mul(left, unit)
+                    sign = orbit[mono] * s1 * s2 * inv_sign
+                    prev = orbit.get(image)
+                    if prev is None:
+                        orbit[image] = sign
+                        stack.append(image)
+                    elif prev != sign:
+                        consistent = False
+            seen.update(orbit)
+            if consistent:
+                sums.append(orbit)
+    return sums
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_step_walk_matches_product_walk(n):
+    # Same orbits, first monomials, signs, and order, term by term.
+    assert [list(z.items()) for z in seg_even_center(n)] == [
+        list(z.items()) for z in _product_walk(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k", [ONE, -HALF])
+def test_center_multiplication_matches_engine_products(n, k):
+    # Column O of M is Omega_Seg * z_O, formed here in the engine.
+    params = AlgebraParams("A", n, k)
+    alg = algebra_for(params)
+    omega_seg = casimir_seg(params)
+    table = class_sums(n)
+    sums, index = table
+    assert index == {mono: (o, sign) for o, z in enumerate(sums) for mono, sign in z.items()}
+    mult = center_multiplication(omega_seg, table)
+    for o, z in enumerate(sums):
+        elem = alg.zero()
+        for mono, sign in z.items():
+            elem = elem + _as_elem(alg, mono).scale(Scalar(sign))
+        coefs, central = center_coords(alg.multiply(omega_seg, elem), sums)
+        assert central
+        assert mult.cols[o] == {row: a for row, a in enumerate(coefs) if a}
+
+
+def test_minimal_polynomial_is_the_first_krylov_relation():
+    # [1] = e0 is an eigenvector of diag(2, 3): m = t - 2, not the characteristic polynomial.
+    assert minimal_polynomial(Matrix([[TWO, ZERO], [ZERO, Scalar(3)]])) == [-TWO, ONE]
+    # The cyclic shift e0 -> e1 -> e2 -> e0 has m = t^3 - 1.
+    shift = Matrix.from_sparse([{1: ONE}, {2: ONE}, {0: ONE}], 3)
+    assert minimal_polynomial(shift) == [-ONE, ZERO, ZERO, ONE]
+    assert minimal_polynomial(Matrix.zeros(1, 1)) == [ZERO, ONE]
+
+
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 2)])
 def test_even_center_dimension(n, expected):
     assert len(seg_even_center(n)) == expected
@@ -107,8 +191,8 @@ def test_even_center_dimension(n, expected):
 
 
 def test_even_center_guard():
-    with pytest.raises(ValueError):
-        seg_even_center(6)
+    with pytest.raises(ValueError, match="n <= 7"):
+        seg_even_center(8)
 
 
 @pytest.mark.parametrize("n", [1, 5])

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from hcdirac import cohomology
+from hcdirac import cli, cohomology
+from hcdirac.centers import center_multiplication, class_sums
 from hcdirac.cohomology import (
     CentralCharacter,
     _candidate_eigenvalues,
-    _eigenvalue_at_pivots,
+    _divide_linear,
+    _idempotent_trace,
+    _poly_apply,
+    _seg_data,
     _spectrum_of,
     central_character,
     dirac_cohomology,
@@ -18,7 +22,7 @@ from hcdirac.cohomology import (
     verify_vogan,
 )
 from hcdirac.dirac import casimirs, dirac_element, seg_commutators
-from hcdirac.engine import AlgebraParams, algebra_for
+from hcdirac.engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for
 from hcdirac.linalg import Matrix, Subspace, quotient_matrix
 from hcdirac.modules import ModuleRep, forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
@@ -107,7 +111,9 @@ def test_dirac_cohomology_stops_when_ker_d_is_zero(monkeypatch):
     act = module.act
     monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
     report = dirac_cohomology(module)
-    assert acted == [dirac_element(module.params)]
+    # chi + K is no root of m, so H_D = 0 is read off the center: only
+    # pi(Omega_H) is formed, and pi(D) is not.
+    assert acted == [casimirs(module.params)[0]]
     assert (report.dim_ker, report.dim_hd) == (0, 0)
     assert (report.spectrum, report.spectrum_complete, report.status) == ([], True, "pass")
     assert report.ker_equals_ker_sq and report.matched_partition == []
@@ -193,20 +199,6 @@ def test_dirac_cohomology_x21():
     json_form = report.to_json()
     assert json_form["omega_seg_spectrum"] == [["2", 8]]
     assert json_form["dim_HD"] == 8
-
-
-def test_pivot_read_off_matches_full_check():
-    # Omega_Seg keeps ker D, so its pivot rows decide the eigenvalue.
-    module = cached_module((2, 1), ONE)
-    ker = Subspace.kernel(module.act(dirac_element(module.params)))
-    _, omega_seg = casimirs(module.params)
-    omega = module.act(omega_seg)
-    assert _eigenvalue_at_pivots(ker, omega) == ker.eigenvalue(omega) == TWO
-    # A kept space on which the operator is not scalar: the pivot rows disagree.
-    diag = Matrix([[TWO, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, TWO]])
-    plane = Subspace.spanned_by([{0: ONE}, {1: ONE}], 3)
-    assert _eigenvalue_at_pivots(plane, diag) is None
-    assert _eigenvalue_at_pivots(Subspace.spanned_by([{0: ONE}, {2: ONE}], 3), diag) == TWO
 
 
 def test_non_distinct_partition_pipeline_runs():
@@ -313,14 +305,160 @@ def test_dirac_cohomology_matches_direct_computation(parts, k, certified):
     ],
     ids=["B2", "B3", "D3"],
 )
-def test_dirac_cohomology_reads_off_spectrum_outside_candidates(typ, n, k_short, value, dim):
+def test_dirac_cohomology_reads_off_spectrum_outside_candidates(
+    typ, n, k_short, value, dim, monkeypatch
+):
     # On a type B or D Steinberg module D = 0, and Omega_Seg acts on the
-    # whole module by a scalar outside the type A candidate table; the
-    # read-off reports that scalar as the complete spectrum.
+    # whole module by a scalar outside the type A candidate table.  The
+    # elimination fallback runs (no class sums in types B and D), and
+    # D^2 = chi + K - Omega_Seg makes chi + K that scalar and the whole
+    # spectrum, with no matrix of Omega_Seg formed.
     base = AlgebraParams(typ, n, ONE, k_short)
     module = steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
     assert value not in _candidate_eigenvalues(module.params)
-    assert module.act(casimirs(module.params)[1]).scalar_value() == value
+    _, omega_seg = casimirs(module.params)
+    assert module.act(omega_seg).scalar_value() == value
+    acted = []
+    act = module.act
+    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
     report = dirac_cohomology(module)
+    assert omega_seg not in acted and dirac_element(module.params) in acted
     assert (report.dim_hd, report.spectrum) == (dim, [(value, dim)])
     assert report.spectrum_complete and report.status == "pass"
+
+
+# ---------------------------------------------------------------------------
+# dim H_D as the trace of a central idempotent, against exact elimination.
+
+_TRACE_KS = (ONE, -HALF_K, Scalar(Fraction(2, 3)))
+
+
+def _center_for(module):
+    """(class sums, M, m) for the module's parameters."""
+    omega_h, omega_seg = casimirs(module.params)
+    return _seg_data(dirac_element(module.params), omega_h, omega_seg)[1]
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    real = Subspace.kernel
+    monkeypatch.setattr(Subspace, "kernel", lambda matrix: calls.append(matrix) or real(matrix))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "parts, k",
+    [(lam.parts, k) for n in range(1, 5) for lam in all_partitions(n) for k in _TRACE_KS]
+    + [((5,), ONE), ((4, 1), ONE), ((3, 2), ONE)],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v.compact(),
+)
+def test_trace_path_matches_elimination(parts, k, monkeypatch):
+    module = cached_module(parts, k)
+    kernels = _count_kernels(monkeypatch)
+    report = dirac_cohomology(module)
+    assert kernels == []  # no elimination ran
+    monkeypatch.undo()
+    d_mat = module.act(dirac_element(module.params))
+    assert d_mat.conj_transpose() == -d_mat  # so ker D cap im D = 0
+    ker = Subspace.kernel(d_mat)
+    spectrum = []
+    if ker.dim:
+        omega = module.act(casimirs(module.params)[1])
+        quotient = quotient_matrix(omega, ker, Subspace(module.dim))
+        spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(module.params))
+        assert complete
+    assert (report.dim_ker, report.dim_hd, report.dim_im_cap_ker) == (ker.dim, ker.dim, 0)
+    assert (report.spectrum, report.spectrum_complete) == (spectrum, True)
+    assert report.ker_equals_ker_sq and report.dim_im == module.dim - ker.dim
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
+def test_failed_skew_certificate_falls_back_to_elimination(parts, monkeypatch):
+    # At k = i, pi(D)^dagger != -pi(D): tr pi(e) is dim ker D^2, which need
+    # not be dim ker D, so ker D is eliminated.
+    module = cached_module(parts, I)
+    kernels = _count_kernels(monkeypatch)
+    dirac_cohomology(module)
+    assert kernels and kernels[0] == module.act(dirac_element(module.params))
+
+
+@pytest.mark.parametrize(
+    "parts, dim_hd, spectrum", [((6,), 64, [["70", 64]]), ((5, 1), 256, [["40", 256]])],
+    ids=["6", "5,1"],
+)
+def test_verify_vogan_n6_pins(parts, dim_hd, spectrum, monkeypatch):
+    kernels = _count_kernels(monkeypatch)
+    report = verify_vogan(Partition(parts), ONE)
+    assert kernels == []
+    assert report["status"] == "pass", report
+    assert (report["dim_HD"], report["omega_seg_spectrum"]) == (dim_hd, spectrum)
+
+
+def test_minimal_polynomial_roots_are_the_phi_values():
+    # At n = 4, m = (t - 20)(t - 8) for k = 1; the values are k^2 |phi(mu)|^2.
+    _, mult, minpoly = _center_for(cached_module((3, 1), ONE))
+    assert minpoly == [Scalar(160), Scalar(-28), ONE]
+    assert mult.nrows == len(distinct_partitions(4))
+
+
+def test_trace_at_a_wrong_c0_is_another_block():
+    # On X_(2,1), Omega_Seg has the eigenvalues 2 (H_D, dim 8) and 8 (dim 16).
+    module = cached_module((2, 1), ONE)
+    center = _center_for(module)
+    assert _idempotent_trace(module, center, TWO) == 8
+    assert _idempotent_trace(module, center, Scalar(8)) == 16
+    assert _idempotent_trace(module, center, Scalar(5)) == 0
+
+
+def test_trace_with_a_dropped_factor_raises():
+    module = cached_module((2, 1), ONE)
+    table, mult, minpoly = _center_for(module)
+    dropped, remainder = _divide_linear(minpoly, Scalar(8))
+    assert not remainder and len(dropped) == len(minpoly) - 1
+    with pytest.raises(AssertionError, match="m\\(Omega_Seg\\) != 0"):
+        _idempotent_trace(module, (table, mult, dropped), TWO)
+
+
+def test_non_central_stand_in_for_omega_seg_raises():
+    params = AlgebraParams("A", 3, ONE)
+    _, omega_seg = casimirs(params)
+    stand_in = omega_seg + algebra_for(params).generators["s1"]
+    with pytest.raises(ValueError, match="not central"):
+        center_multiplication(stand_in, class_sums(3))
+
+
+def test_class_sum_trace_needs_the_sign():
+    # tr pi(z_O) = |O| tr pi(f_O) holds with the signs of z_O; without them the
+    # trace of the idempotent on X_(3,1) is no longer dim H_D = 32.
+    module = cached_module((3, 1), ONE)
+    params = module.params
+    (sums, _), mult, minpoly = center = _center_for(module)
+
+    def trace(mono):
+        word = PbwMonomial((0,) * params.n, *mono)
+        return module.act(AlgElem(params, {word: ONE})).trace()
+
+    c0 = Scalar(8)
+    quotient, _ = _divide_linear(minpoly, c0)
+    coords = _poly_apply(quotient, mult, {0: ONE})
+    scale = _divide_linear(quotient, c0)[1].inverse()
+    signed = unsigned = ZERO
+    for o, coord in coords.items():
+        z = sums[o]
+        by_first = trace(next(iter(z))) * len(z)
+        assert sum((trace(u) * sign for u, sign in z.items()), ZERO) == by_first
+        signed = signed + coord * by_first
+        unsigned = unsigned + coord * sum((trace(u) for u in z), ZERO)
+    assert signed * scale == Scalar(32) == Scalar(_idempotent_trace(module, center, c0))
+    assert unsigned * scale != Scalar(32)
+
+
+def test_all_run_keeps_center_caches_bounded(capsys):
+    for k in range(1, 11):
+        dirac_cohomology(cached_module((2,), Scalar(k)))
+    assert cli.main(["all", "--n", "3", "--k", "1"]) == 0
+    capsys.readouterr()
+    for cache in (class_sums, _seg_data):
+        info = cache.cache_info()
+        assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
+    assert _seg_data.cache_info().currsize == _seg_data.cache_info().maxsize

@@ -402,3 +402,26 @@ def test_sum_of_products_matches_dense_reference():
         abc = _dense_product(Matrix(_dense_product(a, b)), c)
         assert (total.nrows, total.ncols) == (n, n)
         assert total.rows == tuple(tuple(coef * x + y for x, y in zip(r, s)) for r, s in zip(abc, a.rows))
+
+
+def test_trace_is_a_signed_fixed_point_count():
+    # Columns 0 and 2 are fixed, with signs -1 and +1; 1 and 3 are swapped.
+    perm = Matrix.from_sparse([{0: MINUS_ONE}, {3: ONE}, {2: ONE}, {1: ONE}], 4)
+    assert perm.trace() == ZERO
+    assert Matrix([[TWO, ONE], [ONE, I]]).trace() == TWO + I
+    assert Matrix.identity(5).trace() == Scalar(5) and Matrix.zeros(0, 0).trace() == ZERO
+
+
+def test_sum_of_products_takes_unit_coefficients_by_value(monkeypatch):
+    # A +-1 that is not the singleton adds or subtracts without a product.
+    a = Matrix([[TWO, HALF], [SQRT2, I]])
+    b = Matrix([[ONE, ZERO], [I, -SQRT2]])
+    assert _LOOSE_ONE is not ONE and -_LOOSE_ONE is not MINUS_ONE
+    products = []
+    real = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(1) or real(x, y))
+    total = Matrix.sum_of_products([(_LOOSE_ONE, [a]), (-_LOOSE_ONE, [b])], 2, 2)
+    count = len(products)
+    monkeypatch.undo()
+    assert count == 0
+    assert total == a - b
