@@ -86,6 +86,9 @@ def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:
 
 # The largest n whose orbit walk is run: 322,560 even monomials at n = 7.
 MAX_CENTER_N = 7
+# The largest n of `verify_zeta_surjective`.  Its power sums are plain engine
+# products, most of a 7 s run at n = 6.
+MAX_ZETA_N = 6
 
 
 def seg_mono_mul(
@@ -273,8 +276,8 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
     n = len(jms)
     if n < 2:
         raise ValueError("verify_zeta_surjective needs n >= 2")
-    if n > 4:
-        raise ValueError("verify_zeta_surjective is sized for n <= 4")
+    if n > MAX_ZETA_N:
+        raise ValueError(f"verify_zeta_surjective is sized for n <= {MAX_ZETA_N}")
     k = jms[0].params.k_long
     sums, _ = class_sums(n)
     rows = []

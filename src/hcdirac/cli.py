@@ -7,7 +7,7 @@ usage message and no report, before any check runs:
 - a rational flag (--k, --ks, --N) that is not "p/q" or an integer, or has
   a zero denominator; decimals and exponents such as 0.5 or 1e0 are refused,
   and sqrt2-valued parameters are not accepted on the command line;
-- an out-of-range integer: --n < 1 everywhere, center --n outside 2..4, and
+- an out-of-range integer: --n < 1 everywhere, center --n outside 2..6, and
   --trials or --max-r < 1, so that no run passes on an empty check list;
 - a --lambda that is not a comma-separated non-increasing list of positive
   integers;
@@ -33,7 +33,7 @@ import time
 from fractions import Fraction
 
 from . import REPORT_SCHEMA_VERSION, report_schema_version
-from .centers import jucys_murphy_elements, verify_zeta_surjective, zeta_on_dirac
+from .centers import MAX_ZETA_N, jucys_murphy_elements, verify_zeta_surjective, zeta_on_dirac
 from .cohomology import dirac_cohomology, verify_vogan
 from .dirac import dirac_element, verify_identities
 from .engine import AlgebraParams, check_pbw_consistency, check_relations_in_engine
@@ -262,7 +262,7 @@ def _cmd_all(args) -> dict:
         if lam.has_distinct_parts():
             fold(_cmd_cohomology(ns(lam=lam, k=k)), f"cohomology-{lam}")
     fold(_cmd_phi(ns(n=n)), f"phi-{n}")
-    if 2 <= n <= 4:
+    if 2 <= n <= MAX_ZETA_N:
         fold(_cmd_center(ns(n=n, k=k, max_r=n)), f"center-{n}")
     return _assemble("all", {"n": n, "k": k.compact(), "seed": args.seed}, checks, started)
 
@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("center", help="Jucys-Murphy center map checks")
-    # verify_zeta_surjective is sized for 2 <= n <= 4
-    p.add_argument("--n", required=True, type=_int_flag(2, 4))
+    # verify_zeta_surjective is sized for 2 <= n <= MAX_ZETA_N
+    p.add_argument("--n", required=True, type=_int_flag(2, MAX_ZETA_N))
     p.add_argument("--k", required=True, type=_scalar_flag)
     p.add_argument("--max-r", dest="max_r", type=_int_flag(1), default=None)
     p.set_defaults(func=_cmd_center)

@@ -15,22 +15,28 @@ needs real rewriting in two places only: T = w x^b, and x^a x^b1 for each
 x^b1 of T (a plain exponent sum in type A).  The Clifford word c^e crosses
 x^b1 with the sign (-1)^{sum_{i in e} b1_i}, and c^f v joins on the right
 through u c^f = +-c^{u(f)} u and the group product uv.  Both rewritings act
-on exponent vectors only (`_x_times_x`, and `_s_times_x` composed along a
-reduced word of w in `_w_times_x`).  A reflection crosses one x-generator at
-a time, with a main term of the same x-degree plus corrections of strictly
-smaller x-degree; type-B x-generators cross each other at the cost of an
-N-weighted Clifford correction, again of smaller x-degree.  The measure
-(x-degree, then remaining disorder) strictly decreases, so the rewriting
-terminates; confluence is not assumed but tested through associativity.
+on exponent vectors only (`_x_times_x`, and `_s_times_x` applied one left
+descent of w at a time in `_w_times_x`).  A reflection crosses one
+x-generator at a time, with a main term of the same x-degree plus corrections
+of strictly smaller x-degree; type-B x-generators cross each other at the
+cost of an N-weighted Clifford correction, again of smaller x-degree.  The
+measure (x-degree, then remaining disorder) strictly decreases, so the
+rewriting terminates; confluence is not assumed but tested through
+associativity.
 
 Memo tables and accumulation.  Each Algebra memoises x^a x^b on (a, b), s x^b
 on (simple index, b) and w x^b on (w, b): no key holds a Clifford word or a
-group tail, so these tables grow with the x-degrees met.  The Seg lookups
-u c^f (keys W x masks), uv (keys W x W) and the module-level `cliff_mul`
-(keys masks x masks) are bounded by the group.  `multiply` builds no
-per-word result: `_mono_product` adds ca*cb times each product of basis
-words straight into one dict.  Words and memo keys are tuples all the way
-down (`SignedPerm` too), so they hash in C.
+group tail, so these tables grow with the x-degrees met.  A new entry w x^b
+is one step s ((sw) x^b) from the entry of the shorter sw, for the least left
+descent s of w.  The Seg lookups u c^f (keys W x masks), uv (keys W x W) and
+the module-level `cliff_mul` (keys masks x masks) are bounded by the group.
+The three straightening tables store +-1 only as the singletons ONE and
+MINUS_ONE, so `_mono_product` recognises a unit structure constant by `is`
+and takes it by value, with no product.  `multiply` builds no per-word
+result: `_mono_product` adds ca*cb times each product of basis words straight
+into one dict.  Words and memo keys are tuples all the way down (`SignedPerm`
+too), so they hash in C.  `algebra_for` keeps the engines, and so their
+tables, of the 8 parameter sets used last.
 
 Type D has no standalone engine: its elements live inside the type-B engine
 with the short-root parameter frozen at zero, and only group elements with an
@@ -41,10 +47,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from typing import NamedTuple
 
-from .scalars import HALF, I, I_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
+from .scalars import HALF, I, I_SQRT2, MINUS_ONE, ONE, SQRT2, TWO, UNITS, ZERO, Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm
 
 
@@ -374,7 +380,7 @@ class Algebra:
                     mask = (1 << (j - 1)) | (1 << (i - 1))
                     odd = (_odd_mask(rest) & mask).bit_count() & 1
                     _add_term(out, (rest, mask), -self.params.N if odd else self.params.N)
-        cached = tuple((exps, mask, c) for (exps, mask), c in out.items())
+        cached = tuple((exps, mask, UNITS.get(c, c)) for (exps, mask), c in out.items())
         self._xx_cache[key] = cached
         return cached
 
@@ -423,37 +429,39 @@ class Algebra:
             if coef:
                 _add_term(out, (rest, mask, self._id),
                           -coef if (odd & mask).bit_count() & 1 else coef)
-        cached = tuple((exps, mask, v, c) for (exps, mask, v), c in out.items())
+        cached = tuple((exps, mask, v, UNITS.get(c, c)) for (exps, mask, v), c in out.items())
         self._sx_cache[key] = cached
         return cached
 
     def _w_times_x(self, w: SignedPerm, exps: tuple[int, ...]) -> tuple:
         """w * x^exps in normal form, as ((exps1, odd, cliff, u, coefficient), ...).
 
-        w acts one simple reflection at a time along a reduced word.  Each
-        step s x^b = sum x^b1 c^h v joins the tail c^g u by the Seg product
-        c^h v c^g u = +-c^h c^{v(g)} vu.  `odd` is the mask of the odd entries
-        of exps1, which is all that the sign of moving a Clifford word past
-        x^exps1 depends on.
+        One step from a shorter element: for the least left descent s of w
+        (`RootSystemCtx.left_descent`), w x^b = s ((sw) x^b), and (sw) x^b is
+        memoised.  Each term x^b1 c^g u of it meets s x^b1 = sum x^b2 c^h v,
+        and c^h v c^g u = +-c^h c^{v(g)} vu.  `odd` is the mask of the odd
+        entries of exps1, which is all that the sign of moving a Clifford
+        word past x^exps1 depends on.
         """
         key = (w, exps)
         cached = self._wx_cache.get(key)
         if cached is not None:
             return cached
-        if not any(exps):  # w x^0 = w, without the reduced word, which enumerates the group
-            return self._wx_cache.setdefault(key, ((exps, 0, 0, w, ONE),))
-        cur = {(exps, 0, self._id): ONE}
-        for idx in reversed(self.push_ctx.reduced_word(w)):
-            nxt: dict = {}
-            for (b, g, u), coef in cur.items():
-                for b1, h, v, coef2 in self._s_times_x(idx, b):
-                    sign, moved = perm_on_cliff(v, g)
+        idx = self.push_ctx.left_descent(w) if any(exps) else None
+        if idx is None:  # w = 1, or w x^0 = w
+            cached = ((exps, _odd_mask(exps), 0, w, ONE),)
+        else:
+            out: dict = {}
+            sw = self._group_mul(self.push_ctx.simple_reflections[idx], w)
+            for b1, _, g, u, coef in self._w_times_x(sw, exps):
+                for b2, h, v, coef2 in self._s_times_x(idx, b1):
+                    sign, moved = self._perm_on_cliff(v, g)
                     s2, mask = cliff_mul(h, moved)
                     term = coef * coef2
-                    _add_term(nxt, (b1, mask, v * u),
+                    _add_term(out, (b2, mask, self._group_mul(v, u)),
                               term if sign * s2 > 0 else -term)
-            cur = nxt
-        cached = tuple((b, _odd_mask(b), g, u, c) for (b, g, u), c in cur.items())
+            cached = tuple((b, _odd_mask(b), g, u, UNITS.get(c, c))
+                           for (b, g, u), c in out.items())
         self._wx_cache[key] = cached
         return cached
 
@@ -478,27 +486,46 @@ class Algebra:
         1. T = w x^b = sum x^b1 c^g u, memoised on (w, b).
         2. c^e x^b1 = (-1)^{sum_{i in e} b1_i} x^b1 c^e, then c^e c^g.
         3. x^a x^b1 = sum x^b2 c^h, memoised on (a, b1).
-        4. c^g u c^f v = +-c^g c^{u(f)} uv, with u(f) and uv looked up in
+        4. c^g u c^f v = +-c^g c^{u(f)} uv, with u(f) and uv read from
            tables keyed by W x masks and W x W, which the group bounds.
 
         Only steps 1 and 3 straighten; the rest is Clifford sign bookkeeping.
-        Each term of T forms +-scale * coef once, so a term of step 3 costs one
-        Scalar product, which is nonzero: only a sum onto a word in `out` can
-        cancel.
+        The memo tables store +-1 as the singletons, so a unit structure
+        constant is recognised by `is` and costs no product: a term of T
+        forms c = scale * coef only for coef != +-1, and a term of step 3
+        takes c or -c for coef2 = +-1, with -c formed at most once per term
+        of T.  So a product is nonzero, and only a sum onto a word in `out`
+        can cancel.
         """
         e, f, v, a = left.cliff, right.cliff, right.w, left.exps
+        xx, perm_cliff, group = self._xx_cache, self._perm_cliff_cache, self._group_cache
         for b1, odd, g, u, coef in self._w_times_x(left.w, right.exps):
             sign, mask = cliff_mul(e, g)
             if (odd & e).bit_count() & 1:
                 sign = -sign
-            s, moved = self._perm_on_cliff(u, f)
-            sign *= s
-            s, mask = cliff_mul(mask, moved)
-            uv = self._group_mul(u, v)
-            c = scale * coef if sign * s > 0 else -(scale * coef)
-            for b2, h, coef2 in self._x_times_x(a, b1):
+            s, moved = perm_cliff.get((u, f)) or self._perm_on_cliff(u, f)
+            s2, mask = cliff_mul(mask, moved)
+            uv = group.get((u, v)) or self._group_mul(u, v)
+            # The term of T is c or -c, by `flip`.
+            flip = sign * s * s2 < 0
+            if coef is ONE or coef is MINUS_ONE:
+                c, flip = scale, flip ^ (coef is MINUS_ONE)
+            else:
+                c = scale * coef
+            minus = None
+            for b2, h, coef2 in xx.get((a, b1)) or self._x_times_x(a, b1):
                 s, mask2 = cliff_mul(h, mask)
-                term = c * coef2 if s > 0 else -(c * coef2)
+                if coef2 is ONE or coef2 is MINUS_ONE:
+                    if flip ^ (s < 0) ^ (coef2 is MINUS_ONE):
+                        if minus is None:
+                            minus = -c
+                        term = minus
+                    else:
+                        term = c
+                else:
+                    term = c * coef2
+                    if flip ^ (s < 0):
+                        term = -term
                 mono = _new_mono((b2, mask2, uv))
                 old = out.get(mono)
                 if old is None:
@@ -518,15 +545,12 @@ class Algebra:
         return AlgElem(self.params, out)
 
 
-_ALGEBRAS: dict[AlgebraParams, Algebra] = {}
-
-
+@lru_cache(maxsize=8)
 def algebra_for(params: AlgebraParams) -> Algebra:
-    """Shared engine instance for a parameter set (engines are stateless)."""
-    alg = _ALGEBRAS.get(params)
-    if alg is None:
-        alg = _ALGEBRAS[params] = Algebra(params)
-    return alg
+    """Shared engine instance for a parameter set.  The 8 most recently used
+    stay, with their memo tables; an evicted one is only rebuilt, as engines
+    are stateless apart from those tables."""
+    return Algebra(params)
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,9 @@ import bisect
 import functools
 import operator
 
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, UNITS, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
-
-# +-1 by value -> the singleton, so that a unit coefficient that is not the
-# singleton still skips the products (Scalar hashes and compares by value).
-_UNITS = {ONE: ONE, MINUS_ONE: MINUS_ONE}
 
 
 class Matrix:
@@ -109,7 +105,7 @@ class Matrix:
             if not coef:
                 continue
             if coef is not ONE and coef is not MINUS_ONE:
-                coef = _UNITS.get(coef, coef)
+                coef = UNITS.get(coef, coef)
             *head, last = factors or (cls.identity(nrows),)
             if not head:
                 for acc, col in zip(cols, last.cols):

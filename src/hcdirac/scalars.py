@@ -224,6 +224,9 @@ def _reduced(a: int, b: int, c: int, d: int, q: int) -> Scalar:
 # The units +-1 are singletons: see the module docstring.
 ONE = _new(1, 0, 0, 0, 1)
 MINUS_ONE = _new(-1, 0, 0, 0, 1)
+# +-1 by value -> the singleton: `UNITS.get(x, x)` turns a unit that is not
+# the singleton into it (Scalar hashes and compares by value).
+UNITS = {ONE: ONE, MINUS_ONE: MINUS_ONE}
 ZERO = Scalar(0)
 TWO = Scalar(2)
 HALF = Scalar(Fraction(1, 2))

@@ -231,6 +231,28 @@ class RootSystemCtx:
     def _word_table(self) -> dict[SignedPerm, list[int]]:
         return self._build_words()
 
+    def left_descent(self, w: SignedPerm) -> int | None:
+        """The least index i with l(s_i w) < l(w), read off the window; None for w = 1.
+
+        s_i is a left descent when w^{-1} maps its simple root to a negative
+        root.  For a = w^{-1}(i) and b = w^{-1}(i+1) as signed indices, the
+        image e_a - e_b (e_a + e_b for the type-D fork) is negative when its
+        entry at the smaller |index| is, and the short root e_n goes to e_a
+        for a = w^{-1}(n).  This is the first letter of `reduced_word(w)`,
+        the least reduced word, as the breadth-first search finds it.
+        """
+        inv = w.inverse()
+        for i, (a, b) in enumerate(zip(inv, inv[1:])):
+            if (a < 0) if abs(a) < abs(b) else (b > 0):
+                return i
+        if self.type == "B" and inv[-1] < 0:
+            return self.n - 1
+        if self.type == "D" and self.n >= 2:
+            a, b = inv[-2:]
+            if (a < 0) if abs(a) < abs(b) else (b < 0):
+                return self.n - 1
+        return None
+
     def reduced_word(self, w: SignedPerm) -> list[int]:
         """Indices into simple_reflections whose ordered product is w."""
         try:

@@ -99,6 +99,13 @@ def test_center_builds_each_jucys_murphy_element_once(capsys, monkeypatch):
     assert built == [1, 2, 3]
 
 
+@pytest.mark.parametrize("k", ["1", "-1/2"])
+def test_center_n5_passes(capsys, k):
+    code, report = run_cli(capsys, ["center", "--n", "5", "--k", k])
+    assert code == 0
+    assert report["checks"][1]["details"] == {"rank": 3, "center_dim": 3}
+
+
 def test_center_fails_at_k_zero(capsys):
     code, report = run_cli(capsys, ["center", "--n", "2", "--k", "0", "--max-r", "2"])
     assert code == 1
@@ -128,7 +135,7 @@ def test_flag_errors_exit_two(capsys):
         ["all", "--n", "0", "--k", "1"],
         ["cohomology", "--lambda", "2,3", "--k", "1"],
         ["cohomology", "--lambda", "2,x", "--k", "1"],
-        ["center", "--n", "5", "--k", "1"],
+        ["center", "--n", "7", "--k", "1"],
         ["center", "--n", "1", "--k", "1"],
         ["center", "--n", "2", "--k", "1", "--max-r", "0"],
         ["phi", "--n", "-1"],
@@ -221,6 +228,13 @@ def test_all_suite_small(capsys):
     assert any(name.startswith("pbw-A2") for name in names)
     assert any(name.startswith("cohomology-2") for name in names)
     assert any(name.startswith("center-2") for name in names)
+
+
+def test_all_suite_folds_center_at_n5(capsys):
+    code, report = run_cli(capsys, ["all", "--n", "5", "--k", "1"])
+    assert code == 0
+    center = {c["name"]: c for c in report["checks"] if c["name"].startswith("center-5:")}
+    assert center["center-5:zeta_surjective"]["details"] == {"rank": 3, "center_dim": 3}
 
 
 def test_all_suite_n1_passes_without_center(capsys):

@@ -3,26 +3,32 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from hcdirac import cli
 from hcdirac.engine import (
+    Algebra,
     AlgebraParams,
     AlgElem,
     PbwMonomial,
     algebra_for,
     check_pbw_consistency,
     check_relations_in_engine,
+    cliff_mul,
     defining_relations,
     multiply,
     parity,
+    perm_on_cliff,
     random_element,
     supercommutator,
 )
-from hcdirac.scalars import HALF, I, ONE, SQRT2, ZERO, Scalar
+from hcdirac.modules import forced_n_constant
+from hcdirac.scalars import HALF, HALF_SQRT2, I, MINUS_ONE, ONE, SQRT2, TWO, ZERO, Scalar
 from hcdirac.weyl import SignedPerm
 
 A2 = AlgebraParams("A", 2, ONE)
@@ -32,6 +38,9 @@ B2_FREE = AlgebraParams("B", 2, ONE, k_short=ONE, N=Scalar(2) + SQRT2)
 D2 = AlgebraParams("D", 2, ONE, N=Scalar(2))
 D3 = AlgebraParams("D", 3, ONE, N=Scalar(4))
 B3_FREE = AlgebraParams("B", 3, ONE, k_short=HALF, N=Scalar(2) + SQRT2)
+# Every parameter +-1, as in the benchmark's pbw B3: the structure constants
+# are mostly units, and the x-commutator's Clifford correction is N c_j c_i.
+B3_UNIT = AlgebraParams("B", 3, ONE, k_short=ONE, N=ONE)
 
 
 def mono(params, exps, cliff, images):
@@ -266,7 +275,7 @@ def _reference_mono_product(alg, left, right):
     return cur.terms
 
 
-@pytest.mark.parametrize("params", [A3, B3_FREE, D3])
+@pytest.mark.parametrize("params", [A3, B3_FREE, D3, B3_UNIT])
 def test_mono_product_matches_reference_order(params):
     rng = random.Random(101)
     alg = algebra_for(params)
@@ -278,7 +287,7 @@ def test_mono_product_matches_reference_order(params):
         assert out == _reference_mono_product(alg, left, right)
 
 
-@pytest.mark.parametrize("params", [A3, B3_FREE, D3])
+@pytest.mark.parametrize("params", [A3, B3_FREE, D3, B3_UNIT])
 def test_multiply_matches_reference_with_coefficients(params):
     """Products of multi-term elements against sum ca * cb * (ma mb), with the
     basis-word products taken from the reference order."""
@@ -324,3 +333,119 @@ def test_straightening_tables_keyed_on_exponents():
         for key in table:
             assert isinstance(key, tuple) and not isinstance(key, PbwMonomial), (name, key)
             assert all(_is_exponent_key_part(part) for part in key), (name, key)
+
+
+# The non-unit branch of every step: k, k_short and N are not +-1.
+FREE_PARAMS = [
+    (AlgebraParams("A", 4, K23), 3),
+    (AlgebraParams("B", 3, K23, k_short=HALF, N=Scalar(2) + SQRT2), 3),
+    (AlgebraParams("D", 4, K23, N=Scalar(2) + SQRT2), 2),
+]
+
+
+def _reference_w_times_x(alg, exps):
+    """{w: w x^exps} for every w of the ambient group, each along a whole
+    reduced word, one simple reflection at a time from the right end (the
+    engine steps from the left), as {(exps1, cliff, u): coefficient}.  Words
+    with a common suffix share its walk."""
+    walked = {(): {(exps, 0, alg._id): ONE}}
+
+    def walk(word):
+        if word not in walked:
+            out = {}
+            for (b, g, u), coef in walk(word[1:]).items():
+                for b1, h, v, coef2 in alg._s_times_x(word[0], b):
+                    sign, moved = perm_on_cliff(v, g)
+                    s2, mask = cliff_mul(h, moved)
+                    key = (b1, mask, v * u)
+                    term = coef * coef2
+                    out[key] = out.get(key, ZERO) + (term if sign * s2 > 0 else -term)
+            walked[word] = {key: c for key, c in out.items() if c}
+        return walked[word]
+
+    ctx = alg.push_ctx
+    return {w: walk(tuple(ctx.reduced_word(w))) for w in ctx.elements()}
+
+
+def _table_coefs(alg):
+    """Every coefficient stored in the three straightening tables."""
+    tables = (alg._xx_cache, alg._sx_cache, alg._wx_cache)
+    return [entry[-1] for table in tables for terms in table.values() for entry in terms]
+
+
+def _assert_units_are_singletons(alg):
+    coefs = _table_coefs(alg)
+    assert coefs
+    for c in coefs:
+        assert c is ONE or c is MINUS_ONE or (c != ONE and c != MINUS_ONE)
+
+
+@pytest.mark.parametrize("params, max_deg", FREE_PARAMS, ids=["A4", "B3", "D4_in_B4"])
+def test_w_times_x_matches_reduced_word_walk(params, max_deg):
+    """Every w of the ambient group (W(B4) for D4) against x^b, |b| <= max_deg."""
+    alg = Algebra(params)
+    for exps in itertools.product(range(max_deg + 1), repeat=params.n):
+        if sum(exps) > max_deg:
+            continue
+        for w, expected in _reference_w_times_x(alg, exps).items():
+            got = alg._w_times_x(w, exps)
+            assert {(b, g, u): c for b, _, g, u, c in got} == expected, (w, exps)
+            assert all(odd == sum((e & 1) << i for i, e in enumerate(b)) for b, odd, *_ in got)
+    _assert_units_are_singletons(alg)
+
+
+# Parameters under which each table meets a +-1 that is not the singleton:
+# sums such as 2 - 1 in w x^b at unit parameters, the forced N of D3 at
+# k = 1/2 (a computed 1) in x^a x^b, and sqrt2 k_short = 1 in s_n x_n.
+LOOSE_UNIT_PARAMS = [
+    B3_UNIT,
+    AlgebraParams("D", 3, HALF, N=forced_n_constant(AlgebraParams("D", 3, HALF))),
+    AlgebraParams("B", 3, ONE, k_short=HALF_SQRT2, N=ONE),
+]
+
+
+@pytest.mark.parametrize("params", LOOSE_UNIT_PARAMS, ids=["B3_unit", "D3_forced_N", "B3_sqrt2_ks"])
+def test_memo_tables_store_units_as_singletons(params):
+    alg = Algebra(params)
+    for exps in itertools.product(range(3), repeat=params.n):
+        for w in alg.ctx.elements():
+            alg._w_times_x(w, exps)
+        for b in itertools.product(range(3), repeat=params.n):
+            alg._x_times_x(exps, b)
+    _assert_units_are_singletons(alg)
+
+
+def test_unit_structure_constants_cost_one_product_per_term_pair(monkeypatch):
+    # At k = 1 every structure constant of these words is +-1, so the only
+    # products are the ca * cb of the term pairs.
+    alg = Algebra(A3)
+    a = AlgElem(A3, {mono(A3, (1, 0, 2), 0b101, (2, 3, 1)): TWO,
+                     mono(A3, (0, 2, 1), 0b010, (3, 1, 2)): SQRT2 + I})
+    b = AlgElem(A3, {mono(A3, (2, 1, 0), 0b011, (1, 3, 2)): -HALF,
+                     mono(A3, (0, 0, 3), 0b110, (2, 1, 3)): I,
+                     mono(A3, (1, 1, 1), 0, (3, 1, 2)): -SQRT2})
+    alg.multiply(a, b)  # fills the tables
+    coefs = _table_coefs(alg)
+    assert all(c is ONE or c is MINUS_ONE for c in coefs) and MINUS_ONE in coefs
+    products = []
+    real = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(1) or real(x, y))
+    got = alg.multiply(a, b)
+    count = len(products)
+    monkeypatch.undo()
+    assert count == len(a.terms) * len(b.terms)
+    expected = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            for m, c in _reference_mono_product(algebra_for(A3), ma, mb).items():
+                expected[m] = expected.get(m, ZERO) + ca * cb * c
+    assert got.terms == {m: c for m, c in expected.items() if c}
+
+
+def test_engine_registry_stays_bounded(capsys):
+    for k in range(1, 11):
+        check_relations_in_engine(AlgebraParams("A", 2, Scalar(k)))
+    assert cli.main(["all", "--n", "3", "--k", "1"]) == 0
+    capsys.readouterr()
+    info = algebra_for.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize

@@ -129,6 +129,14 @@ def test_reduced_words_reconstruct():
             assert prod == w
 
 
+@pytest.mark.parametrize("typ, n", [("A", 1), ("A", 4), ("B", 1), ("B", 4), ("D", 2), ("D", 4)])
+def test_left_descent_is_the_first_letter_of_the_reduced_word(typ, n):
+    ctx = RootSystemCtx(typ, n)
+    for w in ctx.elements():
+        word = ctx.reduced_word(w)
+        assert ctx.left_descent(w) == (word[0] if word else None)
+
+
 def test_group_orders():
     import math
 
