@@ -55,7 +55,7 @@ and one exact kernel dimension is taken per candidate;
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .centers import MAX_CENTER_N, center_multiplication, class_sums, minimal_polynomial
 from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element, seg_commutators
@@ -66,8 +66,7 @@ from .partitions import Partition, distinct_partitions, phi_maps
 from .scalars import ONE, ZERO, Scalar
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
+class CentralCharacter(NamedTuple):
     """Multiset of x_i^2 eigenvalues, stored sorted for permutation-equality."""
 
     values: tuple[Scalar, ...]
@@ -242,8 +241,7 @@ def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int | None:
     return int(dim)
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Exact dimensions and Omega_Seg data for H_D of one module.
 
     chi_omega_h, the scalar pi(Omega_H) or None, is kept for `verify_vogan`

@@ -17,8 +17,8 @@ holds for the given parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import AlgebraParams, AlgElem, algebra_for, parity
 from .scalars import HALF, HALF_SQRT2, ONE, Scalar
@@ -137,8 +137,7 @@ def d_squared_constant(params: AlgebraParams) -> Scalar:
     return params.N * Scalar(Fraction(params.n * (params.n - 1), 2))
 
 
-@dataclass(frozen=True)
-class DiracBundle:
+class DiracBundle(NamedTuple):
     """The Dirac element and the two Casimirs for one parameter set, cross-checked."""
 
     D: AlgElem

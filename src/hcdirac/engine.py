@@ -31,10 +31,11 @@ is one step s ((sw) x^b) from the entry of the shorter sw, for the least left
 descent s of w.  The Seg lookups u c^f (keys W x masks), uv (keys W x W) and
 the module-level `cliff_mul` (keys masks x masks) are bounded by the group.
 The three straightening tables store +-1 only as the singletons ONE and
-MINUS_ONE, so `_mono_product` recognises a unit structure constant by `is`
-and takes it by value, with no product.  `multiply` builds no per-word
-result: `_mono_product` adds ca*cb times each product of basis words straight
-into one dict.  Words and memo keys are tuples all the way down (`SignedPerm`
+MINUS_ONE, so `_mono_product`, and `_signed_product` when a new entry is
+built from older ones, recognise a unit structure constant by `is` and take
+it by value, with no product.  `multiply` builds no per-word result:
+`_mono_product` adds ca*cb times each product of basis words straight into
+one dict.  Words and memo keys are tuples all the way down (`SignedPerm`
 too), so they hash in C.  `algebra_for` keeps the engines, and so their
 tables, of the 8 parameter sets used last.
 
@@ -46,7 +47,7 @@ even number of sign flips are accepted as input.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property, lru_cache, partial, reduce
 from typing import NamedTuple
 
@@ -114,8 +115,7 @@ def perm_on_cliff(w: SignedPerm, mask: int) -> tuple[int, int]:
 # Parameters and element containers.
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class AlgebraParams(namedtuple("AlgebraParams", "type n k_long k_short N")):
     """Specialised parameters of one Hecke-Clifford algebra.
 
     Type A uses the single coupling k_long; types B and D add the
@@ -123,24 +123,22 @@ class AlgebraParams:
     Type D is realised inside the ambient type-B engine with k_short = 0.
     """
 
-    type: str
-    n: int
-    k_long: Scalar
-    k_short: Scalar = ZERO
-    N: Scalar = ZERO
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.type not in ("A", "B", "D"):
-            raise ValueError(f"unknown algebra type {self.type!r}")
-        if self.n < 1:
+    def __new__(cls, type: str, n: int, k_long: Scalar, k_short: Scalar = ZERO,
+                N: Scalar = ZERO) -> AlgebraParams:
+        if type not in ("A", "B", "D"):
+            raise ValueError(f"unknown algebra type {type!r}")
+        if n < 1:
             raise ValueError("rank must be at least 1")
-        for name in ("k_long", "k_short", "N"):
-            if not isinstance(getattr(self, name), Scalar):
+        for name, value in (("k_long", k_long), ("k_short", k_short), ("N", N)):
+            if not isinstance(value, Scalar):
                 raise TypeError(f"{name} must be a Scalar")
-        if self.type == "A" and (self.k_short or self.N):
+        if type == "A" and (k_short or N):
             raise ValueError("type A admits only the single parameter k_long")
-        if self.type == "D" and self.k_short:
+        if type == "D" and k_short:
             raise ValueError("type D forces k_short = 0")
+        return super().__new__(cls, type, n, k_long, k_short, N)
 
     def k_for(self, root: Root) -> Scalar:
         return self.k_short if root.kind == "short" else self.k_long
@@ -178,6 +176,16 @@ Terms = dict[PbwMonomial, Scalar]
 # A PbwMonomial from a (exps, cliff, w) tuple, skipping the Python-level
 # NamedTuple __new__ on the engine's hot path.
 _new_mono = partial(tuple.__new__, PbwMonomial)
+
+
+def _signed_product(sign: int, a: Scalar, b: Scalar) -> Scalar:
+    """sign * a * b, taking a factor +-1 (the singletons) by value."""
+    if b is ONE or b is MINUS_ONE:
+        a, b = b, a
+    if a is ONE or a is MINUS_ONE:
+        return b if (sign > 0) == (a is ONE) else -b
+    product = a * b
+    return product if sign > 0 else -product
 
 
 def _add_term(terms: dict, key, coef: Scalar) -> None:
@@ -390,7 +398,7 @@ class Algebra:
         for b, g, coef in terms:
             for exps, h, coef2 in self._x_times_x(a, b):
                 sign, mask = cliff_mul(h, g)
-                _add_term(out, (exps, mask), coef * coef2 if sign > 0 else -(coef * coef2))
+                _add_term(out, (exps, mask), _signed_product(sign, coef, coef2))
 
     def _s_times_x(self, idx: int, b: tuple[int, ...]) -> tuple:
         """s_idx * x^b in normal form, as ((exps, cliff, v, coefficient), ...),
@@ -421,8 +429,7 @@ class Algebra:
         for b1, g, v, coef in self._s_times_x(idx, rest):
             for exps, h, coef2 in self._x_times_x(self._units[target - 1], b1):
                 s2, mask = cliff_mul(h, g)
-                term = coef * coef2
-                _add_term(out, (exps, mask, v), term if sign * s2 > 0 else -term)
+                _add_term(out, (exps, mask, v), _signed_product(sign * s2, coef, coef2))
         # The corrections c^mask x^rest = (-1)^{sum_{i in mask} rest_i} x^rest c^mask.
         odd = _odd_mask(rest)
         for coef, mask in corrections:
@@ -457,9 +464,8 @@ class Algebra:
                 for b2, h, v, coef2 in self._s_times_x(idx, b1):
                     sign, moved = self._perm_on_cliff(v, g)
                     s2, mask = cliff_mul(h, moved)
-                    term = coef * coef2
                     _add_term(out, (b2, mask, self._group_mul(v, u)),
-                              term if sign * s2 > 0 else -term)
+                              _signed_product(sign * s2, coef, coef2))
             cached = tuple((b, _odd_mask(b), g, u, UNITS.get(c, c))
                            for (b, g, u), c in out.items())
         self._wx_cache[key] = cached

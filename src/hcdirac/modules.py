@@ -23,8 +23,9 @@ realisation is one `Matrix.sum_of_products` over its words, and a relation
 coef0 * w0 + sum(rest) = 0 is two, compared as coef0 * w0 = -sum(rest): all
 factors but the last are multiplied out, and the last is applied column by
 column straight into the sum, so no product of a whole word is stored.  A
-group element w is one factor pi(w), cached and built with one product from
-the element one letter shorter.
+group element w is one factor pi(w), cached and built with one product
+pi(s) pi(s w) from the element one left descent s shorter, with no
+enumeration of the group.
 
 The induced module X_lambda = H (x)_{H_lambda} St_lambda has the basis
 w_t (x) c^mask, with w_t the minimal coset representatives and c^mask the
@@ -95,21 +96,22 @@ class ModuleRep:
     # -- matrix realisation ----------------------------------------------
 
     def group_matrix(self, w: SignedPerm) -> Matrix:
-        """pi(w) = pi(w s) pi(s) for the last letter s of w's reduced word.
+        """pi(w) = pi(s) pi(s w) for the least left descent s of w.
 
-        Reduced words are prefix-closed, so w s has the word without that
-        letter: each element costs one product, and the cache holds the
-        prefix closure of the elements asked for.
+        s w is one letter shorter (`RootSystemCtx.left_descent` reads s off
+        the window), so each element costs one product, the cache holds the
+        descent chains of the elements asked for, and no reduced word of the
+        whole group is built.
         """
         cached = self._group_cache.get(w)
         if cached is None:
-            word = self.ctx.reduced_word(w)
-            if not word:
+            idx = self.ctx.left_descent(w)
+            if idx is None:
                 cached = Matrix.identity(self.dim)
             else:
-                s = self.gens[self.ctx.simple_names[word[-1]]]
-                rest = w * self.ctx.simple_reflections[word[-1]]
-                cached = s if len(word) == 1 else self.group_matrix(rest) * s
+                s = self.gens[self.ctx.simple_names[idx]]
+                rest = self.ctx.simple_reflections[idx] * w
+                cached = s if rest.is_identity() else s * self.group_matrix(rest)
             self._group_cache[w] = cached
         return cached
 

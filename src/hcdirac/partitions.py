@@ -9,20 +9,20 @@ computes three independent ways and cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A partition as a non-increasing tuple of positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(p, int) and p > 0 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"parts must be non-increasing: {self.parts}")
+    def __new__(cls, parts: tuple[int, ...]) -> Partition:
+        if not all(isinstance(p, int) and p > 0 for p in parts):
+            raise ValueError(f"parts must be positive integers: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"parts must be non-increasing: {parts}")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:

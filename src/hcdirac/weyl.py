@@ -3,35 +3,34 @@
 Roots are stored symbolically (difference, sum or single-coordinate kind)
 rather than as vectors, which keeps the positive-root ordering and the
 long/short classification explicit.  Group elements are signed permutations
-in window notation; reduced words come from a breadth-first search over the
-Cayley graph, which is trivially correct at the desk scales this package
-targets (group order at most a few thousand).
+in window notation.  The engine and the modules step down by left descents
+read off the window; whole reduced words come from a breadth-first search
+over the Cayley graph, which is trivially correct at the desk scales this
+package targets (group order at most a few thousand).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 
 _KINDS = ("diff", "sum", "short")
 
 
-@dataclass(frozen=True, order=False)
-class Root:
+class Root(namedtuple("Root", "kind i j")):
     """A root e_i - e_j (diff), e_i + e_j (sum) or e_i (short)."""
 
-    kind: str
-    i: int
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown root kind {self.kind!r}")
-        if self.kind == "short":
-            if self.j != 0 or self.i < 1:
+    def __new__(cls, kind: str, i: int, j: int = 0) -> Root:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown root kind {kind!r}")
+        if kind == "short":
+            if j != 0 or i < 1:
                 raise ValueError("short root takes a single index")
-        elif not 1 <= self.i < self.j:
+        elif not 1 <= i < j:
             raise ValueError("diff/sum roots require 1 <= i < j")
+        return super().__new__(cls, kind, i, j)
 
     def coords(self) -> dict[int, int]:
         if self.kind == "diff":

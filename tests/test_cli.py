@@ -204,6 +204,23 @@ def test_negative_non_rational_exits_two(capsys, argv):
     assert "usage:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steinberg", "--type", "A", "--n", "5", "--k", "1"],
+    ["steinberg", "--type", "B", "--n", "4", "--k", "1", "--ks", "1"],
+    ["steinberg", "--type", "D", "--n", "4", "--k", "1"],
+], ids=["A5", "B4", "D4"])
+def test_steinberg_enumerates_no_group(capsys, monkeypatch, argv):
+    """pi(w) comes from left descents: no run asks for a reduced word, whose
+    table is a search over the whole group."""
+    def refuse(self, *args):
+        raise AssertionError(f"{self} enumerated its group")
+
+    for name in ("_build_words", "reduced_word", "elements"):
+        monkeypatch.setattr(hcdirac.RootSystemCtx, name, refuse)
+    code, report = run_cli(capsys, argv)
+    assert code == 0 and report["status"] == "pass"
+
+
 def test_steinberg_accepts_the_forced_n(capsys):
     code, report = run_cli(
         capsys, ["steinberg", "--type", "D", "--n", "3", "--k", "1", "--N", "4"]

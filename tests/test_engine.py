@@ -415,6 +415,22 @@ def test_memo_tables_store_units_as_singletons(params):
     _assert_units_are_singletons(alg)
 
 
+def test_w_times_x_at_unit_k_makes_no_product(monkeypatch):
+    """At k = 1 the memo entries of w x^b take every +-1 structure constant
+    by value, and no other constant occurs for |b| <= 2."""
+    alg = Algebra(AlgebraParams("A", 4, ONE))  # W(A3) = S_4
+    products = []
+    real = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(1) or real(x, y))
+    for exps in itertools.product(range(3), repeat=4):
+        if sum(exps) <= 2:
+            for w in alg.ctx.elements():
+                alg._w_times_x(w, exps)
+    monkeypatch.undo()
+    assert len(alg._wx_cache) == 15 * 24 and products == []
+    _assert_units_are_singletons(alg)
+
+
 def test_unit_structure_constants_cost_one_product_per_term_pair(monkeypatch):
     # At k = 1 every structure constant of these words is +-1, so the only
     # products are the ca * cb of the term pairs.

@@ -1,5 +1,6 @@
 """Every name a test file or package module imports is used in that file,
-and every definition in the package is referred to somewhere.
+every definition in the package is referred to somewhere, and importing the
+CLI loads no module it does not need.
 
 The package's `__init__.py` is not scanned for unused imports: its imports
 are the package's exports.
@@ -8,6 +9,9 @@ are the package's exports.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,14 @@ def test_no_dead_definitions_in_package():
     package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert "engine.py" in package
     assert dead_definitions(package, [path.read_text() for path in REFERRING_FILES]) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI run imports the package first, so its import time is part
+    of every check; `dataclasses` alone pulls in `inspect`, `ast` and `dis`.
+    -S keeps the site packages of the host out of the count."""
+    code = "import sys, hcdirac.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -118,7 +118,7 @@ def test_engine_and_modules_share_generator_names(typ, n):
         assert set(module.gens) == words
 
 
-@pytest.mark.parametrize("typ,n", [("A", 3), ("B", 3), ("D", 4)])
+@pytest.mark.parametrize("typ,n", [("A", 3), ("A", 4), ("B", 3), ("D", 4)])
 def test_group_matrix_is_product_along_reduced_word(typ, n):
     base = AlgebraParams(typ, n, ONE, k_short=ONE if typ == "B" else ZERO)
     params = base if typ == "A" else AlgebraParams(
