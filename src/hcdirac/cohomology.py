@@ -20,8 +20,9 @@ ker D^2 = ker(pi(Omega_Seg) - c0).
 
 - If m(c0) != 0, then pi(Omega_Seg) - c0 is invertible, hence so is pi(D):
   H_D = 0, and neither pi(D) nor (d) is formed.
-- If m = (t - c0) q with q(c0) != 0, then e = q(Omega_Seg) / q(c0) is an
-  idempotent of Z(Seg)_0, since m divides q (q - q(c0)).  Its image under
+- Otherwise m = (t - c0) q with q(c0) != 0, as the roots of m are distinct
+  (see below), and e = q(Omega_Seg) / q(c0) is an idempotent of
+  Z(Seg)_0, since m divides q (q - q(c0)).  Its image under
   pi is exactly ker(pi(Omega_Seg) - c0), so dim ker D^2 = tr pi(e).  Each
   signed term of z_O is a conjugate of the first monomial f_O, so
   tr pi(e) = sum_O e_O |O| tr pi(f_O), where e_O are the class-sum
@@ -38,18 +39,15 @@ ker D^2 = ker(pi(Omega_Seg) - c0).
   over strict partitions mu of n, a statement of the paper.
 
 Fallback.  Exact elimination runs when a premise fails or does not apply:
-(b) or (c) fails, (d) fails (k = i), c0 is a double root of m, or the type
-is B or D or n > 7, where no class-sum table is built.  (a) or (e) failing,
-or an m whose roots are not the table's in type A, raises instead.  The
-fallback forms ker D, and ker D^2 and ker D cap im D only when (d) fails.
-When the intersection is zero and (b) and (c) hold, D^2 kills ker D, so
-Omega_Seg acts on it by c0 and that is the spectrum.  Otherwise the
-spectrum of Omega_Seg is taken on the quotient, after Seg is checked to
-keep ker D and ker D cap im D: the engine checks g D = +-D g for each Seg
-generator g, so pi(g) keeps ker D, and g D w = +-D g w shows that it keeps
-ker D cap im D.  Candidate eigenvalues come from the k^2 |phi(mu)|^2 table
-and one exact kernel dimension is taken per candidate;
-`dirac_cohomology` marks a spectrum the table does not exhaust incomplete.
+(b) or (c) fails, (d) fails (k = i), or the type is B or D or n > 7, where
+no class-sum table is built.  (a) or (e) failing, or an m whose roots are
+not the table's in type A, raises instead.  Whatever the route, the spectrum
+is read off D^2 = c0 - Omega_Seg: it kills ker D, so Omega_Seg acts on H_D
+by c0.  The intersection is never built: D maps ker D^2 onto ker D cap im D
+with kernel ker D, so dim(ker D cap im D) = dim ker D^2 - dim ker D.  Each
+of the two dimensions comes from the trace, from (d), or from one
+elimination.  With c0 unknown, a nonzero H_D has no spectrum and is marked
+incomplete.
 """
 
 from __future__ import annotations
@@ -58,9 +56,9 @@ import functools
 from typing import NamedTuple
 
 from .centers import MAX_CENTER_N, center_multiplication, class_sums, minimal_polynomial
-from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element, seg_commutators
+from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
 from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for
-from .linalg import Matrix, Subspace, add_scaled, quotient_matrix
+from .linalg import Matrix, Subspace, add_scaled
 from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
 from .scalars import ONE, ZERO, Scalar
@@ -125,7 +123,7 @@ def central_character(module: ModuleRep) -> CentralCharacter:
 
 
 # ---------------------------------------------------------------------------
-# Spectra of Omega_Seg.
+# dim ker D^2 from the center of Seg.
 
 
 def _phi_values(params: AlgebraParams) -> list[Scalar]:
@@ -137,24 +135,6 @@ def _phi_values(params: AlgebraParams) -> list[Scalar]:
         if value not in seen:
             seen.append(value)
     return seen
-
-
-def _candidate_eigenvalues(params: AlgebraParams) -> list[Scalar]:
-    values = _phi_values(params)
-    return values if ZERO in values else values + [ZERO]
-
-
-def _spectrum_of(matrix: Matrix, candidates) -> tuple[list[tuple[Scalar, int]], bool]:
-    """Eigenvalues found among candidates with multiplicities; flag completeness."""
-    spectrum = []
-    total = 0
-    for value in candidates:
-        shifted = matrix - Matrix.identity(matrix.nrows).scale(value)
-        mult = Subspace.kernel(shifted).dim
-        if mult:
-            spectrum.append((value, mult))
-            total += mult
-    return spectrum, total == matrix.nrows
 
 
 # Polynomials are coefficient lists from degree 0 up.
@@ -210,8 +190,8 @@ def _seg_data(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem):
     return constant, (table, mult, minpoly)
 
 
-def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int | None:
-    """dim ker(pi(Omega_Seg) - c0) = tr pi(e), or None when c0 is a double root of m.
+def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int:
+    """dim ker(pi(Omega_Seg) - c0) = tr pi(e).
 
     center = (class sums, M, m).  (f) is checked first.  When m(c0) != 0
     the kernel is 0.  Otherwise m = (t - c0) q and
@@ -226,8 +206,6 @@ def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int | None:
     if at_c0:
         return 0
     q_c0 = _divide_linear(q, c0)[1]
-    if not q_c0:
-        return None
     zero_exps = (0,) * module.params.n
     total = ZERO
     for o, coord in _poly_apply(q, mult, start).items():
@@ -279,40 +257,24 @@ class CohomologyReport(NamedTuple):
         }
 
 
-def _omega_seg_spectrum(
-    module: ModuleRep, D: AlgElem, omega_seg: AlgElem, ker: Subspace, inter: Subspace
-) -> tuple[list[tuple[Scalar, int]], bool]:
-    """The spectrum of pi(Omega_Seg) on ker D / inter, once Seg is checked to keep both."""
-    for key, residual in seg_commutators(module.params, D):
-        if not residual.is_zero():
-            raise AssertionError(f"Seg generator {key} does not stabilise H_D data")
-    if not omega_seg.is_seg():
-        raise AssertionError("Omega_Seg does not lie in Seg")
-    quotient = quotient_matrix(module.act(omega_seg), ker, inter)
-    return _spectrum_of(quotient, _candidate_eigenvalues(module.params))
-
-
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
-    """ker pi(D) / (ker cap im): dim H_D = tr pi(e) when premises (a)-(f) hold.
+    """ker pi(D) / (ker cap im), with Omega_Seg acting on it by c0 = chi + K.
 
     (a) the module's relations are certified (now, if it was built
     unchecked); (c) chi = pi(Omega_H) is read off `act`; (b), (e) and m are
-    certified once per parameter set (`_seg_data`).  With c0 = chi + K:
+    certified once per parameter set (`_seg_data`).  Two facts give the
+    whole report:
 
-    - m(c0) != 0: H_D = 0 with the empty spectrum; pi(D) is not formed.
-    - m = (t - c0) q, q(c0) != 0: dim ker D^2 = tr pi(e) for
-      e = q(Omega_Seg) / q(c0).  A zero trace gives H_D = 0.  Otherwise
-      pi(D) is formed and (d) pi(D)^dagger = -pi(D) checked; then
-      H_D = ker D = ker D^2, and the spectrum is [(c0, tr pi(e))].
+    - D^2 = c0 - Omega_Seg kills ker D, so Omega_Seg acts on H_D by c0 and
+      the spectrum is [(c0, dim H_D)].  With c0 unknown ((b) or (c)
+      failing) a nonzero H_D has the empty spectrum, marked incomplete.
+    - D maps ker D^2 onto ker D cap im D with kernel ker D, so
+      dim(ker D cap im D) = dim ker D^2 - dim ker D.
 
-    Otherwise (type B or D, (b) or (c) failing, a double root, or (d)
-    failing) ker D is found by elimination.  Under (d) ker D cap im D = 0
-    and ker D^2 = ker D; without it, dim(ker D cap im D) =
-    dim ker D^2 - dim ker D, and the intersection is built only when that is
-    nonzero.  ker D = 0 gives the empty spectrum.  A zero intersection with
-    (b) and (c) gives [(c0, dim ker D)], as D^2 = c0 - Omega_Seg kills
-    ker D.  Anything else is taken on the quotient, after Seg-stability is
-    checked in the engine; see the module docstring.
+    dim ker D^2 is tr pi(e) when the class sums exist; a zero trace gives
+    H_D = 0 with pi(D) not formed.  Otherwise it is dim ker D under (d)
+    pi(D)^dagger = -pi(D), or one elimination of D^2.  dim ker D is
+    tr pi(e) under (d), and one elimination otherwise.
     """
     params = module.params
     module.certify_relations()
@@ -320,49 +282,32 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     chi = module.act(omega_h).scalar_value()
     constant, center = _seg_data(D, omega_h, omega_seg)
     c0 = None if chi is None or constant is None else chi + constant
-    d_mat = None
-    dim_hd = None
+    dim_ker_sq = None
     if c0 is not None and center is not None:
-        dim_hd = _idempotent_trace(module, center, c0)
-        if dim_hd:
-            d_mat = module.act(D)
-            if d_mat.conj_transpose() != -d_mat:
-                dim_hd = None
-    if dim_hd is not None:
-        dim_ker = dim_ker_sq = dim_hd
-        dim_inter = 0
-        spectrum, complete = ([(c0, dim_hd)] if dim_hd else []), True
-    else:
-        if d_mat is None:
-            d_mat = module.act(D)
-        ker = Subspace.kernel(d_mat)
-        inter = Subspace(d_mat.nrows)
-        dim_ker_sq = ker.dim
-        if ker.dim and d_mat.conj_transpose() != -d_mat:
-            dim_ker_sq = Subspace.kernel(d_mat * d_mat).dim
-            if dim_ker_sq > ker.dim:
-                inter = ker.intersect(Subspace.image(d_mat))
-        if not ker.dim:
-            spectrum, complete = [], True
-        elif not inter.dim and c0 is not None:
-            spectrum, complete = [(c0, ker.dim)], True
-        else:
-            spectrum, complete = _omega_seg_spectrum(module, D, omega_seg, ker, inter)
-        dim_ker, dim_inter = ker.dim, inter.dim
-    ksq = params.k_long * params.k_long
+        dim_ker_sq = _idempotent_trace(module, center, c0)
+    dim_ker = dim_ker_sq
+    if dim_ker_sq != 0:
+        d_mat = module.act(D)
+        skew = d_mat.conj_transpose() == -d_mat
+        if dim_ker is None or not skew:
+            dim_ker = Subspace.kernel(d_mat).dim
+        if dim_ker_sq is None:
+            dim_ker_sq = dim_ker if skew or not dim_ker else Subspace.kernel(d_mat * d_mat).dim
+    dim_hd = 2 * dim_ker - dim_ker_sq
+    spectrum = [(c0, dim_hd)] if dim_hd and c0 is not None else []
+    complete = not dim_hd or c0 is not None
     matched = []
-    for mu in distinct_partitions(params.n):
-        _, norm_sq, _ = phi_maps(mu)
-        if any(value == ksq * norm_sq for value, _ in spectrum):
-            matched.append(str(mu))
+    if spectrum:
+        ksq = params.k_long * params.k_long
+        matched = [str(mu) for mu in distinct_partitions(params.n) if ksq * phi_maps(mu)[1] == c0]
     return CohomologyReport(
         module=module.summary(),
         lam=str(module.lam) if module.lam is not None else None,
         k=params.k_long.compact(),
         dim_ker=dim_ker,
         dim_im=module.dim - dim_ker,
-        dim_im_cap_ker=dim_inter,
-        dim_hd=dim_ker - dim_inter,
+        dim_im_cap_ker=dim_ker_sq - dim_ker,
+        dim_hd=dim_hd,
         ker_equals_ker_sq=(dim_ker == dim_ker_sq),
         spectrum=spectrum,
         spectrum_complete=complete,

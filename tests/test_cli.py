@@ -317,6 +317,10 @@ REPORT_DIGESTS = [
      "35fb06c3ff3a18cbc5ff0fa15ad09f7476add9cea7872df98c1cbaad5bdc0e33"),
     (["cohomology", "--lambda", "2,1,1", "--k", "1"],
      "df0ebf68eef2da8a50ce292a416086c399ed92abf846d4e41724808fed7b7b04"),
+    # n = 8 has no class sums: ker D by elimination, the one route the CLI
+    # can reach without the trace.
+    (["cohomology", "--lambda", "8", "--k", "1"],
+     "dca72ed5d8c2f23d6589f4ba83254d5cad6f2a32651affa70f7563a5cf920d57"),
     (["steinberg", "--type", "A", "--n", "4", "--k", "1"],
      "46a1343c30fef896eacb9435ffa81a94a512a1f72d277e145aaf7c39b66ab13a"),
     (["steinberg", "--type", "B", "--n", "3", "--k", "1", "--ks", "1/2"],

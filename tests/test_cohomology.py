@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,11 @@ from hcdirac import cli, cohomology
 from hcdirac.centers import center_multiplication, class_sums
 from hcdirac.cohomology import (
     CentralCharacter,
-    _candidate_eigenvalues,
     _divide_linear,
     _idempotent_trace,
+    _phi_values,
     _poly_apply,
     _seg_data,
-    _spectrum_of,
     central_character,
     dirac_cohomology,
     expected_central_character,
@@ -130,19 +130,32 @@ def test_seg_stability_from_engine_matches_kernel_stability():
             assert ker.is_invariant(module.gens[key])
 
 
-def test_broken_c_anticommutation_is_named(monkeypatch):
-    # E = Omega_H - 2k^2 acts by 0 on the A2 Steinberg module and commutes with
-    # W, but c_i E + E c_i = 2 c_i E != 0: D + E realises as D, so only the
-    # engine check can see the broken anticommutation, and it names c1.
+def _broken_dirac(params):
+    # E = Omega_H - 2k^2 acts by 0 on the A2 Steinberg module and on X_(2,1)
+    # at k = 1, and commutes with W, but c_i E + E c_i = 2 c_i E != 0: D + E
+    # realises as D, and only the engine sees that it fails (b).
+    omega_h, _ = casimirs(params)
+    return dirac_element(params) + omega_h - algebra_for(params).scalar(TWO)
+
+
+def test_broken_c_anticommutation_reports_incomplete(monkeypatch, capsys):
     params = AlgebraParams("A", 2, ONE)
     module = steinberg_module(params)
-    omega_h, _ = casimirs(params)
-    extra = omega_h - algebra_for(params).scalar(TWO)
-    assert module.act(extra).is_zero()
-    broken = dirac_element(params) + extra
-    monkeypatch.setattr(cohomology, "dirac_element", lambda p: broken)
-    with pytest.raises(AssertionError, match="Seg generator c1 does not"):
-        dirac_cohomology(module)
+    broken = _broken_dirac(params)
+    assert module.act(broken - dirac_element(params)).is_zero()
+    assert _seg_data(broken, *casimirs(params)) == (None, None)
+    monkeypatch.setattr(cohomology, "dirac_element", _broken_dirac)
+    kernels = _count_kernels(monkeypatch)
+    report = dirac_cohomology(module)
+    # c0 is unknown: ker D comes from elimination, ker D^2 from (d), and the
+    # nonzero H_D gets no spectrum.
+    assert kernels == [module.act(broken)]
+    assert (report.dim_ker, report.dim_hd, report.dim_im_cap_ker) == (module.dim, module.dim, 0)
+    assert (report.spectrum, report.spectrum_complete, report.status) == ([], False, "incomplete")
+    assert cli.main(["cohomology", "--lambda", "2,1", "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "fail"
+    assert "Traceback" not in captured.err
 
 
 def test_unchecked_module_is_certified_before_stability():
@@ -151,8 +164,8 @@ def test_unchecked_module_is_certified_before_stability():
     assert unchecked.relations is None
     assert dirac_cohomology(unchecked) == dirac_cohomology(good)
     assert unchecked.relations == good.relations
-    # x1 negated breaks s1_x1 and s1_x2 but leaves ker D nonzero, so the
-    # stability argument is reached, and refused.
+    # x1 negated breaks s1_x1 and s1_x2 but leaves ker D nonzero; the
+    # relation check refuses the module before any dimension is read.
     gens = dict(good.gens, x1=-good.gens["x1"])
     broken = ModuleRep(good.params, "induced", good.parity, gens, lam=good.lam, check=False)
     assert Subspace.kernel(broken.act(dirac_element(good.params))).dim
@@ -269,20 +282,27 @@ def test_dirac_skew_hermitian_on_induced_modules():
         assert d_mat.conj_transpose() == -d_mat
 
 
+def _quotient_spectrum(module, ker, inter):
+    """[(value, dim)] for Omega_Seg on ker / inter, asserted to act there by a scalar."""
+    if ker.dim == inter.dim:
+        return []
+    omega_seg = module.act(casimirs(module.params)[1])
+    value = quotient_matrix(omega_seg, ker, inter).scalar_value()
+    assert value is not None
+    return [(value, ker.dim - inter.dim)]
+
+
 def _assert_matches_direct_computation(module, certified):
-    # dirac_cohomology against ker D^2, ker D cap im D and the quotient
-    # spectrum, computed here with no shortcut.
+    # dirac_cohomology against ker D^2, ker D cap im D and Omega_Seg on the
+    # quotient, computed here by elimination with no shortcut.
     d_mat = module.act(dirac_element(module.params))
     assert (d_mat.conj_transpose() == -d_mat) == certified
     ker = Subspace.kernel(d_mat)
     inter = ker.intersect(Subspace.image(d_mat))
-    omega_seg = module.act(casimirs(module.params)[1])
-    quotient = quotient_matrix(omega_seg, ker, inter)
-    spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(module.params))
     report = dirac_cohomology(module)
     assert report.dim_im_cap_ker == inter.dim
     assert report.ker_equals_ker_sq == (Subspace.kernel(d_mat * d_mat).dim == ker.dim)
-    assert (report.spectrum, report.spectrum_complete) == (spectrum, complete)
+    assert (report.spectrum, report.spectrum_complete) == (_quotient_spectrum(module, ker, inter), True)
 
 
 @pytest.mark.parametrize(
@@ -315,7 +335,7 @@ def test_dirac_cohomology_reads_off_spectrum_outside_candidates(
     # spectrum, with no matrix of Omega_Seg formed.
     base = AlgebraParams(typ, n, ONE, k_short)
     module = steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
-    assert value not in _candidate_eigenvalues(module.params)
+    assert value not in _phi_values(module.params) + [ZERO]
     _, omega_seg = casimirs(module.params)
     assert module.act(omega_seg).scalar_value() == value
     acted = []
@@ -349,7 +369,7 @@ def _count_kernels(monkeypatch):
 @pytest.mark.parametrize(
     "parts, k",
     [(lam.parts, k) for n in range(1, 5) for lam in all_partitions(n) for k in _TRACE_KS]
-    + [((5,), ONE), ((4, 1), ONE), ((3, 2), ONE)],
+    + [((5,), ONE), ((4, 1), ONE), ((3, 2), ONE), ((7,), ONE), ((6, 1), ONE)],
     ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v.compact(),
 )
 def test_trace_path_matches_elimination(parts, k, monkeypatch):
@@ -361,12 +381,7 @@ def test_trace_path_matches_elimination(parts, k, monkeypatch):
     d_mat = module.act(dirac_element(module.params))
     assert d_mat.conj_transpose() == -d_mat  # so ker D cap im D = 0
     ker = Subspace.kernel(d_mat)
-    spectrum = []
-    if ker.dim:
-        omega = module.act(casimirs(module.params)[1])
-        quotient = quotient_matrix(omega, ker, Subspace(module.dim))
-        spectrum, complete = _spectrum_of(quotient, _candidate_eigenvalues(module.params))
-        assert complete
+    spectrum = _quotient_spectrum(module, ker, Subspace(module.dim))
     assert (report.dim_ker, report.dim_hd, report.dim_im_cap_ker) == (ker.dim, ker.dim, 0)
     assert (report.spectrum, report.spectrum_complete) == (spectrum, True)
     assert report.ker_equals_ker_sq and report.dim_im == module.dim - ker.dim
@@ -375,11 +390,18 @@ def test_trace_path_matches_elimination(parts, k, monkeypatch):
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
 def test_failed_skew_certificate_falls_back_to_elimination(parts, monkeypatch):
     # At k = i, pi(D)^dagger != -pi(D): tr pi(e) is dim ker D^2, which need
-    # not be dim ker D, so ker D is eliminated.
+    # not be dim ker D, so ker D alone is eliminated, and Omega_Seg is never
+    # formed as a matrix.
     module = cached_module(parts, I)
+    omega_seg = casimirs(module.params)[1]
+    d_mat = module.act(dirac_element(module.params))
     kernels = _count_kernels(monkeypatch)
+    acted = []
+    act = module.act
+    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
     dirac_cohomology(module)
-    assert kernels and kernels[0] == module.act(dirac_element(module.params))
+    assert kernels == [d_mat]
+    assert omega_seg not in acted
 
 
 @pytest.mark.parametrize(
