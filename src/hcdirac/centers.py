@@ -9,6 +9,11 @@ orbit of even monomials, and an orbit reached with both signs contributes
 nothing (Karpilovsky, Projective Representations of Finite Groups, 1985).
 There is one class sum per strict partition of n (Sergeev, 1985).
 
+`jucys_murphy` serves both zeta' and the type-A modules: summed from the
+first index of i's block of lambda instead of from 1, it is the
+Jucys-Murphy element of S_lambda, which is how x_i acts on St_lambda
+(Nazarov, Adv. Math. 127, 1997).
+
 The class sums are also coordinates on Z(Seg_n)_0: a central element is
 read at the first monomial of every class (`center_coords`), multiplication
 by one is an r x r matrix (`center_multiplication`), and its minimal
@@ -36,11 +41,15 @@ from .scalars import ONE, SQRT2, ZERO, Scalar
 from .weyl import Root, SignedPerm, reflection_perm
 
 
-def jucys_murphy(n: int, i: int, k: Scalar) -> AlgElem:
-    """zeta'(x_i) = k * sum_{j<i} s_{ij}(1 - c_i c_j), an element of Seg_n."""
+def jucys_murphy(n: int, i: int, k: Scalar, start: int = 1) -> AlgElem:
+    """k * sum_{start<=j<i} s_{ij}(1 - c_i c_j), an element of Seg_n.
+
+    With start = 1 it is zeta'(x_i); with start the first index of i's block
+    of lambda it is x_i on St_lambda.
+    """
     alg = algebra_for(AlgebraParams("A", n, k))
     total = alg.zero()
-    for j in range(1, i):
+    for j in range(start, i):
         s_ij = alg.w(reflection_perm(Root("diff", j, i), n))
         inner = alg.one() - alg.multiply(alg.c(i), alg.c(j))
         total = total + alg.multiply(s_ij, inner).scale(k)

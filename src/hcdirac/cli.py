@@ -11,6 +11,8 @@ usage message and no report, before any check runs:
   --trials or --max-r < 1, so that no run passes on an empty check list;
 - a --lambda that is not a comma-separated non-increasing list of positive
   integers;
+- an integer flag or --lambda part that is not ASCII digits after an
+  optional sign, such as 1_0 or a non-ASCII digit;
 - a flag the chosen type does not take (--ks on types A and D, --N on type
   A), and a steinberg --N of type B or D that differs from the forced value
   2(n-1)k^2 + sqrt2 k ks.
@@ -42,6 +44,7 @@ from .partitions import Partition, all_partitions, phi_maps
 from .scalars import ZERO, Scalar
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_FLAGS = ("--k", "--ks", "--N")
 
 
@@ -66,14 +69,18 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _integer(text: str) -> int:
+    # int alone would also take "1_0", " 3" and non-ASCII digits.
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _int_flag(low: int, high: int | None = None):
     """An argparse type: an int in [low, high]."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        value = _integer(text)
         if value < low or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"in {low}..{high}"
             raise argparse.ArgumentTypeError(f"must be {bound}: {value}")
@@ -83,8 +90,9 @@ def _int_flag(low: int, high: int | None = None):
 
 
 def _partition_flag(text: str) -> Partition:
+    parts = tuple(_integer(part) for part in text.split(","))
     try:
-        return Partition.parse(text)
+        return Partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a partition {text!r}: {exc}") from exc
 
@@ -127,7 +135,7 @@ def _add_algebra_flags(sub, with_trials=False):
     sub.add_argument("--N", type=_scalar_flag, default=None)
     if with_trials:
         sub.add_argument("--trials", type=_int_flag(1), default=100)
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_integer, default=0)
 
 
 def _assemble(suite: str, params: dict, checks: list[dict], started: float) -> dict:
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="full verification suite")
     p.add_argument("--n", required=True, type=_int_flag(1))
     p.add_argument("--k", required=True, type=_scalar_flag)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_all)
     return parser
 

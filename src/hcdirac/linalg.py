@@ -29,8 +29,8 @@ or intersection does not depend on which spanning vectors the eliminator
 finds.
 
 `sparse_kernel` is the package's one null-space routine: column elimination
-on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel` and
-`Subspace.intersect`.  Vectors are {index: nonzero} dicts throughout; the
+on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel`,
+`Subspace.intersect` and `centers.minimal_polynomial`.  Vectors are {index: nonzero} dicts throughout; the
 only dense views are those of `Matrix`.
 """
 

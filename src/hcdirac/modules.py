@@ -1,13 +1,14 @@
 """Finite-dimensional modules with exact generator matrices.
 
-Contents: the Steinberg-type modules for types A, B, D (built on the
+Contents: the Steinberg-type modules for types B and D (built on the
 Jordan-Wigner Clifford matrices), the induced modules X_lambda of type A,
-matrix realisation of arbitrary algebra elements, and a relation checker
-that verifies every defining relation as a matrix identity (run by every
-constructor).  Once the relations pass, pi is an algebra homomorphism:
-`act` realises each PBW monomial as the product of its generator matrices,
-so an identity proved in the engine, such as g D = +-D g for the Seg
-generators g, holds for the realised matrices with no matrix computed.
+of which the type-A Steinberg module is X_(n), matrix realisation of
+arbitrary algebra elements, and a relation checker that verifies every
+defining relation as a matrix identity (run by every constructor).  Once
+the relations pass, pi is an algebra homomorphism: `act` realises each PBW
+monomial as the product of its generator matrices, so an identity proved in
+the engine, such as g D = +-D g for the Seg generators g, holds for the
+realised matrices with no matrix computed.
 
 Generator matrices are keyed by the engine's generator names: x1..xn,
 c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
@@ -37,20 +38,22 @@ with w = w_t' u, u in S_lambda, and c^h w_t' = +-w_t' c^eps, it sends
 x_i c^h w of x-degree 1 equals +-c^h (w x_j + corr), where j = w^{-1}(i)
 and corr has x-degree 0; it adds the block of c^h w times x_j on
 St_lambda, and the blocks of the words of c^h corr, multiplied once per
-word and w_t rather than once per basis vector.  Generators have x-degree
-at most 1, and the builder refuses anything of higher degree.
+word and w_t rather than once per basis vector.  x_j on St_lambda is the
+Jucys-Murphy element of S_lambda (`centers.jucys_murphy`), summed over the
+same blocks.  Generators have x-degree at most 1, and the builder refuses
+anything of higher degree.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .centers import jucys_murphy
 from .engine import (
     AlgebraParams,
     AlgElem,
     PbwMonomial,
     algebra_for,
-    cliff_insert,
     cliff_mul,
     defining_relations,
     perm_on_cliff,
@@ -58,7 +61,7 @@ from .engine import (
 from .linalg import Matrix
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
-from .weyl import Root, SignedPerm, reflection_perm
+from .weyl import SignedPerm
 
 
 class ModuleRep:
@@ -225,52 +228,6 @@ def clifford_c_matrices(n: int) -> tuple[list[Matrix], list[int]]:
 # Steinberg-type modules.
 
 
-def _signed_permutation(moves: list[tuple[int, int]], nrows: int | None = None) -> Matrix:
-    """The matrix sending basis vector j to sign * basis vector m, for (sign, m) = moves[j].
-
-    It is square unless nrows is given.
-    """
-    rows = len(moves) if nrows is None else nrows
-    return Matrix.from_sparse([{m: ONE if sign > 0 else -ONE} for sign, m in moves], rows)
-
-
-def _cl_basis_w_matrix(w: SignedPerm, n: int) -> Matrix:
-    """Action of a group element on the Clifford-monomial basis of Cl_n."""
-    return _signed_permutation([perm_on_cliff(w, mask) for mask in range(1 << n)])
-
-
-def _cl_basis_c_matrix(i: int, n: int) -> Matrix:
-    return _signed_permutation([cliff_insert(i, mask) for mask in range(1 << n)])
-
-
-def _st_lambda_x_matrix(i: int, lam: Partition, k: Scalar, n: int) -> Matrix:
-    """x_i on St_lambda: k * sum over same-block j < i of s_{ij}(1 - c_i c_j).
-
-    One `Matrix.sum_of_products` over the words k * s_ij and -k * s_ij c_i c_j.
-    """
-    start, _ = next(b for b in lam.blocks() if b[0] <= i <= b[1])
-    ci = _cl_basis_c_matrix(i, n)
-    terms = []
-    for j in range(start, i):
-        sij = _cl_basis_w_matrix(reflection_perm(Root("diff", j, i), n), n)
-        terms += [(k, [sij]), (-k, [sij, ci, _cl_basis_c_matrix(j, n)])]
-    return Matrix.sum_of_products(terms, 1 << n, 1 << n)
-
-
-def _steinberg_a(params: AlgebraParams) -> ModuleRep:
-    n = params.n
-    lam = Partition((n,))
-    gens: dict[str, Matrix] = {}
-    for i in range(1, n + 1):
-        gens[f"c{i}"] = _cl_basis_c_matrix(i, n)
-        gens[f"x{i}"] = _st_lambda_x_matrix(i, lam, params.k_long, n)
-    ctx = algebra_for(params).ctx
-    for name, s in zip(ctx.simple_names, ctx.simple_reflections):
-        gens[name] = _cl_basis_w_matrix(s, n)
-    parity = [mask.bit_count() & 1 for mask in range(1 << n)]
-    return ModuleRep(params, "steinberg", parity, gens, lam=lam)
-
-
 def forced_n_constant(params: AlgebraParams) -> Scalar:
     """The N value for which the Steinberg module of type B/D exists."""
     base = TWO * (params.n - 1) * params.k_long * params.k_long
@@ -309,9 +266,9 @@ def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:
 
 
 def steinberg_module(params: AlgebraParams) -> ModuleRep:
-    """The Steinberg-type module; for B/D the N parameter is forced."""
+    """The Steinberg-type module: X_(n) in type A; for B/D the N parameter is forced."""
     if params.type == "A":
-        return _steinberg_a(params)
+        return _build_induced(Partition((params.n,)), params.k_long, "steinberg")
     if params.N != forced_n_constant(params):
         raise ValueError(
             f"type {params.type} Steinberg module requires N = "
@@ -382,11 +339,19 @@ class _InducedBuilder:
         self.blocks = lam.blocks()
         self.coset_of = {_coset_key(rep, self.blocks): t for t, rep in enumerate(self.reps)}
         self._factor_cache: dict[SignedPerm, tuple[int, SignedPerm]] = {}
-        self.st_x = [
-            _st_lambda_x_matrix(i, lam, k, self.n) for i in range(1, self.n + 1)
-        ]
         self._block_cache: dict[tuple[int, SignedPerm], Matrix] = {}
         self._push_cache: dict[tuple[int, SignedPerm], tuple[int, AlgElem]] = {}
+        # x_i on St_lambda is the Jucys-Murphy element of S_lambda.  Its words
+        # lie in S_lambda, the coset of reps[0] = 1, so their blocks fill row
+        # block 0 only, which is St_lambda itself.
+        assert self.reps[0].is_identity()
+        self.st_x = []
+        for start, stop in self.blocks:
+            for i in range(start, stop + 1):
+                jm = jucys_murphy(self.n, i, k, start)
+                terms = [(coef, [self.seg_block(mono.cliff, mono.w)]) for mono, coef in jm.terms.items()]
+                cols = Matrix.sum_of_products(terms, self.dim, self.cl_dim).cols
+                self.st_x.append(Matrix.from_sparse(cols, self.cl_dim))
 
     def coset_factor(self, w: SignedPerm) -> tuple[int, SignedPerm]:
         """(t, u) with w = w_t * u and u in S_lambda, read off the coset key."""
@@ -409,12 +374,12 @@ class _InducedBuilder:
         if cached is None:
             t, u = self.coset_factor(w)
             sign, eps = perm_on_cliff(self.reps[t].inverse(), cliff)
-            moves = []
+            cols = []
             for mask in range(self.cl_dim):
                 s1, m1 = perm_on_cliff(u, mask)
                 s2, m2 = cliff_mul(eps, m1)
-                moves.append((sign * s1 * s2, t * self.cl_dim + m2))
-            cached = self._block_cache[key] = _signed_permutation(moves, self.dim)
+                cols.append({t * self.cl_dim + m2: ONE if sign * s1 * s2 > 0 else -ONE})
+            cached = self._block_cache[key] = Matrix.from_sparse(cols, self.dim)
         return cached
 
     def push_x(self, i: int, w: SignedPerm) -> tuple[int, AlgElem]:
@@ -457,9 +422,18 @@ class _InducedBuilder:
         return Matrix.from_sparse(cols, self.dim)
 
 
-def induced_module(lam: Partition, k: Scalar) -> ModuleRep:
-    """X_lambda on the basis {minimal coset rep} x {Clifford monomials}."""
+def _build_induced(lam: Partition, k: Scalar, kind: str) -> ModuleRep:
+    """X_lambda, labelled kind.
+
+    Type-A `steinberg_module` calls this, not `induced_module`, so a wrapper
+    of either public name sees only its own builds.
+    """
     builder = _InducedBuilder(lam, k)
     gens = {name: builder.generator_matrix(elem) for name, elem in builder.alg.generators.items()}
     parity = [mask.bit_count() & 1 for _ in builder.reps for mask in range(builder.cl_dim)]
-    return ModuleRep(builder.params, "induced", parity, gens, lam=lam)
+    return ModuleRep(builder.params, kind, parity, gens, lam=lam)
+
+
+def induced_module(lam: Partition, k: Scalar) -> ModuleRep:
+    """X_lambda on the basis {minimal coset rep} x {Clifford monomials}."""
+    return _build_induced(lam, k, "induced")

@@ -146,6 +146,12 @@ def test_flag_errors_exit_two(capsys):
         ["dirac-square", "--type", "D", "--n", "2", "--k", "1", "--ks", "1"],
         ["steinberg", "--type", "B", "--n", "2", "--k", "1", "--ks", "1", "--N", "3"],
         ["steinberg", "--type", "D", "--n", "3", "--k", "1", "--N", "1"],
+        ["phi", "--n", "1_0"],  # int() would read 10
+        ["phi", "--n", "\u0663"],  # Arabic-Indic 3
+        ["cohomology", "--lambda", "\u0662,\u0661", "--k", "1"],
+        ["pbw", "--type", "A", "--n", "2", "--k", "1", "--trials", "1_0"],
+        ["pbw", "--type", "A", "--n", "2", "--k", "1", "--seed", "1_0"],
+        ["all", "--n", "1", "--k", "1", "--seed", "\u0663"],
     ],
 )
 def test_bad_input_exits_two_without_report(capsys, argv):

@@ -15,8 +15,6 @@ from hcdirac.linalg import Matrix
 from hcdirac.modules import (
     ModuleRep,
     _InducedBuilder,
-    _cl_basis_c_matrix,
-    _cl_basis_w_matrix,
     _steinberg_b_ambient,
     check_module_relations,
     clifford_c_matrices,
@@ -55,11 +53,15 @@ def test_steinberg_a_actions():
     p = AlgebraParams("A", 2, ONE)
     st = steinberg_module(p)
     assert st.dim == 4
+    # On the basis 1, c1, c2, c1c2: c_i multiplies from the left, and s12
+    # swaps c1 and c2, so it sends c1c2 to c2c1 = -c1c2.
+    o, m = ONE, -ONE
+    s12 = Matrix([[o, ZERO, ZERO, ZERO], [ZERO, ZERO, o, ZERO], [ZERO, o, ZERO, ZERO], [ZERO, ZERO, ZERO, m]])
+    c1 = Matrix([[ZERO, m, ZERO, ZERO], [o, ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO, m], [ZERO, ZERO, o, ZERO]])
+    c2 = Matrix([[ZERO, ZERO, m, ZERO], [ZERO, ZERO, ZERO, o], [o, ZERO, ZERO, ZERO], [ZERO, m, ZERO, ZERO]])
+    assert (st.gens["s1"], st.gens["c1"], st.gens["c2"]) == (s12, c1, c2)
     assert st.gens["x1"].is_zero()
-    s12 = _cl_basis_w_matrix(SignedPerm((2, 1)), 2)
-    c1, c2 = _cl_basis_c_matrix(1, 2), _cl_basis_c_matrix(2, 2)
-    expected_x2 = s12 * (Matrix.identity(4) - c2 * c1)
-    assert st.gens["x2"] == expected_x2
+    assert st.gens["x2"] == s12 * (Matrix.identity(4) - c2 * c1)
 
 
 def test_steinberg_a_rank_one():
@@ -275,12 +277,13 @@ def test_induced_dimensions(parts, expected):
     assert module.dim == expected
 
 
-def test_induced_of_full_partition_matches_steinberg():
-    lam = Partition((3,))
-    module = induced_module(lam, ONE)
-    st = steinberg_module(AlgebraParams("A", 3, ONE))
-    for key in st.gens:
-        assert module.gens[key] == st.gens[key]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_induced_of_full_partition_matches_steinberg(n):
+    # The type-A Steinberg module is X_(n), pinned by the same digests.
+    for k in ("1", "-1/2", "2/3"):
+        st = steinberg_module(AlgebraParams("A", n, Scalar(Fraction(k))))
+        assert (st.kind, st.lam, st.dim) == ("steinberg", Partition((n,)), 2**n)
+        assert _gens_sha256(st) == _INDUCED_GENS_SHA256[(n,), k]
 
 
 def test_act_matrix_is_algebra_map():
@@ -299,11 +302,25 @@ def test_act_matrix_is_algebra_map():
 
 
 # sha256 of the generator matrices of X_lambda, taken before the block-wise
-# builder; see _gens_sha256 for the text they are the digest of.
+# builder; those of (1,), (2,), (4,) and (5,) were taken from the type-A
+# Steinberg module while it was still built apart from X_(n).  See
+# _gens_sha256 for the text they are the digest of.
 _INDUCED_GENS_SHA256 = {
+    ((1,), "1"): "63c6ae595e219103505b8af9484230fee6503d80649c3bebcb89b9bf22b13cb4",
+    ((1,), "-1/2"): "63c6ae595e219103505b8af9484230fee6503d80649c3bebcb89b9bf22b13cb4",
+    ((1,), "2/3"): "63c6ae595e219103505b8af9484230fee6503d80649c3bebcb89b9bf22b13cb4",
+    ((2,), "1"): "5b6b47ec3fea25315904c6d2255b1949de2f2508372e5c37e4766102f876d2e1",
+    ((2,), "-1/2"): "bbf7d05552fe11c85b89f0fd6a3ae6ad3c10468a680818bd69d2f2d4c251091c",
+    ((2,), "2/3"): "f23d674cd1d280900ddb246fd4ebfb1db8dccc8d84d6feafbfa1442e0ea2da45",
     ((3,), "1"): "19f0c59082f759f8dc2c917d541bd75cb95f7298ea2bb7aa30064520f4219202",
     ((3,), "-1/2"): "c0095aa2cfe85dd0a6a5edf6a6d3888cbcab7bda08045bead652bceb74a950fd",
     ((3,), "2/3"): "8e4e495081004ed87ce21c28893b2b19ea1fe691733b478029025e0de8578e8c",
+    ((4,), "1"): "d71a6f7a7bc7257a89d16a64385f8dea7b82d9c6e92edd7b61d33b3f87597f54",
+    ((4,), "-1/2"): "49f0d09b3edc18ab4e7e64b7e89b2b7415956c38b28d9622b953832d0d4b79f9",
+    ((4,), "2/3"): "1b0ba04a895bdc4774f1f438ee6b9666fd7ceb80e8e7b895aa3883c5f0a9a5ad",
+    ((5,), "1"): "ad6fd990883274d779621eaca3a67885088baf734d9b69e93c0261dc76f57466",
+    ((5,), "-1/2"): "e9b46435b31c8af8c7b14b6a7de7b80ab8aeaadfb1b06989171072f7e2fb032f",
+    ((5,), "2/3"): "034443ce4fea17504538839e19efd9d40fc3bafa3e1c5dc0cb451d62c382e3a0",
     ((2, 1), "1"): "23f4796c6b4fabd1162a9de51f8822f86b4f765063d4d994ab22142533ff7818",
     ((2, 1), "-1/2"): "3a378928d677148c6ffbfe89f2e91ba441dd6113bf8a24da985a2258476ecf93",
     ((2, 1), "2/3"): "1a40e808961c50952bbb2583fec68c1bbe089b9caa6854338f5eface16b008b0",
