@@ -90,9 +90,8 @@ def _int_flag(low: int, high: int | None = None):
 
 
 def _partition_flag(text: str) -> Partition:
-    parts = tuple(_integer(part) for part in text.split(","))
     try:
-        return Partition(parts)
+        return Partition.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a partition {text!r}: {exc}") from exc
 

@@ -350,8 +350,7 @@ class _InducedBuilder:
             for i in range(start, stop + 1):
                 jm = jucys_murphy(self.n, i, k, start)
                 terms = [(coef, [self.seg_block(mono.cliff, mono.w)]) for mono, coef in jm.terms.items()]
-                cols = Matrix.sum_of_products(terms, self.dim, self.cl_dim).cols
-                self.st_x.append(Matrix.from_sparse(cols, self.cl_dim))
+                self.st_x.append(Matrix.sum_of_products(terms, self.cl_dim, self.cl_dim))
 
     def coset_factor(self, w: SignedPerm) -> tuple[int, SignedPerm]:
         """(t, u) with w = w_t * u and u in S_lambda, read off the coset key."""

@@ -9,7 +9,10 @@ computes three independent ways and cross-checks.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
+
+_PART = re.compile(r"[+-]?[0-9]+")
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -45,7 +48,12 @@ class Partition(namedtuple("Partition", "parts")):
 
     @classmethod
     def parse(cls, text: str) -> Partition:
-        return cls(tuple(int(p) for p in text.split(",")))
+        """The partition written as comma-separated ASCII integers, such as "3,1"."""
+        parts = text.split(",")
+        # int alone would also take "2_1", " 3" and non-ASCII digits.
+        if not all(_PART.fullmatch(p) for p in parts):
+            raise ValueError(f"parts must be ASCII integers: {text!r}")
+        return cls(tuple(int(p) for p in parts))
 
 
 def all_partitions(n: int) -> list[Partition]:

@@ -48,6 +48,9 @@ def test_distinct_partitions_order():
 
 def test_partition_parse_and_validation():
     assert Partition.parse("3,1").parts == (3, 1)
+    for text in ["2_1", "\u0662,\u0661", " 3", "3,", ""]:
+        with pytest.raises(ValueError):
+            Partition.parse(text)
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
