@@ -4,9 +4,13 @@ H_D(X) = ker pi(D) / (ker pi(D) cap im pi(D)) for a module pi: H -> End(X).
 Its dimension is the trace of one central idempotent of the Sergeev algebra
 Seg, with no elimination, once six premises are checked exactly:
 
-- (a) the module's defining relations hold, so pi is an algebra map;
+- (a) the module's generating relations hold (`engine.generating_relations`,
+  which imply every defining relation), so pi is an algebra map;
 - (b) D^2 = Omega_H - Omega_Seg + K in the engine, K = `d_squared_constant`;
-- (c) pi(Omega_H) = chi * 1;
+- (c) pi(Omega_H) = chi * 1, read on the 2^n columns of block 0 of X_lambda:
+  Omega_H commutes with every s_i in the engine, and pi(s) carries block
+  to block, one stored column per basis vector, so every block is
+  pi(w_t) of block 0 (`_scalar_action`; the whole pi(Omega_H) otherwise);
 - (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero;
 - (e) Omega_Seg = sum_O a_O z_O over the signed class sums z_O of
   `centers.class_sums`, a basis of Z(Seg)_0, with a_O read at the first
@@ -59,7 +63,7 @@ from .centers import MAX_CENTER_N, center_multiplication, class_sums, minimal_po
 from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
 from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for
 from .linalg import Matrix, Subspace, add_scaled
-from .modules import ModuleRep, induced_module
+from .modules import ModuleRep, induced_module, minimal_coset_reps
 from .partitions import Partition, distinct_partitions, phi_maps
 from .scalars import ONE, ZERO, Scalar
 
@@ -87,32 +91,26 @@ def expected_central_character(lam: Partition, k: Scalar) -> CentralCharacter:
 def central_character(module: ModuleRep) -> CentralCharacter:
     """The multiset of x_i^2 eigenvalues of a quasisimple module.
 
-    Each pi(x_i^2) must act as a scalar either on the whole module or (for
-    induced modules) on the 1 (x) St_lambda slice; quasisimplicity is
-    additionally witnessed by whole-module scalarity of the first two
-    elementary symmetric functions of the x_j^2.
+    Each pi(x_i^2) must act by a scalar on block 0, the slice 1 (x) St_lambda
+    of a module with a lambda (the whole module otherwise), read column by
+    column.  Quasisimplicity is witnessed by the first two elementary
+    symmetric functions e1, e2 of the x_j^2 acting by the matching scalars
+    on the whole module (`_scalar_action`: they commute with every s_i, so
+    block 0 decides them once the blocks are certified).
     """
     n = module.params.n
-    squares = [module.gens[f"x{i}"] * module.gens[f"x{i}"] for i in range(1, n + 1)]
+    alg = algebra_for(module.params)
+    squares = [alg.multiply(alg.x(i), alg.x(i)) for i in range(1, n + 1)]
+    slice_dim = (1 << n) if module.lam is not None else module.dim
     values = []
-    slice_dim = (1 << n) if module.kind == "induced" else module.dim
-    st_slice = Subspace.spanned_by([{j: ONE} for j in range(slice_dim)], module.dim)
     for i, sq in enumerate(squares, start=1):
-        scalar = sq.scalar_value()
-        if scalar is None:
-            scalar = st_slice.eigenvalue(sq)
+        scalar = module.act_columns(sq, slice_dim).scalar_value()
         if scalar is None:
             raise ValueError(f"x_{i}^2 acts non-scalar: not quasisimple")
         values.append(scalar)
-    # Symmetric combinations must be scalar on the whole module.
-    e1 = Matrix.zeros(module.dim, module.dim)
-    for sq in squares:
-        e1 = e1 + sq
-    e2 = Matrix.zeros(module.dim, module.dim)
-    for a in range(n):
-        for b in range(a + 1, n):
-            e2 = e2 + squares[a] * squares[b]
-    e1_scalar, e2_scalar = e1.scalar_value(), e2.scalar_value()
+    e1 = sum(squares, alg.zero())
+    e2 = sum((alg.multiply(squares[a], squares[b]) for a in range(n) for b in range(a + 1, n)), alg.zero())
+    e1_scalar, e2_scalar = _scalar_action(module, e1), _scalar_action(module, e2)
     if e1_scalar is None or e2_scalar is None:
         raise ValueError("symmetric functions of x_i^2 act non-scalar: not quasisimple")
     expect_e1 = sum(values, ZERO)
@@ -120,6 +118,58 @@ def central_character(module: ModuleRep) -> CentralCharacter:
     if e1_scalar != expect_e1 or e2_scalar != expect_e2:
         raise ValueError("slice eigenvalues inconsistent with central action")
     return CentralCharacter.from_values(values)
+
+
+# ---------------------------------------------------------------------------
+# Scalars of central elements, read on the first column block.
+
+
+@functools.lru_cache(maxsize=16)
+def _commutes_with_group(elem: AlgElem) -> bool:
+    """[elem, s] = 0 in the engine for every simple reflection s."""
+    alg = algebra_for(elem.params)
+    reflections = (alg.generators[name] for name in alg.ctx.simple_names)
+    return all(alg.multiply(s, elem) == alg.multiply(elem, s) for s in reflections)
+
+
+def _blocks_are_translates(module: ModuleRep) -> bool:
+    """pi(s) e_{t',m} = e_{t,m} for each coset rep w_t != 1, one stored column each.
+
+    Here e_{t,m} is the basis vector w_t (x) c^m, s is the least left
+    descent of w_t and w_t' = s w_t, again a minimal coset representative.
+    By induction on the length of w_t, e_{t,m} = pi(w_t) e_{0,m}: every
+    column block is a translate of block 0.
+    """
+    if module.lam is None:
+        return False
+    reps = minimal_coset_reps(module.lam)
+    width = 1 << module.params.n
+    if module.dim != len(reps) * width:
+        return False
+    index = {rep: t for t, rep in enumerate(reps)}
+    ctx = module.ctx
+    for t, rep in enumerate(reps[1:], start=1):
+        idx = ctx.left_descent(rep)
+        prev = index[ctx.simple_reflections[idx] * rep]
+        cols = module.gens[ctx.simple_names[idx]].cols
+        if any(cols[prev * width + m] != {t * width + m: ONE} for m in range(width)):
+            return False
+    return True
+
+
+def _scalar_action(module: ModuleRep, elem: AlgElem) -> Scalar | None:
+    """The scalar by which pi(elem) acts on the whole module, or None.
+
+    When (a) holds, elem commutes with every s_i in the engine and the
+    blocks are translates of block 0, pi(elem) e_{t,m} =
+    pi(w_t) pi(elem) e_{0,m}, so pi(elem) is chi * 1 exactly when its 2^n
+    columns of block 0 are chi e_j; only those are formed.  Otherwise, as
+    for the modules of types B and D, the whole of pi(elem) is.
+    """
+    certified = module.relations is not None and module.relations["status"] == "pass"
+    if certified and _commutes_with_group(elem) and _blocks_are_translates(module):
+        return module.act_columns(elem, 1 << module.params.n).scalar_value()
+    return module.act(elem).scalar_value()
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +311,10 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     """ker pi(D) / (ker cap im), with Omega_Seg acting on it by c0 = chi + K.
 
     (a) the module's relations are certified (now, if it was built
-    unchecked); (c) chi = pi(Omega_H) is read off `act`; (b), (e) and m are
-    certified once per parameter set (`_seg_data`).  Two facts give the
-    whole report:
+    unchecked); (c) chi = pi(Omega_H) is read on block 0 when the blocks
+    are certified, and off the whole `act` otherwise (`_scalar_action`);
+    (b), (e) and m are certified once per parameter set (`_seg_data`).  Two
+    facts give the whole report:
 
     - D^2 = c0 - Omega_Seg kills ker D, so Omega_Seg acts on H_D by c0 and
       the spectrum is [(c0, dim H_D)].  With c0 unknown ((b) or (c)
@@ -279,7 +330,7 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     params = module.params
     module.certify_relations()
     D, omega_h, omega_seg = dirac_element(params), casimir_h(params), casimir_seg(params)
-    chi = module.act(omega_h).scalar_value()
+    chi = _scalar_action(module, omega_h)
     constant, center = _seg_data(D, omega_h, omega_seg)
     c0 = None if chi is None or constant is None else chi + constant
     dim_ker_sq = None

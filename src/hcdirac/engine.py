@@ -733,6 +733,61 @@ def defining_relations(params: AlgebraParams) -> list[Relation]:
     return rels
 
 
+def generating_relations(params: AlgebraParams) -> list[Relation]:
+    """The relations of `defining_relations` that certify a module.
+
+    In type A the algebra is generated by x1, c1 and s1..s(n-1) (M. Nazarov,
+    "Young's symmetrizers for projective representations of the symmetric
+    group", Adv. Math. 127 (1997)), and the list keeps, in the order of
+    `defining_relations`:
+
+    - the Coxeter relations s{i}_sq, braid_* and comm_* of S_n;
+    - c1_sq, c1_c2 and x1_x2;
+    - x1_c{j} for every j, and s{j}_c1 and s{j}_x1 for j >= 2;
+    - s{i}_c{i} and s{i}_x{i} for every i.
+
+    Why they suffice.  With s_i^2 = 1, s{i}_c{i} and s{i}_x{i} say
+
+        c_{i+1} = s_i c_i s_i,   x_{i+1} = s_i x_i s_i + k (1 - c_i c_{i+1}) s_i,
+
+    so the matrices of c_{i+1} and x_{i+1} are fixed by those of x1, c1 and
+    the s_i.  Every other relation follows by conjugation, in three steps.
+
+    - Clifford part.  c_i = w c_1 w^-1 for w = s_{i-1} ... s_1, and the
+      Coxeter relations with s{j}_c1 give s_j c_i s_j = c_{s_j(i)}, every
+      s{j}_c{i}.  Conjugation then carries c1_sq and c1_c2 to every c{i}_sq
+      and c{i}_c{j}.
+    - x against c and s.  By induction on i through the formula for
+      x_{i+1}, x1_c{j} gives every x{i}_c{j}, and s{j}_x1 every s{j}_x{i}
+      with i not in {j, j+1} (the braid relation moves s_{i-1} past
+      s_i s_{i-1}); s_i times both sides of s{i}_x{i} gives s{i}_x{i+1}.
+    - x against x.  x_j for j >= 3 is built from x_2, s_2..s_{j-1} and
+      c_2..c_j, which all commute with x_1, so x1_x2 gives x1_x{j}.
+      Conjugating x_{i-1} x_j = x_j x_{i-1} by s_{i-1}, for j > i, gives
+      x{i}_x{j}, as the correction k (1 - c_{i-1} c_i) s_{i-1} commutes
+      with x_j.
+
+    This is Nazarov's presentation of the affine Sergeev algebra.
+
+    Types B and D have other presentations, not derived here, and keep the
+    full list.
+    """
+    rels = defining_relations(params)
+    if params.type != "A":
+        return rels
+    n = params.n
+    names = {"c1_sq", "c1_c2", "x1_x2"}
+    names.update(f"x1_c{j}" for j in range(1, n + 1))
+    for i in range(1, n):
+        names.update((f"s{i}_sq", f"s{i}_c{i}", f"s{i}_x{i}"))
+        names.update(f"comm_s{i}_s{j}" for j in range(i + 2, n))
+        if i < n - 1:
+            names.add(f"braid_s{i}")
+        if i >= 2:
+            names.update((f"s{i}_c1", f"s{i}_x1"))
+    return [rel for rel in rels if rel[0] in names]
+
+
 def eval_relation_tokens(params: AlgebraParams, word: tuple[str, ...]) -> AlgElem:
     """Evaluate a relation word, a tuple of generator names, inside the engine."""
     alg = algebra_for(params)

@@ -202,8 +202,12 @@ class Matrix:
         return sum((col.get(j, ZERO) for j, col in enumerate(self.cols)), ZERO)
 
     def scalar_value(self) -> Scalar | None:
-        """The scalar s when this matrix is s * identity, else None."""
-        if self.nrows != self.ncols or self.nrows == 0:
+        """The scalar s when column j is s e_j for every j, else None.
+
+        A square matrix is then s * identity; one with more rows than
+        columns is s times the first columns of the identity.
+        """
+        if self.nrows < self.ncols or self.ncols == 0:
             return None
         s = self.cols[0].get(0, ZERO)
         for j, col in enumerate(self.cols):
@@ -412,21 +416,6 @@ class Subspace:
 
     def is_invariant(self, matrix: Matrix) -> bool:
         return all(not self._residual(matrix.apply(vec))[0] for vec in self.vectors)
-
-    def eigenvalue(self, matrix: Matrix) -> Scalar | None:
-        """The scalar by which matrix acts on this nonzero space, else None.
-
-        The value is read at the first pivot, where the first basis vector
-        has entry 1, and then checked exactly on every basis vector.
-        """
-        if not self.vectors:
-            return None
-        value = matrix.apply(self.vectors[0]).get(self.pivots[0], ZERO)
-        for vec in self.vectors:
-            scaled = {i: value * a for i, a in vec.items()} if value else {}
-            if matrix.apply(vec) != scaled:
-                return None
-        return value
 
     def __repr__(self):
         return f"<Subspace dim {self.dim} of {self.ambient}>"

@@ -3,12 +3,15 @@
 Contents: the Steinberg-type modules for types B and D (built on the
 Jordan-Wigner Clifford matrices), the induced modules X_lambda of type A,
 of which the type-A Steinberg module is X_(n), matrix realisation of
-arbitrary algebra elements, and a relation checker that verifies every
-defining relation as a matrix identity (run by every constructor).  Once
-the relations pass, pi is an algebra homomorphism: `act` realises each PBW
-monomial as the product of its generator matrices, so an identity proved in
-the engine, such as g D = +-D g for the Seg generators g, holds for the
-realised matrices with no matrix computed.
+arbitrary algebra elements, and a relation checker that verifies the
+relations of `engine.generating_relations` as matrix identities (run by
+every constructor).  In type A those are the relations on the generators
+x1, c1 and s1..s(n-1), which imply all the others; in types B and D they
+are every defining relation.  Once they pass, pi is an algebra
+homomorphism: `act` realises each PBW monomial as the product of its
+generator matrices, so an identity proved in the engine, such as
+g D = +-D g for the Seg generators g, holds for the realised matrices with
+no matrix computed.
 
 Generator matrices are keyed by the engine's generator names: x1..xn,
 c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
@@ -55,10 +58,10 @@ from .engine import (
     PbwMonomial,
     algebra_for,
     cliff_mul,
-    defining_relations,
+    generating_relations,
     perm_on_cliff,
 )
-from .linalg import Matrix
+from .linalg import Matrix, add_scaled
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import SignedPerm
@@ -90,7 +93,7 @@ class ModuleRep:
             self.certify_relations()
 
     def certify_relations(self) -> None:
-        """Run the relation check once, and raise unless every relation holds."""
+        """Run the relation check once, and raise unless every checked relation holds."""
         if self.relations is None:
             self.relations = check_module_relations(self)
         if self.relations["status"] != "pass":
@@ -134,6 +137,27 @@ class ModuleRep:
         terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
         return Matrix.sum_of_products(terms, self.dim, self.dim)
 
+    def act_columns(self, elem: AlgElem, ncols: int) -> Matrix:
+        """The first ncols columns of pi(elem), a dim x ncols matrix.
+
+        Each word is applied factor by factor, from the right, to the unit
+        vectors, so no two generator matrices are multiplied: on the 2^n
+        columns of the first block of X_lambda this is a small part of `act`.
+        """
+        if elem.params != self.params:
+            raise ValueError("params mismatch")
+        words = [(coef, self._mono_factors(mono)[::-1]) for mono, coef in elem.terms.items()]
+        cols = []
+        for j in range(ncols):
+            col: dict = {}
+            for coef, factors in words:
+                vec = {j: ONE}
+                for factor in factors:
+                    vec = factor.apply(vec)
+                add_scaled(col, coef, vec)
+            cols.append(col)
+        return Matrix.from_sparse(cols, self.dim)
+
     def summary(self) -> dict:
         out = {
             "kind": self.kind,
@@ -158,8 +182,10 @@ class ModuleRep:
 
 
 def check_module_relations(module: ModuleRep) -> dict:
-    """Assert every defining relation as an exact matrix identity.
+    """Check `generating_relations` as exact matrix identities, and the parities.
 
+    In type A the generating relations imply every defining relation (see
+    `engine.generating_relations`); in types B and D they are all of them.
     A relation coef0 * w0 + sum(rest) = 0 is checked as the two-sided
     identity coef0 * w0 = -sum(rest), each side one `sum_of_products`, so
     no entry is added only to cancel; the comparison is exact because
@@ -167,7 +193,7 @@ def check_module_relations(module: ModuleRep) -> dict:
     """
     failures = []
     dim = module.dim
-    for name, ((coef0, word0), *rest) in defining_relations(module.params):
+    for name, ((coef0, word0), *rest) in generating_relations(module.params):
         lhs = Matrix.sum_of_products([(coef0, [module.gens[gen] for gen in word0])], dim, dim)
         words = ((-coef, [module.gens[gen] for gen in word]) for coef, word in rest)
         if lhs != Matrix.sum_of_products(words, dim, dim):

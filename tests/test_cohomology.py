@@ -11,6 +11,8 @@ from hcdirac import cli, cohomology
 from hcdirac.centers import center_multiplication, class_sums
 from hcdirac.cohomology import (
     CentralCharacter,
+    _blocks_are_translates,
+    _commutes_with_group,
     _divide_linear,
     _idempotent_trace,
     _phi_values,
@@ -27,6 +29,7 @@ from hcdirac.linalg import Matrix, Subspace, quotient_matrix
 from hcdirac.modules import ModuleRep, forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
+from test_modules import _summed_relation_failures
 
 HALF_K = Scalar(Fraction(1, 2))
 
@@ -34,9 +37,15 @@ _MODULES: dict = {}
 
 
 def cached_module(parts, k):
+    """X_lambda, built once; its build checks the generating relations only.
+
+    Every module built here is also checked against every defining relation.
+    """
     key = (parts, k)
     if key not in _MODULES:
-        _MODULES[key] = induced_module(Partition(parts), k)
+        module = induced_module(Partition(parts), k)
+        assert _summed_relation_failures(module) == []
+        _MODULES[key] = module
     return _MODULES[key]
 
 
@@ -94,6 +103,17 @@ def test_central_character_examples():
     )
 
 
+def test_central_character_forms_no_whole_matrix(monkeypatch):
+    # x_i^2 is read on block 0, and e1, e2 of the x_i^2 are certified as
+    # central in the engine, so no whole matrix is formed.
+    module = cached_module((3, 1), ONE)
+    acted = []
+    act = module.act
+    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
+    assert central_character(module) == expected_central_character(Partition((3, 1)), ONE)
+    assert acted == []
+
+
 def test_central_character_scales_with_k_squared():
     cc = central_character(cached_module((2,), HALF_K))
     assert cc == CentralCharacter.from_values([ZERO, HALF_K * HALF_K * 2])
@@ -114,12 +134,64 @@ def test_dirac_cohomology_stops_when_ker_d_is_zero(monkeypatch):
     act = module.act
     monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
     report = dirac_cohomology(module)
-    # chi + K is no root of m, so H_D = 0 is read off the center: only
-    # pi(Omega_H) is formed, and pi(D) is not.
-    assert acted == [casimirs(module.params)[0]]
+    # chi + K is no root of m, so H_D = 0 is read off the center.  chi is
+    # read on block 0, so no whole matrix is formed: neither pi(Omega_H)
+    # nor pi(D).
+    assert acted == []
     assert (report.dim_ker, report.dim_hd) == (0, 0)
     assert (report.spectrum, report.spectrum_complete, report.status) == ([], True, "pass")
     assert report.ker_equals_ker_sq and report.matched_partition == []
+
+
+def _conjugated(module, perm):
+    """The module with every generator conjugated by the basis permutation e_i -> e_perm[i]."""
+    gens = {}
+    for name, mat in module.gens.items():
+        cols = [None] * module.dim
+        for j, col in enumerate(mat.cols):
+            cols[perm[j]] = {perm[i]: a for i, a in col.items()}
+        gens[name] = Matrix.from_sparse(cols, module.dim)
+    parity = [0] * module.dim
+    for i, p in enumerate(module.parity):
+        parity[perm[i]] = p
+    return ModuleRep(module.params, module.kind, parity, gens, lam=module.lam)
+
+
+def test_block_read_falls_back_when_blocks_are_not_translates(monkeypatch):
+    # Swapping a basis vector of block 0 with one of block 1 keeps every
+    # relation, but pi(s1) no longer carries block 0 onto block 1 column by
+    # column: chi is then read off the whole pi(Omega_H), to the same report.
+    good = cached_module((2, 1), ONE)
+    perm = list(range(good.dim))
+    perm[1], perm[9] = 9, 1
+    module = _conjugated(good, perm)
+    assert module.gens != good.gens and _summed_relation_failures(module) == []
+    assert _blocks_are_translates(good) and not _blocks_are_translates(module)
+    acted = []
+    act = module.act
+    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
+    assert dirac_cohomology(module) == dirac_cohomology(good)
+    assert casimirs(good.params)[0] in acted
+
+
+@pytest.mark.parametrize("parts, k", [((1,), ONE), ((1, 1), ZERO), ((2, 1), ZERO)])
+def test_zero_chi_is_read_on_block_zero(parts, k, monkeypatch):
+    # pi(Omega_H) = 0 stores no entry in block 0; that is the scalar 0, not
+    # "not a scalar".
+    module = cached_module(parts, k)
+    acted = []
+    act = module.act
+    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
+    report = dirac_cohomology(module)
+    assert report.chi_omega_h == ZERO
+    assert casimirs(module.params)[0] not in acted
+    assert report.spectrum_complete
+
+
+def test_all_suite_n1_reads_zero_chi(capsys):
+    assert cli.main(["all", "--n", "1", "--k", "1"]) == 0
+    checks = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["cohomology-1:omega_h_scalar"] == checks["cohomology-1:eigenvalue_matches_chi"] == "pass"
 
 
 def test_seg_stability_from_engine_matches_kernel_stability():
@@ -167,14 +239,15 @@ def test_unchecked_module_is_certified_before_stability():
     assert unchecked.relations is None
     assert dirac_cohomology(unchecked) == dirac_cohomology(good)
     assert unchecked.relations == good.relations
-    # x1 negated breaks s1_x1 and s1_x2 but leaves ker D nonzero; the
-    # relation check refuses the module before any dimension is read.
+    # x1 negated breaks s1_x1 (and s1_x2, which the generating set leaves
+    # out) but leaves ker D nonzero; the relation check refuses the module
+    # before any dimension is read.
     gens = dict(good.gens, x1=-good.gens["x1"])
     broken = ModuleRep(good.params, "induced", good.parity, gens, lam=good.lam, check=False)
     assert Subspace.kernel(broken.act(dirac_element(good.params))).dim
     with pytest.raises(AssertionError, match="module relations fail"):
         dirac_cohomology(broken)
-    assert broken.relations["failures"] == ["s1_x1", "s1_x2"]
+    assert broken.relations["failures"] == ["s1_x1"]
 
 
 def test_verify_vogan_builds_d_and_casimirs_once(monkeypatch):
@@ -484,7 +557,7 @@ def test_all_run_keeps_center_caches_bounded(capsys):
         dirac_cohomology(cached_module((2,), Scalar(k)))
     assert cli.main(["all", "--n", "3", "--k", "1"]) == 0
     capsys.readouterr()
-    for cache in (class_sums, _seg_data):
+    for cache in (class_sums, _seg_data, _commutes_with_group):
         info = cache.cache_info()
         assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
     assert _seg_data.cache_info().currsize == _seg_data.cache_info().maxsize

@@ -21,6 +21,7 @@ from hcdirac.engine import (
     check_relations_in_engine,
     cliff_mul,
     defining_relations,
+    generating_relations,
     multiply,
     parity,
     perm_on_cliff,
@@ -185,6 +186,25 @@ def test_relation_words_are_generator_names():
         (ONE, ("sd", "x3")), (ONE, ("x4", "sd")), (K23, ()), (-K23, ("c4", "c3"))
     ]
     assert d4["braid_sd"] == [(ONE, ("s2", "sd", "s2")), (-ONE, ("sd", "s2", "sd"))]
+
+
+@pytest.mark.parametrize("n, kept, total", [(1, 2, 2), (2, 8, 13), (3, 15, 33), (4, 23, 62), (5, 32, 100)])
+def test_generating_relations_in_type_a(n, kept, total):
+    params = AlgebraParams("A", n, K23)
+    full = defining_relations(params)
+    subset = generating_relations(params)
+    assert (len(subset), len(full)) == (kept, total)
+    assert subset == [rel for rel in full if rel in subset]  # in the order of the full list
+    names = {name for name, _ in subset}
+    assert {f"s{i}_x{i}" for i in range(1, n)} <= names and f"x1_c{n}" in names
+    assert not any(name.startswith(("x2", "c2", "c3")) for name in names)
+
+
+def test_generating_relations_for_n3():
+    assert [name for name, _ in generating_relations(RELATION_DIGESTS[0][0])] == [
+        "x1_x2", "x1_c1", "x1_c2", "x1_c3", "c1_sq", "c1_c2", "s1_sq", "s1_c1", "s2_sq",
+        "s2_c1", "s2_c2", "s1_x1", "s2_x2", "s2_x1", "braid_s1",
+    ]
 
 
 def test_identity_is_neutral():

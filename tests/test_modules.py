@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from hcdirac.dirac import dirac_element
-from hcdirac.engine import AlgebraParams, algebra_for, defining_relations, multiply, random_element
+from hcdirac.engine import (
+    AlgebraParams,
+    algebra_for,
+    defining_relations,
+    generating_relations,
+    multiply,
+    random_element,
+)
 from hcdirac.linalg import Matrix
 from hcdirac.modules import (
     ModuleRep,
@@ -160,10 +167,16 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     assert report["failures"] == ["x1_x2"]
 
 
-def _summed_relation_failures(module: ModuleRep) -> list[str]:
-    """Reference check: every term of a relation multiplied out, summed, then tested for zero."""
+def _summed_relation_failures(module: ModuleRep, relations: list | None = None) -> list[str]:
+    """Reference check: every term of a relation multiplied out, summed, then tested for zero.
+
+    relations defaults to every defining relation, the oracle for the
+    generating set that `check_module_relations` checks.
+    """
+    if relations is None:
+        relations = defining_relations(module.params)
     failures = []
-    for name, terms in defining_relations(module.params):
+    for name, terms in relations:
         total = Matrix.zeros(module.dim, module.dim)
         for coef, word in terms:
             product = Matrix.identity(module.dim)
@@ -211,21 +224,87 @@ _TAMPER_MODULES = {
 }
 
 
+def _relation_failures(module: ModuleRep) -> list[str]:
+    """The relations that `check_module_relations` finds failing, parities left out."""
+    return [name for name in check_module_relations(module)["failures"] if not name.startswith("parity_")]
+
+
 @pytest.mark.parametrize("which", list(_TAMPER_MODULES))
 def test_two_sided_relation_check_matches_summed_check(which):
     good = _TAMPER_MODULES[which]()
     assert _summed_relation_failures(good) == []
+    relations = generating_relations(good.params)
     rng = random.Random(which)
     broken = 0
     for _ in range(6):
         gens = _tampered(good.gens, rng, good.dim)
         module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam, check=False)
-        expected = _summed_relation_failures(module)
-        got = [name for name in check_module_relations(module)["failures"]
-               if not name.startswith("parity_")]
-        assert got == expected
+        expected = _summed_relation_failures(module, relations)
+        assert _relation_failures(module) == expected
         broken += bool(expected)
     assert broken  # the tampering is seen at least once
+
+
+def _single_tamperings(matrix: Matrix, rng: random.Random) -> list[Matrix]:
+    """matrix negated, with two differing columns swapped, and with one stored entry changed.
+
+    The zero matrix has no differing columns and no stored entry: it gets an
+    entry 1 instead.
+    """
+    dim = matrix.nrows
+    cols = [dict(col) for col in matrix.cols]
+    out = [-matrix]
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim) if cols[a] != cols[b]]
+    if pairs:
+        a, b = rng.choice(pairs)
+        swapped = list(cols)
+        swapped[a], swapped[b] = cols[b], cols[a]
+        out.append(Matrix.from_sparse(swapped, dim))
+    stored = [(row, col) for col in range(dim) for row in cols[col]]
+    row, col = rng.choice(stored) if stored else (rng.randrange(dim), rng.randrange(dim))
+    nudged = [dict(c) for c in cols]
+    entry = nudged[col].get(row, ZERO) + ONE
+    if entry:
+        nudged[col][row] = entry
+    else:
+        del nudged[col][row]
+    return out + [Matrix.from_sparse(nudged, dim)]
+
+
+_MUTATION_MODULES = {
+    "steinberg-A3": _TAMPER_MODULES["steinberg-A3"],
+    "induced-2,1": _TAMPER_MODULES["induced-2,1"],
+    "induced-3,1": _TAMPER_MODULES["induced-3,1"],
+    "induced-2,2": lambda: induced_module(Partition((2, 2)), ONE),
+}
+
+
+@pytest.mark.parametrize("which", list(_MUTATION_MODULES))
+def test_generating_set_catches_every_single_generator_fault(which):
+    # Go/no-go for checking the generating relations only: a fault in any
+    # one generator matrix that breaks some defining relation must break a
+    # generating one too.
+    good = _MUTATION_MODULES[which]()
+    rng = random.Random(which)
+    broken = 0
+    for key in sorted(good.gens):
+        for matrix in _single_tamperings(good.gens[key], rng):
+            gens = dict(good.gens, **{key: matrix})
+            module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam, check=False)
+            if _summed_relation_failures(module):
+                broken += 1
+                assert _relation_failures(module), (key, matrix)
+    assert broken >= 2 * len(good.gens)  # most faults break a relation
+
+
+@pytest.mark.parametrize("typ, n, k_short", [("B", 2, HALF), ("B", 3, HALF), ("D", 3, ZERO)])
+def test_bd_steinberg_checks_every_defining_relation(typ, n, k_short):
+    base = AlgebraParams(typ, n, ONE, k_short=k_short)
+    params = AlgebraParams(typ, n, ONE, k_short=k_short, N=forced_n_constant(base))
+    assert generating_relations(params) == defining_relations(params)
+    module = steinberg_module(params)
+    assert module.relations["status"] == "pass"
+    assert _summed_relation_failures(module) == []
 
 
 def test_minimal_coset_reps():
