@@ -4,10 +4,12 @@ zeta'(x_i) is the k-weighted Jucys-Murphy element of the x-degree-zero
 subalgebra Seg_n; its images of the central power sums p_r(x^2) are compared
 against the even center of Seg_n.  Seg_n is a twisted group algebra:
 conjugation by the units c_i and s_j maps each monomial c^mask w to +-1
-times a monomial, so the even center is spanned by one signed class sum per
-orbit of even monomials, and an orbit reached with both signs contributes
-nothing (Karpilovsky, Projective Representations of Finite Groups, 1985).
-There is one class sum per strict partition of n (Sergeev, 1985).
+times a monomial, so the even center is spanned by signed class sums.
+There is one per partition rho of n into odd parts, as many as the strict
+partitions by Euler's identity (Sergeev, Math. USSR Sb. 1985; Jozefiak,
+Expo. Math. 1989).  z_rho holds the c^mask w with w of cycle type rho and
+mask of even weight on every cycle of w; its sign at c^mask w comes from
+clearing mask along each cycle by conjugation with the c_a (`class_of`).
 
 `jucys_murphy` serves both zeta' and the type-A modules: summed from the
 first index of i's block of lambda instead of from 1, it is the
@@ -23,8 +25,7 @@ polynomial is the first Krylov relation on [1] (`minimal_polynomial`).
 
 from __future__ import annotations
 
-import functools
-import itertools
+from math import factorial
 
 from .engine import (
     AlgebraParams,
@@ -36,7 +37,7 @@ from .engine import (
 )
 from .dirac import twisted_reflection
 from .linalg import Matrix, Subspace, sparse_kernel
-from .partitions import distinct_partitions
+from .partitions import Partition, all_partitions
 from .scalars import ONE, SQRT2, ZERO, Scalar
 from .weyl import Root, SignedPerm, reflection_perm
 
@@ -93,16 +94,17 @@ def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:
 # ---------------------------------------------------------------------------
 # The even center of Seg_n as signed class sums.
 
-# The largest n whose orbit walk is run: 322,560 even monomials at n = 7.
-MAX_CENTER_N = 7
 # The largest n of `verify_zeta_surjective`.  Its power sums are plain engine
 # products, most of a 7 s run at n = 6.
 MAX_ZETA_N = 6
 
+# A Sergeev basis monomial c^mask w as (mask, w), and one class of
+# Z(Seg_n)_0 as (rho, first monomial, |z_rho|).
+Monomial = tuple[int, SignedPerm]
+SegClass = tuple[Partition, Monomial, int]
 
-def seg_mono_mul(
-    a: tuple[int, SignedPerm], b: tuple[int, SignedPerm]
-) -> tuple[int, tuple[int, SignedPerm]]:
+
+def seg_mono_mul(a: Monomial, b: Monomial) -> tuple[int, Monomial]:
     """(sign, product) for two Sergeev basis monomials c^mask w."""
     mask_a, wa = a
     mask_b, wb = b
@@ -111,7 +113,7 @@ def seg_mono_mul(
     return s1 * s2, (mask, wa * wb)
 
 
-def seg_mono_inverse(mono: tuple[int, SignedPerm]) -> tuple[int, tuple[int, SignedPerm]]:
+def seg_mono_inverse(mono: Monomial) -> tuple[int, Monomial]:
     """(sign, monomial) with (c^mask w)^{-1} = sign * monomial.
 
     c^mask c^mask = eps, so (c^mask)^{-1} = eps c^mask, and w^{-1} c^mask is
@@ -124,142 +126,118 @@ def seg_mono_inverse(mono: tuple[int, SignedPerm]) -> tuple[int, tuple[int, Sign
     return eps * sign, (moved, inv)
 
 
-def seg_even_center(n: int) -> list[dict[tuple[int, SignedPerm], int]]:
-    """A basis of Z(Seg_n)_0: the signed class sums {(mask, w): +-1}.
+def class_of(mono: Monomial) -> tuple[Partition, int] | None:
+    """(rho, sign) when c^mask w is sign times a term of the class sum z_rho, else None.
 
-    Each orbit of the even monomials under conjugation by c_i (whose inverse
-    is -c_i) and s_j (its own inverse) is walked from its first monomial,
-    which gets sign +1; the orbit gives a class sum unless it reaches some
-    monomial with both signs.  A conjugate is formed in one step:
-    c_i c^h w (-c_i) = -c_i c^h c_{w(i)} w flips the bits i and w(i) of h,
-    and s_j c^h w s_j = +-c^{s_j(h)} (s_j w s_j) swaps the bits j and j+1,
-    with sign -1 when both are set.
+    c^mask w lies in a class exactly when every cycle of w is odd and mask
+    has even weight on every cycle; rho is the cycle type of w.  The sign
+    comes from clearing mask along each cycle (a, w(a), ...): conjugating
+    by c_a, c_a c^h w c_a^{-1} = -c_a c^h c_{w(a)} w flips the bits a and
+    w(a), which clears a.  By parity the cycle's last bit is then clear, and
+    the plain permutation left is conjugate to the first monomial of z_rho
+    by s_j's, each with sign +1.
     """
-    if n > MAX_CENTER_N:
-        raise ValueError(f"seg_even_center is sized for n <= {MAX_CENTER_N}")
-    flips: dict[tuple[int, int, int], tuple[int, int]] = {}
-    conjugates: dict[tuple[int, SignedPerm], SignedPerm] = {}
-
-    def c_conj(i: int, mask: int, w: SignedPerm) -> tuple[int, tuple[int, SignedPerm]]:
-        key = (i, mask, w[i - 1])
-        hit = flips.get(key)
-        if hit is None:
-            s1, left = cliff_insert(i, mask)
-            s2, right = cliff_mul(left, 1 << (w[i - 1] - 1))
-            hit = flips[key] = (-s1 * s2, right)
-        return hit[0], (hit[1], w)
-
-    def s_conj(j: int, mask: int, w: SignedPerm) -> tuple[int, tuple[int, SignedPerm]]:
-        conj = conjugates.get((j, w))
-        if conj is None:
-            swap = {j: j + 1, j + 1: j}
-            window = list(w)
-            window[j - 1], window[j] = window[j], window[j - 1]
-            conj = conjugates[(j, w)] = SignedPerm([swap.get(v, v) for v in window])
-        pair = (mask >> (j - 1)) & 3
-        if pair == 3:
-            return -1, (mask, conj)
-        if pair:
-            mask ^= 3 << (j - 1)
-        return 1, (mask, conj)
-
-    units = [functools.partial(c_conj, i) for i in range(1, n + 1)]
-    units += [functools.partial(s_conj, j) for j in range(1, n)]
-    seen: set[tuple[int, SignedPerm]] = set()
-    sums = []
-    for mask in range(1 << n):
-        if mask.bit_count() & 1:
+    mask, w = mono
+    sign, parts, unseen = 1, [], set(range(1, len(w) + 1))
+    for start in range(1, len(w) + 1):
+        if start not in unseen:
             continue
-        for w in map(SignedPerm, itertools.permutations(range(1, n + 1))):
-            if (mask, w) in seen:
-                continue
-            orbit = {(mask, w): 1}
-            stack = [(mask, w)]
-            consistent = True
-            while stack:
-                mono = stack.pop()
-                for conjugate in units:
-                    s, image = conjugate(*mono)
-                    sign = orbit[mono] * s
-                    prev = orbit.get(image)
-                    if prev is None:
-                        orbit[image] = sign
-                        stack.append(image)
-                    elif prev != sign:
-                        consistent = False
-            seen.update(orbit)
-            if consistent:
-                sums.append(orbit)
-    expected = len(distinct_partitions(n))
-    if len(sums) != expected:
-        raise AssertionError(
-            f"dim Z(Seg_{n})_0 = {len(sums)}, expected |distinct partitions| = {expected}"
-        )
-    return sums
+        cycle = [start]
+        while w[cycle[-1] - 1] != start:
+            cycle.append(w[cycle[-1] - 1])
+        unseen.difference_update(cycle)
+        if not len(cycle) & 1:
+            return None
+        for a in cycle[:-1]:
+            if mask >> (a - 1) & 1:
+                s1, left = cliff_insert(a, mask)
+                s2, mask = cliff_mul(left, 1 << (w[a - 1] - 1))
+                sign *= -s1 * s2
+        if mask >> (cycle[-1] - 1) & 1:
+            return None
+        parts.append(len(cycle))
+    return Partition(tuple(sorted(parts, reverse=True))), sign
 
 
-# (class sums, monomial -> (class, sign)); a monomial is (mask, w).
-Monomial = tuple[int, SignedPerm]
-ClassSums = tuple[list[dict[Monomial, int]], dict[Monomial, tuple[int, int]]]
+def seg_even_center(n: int) -> list[SegClass]:
+    """A basis of Z(Seg_n)_0: one class sum z_rho per partition rho of n into odd parts.
 
-
-@functools.lru_cache(maxsize=2)
-def class_sums(n: int) -> ClassSums:
-    """(sums, index): `seg_even_center(n)` and the map monomial -> (class, sign) over its sums.
-
-    Kept for the two most recent n: every check of one run works at one n.
+    z_rho is the sum of sign * c^mask w over the monomials that `class_of`
+    puts in rho.  Each class is (rho, first monomial, |z_rho|): the first
+    monomial is (0, w_rho), the least window of cycle type rho, whose
+    cycles lie on consecutive indices, shortest first; the sign there is +1.
+    |z_rho| = |C_rho| 2^(n - l(rho)), as mask may be any of even weight on
+    every cycle.  The classes are ordered by w_rho, so the class of 1 is
+    first.
     """
-    sums = seg_even_center(n)
-    index = {mono: (o, sign) for o, z in enumerate(sums) for mono, sign in z.items()}
-    return sums, index
+    classes = []
+    for rho in all_partitions(n):
+        if any(p % 2 == 0 for p in rho.parts):
+            continue
+        window: list[int] = []
+        for p in reversed(rho.parts):
+            base = len(window)
+            window += [*range(base + 2, base + p + 1), base + 1]
+        centralizer = 1
+        for p in set(rho.parts):
+            mult = rho.parts.count(p)
+            centralizer *= p**mult * factorial(mult)
+        size = factorial(n) // centralizer * 2 ** (n - len(rho.parts))
+        classes.append((rho, (0, SignedPerm(window)), size))
+    return sorted(classes, key=lambda cls: cls[1][1])
 
 
-def center_coords(elem: AlgElem, sums) -> tuple[list[Scalar], bool]:
-    """(a_O, central): elem's coefficient a_O at the first monomial of each class
-    sum z_O, and whether elem lies in Seg and equals sum_O a_O z_O exactly."""
+def center_coords(elem: AlgElem, classes: list[SegClass]) -> tuple[list[Scalar], bool]:
+    """(a_rho, central): elem's coefficient a_rho at the first monomial of each
+    class, and whether elem lies in Seg and equals sum_rho a_rho z_rho exactly.
+
+    Centrality is read off elem's own terms: each lies in a class (`class_of`)
+    with coefficient sign * a_rho, and each class with a_rho != 0 has all
+    |z_rho| of its terms.
+    """
     terms = {(mono.cliff, mono.w): coef for mono, coef in elem.terms.items()}
-    coefs = [terms.get(next(iter(z)), ZERO) for z in sums]
-    combo = {
-        mono: a if sign > 0 else -a
-        for a, z in zip(coefs, sums)
-        if a
-        for mono, sign in z.items()
-    }
-    return coefs, elem.is_seg() and terms == combo
+    coefs = {rho: terms.get(first, ZERO) for rho, first, _ in classes}
+    counts = dict.fromkeys(coefs, 0)
+    for mono, coef in terms.items():
+        hit = class_of(mono)
+        if hit is None or coef != (coefs[hit[0]] if hit[1] > 0 else -coefs[hit[0]]):
+            return list(coefs.values()), False
+        counts[hit[0]] += 1
+    full = all(counts[rho] == size for rho, _, size in classes if coefs[rho])
+    return list(coefs.values()), elem.is_seg() and full
 
 
-def center_multiplication(elem: AlgElem, table: ClassSums) -> Matrix:
+def center_multiplication(elem: AlgElem, classes: list[SegClass]) -> Matrix:
     """Multiplication by a central elem of Seg_n on the class sums, an r x r matrix.
 
-    Column O is elem * z_O, central and even, so it is read at the first
+    Column rho is elem * z_rho, central and even, so it is read at the first
     monomial f of every class: its coefficient there is the sum over the
-    terms coef * t of elem of coef * delta * z_O(u), where t^{-1} f = delta * u.
+    terms coef * t of elem of coef * delta * z_rho(u), where t^{-1} f = delta * u.
     Raises ValueError unless elem is central (`center_coords`).
     """
-    sums, index = table
-    if not center_coords(elem, sums)[1]:
+    if not center_coords(elem, classes)[1]:
         raise ValueError("element is not central in Seg")
+    column = {rho: o for o, (rho, _, _) in enumerate(classes)}
     inverses = [
         (coef, seg_mono_inverse((mono.cliff, mono.w))) for mono, coef in elem.terms.items()
     ]
-    cols: list[dict] = [{} for _ in sums]
-    for row, z in enumerate(sums):
-        first = next(iter(z))
+    cols: list[dict] = [{} for _ in classes]
+    for row, (_, first, _) in enumerate(classes):
         for coef, (inv_sign, inv) in inverses:
             delta, u = seg_mono_mul(inv, first)
-            hit = index.get(u)
+            hit = class_of(u)
             if hit is not None:
-                col, sign = hit
-                acc = cols[col]
+                rho, sign = hit
+                acc = cols[column[rho]]
                 acc[row] = acc.get(row, ZERO) + (coef if inv_sign * delta * sign > 0 else -coef)
-    return Matrix.from_sparse([{r: a for r, a in col.items() if a} for col in cols], len(sums))
+    return Matrix.from_sparse([{r: a for r, a in col.items() if a} for col in cols], len(classes))
 
 
 def minimal_polynomial(matrix: Matrix) -> list[Scalar]:
     """The monic m, coefficients from degree 0 up, of least degree with m(matrix)[1] = 0.
 
     [1] is the first basis vector, which is the class sum of 1 in the
-    coordinates of `class_sums`, so there m is the minimal polynomial of the
+    coordinates of `seg_even_center`, so there m is the minimal polynomial of the
     central element that the matrix multiplies by.  The Krylov vectors [1], M[1], ..., M^r[1]
     are dependent; `sparse_kernel` meets the first dependent one first, and
     its combination has coefficient 1 there.
@@ -275,9 +253,10 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
     """Span of zeta'(p_r(x^2)), r <= max_r, against the full even center.
 
     jms = [JM_1..JM_n] fixes n and k.  An image is central when it lies in
-    Seg_n and equals sum_O a_O z_O over the class sums z_O, where a_O is its
-    coefficient at the first monomial of z_O.  `rank` is the rank of the
-    rows (a_O)_O; when every image is central, it is the rank of the images.
+    Seg_n and equals sum_rho a_rho z_rho over the class sums z_rho, where
+    a_rho is its coefficient at the first monomial of z_rho
+    (`center_coords`).  `rank` is the rank of the rows (a_rho)_rho; when
+    every image is central, it is the rank of the images.
 
     n = 1 is excluded: there zeta'(p_r(x^2)) = 0 for every r >= 1, while
     Z(Seg_1)_0 is the constants.
@@ -288,22 +267,22 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
     if n > MAX_ZETA_N:
         raise ValueError(f"verify_zeta_surjective is sized for n <= {MAX_ZETA_N}")
     k = jms[0].params.k_long
-    sums, _ = class_sums(n)
+    classes = seg_even_center(n)
     rows = []
     central = []
     for image in zeta_on_power_sums(jms, max_r):
-        coefs, is_central = center_coords(image, sums)
+        coefs, is_central = center_coords(image, classes)
         central.append(is_central)
         rows.append({o: a for o, a in enumerate(coefs) if a})
-    rank = Subspace.spanned_by(rows, len(sums)).dim
-    ok = rank == len(sums) and all(central)
+    rank = Subspace.spanned_by(rows, len(classes)).dim
+    ok = rank == len(classes) and all(central)
     return {
         "check": "zeta_surjective",
         "n": n,
         "k": k.compact(),
         "max_r": max_r,
         "rank": rank,
-        "center_dim": len(sums),
+        "center_dim": len(classes),
         "images_in_center": all(central),
         "status": "pass" if ok else "fail",
     }

@@ -12,9 +12,9 @@ Seg, with no elimination, once six premises are checked exactly:
   to block, one stored column per basis vector, so every block is
   pi(w_t) of block 0 (`_scalar_action`; the whole pi(Omega_H) otherwise);
 - (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero;
-- (e) Omega_Seg = sum_O a_O z_O over the signed class sums z_O of
-  `centers.class_sums`, a basis of Z(Seg)_0, with a_O read at the first
-  monomial of each class: Omega_Seg is central;
+- (e) Omega_Seg = sum_rho a_rho z_rho over the signed class sums z_rho of
+  `centers.seg_even_center`, a basis of Z(Seg)_0, with a_rho read at the
+  first monomial of each class: Omega_Seg is central;
 - (f) m(M)[1] = 0, where M is multiplication by Omega_Seg on the class sums
   (`centers.center_multiplication`) and m is the first Krylov relation among
   [1], M[1], M^2[1], ...: then m(Omega_Seg) = 0 in Seg.
@@ -28,11 +28,12 @@ ker D^2 = ker(pi(Omega_Seg) - c0).
   (see below), and e = q(Omega_Seg) / q(c0) is an idempotent of
   Z(Seg)_0, since m divides q (q - q(c0)).  Its image under
   pi is exactly ker(pi(Omega_Seg) - c0), so dim ker D^2 = tr pi(e).  Each
-  signed term of z_O is a conjugate of the first monomial f_O, so
-  tr pi(e) = sum_O e_O |O| tr pi(f_O), where e_O are the class-sum
-  coordinates of e; every f_O acts by a signed permutation, whose trace is
-  a signed count of fixed points.  When the trace is nonzero, (d) makes
-  pi(D) skew for the standard form <v, w> = sum_j v_j conj(w_j), which is
+  signed term of z_rho is a conjugate of the first monomial f_rho, so
+  tr pi(e) = sum_rho e_rho |z_rho| tr pi(f_rho), where e_rho are the
+  class-sum coordinates of e; every f_rho acts by a signed permutation,
+  whose trace is a signed count of fixed points.  When the trace is
+  nonzero, (d) makes pi(D) skew for the standard form
+  <v, w> = sum_j v_j conj(w_j), which is
   anisotropic on Q(i, sqrt2)^n (each term of <v, v> is a^2 + b^2 with a, b
   in Q(sqrt2), >= 0 under both real embeddings).  So v = Dw with Dv = 0
   gives <v, v> = -<w, Dv> = 0: ker D cap im D = 0 and ker D = ker D^2.
@@ -43,8 +44,8 @@ ker D^2 = ker(pi(Omega_Seg) - c0).
   over strict partitions mu of n, a statement of the paper.
 
 Fallback.  Exact elimination runs when a premise fails or does not apply:
-(b) or (c) fails, (d) fails (k = i), or the type is B or D or n > 7, where
-no class-sum table is built.  (a) or (e) failing, or an m whose roots are
+(b) or (c) fails, (d) fails (k = i), or the type is B or D, where no
+class sums are built.  (a) or (e) failing, or an m whose roots are
 not the table's in type A, raises instead.  Whatever the route, the spectrum
 is read off D^2 = c0 - Omega_Seg: it kills ker D, so Omega_Seg acts on H_D
 by c0.  The intersection is never built: D maps ker D^2 onto ker D cap im D
@@ -59,7 +60,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .centers import MAX_CENTER_N, center_multiplication, class_sums, minimal_polynomial
+from .centers import center_multiplication, minimal_polynomial, seg_even_center
 from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
 from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for
 from .linalg import Matrix, Subspace, add_scaled
@@ -216,19 +217,19 @@ def _seg_data(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem):
     """(K, center), certified once per (D, Omega_H, Omega_Seg).
 
     K is the constant of (b) when D^2 = Omega_H - Omega_Seg + K holds in the
-    engine, else None.  center = (class sums, M, m) in type A for n <= 7
-    once (b) holds, else None; (e) is checked in building M, and the roots
-    of m against the values k^2 |phi(mu)|^2.
+    engine, else None.  center = (classes, M, m) in type A once (b) holds,
+    else None, with classes from `seg_even_center`; (e) is checked in
+    building M, and the roots of m against the values k^2 |phi(mu)|^2.
     """
     params = D.params
     alg = algebra_for(params)
     constant = d_squared_constant(params)
     if alg.multiply(D, D) != omega_h - omega_seg + alg.scalar(constant):
         return None, None
-    if params.type != "A" or params.n > MAX_CENTER_N:
+    if params.type != "A":
         return constant, None
-    table = class_sums(params.n)
-    mult = center_multiplication(omega_seg, table)
+    classes = seg_even_center(params.n)
+    mult = center_multiplication(omega_seg, classes)
     minpoly = minimal_polynomial(mult)
     expected = [ONE]
     for value in _phi_values(params):
@@ -237,18 +238,18 @@ def _seg_data(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem):
             expected[j] = expected[j] - value * expected[j + 1]
     if minpoly != expected:
         raise AssertionError("the roots of m(Omega_Seg) are not the values k^2 |phi(mu)|^2")
-    return constant, (table, mult, minpoly)
+    return constant, (classes, mult, minpoly)
 
 
 def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int:
     """dim ker(pi(Omega_Seg) - c0) = tr pi(e).
 
-    center = (class sums, M, m).  (f) is checked first.  When m(c0) != 0
+    center = (classes, M, m).  (f) is checked first.  When m(c0) != 0
     the kernel is 0.  Otherwise m = (t - c0) q and
-    tr pi(e) = sum_O e_O |O| tr pi(f_O) with e = q(M)[1] / q(c0); the sum
-    must be an integer in 0..dim.
+    tr pi(e) = sum_rho e_rho |z_rho| tr pi(f_rho) with e = q(M)[1] / q(c0);
+    the sum must be an integer in 0..dim.
     """
-    (sums, _), mult, minpoly = center
+    classes, mult, minpoly = center
     start = {0: ONE}
     if _poly_apply(minpoly, mult, start):
         raise AssertionError("m(Omega_Seg) != 0 on the class sums")
@@ -259,9 +260,9 @@ def _idempotent_trace(module: ModuleRep, center, c0: Scalar) -> int:
     zero_exps = (0,) * module.params.n
     total = ZERO
     for o, coord in _poly_apply(q, mult, start).items():
-        mask, w = next(iter(sums[o]))
+        _, (mask, w), size = classes[o]
         first = AlgElem(module.params, {PbwMonomial(zero_exps, mask, w): ONE})
-        total = total + coord * len(sums[o]) * module.act(first).trace()
+        total = total + coord * size * module.act(first).trace()
     total = total * q_c0.inverse()
     dim = total.a
     if total != Scalar(dim) or dim.denominator != 1 or not 0 <= dim <= module.dim:

@@ -11,7 +11,7 @@ from hcdirac import centers
 from hcdirac.centers import (
     center_coords,
     center_multiplication,
-    class_sums,
+    class_of,
     jucys_murphy,
     jucys_murphy_elements,
     minimal_polynomial,
@@ -23,7 +23,7 @@ from hcdirac.centers import (
     zeta_on_power_sums,
 )
 from hcdirac.dirac import casimir_seg
-from hcdirac.engine import AlgebraParams, algebra_for, multiply, parity
+from hcdirac.engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for, multiply, parity
 from hcdirac.linalg import Matrix, Subspace
 from hcdirac.partitions import distinct_partitions
 from hcdirac.scalars import HALF, ONE, TWO, ZERO, Scalar
@@ -147,11 +147,25 @@ def _product_walk(n):
     return sums
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_one_step_walk_matches_product_walk(n):
-    # Same orbits, first monomials, signs, and order, term by term.
-    assert [list(z.items()) for z in seg_even_center(n)] == [
-        list(z.items()) for z in _product_walk(n)
+def _class_members(n):
+    """The class sums of `seg_even_center(n)` as {(mask, w): sign}, sorted out by `class_of`."""
+    classes = seg_even_center(n)
+    members = {rho: {} for rho, _, _ in classes}
+    for mono in seg_monomials(n):
+        hit = class_of(mono)
+        if hit is not None:
+            members[hit[0]][mono] = hit[1]
+    return [members[rho] for rho, _, _ in classes]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_of_matches_product_walk(n):
+    # Same classes in the same order, member by member with signs; each
+    # class's first monomial and size are its orbit's.
+    walk = _product_walk(n)
+    assert _class_members(n) == walk
+    assert [(first, size) for _, first, size in seg_even_center(n)] == [
+        (next(iter(z)), len(z)) for z in walk
     ]
 
 
@@ -162,15 +176,13 @@ def test_center_multiplication_matches_engine_products(n, k):
     params = AlgebraParams("A", n, k)
     alg = algebra_for(params)
     omega_seg = casimir_seg(params)
-    table = class_sums(n)
-    sums, index = table
-    assert index == {mono: (o, sign) for o, z in enumerate(sums) for mono, sign in z.items()}
-    mult = center_multiplication(omega_seg, table)
-    for o, z in enumerate(sums):
+    classes = seg_even_center(n)
+    mult = center_multiplication(omega_seg, classes)
+    for o, z in enumerate(_class_members(n)):
         elem = alg.zero()
         for mono, sign in z.items():
             elem = elem + _as_elem(alg, mono).scale(Scalar(sign))
-        coefs, central = center_coords(alg.multiply(omega_seg, elem), sums)
+        coefs, central = center_coords(alg.multiply(omega_seg, elem), classes)
         assert central
         assert mult.cols[o] == {row: a for row, a in enumerate(coefs) if a}
 
@@ -184,15 +196,53 @@ def test_minimal_polynomial_is_the_first_krylov_relation():
     assert minimal_polynomial(Matrix.zeros(1, 1)) == [ZERO, ONE]
 
 
-@pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize(
+    "n,expected",
+    [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 4), (7, 5), (8, 6), (9, 8), (10, 10),
+     (11, 12), (12, 15)],
+)
 def test_even_center_dimension(n, expected):
+    # Euler: as many partitions into odd parts as strict partitions.
     assert len(seg_even_center(n)) == expected
     assert expected == len(distinct_partitions(n))
 
 
-def test_even_center_guard():
-    with pytest.raises(ValueError, match="n <= 7"):
-        seg_even_center(8)
+def _omega_seg_with(fault):
+    """Omega_Seg for A4 at k = 1 with one fault put in, and the class list."""
+    params = AlgebraParams("A", 4, ONE)
+    alg = algebra_for(params)
+    omega_seg = casimir_seg(params)
+    classes = seg_even_center(4)
+    assert center_coords(omega_seg, classes)[1]
+    firsts = {first for _, first, _ in classes}
+    # a term of Omega_Seg that is not the first monomial of its class
+    word, coef = [
+        (mono, coef) for mono, coef in omega_seg.sorted_terms() if (mono.cliff, mono.w) not in firsts
+    ][-1]
+    terms = dict(omega_seg.terms)
+    if fault == "drop":
+        del terms[word]
+    elif fault == "flip":
+        terms[word] = -coef
+    elif fault == "x_degree":
+        del terms[word]
+        terms[PbwMonomial((1, 0, 0, 0), word.cliff, word.w)] = coef
+    elif fault == "even_cycle":
+        return omega_seg + alg.generators["s1"], classes
+    elif fault == "odd_mask":
+        # c1 c4 (1 2 3): weight 1 on the 3-cycle
+        mono = (0b1001, SignedPerm((2, 3, 1, 4)))
+        assert class_of(mono) is None
+        return omega_seg + _as_elem(alg, mono), classes
+    return AlgElem(params, terms), classes
+
+
+@pytest.mark.parametrize("fault", ["drop", "flip", "even_cycle", "odd_mask", "x_degree"])
+def test_center_certificate_rejects_a_faulty_omega_seg(fault):
+    elem, classes = _omega_seg_with(fault)
+    assert not center_coords(elem, classes)[1]
+    with pytest.raises(ValueError, match="not central"):
+        center_multiplication(elem, classes)
 
 
 @pytest.mark.parametrize("n", [1, 7])
@@ -256,7 +306,7 @@ def _commutator_kernel(n):
 def test_class_sums_span_commutator_kernel(n):
     kernel, even = _commutator_kernel(n)
     index = {m: idx for idx, m in enumerate(even)}
-    sums = seg_even_center(n)
+    sums = _class_members(n)
     span = Subspace.spanned_by(
         [{index[mono]: Scalar(sign) for mono, sign in z.items()} for z in sums], len(even)
     )
@@ -270,7 +320,7 @@ def test_class_sums_commute_with_generators(n):
     p = AlgebraParams("A", n, ONE)
     alg = algebra_for(p)
     gens = [alg.c(i) for i in range(1, n + 1)] + [alg.w(s) for s in alg.ctx.simple_reflections]
-    for z in seg_even_center(n):
+    for z in _class_members(n):
         elem = alg.zero()
         for mono, sign in z.items():
             elem = elem + _as_elem(alg, mono).scale(Scalar(sign))

@@ -13,6 +13,7 @@ import pytest
 import hcdirac
 from hcdirac import centers
 from hcdirac.cli import build_parser, main, report_schema_version
+from hcdirac.linalg import Subspace
 
 
 def run_cli(capsys, argv):
@@ -75,6 +76,19 @@ def test_cohomology_non_distinct_runs(capsys):
     code, report = run_cli(capsys, ["cohomology", "--lambda", "1,1", "--k", "1"])
     assert code == 0
     assert "dim_HD" in report["result"]
+
+
+@pytest.mark.parametrize(
+    "lam, dim_hd, spectrum", [("8", 256, [["168", 256]]), ("7,1", 1536, [["112", 1536]])]
+)
+def test_cohomology_n8_reads_the_trace(capsys, monkeypatch, lam, dim_hd, spectrum):
+    # The class sums of Z(Seg_n)_0 exist for every n, so n = 8 runs no elimination.
+    kernels = []
+    real = Subspace.kernel
+    monkeypatch.setattr(Subspace, "kernel", lambda matrix: kernels.append(matrix) or real(matrix))
+    code, report = run_cli(capsys, ["cohomology", "--lambda", lam, "--k", "1"])
+    assert (code, kernels) == (0, [])
+    assert (report["result"]["dim_HD"], report["result"]["omega_seg_spectrum"]) == (dim_hd, spectrum)
 
 
 def test_phi_command(capsys):
@@ -323,8 +337,8 @@ REPORT_DIGESTS = [
      "35fb06c3ff3a18cbc5ff0fa15ad09f7476add9cea7872df98c1cbaad5bdc0e33"),
     (["cohomology", "--lambda", "2,1,1", "--k", "1"],
      "df0ebf68eef2da8a50ce292a416086c399ed92abf846d4e41724808fed7b7b04"),
-    # n = 8 has no class sums: ker D by elimination, the one route the CLI
-    # can reach without the trace.
+    # n = 8 reads dim H_D off the trace (test_cohomology_n8_reads_the_trace),
+    # which must give the report that exact elimination gives.
     (["cohomology", "--lambda", "8", "--k", "1"],
      "dca72ed5d8c2f23d6589f4ba83254d5cad6f2a32651affa70f7563a5cf920d57"),
     (["steinberg", "--type", "A", "--n", "4", "--k", "1"],

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hcdirac import cli, cohomology
-from hcdirac.centers import center_multiplication, class_sums
+from hcdirac.centers import center_multiplication, seg_even_center
 from hcdirac.cohomology import (
     CentralCharacter,
     _blocks_are_translates,
@@ -29,6 +29,7 @@ from hcdirac.linalg import Matrix, Subspace, quotient_matrix
 from hcdirac.modules import ModuleRep, forced_n_constant, induced_module, steinberg_module
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
+from test_centers import _class_members
 from test_modules import _summed_relation_failures
 
 HALF_K = Scalar(Fraction(1, 2))
@@ -430,7 +431,7 @@ _TRACE_KS = (ONE, -HALF_K, Scalar(Fraction(2, 3)))
 
 
 def _center_for(module):
-    """(class sums, M, m) for the module's parameters."""
+    """(classes, M, m) for the module's parameters."""
     omega_h, omega_seg = casimirs(module.params)
     return _seg_data(dirac_element(module.params), omega_h, omega_seg)[1]
 
@@ -523,15 +524,16 @@ def test_non_central_stand_in_for_omega_seg_raises():
     _, omega_seg = casimirs(params)
     stand_in = omega_seg + algebra_for(params).generators["s1"]
     with pytest.raises(ValueError, match="not central"):
-        center_multiplication(stand_in, class_sums(3))
+        center_multiplication(stand_in, seg_even_center(3))
 
 
 def test_class_sum_trace_needs_the_sign():
-    # tr pi(z_O) = |O| tr pi(f_O) holds with the signs of z_O; without them the
-    # trace of the idempotent on X_(3,1) is no longer dim H_D = 32.
+    # tr pi(z_rho) = |z_rho| tr pi(f_rho) holds with the signs of z_rho; without
+    # them the trace of the idempotent on X_(3,1) is no longer dim H_D = 32.
     module = cached_module((3, 1), ONE)
     params = module.params
-    (sums, _), mult, minpoly = center = _center_for(module)
+    _, mult, minpoly = center = _center_for(module)
+    sums = _class_members(params.n)
 
     def trace(mono):
         word = PbwMonomial((0,) * params.n, *mono)
@@ -557,7 +559,7 @@ def test_all_run_keeps_center_caches_bounded(capsys):
         dirac_cohomology(cached_module((2,), Scalar(k)))
     assert cli.main(["all", "--n", "3", "--k", "1"]) == 0
     capsys.readouterr()
-    for cache in (class_sums, _seg_data, _commutes_with_group):
+    for cache in (_seg_data, _commutes_with_group):
         info = cache.cache_info()
         assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
     assert _seg_data.cache_info().currsize == _seg_data.cache_info().maxsize
