@@ -5,21 +5,21 @@ stored, and every operation walks the stored entries only: a product forms
 column j of AB as the sum of B[k, j] * A[:, k].  Sums run through
 `add_scaled`, which adds or subtracts without a product when the factor is
 the singleton ONE or MINUS_ONE (the common case: signed permutation
-matrices and relation coefficients +-1).  `Matrix.sum_of_products` forms a
-sum of coef * F1 ... Fk with the last factor applied straight into the sum,
-so a whole word's product is never stored.
+matrices and relation coefficients +-1).  `Matrix.sum_of_products` is the
+one product routine: it forms the first columns of a sum of coef * F1 ... Fk
+by carrying each column of Fk through the word, so no product of two factors
+is ever stored, and `Matrix.__mul__` is its two-factor word.
 
 A matrix is monomial when it has exactly one nonzero sigma_k in each
 column k, and the rows p(k) of those nonzeros are pairwise distinct: signed
 permutation matrices are, and so are their rescalings by other nonzero
 entries.  A matrix finds out once, lazily, whether it is monomial, and
-keeps the answer.  A monomial left factor of a product, or a monomial
-multiplied-out prefix of a word, is applied by re-indexing: a column
-{k: b} of the other factor becomes {p(k): sigma_k b}, with no product when
-sigma_k is ONE or MINUS_ONE, so a product costs one new column per column
-instead of one `add_scaled` per entry.  The distinct rows are what keep
-this exact: two entries moved to the same row would have to be added up,
-and re-indexing would keep only one of them.
+keeps the answer.  A monomial factor of a word is applied by re-indexing:
+a column {k: b} carried through it becomes {p(k): sigma_k b}, with no
+product when sigma_k is ONE or MINUS_ONE, so it costs one new column per
+column instead of one `add_scaled` per entry.  The distinct rows are what
+keep this exact: two entries moved to the same row would have to be added
+up, and re-indexing would keep only one of them.
 
 Subspaces keep sparse basis vectors in reduced column echelon form (pivot
 rows strictly increasing, pivot entries 1, zeros above and below every
@@ -30,15 +30,14 @@ finds.
 
 `sparse_kernel` is the package's one null-space routine: column elimination
 on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel`,
-`Subspace.intersect` and `centers.minimal_polynomial`.  Vectors are {index: nonzero} dicts throughout; the
-only dense views are those of `Matrix`.
+`Subspace.intersect` and `centers.minimal_polynomial`.  Vectors are
+{index: nonzero} dicts throughout; the only dense views are those of
+`Matrix`.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
-import operator
 
 from .scalars import MINUS_ONE, ONE, UNITS, ZERO, Scalar
 
@@ -90,15 +89,15 @@ class Matrix:
 
     @classmethod
     def sum_of_products(cls, terms, nrows: int, ncols: int) -> Matrix:
-        """The sum of coef * F1 ... Fk over the (coef, [F1, ..., Fk]) pairs of terms.
+        """The first ncols columns of sum(coef * F1 ... Fk) over the (coef, [F1, ..., Fk]) terms.
 
-        F1 ... F(k-1) is multiplied out, and Fk is applied to it column by
-        column straight into the sum, so the product of a whole word is
-        never stored; a one-factor word adds coef * F1 directly.  A coef
-        equal to +-1 is replaced by the singleton once, so `add_scaled`
-        adds or subtracts it without products.  A
-        monomial prefix re-indexes each column of Fk, which is then added
-        at once.  An empty word stands for the identity.
+        Column j of Fk is carried through F(k-1) ... F2 by `apply`, one
+        column at a time, and F1 is added straight into column j of the
+        sum: re-indexed when it is monomial, else as a sum of its columns.
+        So no product of two factors is ever stored; a one-factor word adds
+        coef * F1 directly, and an empty word adds coef at (j, j).  A coef
+        equal to +-1 is replaced by the singleton once, so `add_scaled` adds
+        or subtracts it without products.
         """
         cols = [{} for _ in range(ncols)]
         for coef, factors in terms:
@@ -106,20 +105,23 @@ class Matrix:
                 continue
             if coef is not ONE and coef is not MINUS_ONE:
                 coef = UNITS.get(coef, coef)
-            *head, last = factors or (cls.identity(nrows),)
-            if not head:
-                for acc, col in zip(cols, last.cols):
-                    add_scaled(acc, coef, col)
+            if len(factors) < 2:
+                vecs = factors[0].cols if factors else ({j: ONE} for j in range(ncols))
+                for acc, vec in zip(cols, vecs):
+                    add_scaled(acc, coef, vec)
                 continue
-            prefix = functools.reduce(operator.mul, head)
-            monomial = prefix.monomial()
+            first, *middle, last = factors
+            vecs = last.cols
+            for factor in reversed(middle):
+                vecs = map(factor.apply, vecs)
+            monomial = first.monomial()
             if monomial is not None:
-                for acc, col in zip(cols, last.cols):
-                    add_scaled(acc, coef, _reindex(monomial, col))
+                for acc, vec in zip(cols, vecs):
+                    add_scaled(acc, coef, _reindex(monomial, vec))
                 continue
-            for acc, col in zip(cols, last.cols):
-                for k, a in col.items():
-                    add_scaled(acc, a if coef is ONE else coef * a, prefix.cols[k])
+            for acc, vec in zip(cols, vecs):
+                for k, a in vec.items():
+                    add_scaled(acc, a if coef is ONE else coef * a, first.cols[k])
         return cls.from_sparse(cols, nrows)
 
     @property
@@ -147,10 +149,10 @@ class Matrix:
         return Matrix.sum_of_products(((scalar, [self]),), self.nrows, self.ncols)
 
     def __mul__(self, other: Matrix) -> Matrix:
-        """Column j of the product is the sum of B[k, j] * A[:, k]."""
+        """The two-factor word [self, other] of `sum_of_products`."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return Matrix.from_sparse([self.apply(col) for col in other.cols], self.nrows)
+        return Matrix.sum_of_products(((ONE, [self, other]),), self.nrows, other.ncols)
 
     def monomial(self) -> tuple[list[int], list[Scalar]] | None:
         """(p, sigma) when this matrix is monomial, with column k = {p[k]: sigma[k]}, else None.

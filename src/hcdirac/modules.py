@@ -24,12 +24,11 @@ Every matrix is built directly in the sparse column form of
 `linalg.Matrix`: generator columns are assembled from {index: nonzero}
 vectors, and realisations and relation sums add up stored entries only.  A
 realisation is one `Matrix.sum_of_products` over its words, and a relation
-coef0 * w0 + sum(rest) = 0 is two, compared as coef0 * w0 = -sum(rest): all
-factors but the last are multiplied out, and the last is applied column by
-column straight into the sum, so no product of a whole word is stored.  A
-group element w is one factor pi(w), cached and built with one product
-pi(s) pi(s w) from the element one left descent s shorter, with no
-enumeration of the group.
+coef0 * w0 + sum(rest) = 0 is two, compared as coef0 * w0 = -sum(rest):
+each column of a word's last factor is carried through the factors before
+it, so no product of two generator matrices is stored.  A group element w
+is one factor pi(w), cached and built with one product pi(s) pi(s w) from
+the element one left descent s shorter, with no enumeration of the group.
 
 The induced module X_lambda = H (x)_{H_lambda} St_lambda has the basis
 w_t (x) c^mask, with w_t the minimal coset representatives and c^mask the
@@ -61,7 +60,7 @@ from .engine import (
     generating_relations,
     perm_on_cliff,
 )
-from .linalg import Matrix, add_scaled
+from .linalg import Matrix
 from .partitions import Partition
 from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import SignedPerm
@@ -132,31 +131,18 @@ class ModuleRep:
 
     def act(self, elem: AlgElem) -> Matrix:
         """pi(elem) as an exact dim x dim matrix, one fused sum over its monomials."""
-        if elem.params != self.params:
-            raise ValueError("params mismatch")
-        terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
-        return Matrix.sum_of_products(terms, self.dim, self.dim)
+        return self.act_columns(elem, self.dim)
 
     def act_columns(self, elem: AlgElem, ncols: int) -> Matrix:
         """The first ncols columns of pi(elem), a dim x ncols matrix.
 
-        Each word is applied factor by factor, from the right, to the unit
-        vectors, so no two generator matrices are multiplied: on the 2^n
+        One `Matrix.sum_of_products` over the words of elem: on the 2^n
         columns of the first block of X_lambda this is a small part of `act`.
         """
         if elem.params != self.params:
             raise ValueError("params mismatch")
-        words = [(coef, self._mono_factors(mono)[::-1]) for mono, coef in elem.terms.items()]
-        cols = []
-        for j in range(ncols):
-            col: dict = {}
-            for coef, factors in words:
-                vec = {j: ONE}
-                for factor in factors:
-                    vec = factor.apply(vec)
-                add_scaled(col, coef, vec)
-            cols.append(col)
-        return Matrix.from_sparse(cols, self.dim)
+        terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
+        return Matrix.sum_of_products(terms, self.dim, ncols)
 
     def summary(self) -> dict:
         out = {

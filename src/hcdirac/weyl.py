@@ -4,9 +4,11 @@ Roots are stored symbolically (difference, sum or single-coordinate kind)
 rather than as vectors, which keeps the positive-root ordering and the
 long/short classification explicit.  Group elements are signed permutations
 in window notation.  The engine and the modules step down by left descents
-read off the window; whole reduced words come from a breadth-first search
-over the Cayley graph, which is trivially correct at the desk scales this
-package targets (group order at most a few thousand).
+read off the window (`left_descent`).  Whole reduced words, from a
+breadth-first search over the Cayley graph, serve only `reduced_word` and
+`elements`, which the tests and the perfbench tracer call; the search is
+trivially correct at the desk scales this package targets (group order at
+most a few thousand).
 """
 
 from __future__ import annotations

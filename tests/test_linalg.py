@@ -323,6 +323,13 @@ def _repeated_row(rng, n):
     return Matrix.from_sparse([{row: rng.choice(_MONOMIAL_ENTRIES)} for row in rows], n)
 
 
+def _rand_factor(rng, nrows, ncols):
+    """A random nrows x ncols factor, monomial about half the time when that fits."""
+    if ncols <= nrows and rng.random() < 0.5:
+        return _monomial(rng, nrows, ncols)
+    return Matrix(_rand_entries(rng, nrows, ncols))
+
+
 def _dense_product(a, b):
     """The rows of a * b by dense arithmetic, for any shapes, empty ones included."""
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in b.columns())
@@ -380,7 +387,32 @@ def test_sum_of_products_matches_dense_reference():
         assert _no_zero_stored(total.cols)
         cancelled += total.is_zero()
     assert cancelled > 5
-    # Empty and 1x1 shapes, with a monomial prefix of two factors.
+    # Non-square words, of which only the first ncols columns are formed.
+    truncated = 0
+    for _ in range(60):
+        nrows, width = rng.randint(1, 5), rng.randint(1, 5)
+        ncols = rng.randint(0, width)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            dims = [nrows] + [rng.randint(1, 5) for _ in range(rng.randint(0, 3))] + [width]
+            word = [_rand_factor(rng, r, c) for r, c in zip(dims, dims[1:])]
+            terms.append((rng.choice(_ENTRIES), word))
+        if nrows == width:
+            terms.append((rng.choice(_ENTRIES), []))
+        expected = [[ZERO] * ncols for _ in range(nrows)]
+        for coef, word in terms:
+            prod = word[0] if word else Matrix.identity(nrows)
+            for f in word[1:]:
+                prod = Matrix(_dense_product(prod, f))
+            # zip against the rows of expected keeps the first ncols columns.
+            expected = [[e + coef * p for e, p in zip(er, pr)] for er, pr in zip(expected, prod.rows)]
+        total = Matrix.sum_of_products(terms, nrows, ncols)
+        assert (total.nrows, total.ncols) == (nrows, ncols)
+        assert total.rows == tuple(map(tuple, expected))
+        assert _no_zero_stored(total.cols)
+        truncated += ncols < width
+    assert truncated > 20
+    # Empty and 1x1 shapes, with monomial first and middle factors.
     for n in [0, 0, 1, 1, 1]:
         a, b, c = _monomial(rng, n, n), _monomial(rng, n, n), Matrix(_rand_entries(rng, n, n))
         coef = rng.choice(_ENTRIES)

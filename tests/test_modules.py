@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hcdirac.dirac import dirac_element
+from hcdirac.dirac import casimirs, dirac_element
 from hcdirac.engine import (
     AlgebraParams,
     algebra_for,
@@ -537,3 +537,50 @@ def test_act_is_algebra_map_on_group_parts(build):
         a = random_element(params, rng, max_deg=1, max_terms=2)
         b = random_element(params, rng, max_deg=1, max_terms=2)
         assert module.act(multiply(params, a, b)) == module.act(a) * module.act(b)
+
+
+@pytest.mark.parametrize(
+    "build, longest",
+    [
+        pytest.param(lambda: induced_module(Partition((3, 1)), ONE), 3, id="induced-3,1"),
+        pytest.param(lambda: _forced_steinberg("B", 3, HALF), 4, id="steinberg-B3"),
+    ],
+)
+def test_relation_check_multiplies_no_two_matrices(build, longest, monkeypatch):
+    # Each column of a word's last factor is carried through the factors
+    # before it, so the check gives the same reports, failing ones included,
+    # with the product of two matrices refused: on X_(3,1) the braid_s*
+    # words have 3 factors, and braid_sn of B3 has 4.
+    good = build()
+    assert max(len(word) for _, terms in generating_relations(good.params) for _, word in terms) == longest
+    broken = ModuleRep(good.params, good.kind, good.parity, dict(good.gens, c1=Matrix.identity(good.dim)),
+                       lam=good.lam, check=False)
+    modules = [good, broken]
+    reports = [check_module_relations(module) for module in modules]
+    assert [report["status"] for report in reports] == ["pass", "fail"]
+
+    def refuse(self, other):
+        raise AssertionError("a relation word formed the product of two matrices")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    assert [check_module_relations(module) for module in modules] == reports
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
+        pytest.param(lambda: induced_module(Partition((3, 1)), HALF), id="induced-3,1"),
+        pytest.param(lambda: _forced_steinberg("B", 2, HALF), id="steinberg-B2"),
+        pytest.param(lambda: _forced_steinberg("D", 3, ZERO), id="steinberg-D3"),
+    ],
+)
+def test_act_columns_are_the_first_columns_of_act(build):
+    module = build()
+    params = module.params
+    alg = algebra_for(params)
+    elems = [dirac_element(params), casimirs(params)[0], alg.multiply(alg.x(1), alg.x(1)), alg.one()]
+    for elem in elems:
+        full = module.act(elem)
+        for ncols in sorted({1, 1 << params.n, module.dim}):
+            assert module.act_columns(elem, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
