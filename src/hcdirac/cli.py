@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import REPORT_SCHEMA_VERSION, report_schema_version
 from .centers import MAX_ZETA_N, jucys_murphy_elements, verify_zeta_surjective, zeta_on_dirac
-from .cohomology import dirac_cohomology, verify_vogan
+from .cohomology import acts_by_zero, dirac_cohomology, verify_vogan
 from .dirac import dirac_element, verify_identities
 from .engine import AlgebraParams, check_pbw_consistency, check_relations_in_engine
 from .modules import forced_n_constant, induced_module, steinberg_module
@@ -187,7 +187,7 @@ def _cmd_steinberg(args) -> dict:
         )
     module = steinberg_module(params)
     rels = module.relations
-    d_zero = module.act(dirac_element(params)).is_zero()
+    d_zero = acts_by_zero(module, dirac_element(params))
     checks = [
         _check("module_relations", rels["status"] == "pass", rels["failures"]),
         _check("dirac_vanishes", d_zero, {"dim": module.dim}),

@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 from .centers import center_multiplication, minimal_polynomial, seg_even_center
 from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
-from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for
+from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for, parity, supercommutator
 from .linalg import Matrix, Subspace, add_scaled
 from .modules import ModuleRep, induced_module, minimal_coset_reps
 from .partitions import Partition, distinct_partitions, phi_maps
@@ -171,6 +171,53 @@ def _scalar_action(module: ModuleRep, elem: AlgElem) -> Scalar | None:
     if certified and _commutes_with_group(elem) and _blocks_are_translates(module):
         return module.act_columns(elem, 1 << module.params.n).scalar_value()
     return module.act(elem).scalar_value()
+
+
+def _clifford_width(module: ModuleRep) -> int | None:
+    """The least m whose first m basis vectors the pi(c_i) carry to every one.
+
+    None when some pi(c_i) is not monomial.  Each orbit of the monomial
+    pi(c_i) is walked from its least index; m is one past the last of those.
+    """
+    moves = []
+    for i in range(1, module.params.n + 1):
+        monomial = module.gens[f"c{i}"].monomial()
+        if monomial is None:
+            return None
+        moves.append(monomial[0])
+    seen = [False] * module.dim
+    width = 0
+    for start in range(module.dim):
+        if seen[start]:
+            continue
+        width, seen[start], stack = start + 1, True, [start]
+        while stack:
+            j = stack.pop()
+            for rows in moves:
+                if not seen[rows[j]]:
+                    seen[rows[j]] = True
+                    stack.append(rows[j])
+    return width
+
+
+def acts_by_zero(module: ModuleRep, elem: AlgElem) -> bool:
+    """pi(elem) = 0, read on the first columns whose orbit under the pi(c_i) covers the basis.
+
+    When (a) holds, every pi(c_i) is monomial and elem supercommutes with
+    every c_i in the engine, pi(elem) pi(c_i) = +-pi(c_i) pi(elem), so
+    pi(elem) kills the orbit of each basis vector it kills.  Only the first
+    `_clifford_width` columns are formed then: one on X_(n), whose basis
+    c^mask is one orbit, and 2^ceil(n/2) on U(n) (x) U(n) in types B and D.
+    Otherwise the whole of pi(elem) is.
+    """
+    certified = module.relations is not None and module.relations["status"] == "pass"
+    width = _clifford_width(module) if certified and parity(elem) != "mixed" else None
+    alg = algebra_for(module.params)
+    if width is not None and all(
+        supercommutator(module.params, alg.c(i), elem).is_zero() for i in range(1, module.params.n + 1)
+    ):
+        return module.act_columns(elem, width).is_zero()
+    return module.act(elem).is_zero()
 
 
 # ---------------------------------------------------------------------------

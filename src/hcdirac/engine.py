@@ -736,22 +736,27 @@ def defining_relations(params: AlgebraParams) -> list[Relation]:
 def generating_relations(params: AlgebraParams) -> list[Relation]:
     """The relations of `defining_relations` that certify a module.
 
-    In type A the algebra is generated by x1, c1 and s1..s(n-1) (M. Nazarov,
-    "Young's symmetrizers for projective representations of the symmetric
-    group", Adv. Math. 127 (1997)), and the list keeps, in the order of
-    `defining_relations`:
+    The algebra is generated by x1, c1 and the simple reflections (in type
+    A, M. Nazarov, "Young's symmetrizers for projective representations of
+    the symmetric group", Adv. Math. 127 (1997); in types B and D, the
+    presentations of Khongsap and Wang, Transform. Groups 13 (2008)), and
+    the list keeps, in the order of `defining_relations`:
 
-    - the Coxeter relations s{i}_sq, braid_* and comm_* of S_n;
+    - the Coxeter relations *_sq, braid_* and comm_* of the Weyl group;
     - c1_sq, c1_c2 and x1_x2;
-    - x1_c{j} for every j, and s{j}_c1 and s{j}_x1 for j >= 2;
-    - s{i}_c{i} and s{i}_x{i} for every i.
+    - x1_c{j} for every j, and s{j}_c1 and s{j}_x1 for 2 <= j < n;
+    - s{i}_c{i} and s{i}_x{i} for every i < n;
+    - in type B, sn_c1, sn_x1, sn_c{n} and sn_xn;
+    - in type D, sd_c1, sd_x1, sd_c{n-1} and sd_xfork.
+
+    D1 has no reflection, and keeps its whole list, x1_c1 and c1_sq.
 
     Why they suffice.  With s_i^2 = 1, s{i}_c{i} and s{i}_x{i} say
 
         c_{i+1} = s_i c_i s_i,   x_{i+1} = s_i x_i s_i + k (1 - c_i c_{i+1}) s_i,
 
     so the matrices of c_{i+1} and x_{i+1} are fixed by those of x1, c1 and
-    the s_i.  Every other relation follows by conjugation, in three steps.
+    the s_i.  Every other relation follows by conjugation, in four steps.
 
     - Clifford part.  c_i = w c_1 w^-1 for w = s_{i-1} ... s_1, and the
       Coxeter relations with s{j}_c1 give s_j c_i s_j = c_{s_j(i)}, every
@@ -761,31 +766,37 @@ def generating_relations(params: AlgebraParams) -> list[Relation]:
       x_{i+1}, x1_c{j} gives every x{i}_c{j}, and s{j}_x1 every s{j}_x{i}
       with i not in {j, j+1} (the braid relation moves s_{i-1} past
       s_i s_{i-1}); s_i times both sides of s{i}_x{i} gives s{i}_x{i+1}.
-    - x against x.  x_j for j >= 3 is built from x_2, s_2..s_{j-1} and
-      c_2..c_j, which all commute with x_1, so x1_x2 gives x1_x{j}.
-      Conjugating x_{i-1} x_j = x_j x_{i-1} by s_{i-1}, for j > i, gives
-      x{i}_x{j}, as the correction k (1 - c_{i-1} c_i) s_{i-1} commutes
-      with x_j.
-
-    This is Nazarov's presentation of the affine Sergeev algebra.
-
-    Types B and D have other presentations, not derived here, and keep the
-    full list.
+    - x against x.  x1_x2 says x_1 x_2 = x_2 x_1 + N c_2 c_1 (N = 0 in
+      type A).  For j >= 3, s_{j-1}, c_{j-1} and c_j commute with x_1, so
+      by induction through the formula for x_j,
+      x_1 x_j = s_{j-1} (x_{j-1} x_1 + N c_{j-1} c_1) s_{j-1}
+      + k (1 - c_{j-1} c_j) s_{j-1} x_1 = x_j x_1 + N c_j c_1, every
+      x1_x{j}.  Conjugating x_{i-1} x_j = x_j x_{i-1} + N c_j c_{i-1} by
+      s_{i-1}, for j > i, gives x{i}_x{j}, as the correction
+      k (1 - c_{i-1} c_i) s_{i-1} commutes with x_j.
+    - The last reflection.  In type B, s_n commutes with s_1..s_{n-2}
+      (comm_*), so sn_c1 and sn_x1 carry over, along the formulas for
+      c_{i+1} and x_{i+1}, to every sn_c{i} and sn_x{i} with i < n.  In
+      type D the fork s_{n-1,-n} commutes with s_1..s_{n-3}, so sd_c1 and
+      sd_x1 give sd_c{i} and sd_x{i} for i <= n-2 in the same way;
+      sd_c{n} and sd_xfork2 are the sd-conjugates of sd_c{n-1} and
+      sd_xfork.
     """
-    rels = defining_relations(params)
-    if params.type != "A":
-        return rels
     n = params.n
     names = {"c1_sq", "c1_c2", "x1_x2"}
     names.update(f"x1_c{j}" for j in range(1, n + 1))
-    for i in range(1, n):
-        names.update((f"s{i}_sq", f"s{i}_c{i}", f"s{i}_x{i}"))
-        names.update(f"comm_s{i}_s{j}" for j in range(i + 2, n))
-        if i < n - 1:
-            names.add(f"braid_s{i}")
+    for i, s in enumerate(algebra_for(params).ctx.simple_names, start=1):
+        names.add(f"{s}_sq")
+        if i < n:
+            names.update((f"{s}_c{i}", f"{s}_x{i}"))
         if i >= 2:
-            names.update((f"s{i}_c1", f"s{i}_x1"))
-    return [rel for rel in rels if rel[0] in names]
+            names.update((f"{s}_c1", f"{s}_x1"))
+    if params.type == "B":
+        names.update((f"sn_c{n}", "sn_xn"))
+    if params.type == "D":
+        names.update((f"sd_c{n - 1}", "sd_xfork"))
+    return [rel for rel in defining_relations(params)
+            if rel[0] in names or rel[0].startswith(("braid_", "comm_"))]
 
 
 def eval_relation_tokens(params: AlgebraParams, word: tuple[str, ...]) -> AlgElem:

@@ -94,10 +94,12 @@ class Matrix:
         Column j of Fk is carried through F(k-1) ... F2 by `apply`, one
         column at a time, and F1 is added straight into column j of the
         sum: re-indexed when it is monomial, else as a sum of its columns.
-        So no product of two factors is ever stored; a one-factor word adds
-        coef * F1 directly, and an empty word adds coef at (j, j).  A coef
-        equal to +-1 is replaced by the singleton once, so `add_scaled` adds
-        or subtracts it without products.
+        A re-indexed column is a new dict, so at coef ONE it becomes an
+        empty column of the sum with no copy.  No product of two factors is
+        ever stored; a one-factor word adds coef * F1 directly, and an
+        empty word adds coef at (j, j).  A coef equal to +-1 is replaced by
+        the singleton once, so `add_scaled` adds or subtracts it without
+        products.
         """
         cols = [{} for _ in range(ncols)]
         for coef, factors in terms:
@@ -116,8 +118,11 @@ class Matrix:
                 vecs = map(factor.apply, vecs)
             monomial = first.monomial()
             if monomial is not None:
-                for acc, vec in zip(cols, vecs):
-                    add_scaled(acc, coef, _reindex(monomial, vec))
+                for j, vec in zip(range(ncols), vecs):
+                    if coef is ONE and not cols[j]:
+                        cols[j] = _reindex(monomial, vec)
+                    else:
+                        add_scaled(cols[j], coef, _reindex(monomial, vec))
                 continue
             for acc, vec in zip(cols, vecs):
                 for k, a in vec.items():

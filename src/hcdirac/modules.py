@@ -5,13 +5,12 @@ Jordan-Wigner Clifford matrices), the induced modules X_lambda of type A,
 of which the type-A Steinberg module is X_(n), matrix realisation of
 arbitrary algebra elements, and a relation checker that verifies the
 relations of `engine.generating_relations` as matrix identities (run by
-every constructor).  In type A those are the relations on the generators
-x1, c1 and s1..s(n-1), which imply all the others; in types B and D they
-are every defining relation.  Once they pass, pi is an algebra
-homomorphism: `act` realises each PBW monomial as the product of its
-generator matrices, so an identity proved in the engine, such as
-g D = +-D g for the Seg generators g, holds for the realised matrices with
-no matrix computed.
+every constructor).  Those are the relations on the generators x1, c1 and
+the simple reflections, which imply all the others in every type.  Once
+they pass, pi is an algebra homomorphism: `act` realises each PBW monomial
+as the product of its generator matrices, so an identity proved in the
+engine, such as g D = +-D g for the Seg generators g, holds for the
+realised matrices with no matrix computed.
 
 Generator matrices are keyed by the engine's generator names: x1..xn,
 c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
@@ -27,8 +26,14 @@ realisation is one `Matrix.sum_of_products` over its words, and a relation
 coef0 * w0 + sum(rest) = 0 is two, compared as coef0 * w0 = -sum(rest):
 each column of a word's last factor is carried through the factors before
 it, so no product of two generator matrices is stored.  A group element w
-is one factor pi(w), cached and built with one product pi(s) pi(s w) from
-the element one left descent s shorter, with no enumeration of the group.
+is one factor pi(w), the last of its word, cached and built with one
+product pi(s) pi(s w) from the element one left descent s shorter, with no
+enumeration of the group; `act_columns` builds only the columns of pi(w)
+it reads.
+
+The Steinberg modules of types B and D live on U(n) (x) U(n), with U(n)
+the Jordan-Wigner module of the Clifford algebra; the c_i act on the
+second factor, which is the slow tensor index.
 
 The induced module X_lambda = H (x)_{H_lambda} St_lambda has the basis
 w_t (x) c^mask, with w_t the minimal coset representatives and c^mask the
@@ -85,7 +90,7 @@ class ModuleRep:
         self.lam = lam
         self.dim = len(parity)
         self.ctx = algebra_for(params).ctx
-        self._group_cache: dict[SignedPerm, Matrix] = {}
+        self._group_cache: dict[tuple[SignedPerm, int], Matrix] = {}
         # The relation-check report, kept for callers; None when unchecked.
         self.relations: dict | None = None
         if check:
@@ -100,33 +105,37 @@ class ModuleRep:
 
     # -- matrix realisation ----------------------------------------------
 
-    def group_matrix(self, w: SignedPerm) -> Matrix:
-        """pi(w) = pi(s) pi(s w) for the least left descent s of w.
+    def group_matrix(self, w: SignedPerm, ncols: int) -> Matrix:
+        """The first ncols columns of pi(w): pi(s) times those of pi(s w).
 
-        s w is one letter shorter (`RootSystemCtx.left_descent` reads s off
-        the window), so each element costs one product, the cache holds the
-        descent chains of the elements asked for, and no reduced word of the
-        whole group is built.
+        s is the least left descent of w, so s w is one letter shorter
+        (`RootSystemCtx.left_descent` reads s off the window).  Each element
+        costs one product of ncols columns, the cache holds the descent
+        chains of the (element, ncols) pairs asked for, and no reduced word
+        of the whole group is built.
         """
-        cached = self._group_cache.get(w)
+        cached = self._group_cache.get((w, ncols))
         if cached is None:
             idx = self.ctx.left_descent(w)
             if idx is None:
-                cached = Matrix.identity(self.dim)
+                cached = Matrix.from_sparse([{j: ONE} for j in range(ncols)], self.dim)
             else:
                 s = self.gens[self.ctx.simple_names[idx]]
                 rest = self.ctx.simple_reflections[idx] * w
-                cached = s if rest.is_identity() else s * self.group_matrix(rest)
-            self._group_cache[w] = cached
+                if rest.is_identity():
+                    cached = Matrix.from_sparse(s.cols[:ncols], self.dim)
+                else:
+                    cached = s * self.group_matrix(rest, ncols)
+            self._group_cache[w, ncols] = cached
         return cached
 
-    def _mono_factors(self, mono: PbwMonomial) -> list[Matrix]:
-        """The factors of x^exps c^cliff w, in order; pi(w) is one factor."""
+    def _mono_factors(self, mono: PbwMonomial, ncols: int) -> list[Matrix]:
+        """The factors of x^exps c^cliff w, in order; the last, pi(w), to its first ncols columns."""
         n = self.params.n
         factors = [self.gens[f"x{i}"] for i in range(1, n + 1) for _ in range(mono.exps[i - 1])]
         factors += [self.gens[f"c{i}"] for i in range(1, n + 1) if mono.cliff & (1 << (i - 1))]
         if not mono.w.is_identity():
-            factors.append(self.group_matrix(mono.w))
+            factors.append(self.group_matrix(mono.w, ncols))
         return factors
 
     def act(self, elem: AlgElem) -> Matrix:
@@ -136,12 +145,13 @@ class ModuleRep:
     def act_columns(self, elem: AlgElem, ncols: int) -> Matrix:
         """The first ncols columns of pi(elem), a dim x ncols matrix.
 
-        One `Matrix.sum_of_products` over the words of elem: on the 2^n
-        columns of the first block of X_lambda this is a small part of `act`.
+        One `Matrix.sum_of_products` over the words of elem, in which only
+        the first ncols columns of each pi(w) are built: on the 2^n columns
+        of the first block of X_lambda this is a small part of `act`.
         """
         if elem.params != self.params:
             raise ValueError("params mismatch")
-        terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
+        terms = ((coef, self._mono_factors(mono, ncols)) for mono, coef in elem.terms.items())
         return Matrix.sum_of_products(terms, self.dim, ncols)
 
     def summary(self) -> dict:
@@ -249,12 +259,17 @@ def forced_n_constant(params: AlgebraParams) -> Scalar:
 
 
 def _graded_pair_op(p_mat: Matrix, q_mat: Matrix, parity_u: list[int], coef: Scalar) -> Matrix:
-    """coef * (-1)^{deg u} (P u) (x) (Q v): the columns of P at odd u are negated."""
+    """coef * (-1)^{deg u} (P u) (x) (Q v): the columns of P at odd u are negated.
+
+    u (x) v has index v * dim U + u: the second factor, on which the c_i
+    act, is the slow index, so the first dim U basis vectors meet every
+    orbit of the pi(c_i).
+    """
     twisted = [
         {p2: (-coef if odd else coef) * a for p2, a in col.items()}
         for odd, col in zip(parity_u, p_mat.cols)
     ]
-    return _kron(Matrix.from_sparse(twisted, p_mat.nrows), q_mat)
+    return _kron(q_mat, Matrix.from_sparse(twisted, p_mat.nrows))
 
 
 def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:

@@ -347,6 +347,15 @@ REPORT_DIGESTS = [
      "82839dc27271ef18146e6975363a65945a4132599a0eca6e43a9930387ad75c8"),
     (["steinberg", "--type", "D", "--n", "3", "--k", "2/3"],
      "e7bca1855291407620aaafeab5411a0b8c8c361a659b6085919ab7ec00b9cac5"),
+    # The sizes of the perfbench steinberg workload.
+    (["steinberg", "--type", "B", "--n", "4", "--k", "1", "--ks", "1"],
+     "12ecfec55531fdfbab73b5b01ebb61f28f762e03360f1ad672f897b4e72350a9"),
+    (["steinberg", "--type", "B", "--n", "4", "--k", "-1/2", "--ks", "-1/2"],
+     "83010956a5400b557de743d02e95fbb2cfe9b4d90c564a63680b99d3fc417adb"),
+    (["steinberg", "--type", "D", "--n", "4", "--k", "1"],
+     "507d3a3331d7a4e699e77f4fb67c5ba01c4ae8440de162c07668035fcac99e66"),
+    (["steinberg", "--type", "D", "--n", "4", "--k", "-1/2"],
+     "239ac67ed342e771f3c2d782e70cb6a4c1803c3d9c625517fe36108be51e82cf"),
     (["dirac-square", "--type", "B", "--n", "2", "--k", "1", "--ks", "1", "--N", "1"],
      "c77a786ce8425fa4eff18c010524fc1b16bc779829aa38e08a45cc74175be03a"),
     (["pbw", "--type", "A", "--n", "3", "--k", "2/3", "--trials", "5"],

@@ -12,12 +12,14 @@ from hcdirac.centers import center_multiplication, seg_even_center
 from hcdirac.cohomology import (
     CentralCharacter,
     _blocks_are_translates,
+    _clifford_width,
     _commutes_with_group,
     _divide_linear,
     _idempotent_trace,
     _phi_values,
     _poly_apply,
     _seg_data,
+    acts_by_zero,
     central_character,
     dirac_cohomology,
     expected_central_character,
@@ -563,3 +565,56 @@ def test_all_run_keeps_center_caches_bounded(capsys):
         info = cache.cache_info()
         assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
     assert _seg_data.cache_info().currsize == _seg_data.cache_info().maxsize
+
+
+def _steinberg_params(typ, n, k, ks):
+    if typ == "A":
+        return AlgebraParams("A", n, k)
+    base = AlgebraParams(typ, n, k, k_short=ks if typ == "B" else ZERO)
+    return AlgebraParams(typ, n, k, k_short=base.k_short, N=forced_n_constant(base))
+
+
+@pytest.mark.parametrize(
+    "typ, n", [("A", n) for n in range(1, 7)] + [(typ, n) for typ in "BD" for n in range(1, 5)]
+)
+def test_dirac_read_off_agrees_with_act_on_steinberg(typ, n):
+    # One column on X_(n), whose basis c^mask is one Clifford orbit; the
+    # 2^ceil(n/2) columns of one slice of U(n) (x) U(n) in types B and D.
+    for k in (ONE, -HALF_K, Scalar(Fraction(2, 3))):
+        for ks in (k, HALF_K) if typ == "B" else (ZERO,):
+            params = _steinberg_params(typ, n, k, ks)
+            module = steinberg_module(params)
+            assert _clifford_width(module) == (1 if typ == "A" else 1 << (n + 1) // 2)
+            d = dirac_element(params)
+            assert acts_by_zero(module, d) is module.act(d).is_zero() is True
+
+
+def test_dirac_read_off_falls_back_without_its_premises(monkeypatch):
+    params = _steinberg_params("B", 3, ONE, HALF_K)
+    good = steinberg_module(params)
+    unchecked = ModuleRep(params, good.kind, good.parity, good.gens, check=False)
+    alg = algebra_for(params)
+    d = dirac_element(params)
+    acted = []
+    real_act = ModuleRep.act
+    monkeypatch.setattr(ModuleRep, "act", lambda self, elem: acted.append(elem) or real_act(self, elem))
+    assert acts_by_zero(good, d) and acted == []
+    assert acts_by_zero(unchecked, d) and acted == [d]
+    # x1 commutes with c1 and c1 squares to -1: neither supercommutes with c1.
+    assert not acts_by_zero(good, alg.x(1)) and acted[-1] == alg.x(1)
+    assert not acts_by_zero(good, alg.c(1)) and acted[-1] == alg.c(1)
+    # 1 + c1 has mixed parity.
+    mixed = alg.one() + alg.c(1)
+    assert not acts_by_zero(good, mixed) and acted[-1] == mixed
+    # s2 of B3 is no monomial matrix, so as a c1 it gives no orbits.
+    assert _clifford_width(ModuleRep(params, good.kind, good.parity, dict(good.gens, c1=good.gens["s2"]),
+                                     check=False)) is None
+
+
+def test_dirac_read_off_sees_a_nonzero_d(monkeypatch):
+    # On X_(2,1) every premise holds and pi(D) != 0: its first 17 columns,
+    # which meet each of the three coset blocks, show it with no act.
+    module = cached_module((2, 1), ONE)
+    assert _clifford_width(module) == 2 * 8 + 1
+    monkeypatch.setattr(ModuleRep, "act", lambda self, elem: pytest.fail("act was called"))
+    assert not acts_by_zero(module, dirac_element(module.params))

@@ -207,6 +207,19 @@ def test_generating_relations_for_n3():
     ]
 
 
+def test_generating_relations_for_b3_and_d3():
+    shared = ["x1_x2", "x1_c1", "x1_c2", "x1_c3", "c1_sq", "c1_c2", "s1_sq", "s1_c1", "s2_sq",
+              "s2_c1", "s2_c2"]
+    assert [name for name, _ in generating_relations(RELATION_DIGESTS[1][0])] == shared + [
+        "sn_sq", "sn_c1", "sn_c3", "s1_x1", "s2_x2", "s2_x1", "sn_xn", "sn_x1", "braid_s1",
+        "braid_sn", "comm_s1_sn",
+    ]
+    assert [name for name, _ in generating_relations(AlgebraParams("D", 3, K23, N=N57))] == shared + [
+        "sd_sq", "sd_c1", "sd_c2", "s1_x1", "s2_x2", "s2_x1", "sd_xfork", "sd_x1", "braid_s1",
+        "braid_sd", "comm_s2_sd",
+    ]
+
+
 def test_identity_is_neutral():
     rng = random.Random(5)
     alg = algebra_for(B2)

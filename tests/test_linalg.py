@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcdirac import linalg
 from hcdirac.linalg import (
     Matrix,
     Subspace,
@@ -443,3 +444,19 @@ def test_sum_of_products_takes_unit_coefficients_by_value(monkeypatch):
     monkeypatch.undo()
     assert count == 0
     assert total == a - b
+
+
+def test_monomial_product_keeps_its_reindexed_columns(monkeypatch):
+    # A monomial first factor at coefficient ONE re-indexes each column into
+    # an empty column of the sum: the new dict is kept, with no add_scaled copy.
+    rng = random.Random(29)
+    perm = _signed_perm(rng, 6)
+    other = Matrix(_rand_entries(rng, 6, 4))
+    expected = _dense_product(perm, other)
+
+    def refuse(target, factor, source):
+        raise AssertionError("a re-indexed column was copied")
+
+    monkeypatch.setattr(linalg, "add_scaled", refuse)
+    assert (perm * other).rows == expected
+    assert (perm * _signed_perm(rng, 6)).monomial() is not None

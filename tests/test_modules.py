@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -135,14 +136,14 @@ def test_group_matrix_is_product_along_reduced_word(typ, n):
     ctx = algebra_for(params).ctx
     longest = max(ctx.elements(), key=lambda w: len(ctx.reduced_word(w)))
     module = steinberg_module(params)
-    module.group_matrix(longest)
+    module.group_matrix(longest, module.dim)
     # One product per letter: the cache holds the nonempty prefixes of the word.
     assert len(module._group_cache) == len(ctx.reduced_word(longest))
     for w in ctx.elements():
         expected = Matrix.identity(module.dim)
         for idx in ctx.reduced_word(w):
             expected = expected * module.gens[ctx.simple_names[idx]]
-        assert module.group_matrix(w) == expected
+        assert module.group_matrix(w, module.dim) == expected
     assert len(module._group_cache) == len(ctx.elements())
 
 
@@ -213,6 +214,11 @@ def _tampered(gens: dict, rng: random.Random, dim: int) -> dict:
     return gens
 
 
+def _forced_steinberg(typ, n, k_short):
+    base = AlgebraParams(typ, n, ONE, k_short=k_short)
+    return steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
+
+
 _TAMPER_MODULES = {
     "steinberg-A3": lambda: steinberg_module(AlgebraParams("A", 3, Scalar(Fraction(2, 3)))),
     "steinberg-B2": lambda: steinberg_module(AlgebraParams(
@@ -276,6 +282,8 @@ _MUTATION_MODULES = {
     "induced-2,1": _TAMPER_MODULES["induced-2,1"],
     "induced-3,1": _TAMPER_MODULES["induced-3,1"],
     "induced-2,2": lambda: induced_module(Partition((2, 2)), ONE),
+    **{f"steinberg-B{n}": functools.partial(_forced_steinberg, "B", n, HALF) for n in range(1, 5)},
+    **{f"steinberg-D{n}": functools.partial(_forced_steinberg, "D", n, ZERO) for n in range(2, 5)},
 }
 
 
@@ -297,12 +305,18 @@ def test_generating_set_catches_every_single_generator_fault(which):
     assert broken >= 2 * len(good.gens)  # most faults break a relation
 
 
-@pytest.mark.parametrize("typ, n, k_short", [("B", 2, HALF), ("B", 3, HALF), ("D", 3, ZERO)])
-def test_bd_steinberg_checks_every_defining_relation(typ, n, k_short):
-    base = AlgebraParams(typ, n, ONE, k_short=k_short)
-    params = AlgebraParams(typ, n, ONE, k_short=k_short, N=forced_n_constant(base))
-    assert generating_relations(params) == defining_relations(params)
-    module = steinberg_module(params)
+@pytest.mark.parametrize(
+    "typ, n, kept, total",
+    [("B", 1, 5, 5), ("B", 2, 14, 19), ("B", 3, 22, 42), ("B", 4, 31, 74),
+     ("D", 1, 2, 2), ("D", 2, 12, 19), ("D", 3, 22, 42), ("D", 4, 31, 74)],
+)
+def test_bd_steinberg_checks_the_generating_relations(typ, n, kept, total):
+    # The Khongsap-Wang generating set certifies the B/D Steinberg modules,
+    # and every defining relation holds on them all the same.
+    module = _forced_steinberg(typ, n, HALF if typ == "B" else ZERO)
+    full, subset = defining_relations(module.params), generating_relations(module.params)
+    assert (len(subset), len(full)) == (kept, total)
+    assert subset == [rel for rel in full if rel in subset]  # in the order of the full list
     assert module.relations["status"] == "pass"
     assert _summed_relation_failures(module) == []
 
@@ -442,7 +456,7 @@ def test_seg_acts_by_monomial_matrices():
         for name, mat in module.gens.items():
             assert (mat.monomial() is not None) == (not name.startswith("x")), name
         for w in module.ctx.elements():
-            module.group_matrix(w)
+            module.group_matrix(w, module.dim)
         assert len(module._group_cache) == len(module.ctx.elements())
         assert all(mat.monomial() is not None for mat in module._group_cache.values())
     # x_i of X_(3,1) mixes basis vectors, and so does s_2 of the type-B Steinberg module.
@@ -509,11 +523,6 @@ def test_module_summary():
     assert summary["lambda"] == "2"
     assert summary["dim"] == 4
     assert summary["type"] == "A"
-
-
-def _forced_steinberg(typ, n, k_short):
-    base = AlgebraParams(typ, n, ONE, k_short=k_short)
-    return steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
 
 
 @pytest.mark.parametrize(
@@ -584,3 +593,21 @@ def test_act_columns_are_the_first_columns_of_act(build):
         full = module.act(elem)
         for ncols in sorted({1, 1 << params.n, module.dim}):
             assert module.act_columns(elem, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
+        pytest.param(lambda: _forced_steinberg("B", 3, HALF), id="steinberg-B3"),
+        pytest.param(lambda: _forced_steinberg("D", 3, ZERO), id="steinberg-D3"),
+    ],
+)
+def test_group_matrix_builds_only_the_first_columns(build):
+    module = build()
+    widths = sorted({1, 2, 4, module.dim - 1})
+    for w in module.ctx.elements():
+        full = module.group_matrix(w, module.dim)
+        for ncols in widths:
+            assert module.group_matrix(w, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
+    assert len(module._group_cache) == len(module.ctx.elements()) * (len(widths) + 1)
