@@ -7,10 +7,10 @@ Seg, with no elimination, once six premises are checked exactly:
 - (a) the module's generating relations hold (`engine.generating_relations`,
   which imply every defining relation), so pi is an algebra map;
 - (b) D^2 = Omega_H - Omega_Seg + K in the engine, K = `d_squared_constant`;
-- (c) pi(Omega_H) = chi * 1, read on the 2^n columns of block 0 of X_lambda:
-  Omega_H commutes with every s_i in the engine, and pi(s) carries block
-  to block, one stored column per basis vector, so every block is
-  pi(w_t) of block 0 (`_scalar_action`; the whole pi(Omega_H) otherwise);
+- (c) pi(Omega_H) = chi * 1, read on the first `_orbit_width` columns, one
+  on X_lambda: Omega_H commutes with all of Seg in the engine, so chi e_j
+  carries over along the orbits of the monomial pi(c_i) and pi(s_i)
+  (`_scalar_action`);
 - (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero;
 - (e) Omega_Seg = sum_rho a_rho z_rho over the signed class sums z_rho of
   `centers.seg_even_center`, a basis of Z(Seg)_0, with a_rho read at the
@@ -64,7 +64,7 @@ from .centers import center_multiplication, minimal_polynomial, seg_even_center
 from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
 from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for, parity, supercommutator
 from .linalg import Matrix, Subspace, add_scaled
-from .modules import ModuleRep, induced_module, minimal_coset_reps
+from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
 from .scalars import ONE, ZERO, Scalar
 
@@ -94,10 +94,10 @@ def central_character(module: ModuleRep) -> CentralCharacter:
 
     Each pi(x_i^2) must act by a scalar on block 0, the slice 1 (x) St_lambda
     of a module with a lambda (the whole module otherwise), read column by
-    column.  Quasisimplicity is witnessed by the first two elementary
+    column: x_i^2 does not commute with the s_i, so it keeps this block-0
+    read.  Quasisimplicity is witnessed by the first two elementary
     symmetric functions e1, e2 of the x_j^2 acting by the matching scalars
-    on the whole module (`_scalar_action`: they commute with every s_i, so
-    block 0 decides them once the blocks are certified).
+    on the whole module (`_scalar_action`: they commute with all of Seg).
     """
     n = module.params.n
     alg = algebra_for(module.params)
@@ -122,102 +122,69 @@ def central_character(module: ModuleRep) -> CentralCharacter:
 
 
 # ---------------------------------------------------------------------------
-# Scalars of central elements, read on the first column block.
+# Read-offs of Seg-equivariant elements on the first columns.
 
 
-@functools.lru_cache(maxsize=16)
-def _commutes_with_group(elem: AlgElem) -> bool:
-    """[elem, s] = 0 in the engine for every simple reflection s."""
-    alg = algebra_for(elem.params)
-    reflections = (alg.generators[name] for name in alg.ctx.simple_names)
-    return all(alg.multiply(s, elem) == alg.multiply(elem, s) for s in reflections)
+@functools.lru_cache(maxsize=64)
+def _supercommutes(elem: AlgElem, name: str) -> bool:
+    """[g, elem] = 0 in the engine for the generator g called name."""
+    return supercommutator(elem.params, algebra_for(elem.params).generators[name], elem).is_zero()
 
 
-def _blocks_are_translates(module: ModuleRep) -> bool:
-    """pi(s) e_{t',m} = e_{t,m} for each coset rep w_t != 1, one stored column each.
+def _orbit_width(module: ModuleRep, elem: AlgElem) -> int:
+    """The least m whose first m basis vectors the certified pi(g) carry to every one.
 
-    Here e_{t,m} is the basis vector w_t (x) c^m, s is the least left
-    descent of w_t and w_t' = s w_t, again a minimal coset representative.
-    By induction on the length of w_t, e_{t,m} = pi(w_t) e_{0,m}: every
-    column block is a translate of block 0.
+    g runs over c1..cn, then the simple reflections, and counts when pi(g)
+    is monomial and g supercommutes with elem in the engine.  Once (a)
+    holds, pi(elem) pi(g) = +-pi(g) pi(elem) for each such g, so when
+    pi(elem) e_j is 0, or chi e_j with elem even, the same holds at the
+    basis vector that pi(g) sends e_j to.  The orbits are merged by
+    union-find, each root the orbit's least index, until one is left; m is
+    one past the last root.  m = dim when (a) does not hold, elem has mixed
+    parity, or no g counts.
     """
-    if module.lam is None:
-        return False
-    reps = minimal_coset_reps(module.lam)
-    width = 1 << module.params.n
-    if module.dim != len(reps) * width:
-        return False
-    index = {rep: t for t, rep in enumerate(reps)}
-    ctx = module.ctx
-    for t, rep in enumerate(reps[1:], start=1):
-        idx = ctx.left_descent(rep)
-        prev = index[ctx.simple_reflections[idx] * rep]
-        cols = module.gens[ctx.simple_names[idx]].cols
-        if any(cols[prev * width + m] != {t * width + m: ONE} for m in range(width)):
-            return False
-    return True
+    certified = module.relations is not None and module.relations["status"] == "pass"
+    if not certified or parity(elem) == "mixed":
+        return module.dim
+    root = list(range(module.dim))
+
+    def find(j: int) -> int:
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        return j
+
+    orbits = module.dim
+    for name in [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names:
+        if orbits == 1:
+            break
+        monomial = module.gens[name].monomial()
+        if monomial is None or not _supercommutes(elem, name):
+            continue
+        for j, k in enumerate(monomial[0]):
+            a, b = find(j), find(k)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+                orbits -= 1
+    return 1 + max(map(find, range(module.dim)))
 
 
 def _scalar_action(module: ModuleRep, elem: AlgElem) -> Scalar | None:
     """The scalar by which pi(elem) acts on the whole module, or None.
 
-    When (a) holds, elem commutes with every s_i in the engine and the
-    blocks are translates of block 0, pi(elem) e_{t,m} =
-    pi(w_t) pi(elem) e_{0,m}, so pi(elem) is chi * 1 exactly when its 2^n
-    columns of block 0 are chi e_j; only those are formed.  Otherwise, as
-    for the modules of types B and D, the whole of pi(elem) is.
+    Read on the first `_orbit_width` columns: pi(elem) is chi * 1 exactly
+    when they are chi e_j.  An odd elem reads only chi = 0, as pi(elem) is
+    odd once the parities of (a) hold and cannot send e_0 to chi e_0.
     """
-    certified = module.relations is not None and module.relations["status"] == "pass"
-    if certified and _commutes_with_group(elem) and _blocks_are_translates(module):
-        return module.act_columns(elem, 1 << module.params.n).scalar_value()
-    return module.act(elem).scalar_value()
-
-
-def _clifford_width(module: ModuleRep) -> int | None:
-    """The least m whose first m basis vectors the pi(c_i) carry to every one.
-
-    None when some pi(c_i) is not monomial.  Each orbit of the monomial
-    pi(c_i) is walked from its least index; m is one past the last of those.
-    """
-    moves = []
-    for i in range(1, module.params.n + 1):
-        monomial = module.gens[f"c{i}"].monomial()
-        if monomial is None:
-            return None
-        moves.append(monomial[0])
-    seen = [False] * module.dim
-    width = 0
-    for start in range(module.dim):
-        if seen[start]:
-            continue
-        width, seen[start], stack = start + 1, True, [start]
-        while stack:
-            j = stack.pop()
-            for rows in moves:
-                if not seen[rows[j]]:
-                    seen[rows[j]] = True
-                    stack.append(rows[j])
-    return width
+    return module.act_columns(elem, _orbit_width(module, elem)).scalar_value()
 
 
 def acts_by_zero(module: ModuleRep, elem: AlgElem) -> bool:
-    """pi(elem) = 0, read on the first columns whose orbit under the pi(c_i) covers the basis.
+    """pi(elem) = 0, read on the first `_orbit_width` columns.
 
-    When (a) holds, every pi(c_i) is monomial and elem supercommutes with
-    every c_i in the engine, pi(elem) pi(c_i) = +-pi(c_i) pi(elem), so
-    pi(elem) kills the orbit of each basis vector it kills.  Only the first
-    `_clifford_width` columns are formed then: one on X_(n), whose basis
-    c^mask is one orbit, and 2^ceil(n/2) on U(n) (x) U(n) in types B and D.
-    Otherwise the whole of pi(elem) is.
+    One column on X_lambda, where the c_i and the monomial s_i carry e_0 to
+    every basis vector, and one or two on the Steinberg modules.
     """
-    certified = module.relations is not None and module.relations["status"] == "pass"
-    width = _clifford_width(module) if certified and parity(elem) != "mixed" else None
-    alg = algebra_for(module.params)
-    if width is not None and all(
-        supercommutator(module.params, alg.c(i), elem).is_zero() for i in range(1, module.params.n + 1)
-    ):
-        return module.act_columns(elem, width).is_zero()
-    return module.act(elem).is_zero()
+    return module.act_columns(elem, _orbit_width(module, elem)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +326,8 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     """ker pi(D) / (ker cap im), with Omega_Seg acting on it by c0 = chi + K.
 
     (a) the module's relations are certified (now, if it was built
-    unchecked); (c) chi = pi(Omega_H) is read on block 0 when the blocks
-    are certified, and off the whole `act` otherwise (`_scalar_action`);
+    unchecked); (c) chi = pi(Omega_H) is read on the first `_orbit_width`
+    columns (`_scalar_action`; an odd element could read only chi = 0);
     (b), (e) and m are certified once per parameter set (`_seg_data`).  Two
     facts give the whole report:
 

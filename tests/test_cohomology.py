@@ -11,14 +11,14 @@ from hcdirac import cli, cohomology
 from hcdirac.centers import center_multiplication, seg_even_center
 from hcdirac.cohomology import (
     CentralCharacter,
-    _blocks_are_translates,
-    _clifford_width,
-    _commutes_with_group,
     _divide_linear,
     _idempotent_trace,
+    _orbit_width,
     _phi_values,
     _poly_apply,
+    _scalar_action,
     _seg_data,
+    _supercommutes,
     acts_by_zero,
     central_character,
     dirac_cohomology,
@@ -160,21 +160,22 @@ def _conjugated(module, perm):
     return ModuleRep(module.params, module.kind, parity, gens, lam=module.lam)
 
 
-def test_block_read_falls_back_when_blocks_are_not_translates(monkeypatch):
+def test_chi_is_read_on_one_column_in_any_basis(monkeypatch):
     # Swapping a basis vector of block 0 with one of block 1 keeps every
-    # relation, but pi(s1) no longer carries block 0 onto block 1 column by
-    # column: chi is then read off the whole pi(Omega_H), to the same report.
+    # relation and moves no orbit of the monomial pi(g): chi is still read
+    # on one column, to the same report, with no whole pi(Omega_H).
     good = cached_module((2, 1), ONE)
     perm = list(range(good.dim))
     perm[1], perm[9] = 9, 1
     module = _conjugated(good, perm)
     assert module.gens != good.gens and _summed_relation_failures(module) == []
-    assert _blocks_are_translates(good) and not _blocks_are_translates(module)
+    omega_h = casimirs(good.params)[0]
+    assert _orbit_width(module, omega_h) == _orbit_width(good, omega_h) == 1
     acted = []
     act = module.act
     monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
     assert dirac_cohomology(module) == dirac_cohomology(good)
-    assert casimirs(good.params)[0] in acted
+    assert omega_h not in acted
 
 
 @pytest.mark.parametrize("parts, k", [((1,), ONE), ((1, 1), ZERO), ((2, 1), ZERO)])
@@ -561,7 +562,7 @@ def test_all_run_keeps_center_caches_bounded(capsys):
         dirac_cohomology(cached_module((2,), Scalar(k)))
     assert cli.main(["all", "--n", "3", "--k", "1"]) == 0
     capsys.readouterr()
-    for cache in (_seg_data, _commutes_with_group):
+    for cache in (_seg_data, _supercommutes):
         info = cache.cache_info()
         assert info.maxsize is not None and 1 <= info.currsize <= info.maxsize
     assert _seg_data.cache_info().currsize == _seg_data.cache_info().maxsize
@@ -574,47 +575,106 @@ def _steinberg_params(typ, n, k, ks):
     return AlgebraParams(typ, n, k, k_short=base.k_short, N=forced_n_constant(base))
 
 
+def _assert_read_offs_agree(module, width):
+    """Both read-offs equal what the whole `act` gives, on `width` columns."""
+    d, omega_h = dirac_element(module.params), casimirs(module.params)[0]
+    assert _orbit_width(module, d) == _orbit_width(module, omega_h) == width
+    assert _scalar_action(module, omega_h) == module.act(omega_h).scalar_value()
+    zero = module.act(d).is_zero()
+    assert acts_by_zero(module, d) is zero
+    return zero
+
+
 @pytest.mark.parametrize(
     "typ, n", [("A", n) for n in range(1, 7)] + [(typ, n) for typ in "BD" for n in range(1, 5)]
 )
 def test_dirac_read_off_agrees_with_act_on_steinberg(typ, n):
-    # One column on X_(n), whose basis c^mask is one Clifford orbit; the
-    # 2^ceil(n/2) columns of one slice of U(n) (x) U(n) in types B and D.
+    # One column on X_(n), whose basis c^mask is one Clifford orbit.  On
+    # U(n) (x) U(n) in types B and D the c_i leave 2^ceil(n/2) slices, which
+    # the monomial s_i join into one orbit, or two in D1 and D3.
+    width = 2 if (typ, n) in (("D", 1), ("D", 3)) else 1
     for k in (ONE, -HALF_K, Scalar(Fraction(2, 3))):
         for ks in (k, HALF_K) if typ == "B" else (ZERO,):
-            params = _steinberg_params(typ, n, k, ks)
-            module = steinberg_module(params)
-            assert _clifford_width(module) == (1 if typ == "A" else 1 << (n + 1) // 2)
-            d = dirac_element(params)
-            assert acts_by_zero(module, d) is module.act(d).is_zero() is True
+            module = steinberg_module(_steinberg_params(typ, n, k, ks))
+            assert _assert_read_offs_agree(module, width) is True
+
+
+_SHAPES = [lam for n in range(2, 6) for lam in all_partitions(n) if len(lam.parts) > 1]
+
+
+@pytest.mark.parametrize("lam", _SHAPES, ids=map(str, _SHAPES))
+def test_read_offs_agree_with_act_on_x_lambda(lam):
+    # One column: the c_i carry e_0 through its coset block and the
+    # monomial s_i carry it from block to block.  pi(D) != 0 on each of
+    # these, X_(2,1) and X_(3,1) among them.
+    for k in (ONE, -HALF_K, Scalar(Fraction(2, 3))):
+        assert _assert_read_offs_agree(induced_module(lam, k), 1) is False
+
+
+def _unipotent_change(module, j):
+    """The module in the basis e_0 + e_j, e_1, e_2, ...; e_j has the parity of e_0."""
+    ident = [{i: ONE} for i in range(1, module.dim)]
+    p = Matrix.from_sparse([{0: ONE, j: ONE}] + ident, module.dim)
+    p_inv = Matrix.from_sparse([{0: ONE, j: -ONE}] + ident, module.dim)
+    gens = {name: p_inv * mat * p for name, mat in module.gens.items()}
+    return ModuleRep(module.params, module.kind, module.parity, gens, lam=module.lam)
 
 
 def test_dirac_read_off_falls_back_without_its_premises(monkeypatch):
     params = _steinberg_params("B", 3, ONE, HALF_K)
     good = steinberg_module(params)
-    unchecked = ModuleRep(params, good.kind, good.parity, good.gens, check=False)
     alg = algebra_for(params)
     d = dirac_element(params)
-    acted = []
-    real_act = ModuleRep.act
-    monkeypatch.setattr(ModuleRep, "act", lambda self, elem: acted.append(elem) or real_act(self, elem))
-    assert acts_by_zero(good, d) and acted == []
-    assert acts_by_zero(unchecked, d) and acted == [d]
-    # x1 commutes with c1 and c1 squares to -1: neither supercommutes with c1.
-    assert not acts_by_zero(good, alg.x(1)) and acted[-1] == alg.x(1)
-    assert not acts_by_zero(good, alg.c(1)) and acted[-1] == alg.c(1)
-    # 1 + c1 has mixed parity.
-    mixed = alg.one() + alg.c(1)
-    assert not acts_by_zero(good, mixed) and acted[-1] == mixed
-    # s2 of B3 is no monomial matrix, so as a c1 it gives no orbits.
-    assert _clifford_width(ModuleRep(params, good.kind, good.parity, dict(good.gens, c1=good.gens["s2"]),
-                                     check=False)) is None
+    unchecked = ModuleRep(params, good.kind, good.parity, good.gens, check=False)
+    # A change of basis keeps (a) and leaves no pi(g) monomial, pi(c1) included.
+    changed = _unipotent_change(good, good.parity.index(good.parity[0], 1))
+    assert not any(mat.monomial() for mat in changed.gens.values())
+    x_1 = induced_module(Partition((1,)), ONE)
+    alg_1 = algebra_for(x_1.params)
+    cases = [
+        (good, d, 1),
+        (unchecked, d, good.dim),
+        (changed, d, good.dim),
+        # 1 + c1 has mixed parity.
+        (good, alg.one() + alg.c(1), good.dim),
+        # x1 commutes with c1 and c1 squares to -1: neither supercommutes
+        # with c1.  Both do with c2, c3 and the sign change sn, whose orbits
+        # start among the first 3 basis vectors.
+        (good, alg.x(1), 3),
+        (good, alg.c(1), 3),
+        # X_(1) has no generator but x1 and c1.
+        (x_1, alg_1.x(1), x_1.dim),
+        (x_1, alg_1.c(1), x_1.dim),
+    ]
+    calls = []
+    real = ModuleRep.act_columns
+    monkeypatch.setattr(ModuleRep, "act_columns",
+                        lambda self, elem, ncols: calls.append((elem, ncols)) or real(self, elem, ncols))
+    for module, elem, width in cases:
+        assert _orbit_width(module, elem) == width
+        # acts_by_zero forms width columns, then act forms all of them.
+        assert acts_by_zero(module, elem) is module.act(elem).is_zero()
+        assert calls[-2:] == [(elem, width), (elem, module.dim)]
+    checked = []
+    monkeypatch.setattr(cohomology, "_supercommutes", lambda elem, name: checked.append(name) or True)
+    assert _orbit_width(changed, d) == changed.dim and checked == []
+
+
+def test_read_off_on_x_n_checks_no_reflection(monkeypatch):
+    # The c_i leave one orbit on X_(n): the s_i are never checked in the engine.
+    module = cached_module((3,), ONE)
+    real = cohomology._supercommutes
+    checked = []
+    monkeypatch.setattr(cohomology, "_supercommutes", lambda elem, name: checked.append(name) or real(elem, name))
+    assert acts_by_zero(module, dirac_element(module.params))
+    assert _scalar_action(module, casimirs(module.params)[0]) == Scalar(8)
+    assert checked and set(checked) <= {"c1", "c2", "c3"}
 
 
 def test_dirac_read_off_sees_a_nonzero_d(monkeypatch):
-    # On X_(2,1) every premise holds and pi(D) != 0: its first 17 columns,
-    # which meet each of the three coset blocks, show it with no act.
+    # On X_(2,1) every premise holds and pi(D) != 0: its first column shows
+    # it with no act.
     module = cached_module((2, 1), ONE)
-    assert _clifford_width(module) == 2 * 8 + 1
+    assert _orbit_width(module, dirac_element(module.params)) == 1
     monkeypatch.setattr(ModuleRep, "act", lambda self, elem: pytest.fail("act was called"))
     assert not acts_by_zero(module, dirac_element(module.params))
