@@ -38,13 +38,7 @@ from .modules import (
     induced_module,
     steinberg_module,
 )
-from .cohomology import (
-    CentralCharacter,
-    CohomologyReport,
-    central_character,
-    dirac_cohomology,
-    verify_vogan,
-)
+from .cohomology import CohomologyReport, dirac_cohomology, verify_vogan
 from .centers import (
     jucys_murphy,
     jucys_murphy_elements,

@@ -36,7 +36,7 @@ from .engine import (
     perm_on_cliff,
 )
 from .dirac import twisted_reflection
-from .linalg import Matrix, Subspace, sparse_kernel
+from .linalg import Matrix, sparse_kernel
 from .partitions import Partition, all_partitions
 from .scalars import ONE, SQRT2, ZERO, Scalar
 from .weyl import Root, SignedPerm, reflection_perm
@@ -255,8 +255,9 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
     jms = [JM_1..JM_n] fixes n and k.  An image is central when it lies in
     Seg_n and equals sum_rho a_rho z_rho over the class sums z_rho, where
     a_rho is its coefficient at the first monomial of z_rho
-    (`center_coords`).  `rank` is the rank of the rows (a_rho)_rho; when
-    every image is central, it is the rank of the images.
+    (`center_coords`).  `rank` is the rank of the rows (a_rho)_rho, their
+    number less the null combinations `sparse_kernel` finds among them;
+    when every image is central, it is the rank of the images.
 
     n = 1 is excluded: there zeta'(p_r(x^2)) = 0 for every r >= 1, while
     Z(Seg_1)_0 is the constants.
@@ -274,7 +275,7 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
         coefs, is_central = center_coords(image, classes)
         central.append(is_central)
         rows.append({o: a for o, a in enumerate(coefs) if a})
-    rank = Subspace.spanned_by(rows, len(classes)).dim
+    rank = len(rows) - len(sparse_kernel(rows))
     ok = rank == len(classes) and all(central)
     return {
         "check": "zeta_surjective",

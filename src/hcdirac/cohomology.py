@@ -1,4 +1,4 @@
-"""Dirac cohomology, central characters and the Vogan-type consistency check.
+"""Dirac cohomology, central actions read on one column, and the Vogan-type check.
 
 H_D(X) = ker pi(D) / (ker pi(D) cap im pi(D)) for a module pi: H -> End(X).
 Its dimension is the trace of one central idempotent of the Sergeev algebra
@@ -51,8 +51,10 @@ is read off D^2 = c0 - Omega_Seg: it kills ker D, so Omega_Seg acts on H_D
 by c0.  The intersection is never built: D maps ker D^2 onto ker D cap im D
 with kernel ker D, so dim(ker D cap im D) = dim ker D^2 - dim ker D.  Each
 of the two dimensions comes from the trace, from (d), or from one
-elimination.  With c0 unknown, a nonzero H_D has no spectrum and is marked
-incomplete.
+elimination: `linalg.sparse_kernel` over the columns of pi(D) or pi(D)^2,
+whose number of null combinations is the dimension, with no echelon basis
+of the kernel formed.  With c0 unknown, a nonzero H_D has no spectrum and
+is marked incomplete.
 """
 
 from __future__ import annotations
@@ -63,62 +65,10 @@ from typing import NamedTuple
 from .centers import center_multiplication, minimal_polynomial, seg_even_center
 from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
 from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for, parity, supercommutator
-from .linalg import Matrix, Subspace, add_scaled
+from .linalg import Matrix, add_scaled, sparse_kernel
 from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
 from .scalars import ONE, ZERO, Scalar
-
-
-class CentralCharacter(NamedTuple):
-    """Multiset of x_i^2 eigenvalues, stored sorted for permutation-equality."""
-
-    values: tuple[Scalar, ...]
-
-    @classmethod
-    def from_values(cls, values) -> CentralCharacter:
-        return cls(tuple(sorted(values, key=lambda s: (s.a, s.b, s.c, s.d))))
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(v.compact() for v in self.values) + "}"
-
-
-def expected_central_character(lam: Partition, k: Scalar) -> CentralCharacter:
-    """{k^2 j(j-1) : blockwise local positions j} for an induced module."""
-    ksq = k * k
-    values = [ksq * (j * (j - 1)) for p in lam.parts for j in range(1, p + 1)]
-    return CentralCharacter.from_values(values)
-
-
-def central_character(module: ModuleRep) -> CentralCharacter:
-    """The multiset of x_i^2 eigenvalues of a quasisimple module.
-
-    Each pi(x_i^2) must act by a scalar on block 0, the slice 1 (x) St_lambda
-    of a module with a lambda (the whole module otherwise), read column by
-    column: x_i^2 does not commute with the s_i, so it keeps this block-0
-    read.  Quasisimplicity is witnessed by the first two elementary
-    symmetric functions e1, e2 of the x_j^2 acting by the matching scalars
-    on the whole module (`_scalar_action`: they commute with all of Seg).
-    """
-    n = module.params.n
-    alg = algebra_for(module.params)
-    squares = [alg.multiply(alg.x(i), alg.x(i)) for i in range(1, n + 1)]
-    slice_dim = (1 << n) if module.lam is not None else module.dim
-    values = []
-    for i, sq in enumerate(squares, start=1):
-        scalar = module.act_columns(sq, slice_dim).scalar_value()
-        if scalar is None:
-            raise ValueError(f"x_{i}^2 acts non-scalar: not quasisimple")
-        values.append(scalar)
-    e1 = sum(squares, alg.zero())
-    e2 = sum((alg.multiply(squares[a], squares[b]) for a in range(n) for b in range(a + 1, n)), alg.zero())
-    e1_scalar, e2_scalar = _scalar_action(module, e1), _scalar_action(module, e2)
-    if e1_scalar is None or e2_scalar is None:
-        raise ValueError("symmetric functions of x_i^2 act non-scalar: not quasisimple")
-    expect_e1 = sum(values, ZERO)
-    expect_e2 = sum((values[a] * values[b] for a in range(n) for b in range(a + 1, n)), ZERO)
-    if e1_scalar != expect_e1 or e2_scalar != expect_e2:
-        raise ValueError("slice eigenvalues inconsistent with central action")
-    return CentralCharacter.from_values(values)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +306,9 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         d_mat = module.act(D)
         skew = d_mat.conj_transpose() == -d_mat
         if dim_ker is None or not skew:
-            dim_ker = Subspace.kernel(d_mat).dim
+            dim_ker = len(sparse_kernel(d_mat.cols))
         if dim_ker_sq is None:
-            dim_ker_sq = dim_ker if skew or not dim_ker else Subspace.kernel(d_mat * d_mat).dim
+            dim_ker_sq = dim_ker if skew or not dim_ker else len(sparse_kernel((d_mat * d_mat).cols))
     dim_hd = 2 * dim_ker - dim_ker_sq
     spectrum = [(c0, dim_hd)] if dim_hd and c0 is not None else []
     complete = not dim_hd or c0 is not None

@@ -21,18 +21,25 @@ column instead of one `add_scaled` per entry.  The distinct rows are what
 keep this exact: two entries moved to the same row would have to be added
 up, and re-indexing would keep only one of them.
 
+`sparse_kernel` is the package's one eliminator: column elimination on
+{row: nonzero} dicts of `Scalar`s.  Its callers read what they need off the
+null combinations it returns:
+
+- `cohomology.dirac_cohomology` takes dim ker D and dim ker D^2, on its
+  fallback, as their number;
+- `centers.verify_zeta_surjective` takes the rank of its rows as the
+  number of rows less their number;
+- `centers.minimal_polynomial` takes the first one, a Krylov relation.
+
 Subspaces keep sparse basis vectors in reduced column echelon form (pivot
 rows strictly increasing, pivot entries 1, zeros above and below every
 pivot), which makes membership, intersection and quotient computations
 deterministic and exact.  That form is unique for a subspace, so a kernel
 or intersection does not depend on which spanning vectors the eliminator
-finds.
-
-`sparse_kernel` is the package's one null-space routine: column elimination
-on {row: nonzero} dicts of `Scalar`s, used by `Subspace.kernel`,
-`Subspace.intersect` and `centers.minimal_polynomial`.  Vectors are
-{index: nonzero} dicts throughout; the only dense views are those of
-`Matrix`.
+finds.  No code of the package builds one: `Subspace` and `quotient_matrix`
+are the reference the tests check `sparse_kernel`'s counts against.
+Vectors are {index: nonzero} dicts throughout; the only dense views are
+those of `Matrix`.
 """
 
 from __future__ import annotations

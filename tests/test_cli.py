@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import hcdirac
-from hcdirac import centers
+from hcdirac import centers, cohomology
 from hcdirac.cli import build_parser, main, report_schema_version
 from hcdirac.linalg import Subspace
 
@@ -84,8 +84,9 @@ def test_cohomology_non_distinct_runs(capsys):
 def test_cohomology_n8_reads_the_trace(capsys, monkeypatch, lam, dim_hd, spectrum):
     # The class sums of Z(Seg_n)_0 exist for every n, so n = 8 runs no elimination.
     kernels = []
-    real = Subspace.kernel
+    real, real_sparse = Subspace.kernel, cohomology.sparse_kernel
     monkeypatch.setattr(Subspace, "kernel", lambda matrix: kernels.append(matrix) or real(matrix))
+    monkeypatch.setattr(cohomology, "sparse_kernel", lambda cols: kernels.append(cols) or real_sparse(cols))
     code, report = run_cli(capsys, ["cohomology", "--lambda", lam, "--k", "1"])
     assert (code, kernels) == (0, [])
     assert (report["result"]["dim_HD"], report["result"]["omega_seg_spectrum"]) == (dim_hd, spectrum)

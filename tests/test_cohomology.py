@@ -10,7 +10,6 @@ import pytest
 from hcdirac import cli, cohomology
 from hcdirac.centers import center_multiplication, seg_even_center
 from hcdirac.cohomology import (
-    CentralCharacter,
     _divide_linear,
     _idempotent_trace,
     _orbit_width,
@@ -20,9 +19,7 @@ from hcdirac.cohomology import (
     _seg_data,
     _supercommutes,
     acts_by_zero,
-    central_character,
     dirac_cohomology,
-    expected_central_character,
     verify_vogan,
 )
 from hcdirac.dirac import casimirs, dirac_element, seg_commutators
@@ -91,44 +88,27 @@ def test_phi_table_distinct_for_small_n():
         assert len(set(norms)) == len(norms)
 
 
-def test_central_character_examples():
-    assert central_character(cached_module((2, 1), ONE)) == CentralCharacter.from_values(
-        [ZERO, TWO, ZERO]
-    )
-    assert central_character(cached_module((3,), ONE)) == CentralCharacter.from_values(
-        [ZERO, TWO, Scalar(6)]
-    )
-    assert central_character(cached_module((2, 1), ZERO)) == CentralCharacter.from_values(
-        [ZERO, ZERO, ZERO]
-    )
-    assert expected_central_character(Partition((2, 1)), ONE) == central_character(
-        cached_module((2, 1), ONE)
-    )
+_CHI_CASES = [(lam, k) for n in range(1, 6) for lam in all_partitions(n)
+              for k in (ONE, -HALF_K, Scalar(Fraction(2, 3)))]
 
 
-def test_central_character_forms_no_whole_matrix(monkeypatch):
-    # x_i^2 is read on block 0, and e1, e2 of the x_i^2 are certified as
-    # central in the engine, so no whole matrix is formed.
-    module = cached_module((3, 1), ONE)
-    acted = []
-    act = module.act
-    monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
-    assert central_character(module) == expected_central_character(Partition((3, 1)), ONE)
-    assert acted == []
-
-
-def test_central_character_scales_with_k_squared():
-    cc = central_character(cached_module((2,), HALF_K))
-    assert cc == CentralCharacter.from_values([ZERO, HALF_K * HALF_K * 2])
-
-
-def test_central_character_rejects_non_scalar_square():
-    # x1 = diag(1, 2) gives x1^2 = diag(1, 4): diagonal, but not a scalar.
-    params = AlgebraParams("A", 1, ONE)
-    x1 = Matrix([[ONE, ZERO], [ZERO, TWO]])
-    module = ModuleRep(params, "steinberg", [0, 1], {"x1": x1}, check=False)
-    with pytest.raises(ValueError, match="not quasisimple"):
-        central_character(module)
+@pytest.mark.parametrize("lam, k", _CHI_CASES, ids=[f"{lam}-{k.compact()}" for lam, k in _CHI_CASES])
+def test_power_sums_of_x_squared_read_the_central_character(lam, k, monkeypatch):
+    # The central character of X_lambda is the multiset of k^2 j(j-1) over
+    # the positions j within each block of lambda; p_r(x^2) = sum_i x_i^(2r)
+    # is central in H, so it acts by the r-th power sum of that multiset,
+    # read on one column with no whole matrix formed.
+    module = induced_module(lam, k)
+    alg = algebra_for(module.params)
+    squares = [alg.multiply(alg.x(i), alg.x(i)) for i in range(1, module.params.n + 1)]
+    values = [k * k * (j * (j - 1)) for part in lam.parts for j in range(1, part + 1)]
+    monkeypatch.setattr(ModuleRep, "act", lambda self, elem: pytest.fail("act was called"))
+    powers = squares
+    for r in range(1, module.params.n + 1):
+        p_r = sum(powers, alg.zero())
+        assert _orbit_width(module, p_r) == 1
+        assert _scalar_action(module, p_r) == sum((v ** r for v in values), ZERO)
+        powers = [alg.multiply(power, square) for power, square in zip(powers, squares)]
 
 
 def test_dirac_cohomology_stops_when_ker_d_is_zero(monkeypatch):
@@ -228,7 +208,7 @@ def test_broken_c_anticommutation_reports_incomplete(monkeypatch, capsys):
     report = dirac_cohomology(module)
     # c0 is unknown: ker D comes from elimination, ker D^2 from (d), and the
     # nonzero H_D gets no spectrum.
-    assert kernels == [module.act(broken)]
+    assert kernels == [module.act(broken).cols]
     assert (report.dim_ker, report.dim_hd, report.dim_im_cap_ker) == (module.dim, module.dim, 0)
     assert (report.spectrum, report.spectrum_complete, report.status) == ([], False, "incomplete")
     assert cli.main(["cohomology", "--lambda", "2,1", "--k", "1"]) == 1
@@ -440,9 +420,12 @@ def _center_for(module):
 
 
 def _count_kernels(monkeypatch):
+    """The columns of every matrix eliminated from here on, by cohomology's
+    sparse_kernel or by Subspace.kernel."""
     calls = []
-    real = Subspace.kernel
-    monkeypatch.setattr(Subspace, "kernel", lambda matrix: calls.append(matrix) or real(matrix))
+    real, real_sparse = Subspace.kernel, cohomology.sparse_kernel
+    monkeypatch.setattr(Subspace, "kernel", lambda matrix: calls.append(matrix.cols) or real(matrix))
+    monkeypatch.setattr(cohomology, "sparse_kernel", lambda cols: calls.append(cols) or real_sparse(cols))
     return calls
 
 
@@ -468,7 +451,7 @@ def test_trace_path_matches_elimination(parts, k, monkeypatch):
     assert report.ker_equals_ker_sq and report.dim_im == module.dim - ker.dim
 
 
-@pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1), (4, 1)])
 def test_failed_skew_certificate_falls_back_to_elimination(parts, monkeypatch):
     # At k = i, pi(D)^dagger != -pi(D): tr pi(e) is dim ker D^2, which need
     # not be dim ker D, so ker D alone is eliminated, and Omega_Seg is never
@@ -480,9 +463,13 @@ def test_failed_skew_certificate_falls_back_to_elimination(parts, monkeypatch):
     acted = []
     act = module.act
     monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
-    dirac_cohomology(module)
-    assert kernels == [d_mat]
+    report = dirac_cohomology(module)
+    assert kernels == [d_mat.cols]
     assert omega_seg not in acted
+    monkeypatch.undo()
+    ker = Subspace.kernel(d_mat)
+    assert report.dim_ker == ker.dim
+    assert report.dim_im_cap_ker == ker.intersect(Subspace.image(d_mat)).dim
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every name a test file or package module imports is used in that file,
-every definition in the package is referred to somewhere, and importing the
-CLI loads no module it does not need.
+every definition in the package is referred to somewhere, the definitions
+that only tests and perfbench refer to are pinned, and importing the CLI
+loads no module it does not need.
 
 The package's `__init__.py` is not scanned for unused imports: its imports
 are the package's exports.
@@ -65,16 +66,16 @@ def test_no_unused_imports_in_package(path):
     assert [entry for entry in unused if entry.split(" ")[0] not in reexported] == []
 
 
-def definitions(source: str) -> list[str]:
+def definitions(source: str) -> list[tuple[str, ast.AST]]:
     """Top-level functions and classes, and the classes' non-dunder methods,
-    by qualified name."""
+    by qualified name, with their nodes."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append(node.name)
+            out.append((node.name, node))
         if isinstance(node, ast.ClassDef):
             out += [
-                f"{node.name}.{item.name}"
+                (f"{node.name}.{item.name}", item)
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (item.name.startswith("__") and item.name.endswith("__"))
@@ -99,9 +100,49 @@ def dead_definitions(package: dict[str, str], referring: list[str]) -> list[str]
     return [
         f"{name}:{qualname}"
         for name, source in package.items()
-        for qualname in definitions(source)
+        for qualname, _ in definitions(source)
         if qualname.rsplit(".", 1)[-1] not in used
     ]
+
+
+def unused_in_package(package: dict[str, str]) -> list[str]:
+    """The definitions of the package sources, by file, that no code of the
+    package reaches.
+
+    Module-level code is reached.  A definition is reached by a reference
+    from outside it whose enclosing definitions are all reached: a method by
+    an attribute of its name, anything else by a name or an attribute.  So a
+    definition referred to only from itself, or only from unreached ones,
+    is not reached.
+    """
+    spans = {
+        f"{name}:{qualname}": (name, qualname.rsplit(".", 1)[-1], "." in qualname, node.lineno, node.end_lineno)
+        for name, source in package.items()
+        for qualname, node in definitions(source)
+    }
+    # short name -> [(is an attribute, keys of the enclosing definitions)]
+    uses: dict[str, list[tuple[bool, frozenset]]] = {}
+    for name, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                short, is_attribute = node.id, False
+            elif isinstance(node, ast.Attribute):
+                short, is_attribute = node.attr, True
+            else:
+                continue
+            enclosing = frozenset(key for key, (where, _, _, first, last) in spans.items()
+                                  if where == name and first <= node.lineno <= last)
+            uses.setdefault(short, []).append((is_attribute, enclosing))
+    reached: set[str] = set()
+    while True:
+        found = {
+            key for key, (_, short, method, _, _) in spans.items()
+            if any((is_attribute or not method) and key not in enclosing and enclosing <= reached
+                   for is_attribute, enclosing in uses.get(short, []))
+        }
+        if found == reached:
+            return sorted(set(spans) - reached)
+        reached = found
 
 
 def test_dead_scan_finds_unreferenced_definitions():
@@ -115,6 +156,52 @@ def test_no_dead_definitions_in_package():
     package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert "engine.py" in package
     assert dead_definitions(package, [path.read_text() for path in REFERRING_FILES]) == []
+
+
+def test_unused_scan_follows_unused_callers():
+    package = {"m.py": "def f(): g()\ndef g(): f()\ndef h(): k()\ndef k(): pass\nclass C:\n"
+                       "    def a(self): return self.b()\n    def b(self): return self.a()\n"
+                       "    def c(self): pass\n    def d(self): pass\nh()\nd = C()\n",
+               "n.py": "def p(): return m.C().c()\np()\n"}
+    # f and g, and C.a and C.b, refer only to each other; h and p are called
+    # at module level, k from h and C.c from p.  d is a local name, not the
+    # method C.d.
+    assert unused_in_package(package) == ["m.py:C.a", "m.py:C.b", "m.py:C.d", "m.py:f", "m.py:g"]
+
+
+# The package definitions that only tests/ and perfbench/ refer to (ROADMAP
+# item 7).  The set may only shrink: entries leave it when they are deleted
+# or come into use in src/, and a definition that src/ stops using is deleted
+# rather than added here.  Subspace.image and Subspace.coords are not listed
+# although src/ does not use them: the scan matches methods by name, and the
+# live SignedPerm.image and Root.coords share their names.
+UNUSED_IN_PACKAGE = {
+    "__init__.py:report_schema_version",
+    "linalg.py:Matrix.column",
+    "linalg.py:Matrix.columns",
+    "linalg.py:Matrix.matvec",
+    "linalg.py:Matrix.rows",
+    "linalg.py:Subspace",
+    "linalg.py:Subspace._residual",
+    "linalg.py:Subspace.contains",
+    "linalg.py:Subspace.intersect",
+    "linalg.py:Subspace.is_invariant",
+    "linalg.py:Subspace.kernel",
+    "linalg.py:Subspace.spanned_by",
+    "linalg.py:dense",
+    "linalg.py:quotient_matrix",
+    "linalg.py:sparse",
+    "weyl.py:RootSystemCtx._build_words",
+    "weyl.py:RootSystemCtx._word_table",
+    "weyl.py:RootSystemCtx.elements",
+    "weyl.py:RootSystemCtx.reduced_word",
+    "weyl.py:SignedPerm.images",
+}
+
+
+def test_definitions_unused_in_package_are_pinned():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_in_package(package) == sorted(UNUSED_IN_PACKAGE)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

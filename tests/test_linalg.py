@@ -270,6 +270,32 @@ def test_ker_cap_im_dimension_from_kernel_ranks():
     assert Subspace.kernel(_jordan_block(4)).intersect(Subspace.image(_jordan_block(4))).dim == 1
 
 
+def test_kernel_counts_match_the_echelon_reference():
+    # The package reads dim ker M as the number of null combinations
+    # sparse_kernel finds among M's columns, and the rank of rows as their
+    # number less that count; Subspace, in reduced column echelon form, is
+    # the reference for both.
+    rng = random.Random(35)
+    scales = [SQRT2, I, ONE + SQRT2, -HALF, I * SQRT2]
+    nonzero_kernels = full_ranks = 0
+    for _ in range(60):
+        nrows = rng.randint(1, 7)
+        cols = [sparse(col) for col in zip(*_rand_irrational(rng, nrows, rng.randint(1, 5),
+                                                             zero_share=rng.choice([0.3, 0.6])))]
+        for _ in range(rng.randint(0, 3)):
+            col = rng.choice(cols)
+            cols.append(rng.choice([{}, dict(col), {i: rng.choice(scales) * a for i, a in col.items()}]))
+        rng.shuffle(cols)
+        m = Matrix.from_sparse(cols, nrows)
+        nullity = len(sparse_kernel(m.cols))
+        assert nullity == Subspace.kernel(m).dim
+        rows = m.transpose().cols
+        assert len(rows) - len(sparse_kernel(rows)) == Subspace.spanned_by(rows, m.ncols).dim
+        nonzero_kernels += nullity > 0
+        full_ranks += nullity == 0
+    assert nonzero_kernels >= 10 and full_ranks >= 10
+
+
 def test_skew_hermitian_kernel_meets_image_trivially():
     # A^dagger = -A gives ker A cap im A = 0 over Q(i, sqrt2), since the
     # standard form is anisotropic there; hence dim ker A^2 = dim ker A.

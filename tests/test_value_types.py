@@ -1,8 +1,8 @@
 """The package's value types: validation, immutability, hashing and repr.
 
-Root, Partition, AlgebraParams, DiracBundle, CentralCharacter and
-CohomologyReport are keys of memo tables and sets and parts of reports, so
-their equality, hash and repr must not drift.
+Root, Partition, AlgebraParams, DiracBundle and CohomologyReport are keys
+of memo tables and sets and parts of reports, so their equality, hash and
+repr must not drift.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from hcdirac import (
     AlgebraParams,
-    CentralCharacter,
     CohomologyReport,
     Partition,
     Root,
@@ -21,7 +20,7 @@ from hcdirac import (
     dirac_cohomology,
     steinberg_module,
 )
-from hcdirac.scalars import HALF, ONE, ZERO, Scalar
+from hcdirac.scalars import HALF, ONE, ZERO
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -65,8 +64,6 @@ def _values():
         (AlgebraParams("B", 2, ONE, k_short=HALF, N=ONE), ("type", "n", "k_long", "k_short", "N"),
          "AlgebraParams(type='B', n=2, k_long=Scalar(1, 0, 0, 0), "
          "k_short=Scalar(1/2, 0, 0, 0), N=Scalar(1, 0, 0, 0))"),
-        (CentralCharacter.from_values([Scalar(2), ZERO]), ("values",),
-         "CentralCharacter(values=(Scalar(0, 0, 0, 0), Scalar(2, 0, 0, 0)))"),
         (dirac_bundle(a2), ("D", "omega_h", "omega_seg"), None),
         (dirac_cohomology(steinberg_module(AlgebraParams("A", 3, ONE))),
          ("module", "lam", "k", "dim_ker", "dim_im", "dim_im_cap_ker", "dim_hd",
@@ -76,7 +73,7 @@ def _values():
 
 
 VALUE_IDS = ["Root-diff", "Root-short", "Partition", "AlgebraParams-A", "AlgebraParams-B",
-             "CentralCharacter", "DiracBundle", "CohomologyReport"]
+             "DiracBundle", "CohomologyReport"]
 
 
 @pytest.mark.parametrize("index", range(len(VALUE_IDS)), ids=VALUE_IDS)
