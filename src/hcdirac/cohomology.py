@@ -9,9 +9,10 @@ Seg, with no elimination, once six premises are checked exactly:
 - (b) D^2 = Omega_H - Omega_Seg + K in the engine, K = `d_squared_constant`;
 - (c) pi(Omega_H) = chi * 1, read on the first `_orbit_width` columns, one
   on X_lambda: Omega_H commutes with all of Seg in the engine, so chi e_j
-  carries over along the orbits of the monomial pi(c_i) and pi(s_i)
-  (`_scalar_action`);
-- (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero;
+  carries over along the orbits of the unitary monomial pi(c_i) and pi(s_i)
+  (`_orbit`);
+- (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero, read off
+  the root columns of the same orbits, one on X_lambda (`_is_skew`);
 - (e) Omega_Seg = sum_rho a_rho z_rho over the signed class sums z_rho of
   `centers.seg_even_center`, a basis of Z(Seg)_0, with a_rho read at the
   first monomial of each class: Omega_Seg is central;
@@ -23,7 +24,7 @@ With c0 = chi + K, (a)-(c) give pi(D)^2 = c0 - pi(Omega_Seg), so
 ker D^2 = ker(pi(Omega_Seg) - c0).
 
 - If m(c0) != 0, then pi(Omega_Seg) - c0 is invertible, hence so is pi(D):
-  H_D = 0, and neither pi(D) nor (d) is formed.
+  H_D = 0, and neither a column of pi(D) nor (d) is formed.
 - Otherwise m = (t - c0) q with q(c0) != 0, as the roots of m are distinct
   (see below), and e = q(Omega_Seg) / q(c0) is an idempotent of
   Z(Seg)_0, since m divides q (q - q(c0)).  Its image under
@@ -44,17 +45,17 @@ ker D^2 = ker(pi(Omega_Seg) - c0).
   over strict partitions mu of n, a statement of the paper.
 
 Fallback.  Exact elimination runs when a premise fails or does not apply:
-(b) or (c) fails, (d) fails (k = i), or the type is B or D, where no
-class sums are built.  (a) or (e) failing, or an m whose roots are
-not the table's in type A, raises instead.  Whatever the route, the spectrum
-is read off D^2 = c0 - Omega_Seg: it kills ker D, so Omega_Seg acts on H_D
-by c0.  The intersection is never built: D maps ker D^2 onto ker D cap im D
-with kernel ker D, so dim(ker D cap im D) = dim ker D^2 - dim ker D.  Each
-of the two dimensions comes from the trace, from (d), or from one
-elimination: `linalg.sparse_kernel` over the columns of pi(D) or pi(D)^2,
-whose number of null combinations is the dimension, with no echelon basis
-of the kernel formed.  With c0 unknown, a nonzero H_D has no spectrum and
-is marked incomplete.
+(b) or (c) fails, (d) fails (k = i), or the type is B or D, where no class
+sums are built; only then is the whole pi(D) formed.  (a) or (e) failing,
+or an m whose roots are not the table's in type A, raises instead.  Whatever
+the route, the spectrum is read off D^2 = c0 - Omega_Seg: it kills ker D,
+so Omega_Seg acts on H_D by c0.  The intersection is never built: D maps
+ker D^2 onto ker D cap im D with kernel ker D, so dim(ker D cap im D) =
+dim ker D^2 - dim ker D.  Each of the two dimensions comes from the trace,
+from (d), or from one elimination: `linalg.sparse_kernel` over the columns
+of pi(D) or pi(D)^2, whose number of null combinations is the dimension,
+with no echelon basis of the kernel formed.  With c0 unknown, a nonzero H_D
+has no spectrum and is marked incomplete.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for, parity, su
 from .linalg import Matrix, add_scaled, sparse_kernel
 from .modules import ModuleRep, induced_module
 from .partitions import Partition, distinct_partitions, phi_maps
-from .scalars import ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -81,41 +82,88 @@ def _supercommutes(elem: AlgElem, name: str) -> bool:
     return supercommutator(elem.params, algebra_for(elem.params).generators[name], elem).is_zero()
 
 
-def _orbit_width(module: ModuleRep, elem: AlgElem) -> int:
-    """The least m whose first m basis vectors the certified pi(g) carry to every one.
+def _orbit(module: ModuleRep, elem: AlgElem) -> tuple[list[int], dict[int, tuple[int, str]]]:
+    """(roots, steps): a breadth-first forest of the basis under the certified pi(g).
 
     g runs over c1..cn, then the simple reflections, and counts when pi(g)
-    is monomial and g supercommutes with elem in the engine.  Once (a)
-    holds, pi(elem) pi(g) = +-pi(g) pi(elem) for each such g, so when
-    pi(elem) e_j is 0, or chi e_j with elem even, the same holds at the
-    basis vector that pi(g) sends e_j to.  The orbits are merged by
-    union-find, each root the orbit's least index, until one is left; m is
-    one past the last root.  m = dim when (a) does not hold, elem has mixed
-    parity, or no g counts.
+    is monomial with entries of modulus 1, so unitary, and g supercommutes
+    with elem in the engine: then (a) gives pi(elem) pi(g) = +-pi(g) pi(elem),
+    so pi(elem) e_j = 0, or chi e_j with elem even, carries over to pi(g) e_j.
+    Each orbit is searched from its least index, its root; steps maps every
+    other index a to the (j, g) with pi(g) e_j = sigma e_a that reached it.
+    No g is taken once the orbit of 0 is the whole basis.  Every index is a
+    root when (a) does not hold, elem has mixed parity, or no g counts.
     """
     certified = module.relations is not None and module.relations["status"] == "pass"
     if not certified or parity(elem) == "mixed":
-        return module.dim
-    root = list(range(module.dim))
+        return list(range(module.dim)), {}
+    names = [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names
+    counted = ((name, mono[0]) for name in names
+               if (mono := module.gens[name].monomial())
+               and all(s is ONE or s is MINUS_ONE or s * s.conjugate() == ONE for s in mono[1])
+               and _supercommutes(elem, name))
+    moves, roots, steps = [], [], {}
 
-    def find(j: int) -> int:
-        while root[j] != j:
-            root[j] = j = root[root[j]]
-        return j
+    def reach(orbit: list[int], j: int, name: str, rows: list[int]) -> None:
+        a = rows[j]
+        if a != orbit[0] and a not in steps:
+            steps[a] = (j, name)
+            orbit.append(a)
 
-    orbits = module.dim
-    for name in [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names:
-        if orbits == 1:
-            break
-        monomial = module.gens[name].monomial()
-        if monomial is None or not _supercommutes(elem, name):
+    for root in range(module.dim):
+        if root in steps:
             continue
-        for j, k in enumerate(monomial[0]):
-            a, b = find(j), find(k)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-                orbits -= 1
-    return 1 + max(map(find, range(module.dim)))
+        roots.append(root)
+        orbit, head = [root], 0
+        while True:
+            while head < len(orbit):
+                for move in moves:
+                    reach(orbit, orbit[head], *move)
+                head += 1
+            move = next(counted, None) if head < module.dim else None
+            if move is None:
+                break
+            moves.append(move)
+            for j in orbit[:head]:
+                reach(orbit, j, *move)
+    return roots, steps
+
+
+def _is_skew(module: ModuleRep, D: AlgElem) -> bool:
+    """(d) pi(D)^dagger = -pi(D), checked as X e_r = 0 at every root r of `_orbit`.
+
+    X = pi(D) + pi(D)^dagger.  pi(D) pi(g) = chi(g) pi(g) pi(D) with chi(g)
+    = -1 for odd g and odd D, else 1, and pi(g) is unitary, so X e_j = 0
+    carries along every step.  Row r of pi(D) is read off the root columns:
+    at the step (j, g) of a, pi(D)[r, a] = conj(sigma) chi(g) tau pi(D)[r', j]
+    with pi(g) e_r' = tau e_r, carried back to a's root.  No inverse in the
+    algebra is taken.  With every index a root, this is the entrywise check.
+    """
+    roots, steps = _orbit(module, D)
+    cols = module.act_columns(D, roots[-1] + 1).cols
+    back = {}
+    for name in {name for _, name in steps.values()}:
+        rows, sigmas = module.gens[name].monomial()
+        chi = MINUS_ONE if name[0] == "c" and parity(D) == "odd" else ONE
+        back[name] = {row: k for k, row in enumerate(rows)}, sigmas, chi
+    for r in roots:
+        # A root a with pi(D)[a, r] = 0 but pi(D)[r, a] != 0 is met at r = a.
+        for a in [*cols[r], *steps]:
+            row, at, coef = r, a, ONE
+            while at in steps:
+                at, name = steps[at]
+                inverse, sigmas, chi = back[name]
+                row = inverse[row]
+                coef = coef * chi * sigmas[at].conjugate() * sigmas[row]
+            entry = cols[at].get(row)
+            if cols[r].get(a, ZERO) != (-(coef * entry).conjugate() if entry else ZERO):
+                return False
+    return True
+
+
+def _orbit_width(module: ModuleRep, elem: AlgElem) -> int:
+    """One past the last root of `_orbit`: the first columns the read-offs need."""
+    return _orbit(module, elem)[0][-1] + 1
 
 
 def _scalar_action(module: ModuleRep, elem: AlgElem) -> Scalar | None:
@@ -141,15 +189,11 @@ def acts_by_zero(module: ModuleRep, elem: AlgElem) -> bool:
 # dim ker D^2 from the center of Seg.
 
 
-def _phi_values(params: AlgebraParams) -> list[Scalar]:
-    """The distinct values k^2 |phi(mu)|^2 over strict partitions mu of n, in table order."""
+@functools.lru_cache(maxsize=8)
+def _phi_table(params: AlgebraParams) -> tuple[tuple[Partition, Scalar], ...]:
+    """(mu, k^2 |phi(mu)|^2) for the strict partitions mu of n, in table order."""
     ksq = params.k_long * params.k_long
-    seen = []
-    for mu in distinct_partitions(params.n):
-        value = ksq * phi_maps(mu)[1]
-        if value not in seen:
-            seen.append(value)
-    return seen
+    return tuple((mu, ksq * phi_maps(mu)[1]) for mu in distinct_partitions(params.n))
 
 
 # Polynomials are coefficient lists from degree 0 up.
@@ -196,7 +240,7 @@ def _seg_data(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem):
     mult = center_multiplication(omega_seg, classes)
     minpoly = minimal_polynomial(mult)
     expected = [ONE]
-    for value in _phi_values(params):
+    for value in dict.fromkeys(value for _, value in _phi_table(params)):
         expected = [ZERO] + expected
         for j in range(len(expected) - 1):
             expected[j] = expected[j] - value * expected[j + 1]
@@ -289,8 +333,8 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
 
     dim ker D^2 is tr pi(e) when the class sums exist; a zero trace gives
     H_D = 0 with pi(D) not formed.  Otherwise it is dim ker D under (d)
-    pi(D)^dagger = -pi(D), or one elimination of D^2.  dim ker D is
-    tr pi(e) under (d), and one elimination otherwise.
+    pi(D)^dagger = -pi(D) (`_is_skew`), or one elimination of D^2.  dim ker D
+    is tr pi(e) under (d), and one elimination of the whole pi(D) otherwise.
     """
     params = module.params
     module.certify_relations()
@@ -303,19 +347,16 @@ def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
         dim_ker_sq = _idempotent_trace(module, center, c0)
     dim_ker = dim_ker_sq
     if dim_ker_sq != 0:
-        d_mat = module.act(D)
-        skew = d_mat.conj_transpose() == -d_mat
+        skew = _is_skew(module, D)
         if dim_ker is None or not skew:
+            d_mat = module.act(D)
             dim_ker = len(sparse_kernel(d_mat.cols))
         if dim_ker_sq is None:
             dim_ker_sq = dim_ker if skew or not dim_ker else len(sparse_kernel((d_mat * d_mat).cols))
     dim_hd = 2 * dim_ker - dim_ker_sq
     spectrum = [(c0, dim_hd)] if dim_hd and c0 is not None else []
     complete = not dim_hd or c0 is not None
-    matched = []
-    if spectrum:
-        ksq = params.k_long * params.k_long
-        matched = [str(mu) for mu in distinct_partitions(params.n) if ksq * phi_maps(mu)[1] == c0]
+    matched = [str(mu) for mu, value in _phi_table(params) if value == c0] if spectrum else []
     return CohomologyReport(
         module=module.summary(),
         lam=str(module.lam) if module.lam is not None else None,

@@ -197,17 +197,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return dense(self.apply(sparse(vec)), self.nrows)
 
-    def transpose(self) -> Matrix:
-        cols = [{} for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, a in col.items():
-                cols[i][j] = a
-        return Matrix.from_sparse(cols, self.ncols)
-
-    def conj_transpose(self) -> Matrix:
-        cols = [{i: a.conjugate() for i, a in col.items()} for col in self.transpose().cols]
-        return Matrix.from_sparse(cols, self.ncols)
-
     def is_zero(self) -> bool:
         return not any(self.cols)
 

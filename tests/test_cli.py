@@ -13,7 +13,11 @@ import pytest
 import hcdirac
 from hcdirac import centers, cohomology
 from hcdirac.cli import build_parser, main, report_schema_version
+from hcdirac.dirac import dirac_element
+from hcdirac.engine import AlgebraParams
 from hcdirac.linalg import Subspace
+from hcdirac.modules import ModuleRep
+from hcdirac.scalars import ONE
 
 
 def run_cli(capsys, argv):
@@ -82,13 +86,20 @@ def test_cohomology_non_distinct_runs(capsys):
     "lam, dim_hd, spectrum", [("8", 256, [["168", 256]]), ("7,1", 1536, [["112", 1536]])]
 )
 def test_cohomology_n8_reads_the_trace(capsys, monkeypatch, lam, dim_hd, spectrum):
-    # The class sums of Z(Seg_n)_0 exist for every n, so n = 8 runs no elimination.
-    kernels = []
+    # The class sums of Z(Seg_n)_0 exist for every n, so n = 8 runs no
+    # elimination, and (d) reads the one root column of pi(D), never all of it.
+    kernels, acts, columns = [], [], []
     real, real_sparse = Subspace.kernel, cohomology.sparse_kernel
+    real_act, real_columns = ModuleRep.act, ModuleRep.act_columns
     monkeypatch.setattr(Subspace, "kernel", lambda matrix: kernels.append(matrix) or real(matrix))
     monkeypatch.setattr(cohomology, "sparse_kernel", lambda cols: kernels.append(cols) or real_sparse(cols))
+    monkeypatch.setattr(ModuleRep, "act", lambda self, elem: acts.append(elem) or real_act(self, elem))
+    monkeypatch.setattr(ModuleRep, "act_columns",
+                        lambda self, elem, ncols: columns.append((elem, ncols)) or real_columns(self, elem, ncols))
     code, report = run_cli(capsys, ["cohomology", "--lambda", lam, "--k", "1"])
     assert (code, kernels) == (0, [])
+    d = dirac_element(AlgebraParams("A", 8, ONE))
+    assert d not in acts and [ncols for elem, ncols in columns if elem == d] == [1]
     assert (report["result"]["dim_HD"], report["result"]["omega_seg_spectrum"]) == (dim_hd, spectrum)
 
 

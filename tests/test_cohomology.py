@@ -12,8 +12,10 @@ from hcdirac.centers import center_multiplication, seg_even_center
 from hcdirac.cohomology import (
     _divide_linear,
     _idempotent_trace,
+    _is_skew,
+    _orbit,
     _orbit_width,
-    _phi_values,
+    _phi_table,
     _poly_apply,
     _scalar_action,
     _seg_data,
@@ -29,6 +31,7 @@ from hcdirac.modules import ModuleRep, forced_n_constant, induced_module, steinb
 from hcdirac.partitions import Partition, all_partitions, distinct_partitions, phi_maps
 from hcdirac.scalars import I, ONE, SQRT2, TWO, ZERO, Scalar
 from test_centers import _class_members
+from test_linalg import adjoint
 from test_modules import _summed_relation_failures
 
 HALF_K = Scalar(Fraction(1, 2))
@@ -204,7 +207,7 @@ def test_broken_c_anticommutation_reports_incomplete(monkeypatch, capsys):
     assert module.act(broken - dirac_element(params)).is_zero()
     assert _seg_data(broken, *casimirs(params)) == (None, None)
     monkeypatch.setattr(cohomology, "dirac_element", _broken_dirac)
-    kernels = _count_kernels(monkeypatch)
+    kernels, _ = _count_kernels(monkeypatch)
     report = dirac_cohomology(module)
     # c0 is unknown: ker D comes from elimination, ker D^2 from (d), and the
     # nonzero H_D gets no spectrum.
@@ -339,7 +342,7 @@ def test_dirac_skew_hermitian_on_induced_modules():
     for parts in ((1,), (2,), (2, 1)):
         module = cached_module(parts, ONE)
         d_mat = module.act(dirac_element(module.params))
-        assert d_mat.conj_transpose() == -d_mat
+        assert adjoint(d_mat) == -d_mat
 
 
 def _quotient_spectrum(module, ker, inter):
@@ -356,7 +359,7 @@ def _assert_matches_direct_computation(module, certified):
     # dirac_cohomology against ker D^2, ker D cap im D and Omega_Seg on the
     # quotient, computed here by elimination with no shortcut.
     d_mat = module.act(dirac_element(module.params))
-    assert (d_mat.conj_transpose() == -d_mat) == certified
+    assert (adjoint(d_mat) == -d_mat) == certified
     ker = Subspace.kernel(d_mat)
     inter = ker.intersect(Subspace.image(d_mat))
     report = dirac_cohomology(module)
@@ -395,7 +398,7 @@ def test_dirac_cohomology_reads_off_spectrum_outside_candidates(
     # spectrum, with no matrix of Omega_Seg formed.
     base = AlgebraParams(typ, n, ONE, k_short)
     module = steinberg_module(AlgebraParams(typ, n, ONE, k_short, forced_n_constant(base)))
-    assert value not in _phi_values(module.params) + [ZERO]
+    assert value not in [v for _, v in _phi_table(module.params)] + [ZERO]
     _, omega_seg = casimirs(module.params)
     assert module.act(omega_seg).scalar_value() == value
     acted = []
@@ -420,13 +423,29 @@ def _center_for(module):
 
 
 def _count_kernels(monkeypatch):
-    """The columns of every matrix eliminated from here on, by cohomology's
-    sparse_kernel or by Subspace.kernel."""
-    calls = []
+    """(kernels, d_calls), filled from here on.
+
+    kernels holds the columns of every matrix eliminated, by cohomology's
+    sparse_kernel or by Subspace.kernel.  d_calls holds "act" for each
+    `ModuleRep.act` of the Dirac element D and ncols for each
+    `ModuleRep.act_columns` of D, which `act` calls with every column.
+    """
+    kernels, d_calls, ds = [], [], {}
     real, real_sparse = Subspace.kernel, cohomology.sparse_kernel
-    monkeypatch.setattr(Subspace, "kernel", lambda matrix: calls.append(matrix.cols) or real(matrix))
-    monkeypatch.setattr(cohomology, "sparse_kernel", lambda cols: calls.append(cols) or real_sparse(cols))
-    return calls
+    real_act, real_columns = ModuleRep.act, ModuleRep.act_columns
+
+    def note(elem, what):
+        if elem.params not in ds:
+            ds[elem.params] = dirac_element(elem.params)
+        if elem == ds[elem.params]:
+            d_calls.append(what)
+
+    monkeypatch.setattr(Subspace, "kernel", lambda matrix: kernels.append(matrix.cols) or real(matrix))
+    monkeypatch.setattr(cohomology, "sparse_kernel", lambda cols: kernels.append(cols) or real_sparse(cols))
+    monkeypatch.setattr(ModuleRep, "act", lambda self, elem: note(elem, "act") or real_act(self, elem))
+    monkeypatch.setattr(ModuleRep, "act_columns",
+                        lambda self, elem, ncols: note(elem, ncols) or real_columns(self, elem, ncols))
+    return kernels, d_calls
 
 
 @pytest.mark.parametrize(
@@ -438,12 +457,14 @@ def _count_kernels(monkeypatch):
 )
 def test_trace_path_matches_elimination(parts, k, monkeypatch):
     module = cached_module(parts, k)
-    kernels = _count_kernels(monkeypatch)
+    kernels, d_calls = _count_kernels(monkeypatch)
     report = dirac_cohomology(module)
     assert kernels == []  # no elimination ran
+    # (d) reads one column of pi(D), and only when H_D can be nonzero.
+    assert d_calls == ([1] if report.dim_hd else [])
     monkeypatch.undo()
     d_mat = module.act(dirac_element(module.params))
-    assert d_mat.conj_transpose() == -d_mat  # so ker D cap im D = 0
+    assert adjoint(d_mat) == -d_mat  # so ker D cap im D = 0
     ker = Subspace.kernel(d_mat)
     spectrum = _quotient_spectrum(module, ker, Subspace(module.dim))
     assert (report.dim_ker, report.dim_hd, report.dim_im_cap_ker) == (ker.dim, ker.dim, 0)
@@ -459,12 +480,14 @@ def test_failed_skew_certificate_falls_back_to_elimination(parts, monkeypatch):
     module = cached_module(parts, I)
     omega_seg = casimirs(module.params)[1]
     d_mat = module.act(dirac_element(module.params))
-    kernels = _count_kernels(monkeypatch)
+    kernels, d_calls = _count_kernels(monkeypatch)
     acted = []
     act = module.act
     monkeypatch.setattr(module, "act", lambda elem: acted.append(elem) or act(elem))
     report = dirac_cohomology(module)
     assert kernels == [d_mat.cols]
+    # (d) fails on its one column; pi(D) is then formed once, to eliminate.
+    assert d_calls == [1, "act", module.dim]
     assert omega_seg not in acted
     monkeypatch.undo()
     ker = Subspace.kernel(d_mat)
@@ -472,14 +495,21 @@ def test_failed_skew_certificate_falls_back_to_elimination(parts, monkeypatch):
     assert report.dim_im_cap_ker == ker.intersect(Subspace.image(d_mat)).dim
 
 
+def test_skew_read_off_fails_at_k_i():
+    # At k = i, pi(D)^dagger != -pi(D) on each X_lambda with lambda |- n <= 5
+    # distinct and pi(D) != 0, and the root column shows it.
+    for parts in ((2, 1), (3, 1), (4, 1), (3, 2)):
+        _assert_skew_read_off(induced_module(Partition(parts), I), False)
+
+
 @pytest.mark.parametrize(
     "parts, dim_hd, spectrum", [((6,), 64, [["70", 64]]), ((5, 1), 256, [["40", 256]])],
     ids=["6", "5,1"],
 )
 def test_verify_vogan_n6_pins(parts, dim_hd, spectrum, monkeypatch):
-    kernels = _count_kernels(monkeypatch)
+    kernels, d_calls = _count_kernels(monkeypatch)
     report = verify_vogan(Partition(parts), ONE)
-    assert kernels == []
+    assert (kernels, d_calls) == ([], [1])
     assert report["status"] == "pass", report
     assert (report["dim_HD"], report["omega_seg_spectrum"]) == (dim_hd, spectrum)
 
@@ -563,13 +593,32 @@ def _steinberg_params(typ, n, k, ks):
 
 
 def _assert_read_offs_agree(module, width):
-    """Both read-offs equal what the whole `act` gives, on `width` columns."""
+    """The read-offs equal what the whole `act` gives, on `width` columns; pi(D) is skew."""
     d, omega_h = dirac_element(module.params), casimirs(module.params)[0]
     assert _orbit_width(module, d) == _orbit_width(module, omega_h) == width
     assert _scalar_action(module, omega_h) == module.act(omega_h).scalar_value()
     zero = module.act(d).is_zero()
     assert acts_by_zero(module, d) is zero
+    _assert_skew_read_off(module, True)
     return zero
+
+
+def _assert_skew_read_off(module, skew):
+    """(d) read off the root columns agrees with pi(D)^dagger = -pi(D) on the
+    whole matrix, which is skew or not.  Every step of the forest is a move
+    of its generator.  On an unchecked copy every index is a root, and the
+    read-off is the entrywise check."""
+    d = dirac_element(module.params)
+    d_mat = module.act(d)
+    assert (adjoint(d_mat) == -d_mat) is skew
+    roots, steps = _orbit(module, d)
+    assert len(roots) + len(steps) == module.dim
+    assert all(module.gens[name].monomial()[0][j] == a for a, (j, name) in steps.items())
+    assert _is_skew(module, d) is skew
+    unchecked = ModuleRep(module.params, module.kind, module.parity, module.gens, lam=module.lam,
+                          check=False)
+    assert _orbit(unchecked, d) == (list(range(module.dim)), {})
+    assert _is_skew(unchecked, d) is skew
 
 
 @pytest.mark.parametrize(
@@ -586,23 +635,26 @@ def test_dirac_read_off_agrees_with_act_on_steinberg(typ, n):
             assert _assert_read_offs_agree(module, width) is True
 
 
-_SHAPES = [lam for n in range(2, 6) for lam in all_partitions(n) if len(lam.parts) > 1]
+_SHAPES = [lam for n in range(1, 6) for lam in all_partitions(n)]
 
 
 @pytest.mark.parametrize("lam", _SHAPES, ids=map(str, _SHAPES))
 def test_read_offs_agree_with_act_on_x_lambda(lam):
     # One column: the c_i carry e_0 through its coset block and the
-    # monomial s_i carry it from block to block.  pi(D) != 0 on each of
-    # these, X_(2,1) and X_(3,1) among them.
+    # monomial s_i carry it from block to block.  pi(D) = 0 on X_(n) only;
+    # X_(2,1) and X_(3,1) are among the others.
     for k in (ONE, -HALF_K, Scalar(Fraction(2, 3))):
-        assert _assert_read_offs_agree(induced_module(lam, k), 1) is False
+        assert _assert_read_offs_agree(induced_module(lam, k), 1) is (len(lam.parts) == 1)
 
 
-def _unipotent_change(module, j):
-    """The module in the basis e_0 + e_j, e_1, e_2, ...; e_j has the parity of e_0."""
+def _changed_basis(module, first, first_inv):
+    """The module in the basis P e_0 = first, e_1, e_2, ..., with P^-1 e_0 = first_inv.
+
+    Each pi(g) becomes P^-1 pi(g) P; first must have the parity of e_0.
+    """
     ident = [{i: ONE} for i in range(1, module.dim)]
-    p = Matrix.from_sparse([{0: ONE, j: ONE}] + ident, module.dim)
-    p_inv = Matrix.from_sparse([{0: ONE, j: -ONE}] + ident, module.dim)
+    p = Matrix.from_sparse([first] + ident, module.dim)
+    p_inv = Matrix.from_sparse([first_inv] + ident, module.dim)
     gens = {name: p_inv * mat * p for name, mat in module.gens.items()}
     return ModuleRep(module.params, module.kind, module.parity, gens, lam=module.lam)
 
@@ -614,7 +666,8 @@ def test_dirac_read_off_falls_back_without_its_premises(monkeypatch):
     d = dirac_element(params)
     unchecked = ModuleRep(params, good.kind, good.parity, good.gens, check=False)
     # A change of basis keeps (a) and leaves no pi(g) monomial, pi(c1) included.
-    changed = _unipotent_change(good, good.parity.index(good.parity[0], 1))
+    j = good.parity.index(good.parity[0], 1)
+    changed = _changed_basis(good, {0: ONE, j: ONE}, {0: ONE, j: -ONE})
     assert not any(mat.monomial() for mat in changed.gens.values())
     x_1 = induced_module(Partition((1,)), ONE)
     alg_1 = algebra_for(x_1.params)
@@ -665,3 +718,25 @@ def test_dirac_read_off_sees_a_nonzero_d(monkeypatch):
     assert _orbit_width(module, dirac_element(module.params)) == 1
     monkeypatch.setattr(ModuleRep, "act", lambda self, elem: pytest.fail("act was called"))
     assert not acts_by_zero(module, dirac_element(module.params))
+
+
+def test_skew_read_off_counts_only_unitary_moves():
+    # P = diag(2, 1, ..., 1) keeps (a), and pi(c_i) and pi(s2) stay monomial
+    # with entries 2 and 1/2.  They are not unitary, so X = pi(D) + pi(D)^dagger
+    # need not vanish along them, and here it does not: only s1 counts, and
+    # the check reads 14 root columns.
+    good = cached_module((2, 1), ONE)
+    d = dirac_element(good.params)
+    module = _changed_basis(good, {0: TWO}, {0: HALF_K})
+    d_mat = module.act(d)
+    assert adjoint(d_mat) != -d_mat
+    assert {name for name, mat in module.gens.items() if mat.monomial()} == {"c1", "c2", "c3", "s1", "s2"}
+    assert {name for _, name in _orbit(module, d)[1].values()} == {"s1"}
+    assert len(_orbit(module, d)[0]) == 14
+    assert _is_skew(good, d) and not _is_skew(module, d)
+    # P = diag(i, 1, ..., 1) is unitary: the entries +-i of pi(c_i) count,
+    # one column is read again, and conj(sigma) keeps pi(D) skew.
+    unitary = _changed_basis(good, {0: I}, {0: -I})
+    assert any(I in mat.monomial()[1] for mat in unitary.gens.values() if mat.monomial())
+    assert adjoint(unitary.act(d)) == -unitary.act(d)
+    assert _orbit_width(unitary, d) == 1 and _is_skew(unitary, d)

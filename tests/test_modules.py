@@ -201,7 +201,11 @@ def _tampered(gens: dict, rng: random.Random, dim: int) -> dict:
         elif how == 1:
             gens[key] = gens[rng.choice(keys)]
         elif how == 2:
-            gens[key] = gens[key].transpose()
+            cols = [{} for _ in range(dim)]
+            for j, col in enumerate(gens[key].cols):
+                for i, a in col.items():
+                    cols[i][j] = a
+            gens[key] = Matrix.from_sparse(cols, dim)
         else:
             cols = [dict(col) for col in gens[key].cols]
             row, col = rng.randrange(dim), rng.randrange(dim)
