@@ -4,11 +4,6 @@
 # make `python -m hcdirac.cli` warn that the module is already loaded.
 REPORT_SCHEMA_VERSION = "1.0.0"
 
-
-def report_schema_version() -> str:
-    return REPORT_SCHEMA_VERSION
-
-
 from .scalars import Scalar
 from .weyl import Root, RootSystemCtx, SignedPerm
 from .engine import (

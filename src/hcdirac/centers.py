@@ -249,8 +249,11 @@ def minimal_polynomial(matrix: Matrix) -> list[Scalar]:
     return [combo.get(j, ZERO) for j in range(max(combo) + 1)]
 
 
-def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
+def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> tuple[bool, dict]:
     """Span of zeta'(p_r(x^2)), r <= max_r, against the full even center.
+
+    Returns (passed, {"rank", "center_dim"}): passed when every image is
+    central and their rank is the dimension of Z(Seg_n)_0.
 
     jms = [JM_1..JM_n] fixes n and k.  An image is central when it lies in
     Seg_n and equals sum_rho a_rho z_rho over the class sums z_rho, where
@@ -267,7 +270,6 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
         raise ValueError("verify_zeta_surjective needs n >= 2")
     if n > MAX_ZETA_N:
         raise ValueError(f"verify_zeta_surjective is sized for n <= {MAX_ZETA_N}")
-    k = jms[0].params.k_long
     classes = seg_even_center(n)
     rows = []
     central = []
@@ -276,14 +278,4 @@ def verify_zeta_surjective(jms: list[AlgElem], max_r: int) -> dict:
         central.append(is_central)
         rows.append({o: a for o, a in enumerate(coefs) if a})
     rank = len(rows) - len(sparse_kernel(rows))
-    ok = rank == len(classes) and all(central)
-    return {
-        "check": "zeta_surjective",
-        "n": n,
-        "k": k.compact(),
-        "max_r": max_r,
-        "rank": rank,
-        "center_dim": len(classes),
-        "images_in_center": all(central),
-        "status": "pass" if ok else "fail",
-    }
+    return rank == len(classes) and all(central), {"rank": rank, "center_dim": len(classes)}

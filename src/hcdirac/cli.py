@@ -1,8 +1,17 @@
 """Command-line front end: run any verification, emit deterministic JSON.
 
 Every subcommand prints a single JSON report to stdout and exits 0 when all
-sub-checks pass, 1 otherwise.  Bad input exits 2 through argparse, with a
-usage message and no report, before any check runs:
+sub-checks pass, 1 otherwise.  `main` is the one place a report is built: a
+subcommand returns (params, checks, extra), and `main` times it and writes
+suite, schema_version, params, checks, status and elapsed_ms, then extra
+(the `result` of cohomology).  A failed certificate, such as a module
+whose relations do not hold, raises AssertionError; `main` turns it into a
+report with empty params and one failed check, "certificate", whose details
+are the message, and exits 1 with no traceback.  `all` concatenates the
+check lists of the other subcommands, each name prefixed by its sub-suite.
+
+Bad input exits 2 through argparse, with a usage message and no report,
+before any check runs:
 
 - a rational flag (--k, --ks, --N) that is not "p/q" or an integer, or has
   a zero denominator; decimals and exponents such as 0.5 or 1e0 are refused,
@@ -34,7 +43,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import REPORT_SCHEMA_VERSION, report_schema_version
+from . import REPORT_SCHEMA_VERSION
 from .centers import MAX_ZETA_N, jucys_murphy_elements, verify_zeta_surjective, zeta_on_dirac
 from .cohomology import acts_by_zero, dirac_cohomology, verify_vogan
 from .dirac import dirac_element, verify_identities
@@ -137,47 +146,27 @@ def _add_algebra_flags(sub, with_trials=False):
         sub.add_argument("--seed", type=_integer, default=0)
 
 
-def _assemble(suite: str, params: dict, checks: list[dict], started: float) -> dict:
-    status = "pass" if all(c.get("status") == "pass" for c in checks) else "fail"
-    return {
-        "suite": suite,
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "params": params,
-        "checks": checks,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-
-
 def _check(name: str, status: bool, details) -> dict:
     return {"name": name, "status": "pass" if status else "fail", "details": details}
 
 
-def _cmd_pbw(args) -> dict:
-    started = time.monotonic()
+def _cmd_pbw(args):
     params = _params_from_args(args)
     rels = check_relations_in_engine(params)
     assoc = check_pbw_consistency(params, trials=args.trials, seed=args.seed)
     checks = [
-        _check("relation_closure", rels["status"] == "pass", rels["failures"]),
-        _check("associativity", assoc["status"] == "pass", {"trials": args.trials, "failures": assoc["failures"]}),
+        _check("relation_closure", not rels, rels),
+        _check("associativity", not assoc, {"trials": args.trials, "failures": assoc}),
     ]
-    return _assemble("pbw", _echo_params(params, seed=args.seed, trials=args.trials), checks, started)
+    return _echo_params(params, seed=args.seed, trials=args.trials), checks, {}
 
 
-def _cmd_dirac_square(args) -> dict:
-    started = time.monotonic()
+def _cmd_dirac_square(args):
     params = _params_from_args(args)
-    rep = verify_identities(params)
-    checks = [
-        _check(c["check"], c["status"] == "pass", {k: v for k, v in c.items() if k not in ("check", "status")})
-        for c in rep["checks"]
-    ]
-    return _assemble("dirac-square", _echo_params(params), checks, started)
+    return _echo_params(params), [_check(*check) for check in verify_identities(params)], {}
 
 
-def _cmd_steinberg(args) -> dict:
-    started = time.monotonic()
+def _cmd_steinberg(args):
     base = _params_from_args(args)
     if base.type == "A":
         params = base
@@ -185,93 +174,67 @@ def _cmd_steinberg(args) -> dict:
         params = AlgebraParams(
             base.type, base.n, base.k_long, k_short=base.k_short, N=forced_n_constant(base)
         )
+    # The constructor raises on a failing relation, which `main` reports as "certificate".
     module = steinberg_module(params)
-    rels = module.relations
-    d_zero = acts_by_zero(module, dirac_element(params))
     checks = [
-        _check("module_relations", rels["status"] == "pass", rels["failures"]),
-        _check("dirac_vanishes", d_zero, {"dim": module.dim}),
+        _check("module_relations", module.relations == [], module.relations),
+        _check("dirac_vanishes", acts_by_zero(module, dirac_element(params)), {"dim": module.dim}),
     ]
-    return _assemble("steinberg", _echo_params(params), checks, started)
+    return _echo_params(params), checks, {}
 
 
-def _cmd_cohomology(args) -> dict:
-    started = time.monotonic()
+def _cmd_cohomology(args):
     lam = args.lam
     if lam.has_distinct_parts() and args.k:
-        rep = verify_vogan(lam, args.k)
-        checks = [_check(name, ok, None) for name, ok in rep["checks"].items()]
-        details = {k: v for k, v in rep.items() if k not in ("checks", "status", "check")}
+        vogan, result = verify_vogan(lam, args.k)
+        checks = [_check(name, ok, None) for name, ok in vogan.items()]
     else:
-        module = induced_module(lam, args.k)
-        cohom = dirac_cohomology(module).to_json()
-        checks = [_check("pipeline", cohom["status"] in ("pass",), None)]
-        details = cohom
-    out = _assemble(
-        "cohomology", {"lambda": str(lam), "k": args.k.compact()}, checks, started
-    )
-    out["result"] = details
-    return out
+        result = dirac_cohomology(induced_module(lam, args.k)).to_json()
+        checks = [_check("pipeline", result["status"] == "pass", None)]
+    return {"lambda": str(lam), "k": args.k.compact()}, checks, {"result": result}
 
 
-def _cmd_phi(args) -> dict:
-    started = time.monotonic()
+def _cmd_phi(args):
+    # phi_maps raises unless the norm identity holds, so every row passed it.
     rows = []
-    ok = True
     for lam in all_partitions(args.n):
-        try:
-            phi1, n1, n2 = phi_maps(lam)
-            rows.append({"lambda": str(lam), "phi1": list(phi1), "norm_sq": n1})
-        except AssertionError as exc:  # pragma: no cover - the identity holds
-            ok = False
-            rows.append({"lambda": str(lam), "error": str(exc)})
-    checks = [_check("norm_identity", ok, rows)]
-    return _assemble("phi", {"n": args.n}, checks, started)
+        phi1, norm_sq, _ = phi_maps(lam)
+        rows.append({"lambda": str(lam), "phi1": list(phi1), "norm_sq": norm_sq})
+    return {"n": args.n}, [_check("norm_identity", True, rows)], {}
 
 
-def _cmd_center(args) -> dict:
-    started = time.monotonic()
+def _cmd_center(args):
     jms = jucys_murphy_elements(args.n, args.k)
-    zd = zeta_on_dirac(jms)
-    surj = verify_zeta_surjective(jms, args.max_r)
-    checks = [
-        _check("zeta_dirac_zero", zd.is_zero(), None),
-        _check("zeta_surjective", surj["status"] == "pass",
-               {"rank": surj["rank"], "center_dim": surj["center_dim"]}),
-    ]
-    return _assemble(
-        "center", {"n": args.n, "k": args.k.compact(), "max_r": args.max_r}, checks, started
-    )
+    dirac_zero = zeta_on_dirac(jms).is_zero()
+    surjective, sizes = verify_zeta_surjective(jms, args.max_r)
+    checks = [_check("zeta_dirac_zero", dirac_zero, None), _check("zeta_surjective", surjective, sizes)]
+    return {"n": args.n, "k": args.k.compact(), "max_r": args.max_r}, checks, {}
 
 
-def _cmd_all(args) -> dict:
-    started = time.monotonic()
+def _cmd_all(args):
+    """The checks of every suite at one n and k, each name prefixed by its sub-suite."""
     n, k = args.n, args.k
     checks = []
 
-    def fold(report: dict, prefix: str):
-        for c in report["checks"]:
-            checks.append(
-                {"name": f"{prefix}:{c['name']}", "status": c["status"], "details": c["details"]}
-            )
+    def run(prefix: str, cmd, **flags) -> None:
+        sub_checks = cmd(argparse.Namespace(**flags))[1]
+        checks.extend(dict(c, name=f"{prefix}:{c['name']}") for c in sub_checks)
 
-    ns = argparse.Namespace
-    fold(_cmd_pbw(ns(type="A", n=n, k=k, ks=None, N=None, trials=40, seed=args.seed)), f"pbw-A{n}")
-    fold(_cmd_dirac_square(ns(type="A", n=n, k=k, ks=None, N=None)), f"dirac-A{n}")
-    nb = min(n, 2)
-    fold(_cmd_dirac_square(ns(type="B", n=nb, k=k, ks=k, N=None)), f"dirac-B{nb}")
-    nd = min(n, 3)
-    fold(_cmd_dirac_square(ns(type="D", n=nd, k=k, ks=None, N=None)), f"dirac-D{nd}")
-    fold(_cmd_steinberg(ns(type="A", n=n, k=k, ks=None, N=None)), f"steinberg-A{n}")
-    fold(_cmd_steinberg(ns(type="B", n=nd, k=k, ks=k, N=None)), f"steinberg-B{nd}")
-    fold(_cmd_steinberg(ns(type="D", n=nd, k=k, ks=None, N=None)), f"steinberg-D{nd}")
+    run(f"pbw-A{n}", _cmd_pbw, type="A", n=n, k=k, ks=None, N=None, trials=40, seed=args.seed)
+    run(f"dirac-A{n}", _cmd_dirac_square, type="A", n=n, k=k, ks=None, N=None)
+    nb, nd = min(n, 2), min(n, 3)
+    run(f"dirac-B{nb}", _cmd_dirac_square, type="B", n=nb, k=k, ks=k, N=None)
+    run(f"dirac-D{nd}", _cmd_dirac_square, type="D", n=nd, k=k, ks=None, N=None)
+    run(f"steinberg-A{n}", _cmd_steinberg, type="A", n=n, k=k, ks=None, N=None)
+    run(f"steinberg-B{nd}", _cmd_steinberg, type="B", n=nd, k=k, ks=k, N=None)
+    run(f"steinberg-D{nd}", _cmd_steinberg, type="D", n=nd, k=k, ks=None, N=None)
     for lam in all_partitions(n):
         if lam.has_distinct_parts():
-            fold(_cmd_cohomology(ns(lam=lam, k=k)), f"cohomology-{lam}")
-    fold(_cmd_phi(ns(n=n)), f"phi-{n}")
+            run(f"cohomology-{lam}", _cmd_cohomology, lam=lam, k=k)
+    run(f"phi-{n}", _cmd_phi, n=n)
     if 2 <= n <= MAX_ZETA_N:
-        fold(_cmd_center(ns(n=n, k=k, max_r=n)), f"center-{n}")
-    return _assemble("all", {"n": n, "k": k.compact(), "seed": args.seed}, checks, started)
+        run(f"center-{n}", _cmd_center, n=n, k=k, max_r=n)
+    return {"n": n, "k": k.compact(), "seed": args.seed}, checks, {}
 
 
 @functools.cache
@@ -330,7 +293,20 @@ def main(argv=None) -> int:
         parser.error(conflict)
     if getattr(args, "max_r", 0) is None:
         args.max_r = args.n
-    report = args.func(args)
+    started = time.monotonic()
+    try:
+        params, checks, extra = args.func(args)
+    except AssertionError as exc:  # a certificate failed: report it, with no traceback
+        params, checks, extra = {}, [_check("certificate", False, str(exc))], {}
+    report = {
+        "suite": args.command,
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "params": params,
+        "checks": checks,
+        "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
+        "elapsed_ms": int((time.monotonic() - started) * 1000),
+        **extra,
+    }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0 if report["status"] == "pass" else 1

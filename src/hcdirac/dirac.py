@@ -166,7 +166,11 @@ def dirac_bundle(params: AlgebraParams) -> DiracBundle:
     return DiracBundle(D, omega_h, omega_seg)
 
 
-def _root_sum_square_checks(params: AlgebraParams) -> list[dict]:
+# A check: (name, passed, details).
+Check = tuple[str, bool, dict]
+
+
+def _root_sum_square_checks(params: AlgebraParams) -> list[Check]:
     alg = algebra_for(params)
     roots = alg.ctx.positive_roots
     stilde = {root: twisted_reflection(params, root) for root in roots}
@@ -200,31 +204,29 @@ def _root_sum_square_checks(params: AlgebraParams) -> list[dict]:
     return checks
 
 
-def _residual_check(name: str, residual: AlgElem) -> dict:
-    """A check entry that passes when residual is zero, else carries it as witness."""
+def _residual_check(name: str, residual: AlgElem) -> Check:
+    """A check that passes when residual is zero, else carries it as witness."""
     if residual.is_zero():
-        return {"check": name, "status": "pass"}
-    return {"check": name, "status": "fail", "witness": residual.to_string()}
+        return name, True, {}
+    return name, False, {"witness": residual.to_string()}
 
 
-def verify_identities(params: AlgebraParams) -> dict:
+def verify_identities(params: AlgebraParams) -> list[Check]:
     """Exact normal-form checks: D^2, Weyl/Clifford commutation, root sums."""
     alg = algebra_for(params)
     bundle = dirac_bundle(params)
-    checks = []
 
     d_sq = alg.multiply(bundle.D, bundle.D)
     residual = d_sq - (bundle.omega_h - bundle.omega_seg)
     correction = alg.scalar(d_squared_constant(params))
-    entry = {
-        "check": "d_squared",
-        "status": "pass" if residual == correction else "fail",
+    holds = residual == correction
+    details = {
         "n_correction": d_squared_constant(params).compact(),
         "plain_identity": residual.is_zero(),
     }
-    if entry["status"] == "fail":
-        entry["witness"] = (residual - correction).to_string()
-    checks.append(entry)
+    if not holds:
+        details["witness"] = (residual - correction).to_string()
+    checks = [("d_squared", holds, details)]
 
     # The reflections keep their index labels w_comm_s1.. even in types B and D.
     labels = [f"w_comm_s{idx + 1}" for idx in range(len(alg.ctx.simple_names))]
@@ -233,15 +235,4 @@ def verify_identities(params: AlgebraParams) -> dict:
     for label, (_, residual) in zip(labels, commutators, strict=True):
         checks.append(_residual_check(label, residual))
     checks.extend(_root_sum_square_checks(params))
-
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {
-        "suite": "dirac_identities",
-        "type": params.type,
-        "n": params.n,
-        "k_long": params.k_long.compact(),
-        "k_short": params.k_short.compact(),
-        "N": params.N.compact(),
-        "checks": checks,
-        "status": status,
-    }
+    return checks

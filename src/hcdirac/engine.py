@@ -618,8 +618,11 @@ def random_element(
 
 def check_pbw_consistency(
     params: AlgebraParams, trials: int, max_deg: int = 2, seed: int = 0
-) -> dict:
-    """Associativity of `trials` random triples, the engine's soundness oracle."""
+) -> list[dict]:
+    """Associativity of `trials` random triples, the engine's soundness oracle.
+
+    Returns the failing triples, empty when every product associates.
+    """
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -632,16 +635,7 @@ def check_pbw_consistency(
             failures.append(
                 {"trial": t, "a": a.to_string(), "b": b.to_string(), "c": c.to_string()}
             )
-    return {
-        "check": "pbw_consistency",
-        "type": params.type,
-        "n": params.n,
-        "trials": trials,
-        "max_deg": max_deg,
-        "seed": seed,
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
-    }
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +800,8 @@ def eval_relation_tokens(params: AlgebraParams, word: tuple[str, ...]) -> AlgEle
     return reduce(alg.multiply, factors) if factors else alg.one()
 
 
-def check_relations_in_engine(params: AlgebraParams) -> dict:
-    """Normalise LHS - RHS of every defining relation; all must vanish."""
+def check_relations_in_engine(params: AlgebraParams) -> list[dict]:
+    """Normalise LHS - RHS of every defining relation; the failures, each with its residual."""
     failures = []
     for name, terms in defining_relations(params):
         total = algebra_for(params).zero()
@@ -815,10 +809,4 @@ def check_relations_in_engine(params: AlgebraParams) -> dict:
             total = total + eval_relation_tokens(params, word).scale(coef)
         if not total.is_zero():
             failures.append({"relation": name, "residual": total.to_string()})
-    return {
-        "check": "relation_closure",
-        "type": params.type,
-        "n": params.n,
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
-    }
+    return failures

@@ -6,8 +6,11 @@ of which the type-A Steinberg module is X_(n), matrix realisation of
 arbitrary algebra elements, and a relation checker that verifies the
 relations of `engine.generating_relations` as matrix identities (run by
 every constructor).  Those are the relations on the generators x1, c1 and
-the simple reflections, which imply all the others in every type.  Once
-they pass, pi is an algebra homomorphism: `act` realises each PBW monomial
+the simple reflections, which imply all the others in every type.
+`ModuleRep.relations` is the checker's list of failing relation names:
+empty on a certified module, None on one built unchecked, and a
+constructor raises rather than return a module with a failure.  Once the
+relations pass, pi is an algebra homomorphism: `act` realises each PBW monomial
 as the product of its generator matrices, so an identity proved in the
 engine, such as g D = +-D g for the Seg generators g, holds for the
 realised matrices with no matrix computed.
@@ -91,8 +94,8 @@ class ModuleRep:
         self.dim = len(parity)
         self.ctx = algebra_for(params).ctx
         self._group_cache: dict[tuple[SignedPerm, int], Matrix] = {}
-        # The relation-check report, kept for callers; None when unchecked.
-        self.relations: dict | None = None
+        # The failures of the relation check, kept for callers; None when unchecked.
+        self.relations: list[str] | None = None
         if check:
             self.certify_relations()
 
@@ -100,8 +103,8 @@ class ModuleRep:
         """Run the relation check once, and raise unless every checked relation holds."""
         if self.relations is None:
             self.relations = check_module_relations(self)
-        if self.relations["status"] != "pass":
-            raise AssertionError(f"module relations fail: {self.relations['failures']}")
+        if self.relations:
+            raise AssertionError(f"module relations fail: {self.relations}")
 
     # -- matrix realisation ----------------------------------------------
 
@@ -177,8 +180,10 @@ class ModuleRep:
 # straightening, so engine and modules certify each other).
 
 
-def check_module_relations(module: ModuleRep) -> dict:
+def check_module_relations(module: ModuleRep) -> list[str]:
     """Check `generating_relations` as exact matrix identities, and the parities.
+
+    Returns the names of the failures, empty when every one holds.
 
     In type A the generating relations imply every defining relation (see
     `engine.generating_relations`); in types B and D they are all of them.
@@ -200,13 +205,7 @@ def check_module_relations(module: ModuleRep) -> dict:
         flip = 1 if key.startswith("c") else 0
         if any(parity[r] != parity[c] ^ flip for c, col in enumerate(mat.cols) for r in col):
             failures.append(f"parity_{key}")
-    return {
-        "check": "module_relations",
-        "kind": module.kind,
-        "dim": module.dim,
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
-    }
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ class SignedPerm(tuple):
         return cls(range(1, n + 1))
 
     @property
-    def images(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
     def n(self) -> int:
         return len(self)
 

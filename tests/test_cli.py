@@ -11,8 +11,8 @@ import sys
 import pytest
 
 import hcdirac
-from hcdirac import centers, cohomology
-from hcdirac.cli import build_parser, main, report_schema_version
+from hcdirac import centers, cohomology, modules
+from hcdirac.cli import build_parser, main
 from hcdirac.dirac import dirac_element
 from hcdirac.engine import AlgebraParams
 from hcdirac.linalg import Subspace
@@ -27,7 +27,7 @@ def run_cli(capsys, argv):
 
 
 def test_schema_version():
-    assert report_schema_version() == "1.0.0"
+    assert hcdirac.REPORT_SCHEMA_VERSION == "1.0.0"
 
 
 def test_pbw_command(capsys):
@@ -333,8 +333,9 @@ def test_main_reuses_one_parser_with_fresh_reports(capsys):
         assert report == fresh
 
 
-def test_schema_version_exported_by_package():
-    assert hcdirac.REPORT_SCHEMA_VERSION == hcdirac.report_schema_version() == report_schema_version()
+def test_schema_version_exported_by_package(capsys):
+    _, report = run_cli(capsys, ["phi", "--n", "1"])
+    assert report["schema_version"] == hcdirac.REPORT_SCHEMA_VERSION
 
 
 # sha256 of each report without elapsed_ms, serialised with sorted keys and
@@ -378,6 +379,10 @@ REPORT_DIGESTS = [
      "cc09f7eae8ad7c9e1253f0446f26fc44967b52d73da43eaadd05821f5f3b6850"),
     (["all", "--n", "2", "--k", "1"],
      "2cd1598f56acef260347b82b45b5328dc7828fbe909ed4b7535b78d62b12b520"),
+    # center-4, the cohomology sub-suites of (4) and (3,1), and a negative k
+    # inside `all`.
+    (["all", "--n", "4", "--k", "-1/2"],
+     "76333ebadf88dc14ecea15656c10286b9a6097de67d11553c6dbcadc49b1f998"),
 ]
 
 
@@ -388,3 +393,48 @@ def test_report_digest_pinned(capsys, argv, digest):
     del report["elapsed_ms"]
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+ENVELOPE_RUNS = [
+    ["pbw", "--type", "A", "--n", "2", "--k", "1", "--trials", "2"],
+    ["dirac-square", "--type", "A", "--n", "2", "--k", "1"],
+    ["steinberg", "--type", "A", "--n", "2", "--k", "1"],
+    ["cohomology", "--lambda", "2,1", "--k", "1"],
+    ["phi", "--n", "2"],
+    ["center", "--n", "2", "--k", "1"],
+    ["all", "--n", "1", "--k", "1"],
+]
+
+
+def test_every_subcommand_reports_in_one_envelope(capsys):
+    commands = next(action.choices for action in build_parser()._actions if action.dest == "command")
+    assert sorted(argv[0] for argv in ENVELOPE_RUNS) == sorted(commands)
+    for argv in ENVELOPE_RUNS:
+        code, report = run_cli(capsys, argv)
+        assert code == 0
+        keys = ["suite", "schema_version", "params", "checks", "status", "elapsed_ms"]
+        assert list(report) == keys + (["result"] if argv[0] == "cohomology" else [])
+        assert report["suite"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["steinberg", "--type", "B", "--n", "2", "--k", "1", "--ks", "1"],
+    ["cohomology", "--lambda", "2,1", "--k", "1"],
+    ["all", "--n", "2", "--k", "1"],
+], ids=["steinberg", "cohomology", "all"])
+def test_failed_certificate_exits_one_with_a_report(capsys, monkeypatch, argv):
+    """A module whose relation check fails gives a failed report and exit 1, not a traceback."""
+    real = modules.generating_relations
+
+    def false_x1_x2(params):
+        return [(name, terms + [(ONE, ())] if name == "x1_x2" else terms) for name, terms in real(params)]
+
+    monkeypatch.setattr(modules, "generating_relations", false_x1_x2)
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (code, report["suite"], report["status"]) == (1, argv[0], "fail")
+    [check] = report["checks"]
+    assert (check["name"], check["status"]) == ("certificate", "fail")
+    assert "x1_x2" in check["details"]
+    assert "Traceback" not in captured.err

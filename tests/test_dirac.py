@@ -200,12 +200,11 @@ def test_bundle_presentations_and_parity():
 @pytest.mark.parametrize("typ,n", [("A", 3), ("B", 2), ("D", 3)])
 def test_verify_identities_report(typ, n):
     kw = {"ks": ONE} if typ == "B" else {}
-    report = verify_identities(params_for(typ, n, **kw))
-    assert report["status"] == "pass", report
-    names = {c["check"] for c in report["checks"]}
-    assert "d_squared" in names and "root_sum_sq_mixed" in names
-    d_sq = next(c for c in report["checks"] if c["check"] == "d_squared")
-    assert d_sq["plain_identity"]  # N = 0 here
+    checks = verify_identities(params_for(typ, n, **kw))
+    assert all(passed for _, passed, _ in checks), checks
+    details = {name: details for name, _, details in checks}
+    assert "d_squared" in details and details["root_sum_sq_mixed"] == {}
+    assert details["d_squared"]["plain_identity"]  # N = 0 here
 
 
 @pytest.mark.parametrize("typ,n", [("A", 3), ("B", 2), ("D", 3)])
@@ -218,7 +217,7 @@ def test_seg_commutators_name_the_module_generators(typ, n):
         alg.ctx.simple_names + [f"c{i}" for i in range(1, n + 1)])
     assert all(residual.is_zero() for _, residual in commutators)
     # The identity report keeps its index labels for the same residuals.
-    labels = [c["check"] for c in verify_identities(params)["checks"]][1 : 1 + len(commutators)]
+    labels = [name for name, _, _ in verify_identities(params)][1 : 1 + len(commutators)]
     assert labels == [f"w_comm_s{t}" for t in range(1, len(alg.ctx.simple_names) + 1)] + [
         f"c{i}_anticomm" for i in range(1, n + 1)]
     # D + 1 still commutes with W but anticommutes with no c_i.
@@ -228,9 +227,10 @@ def test_seg_commutators_name_the_module_generators(typ, n):
 
 
 def test_verify_identities_reports_correction_at_nonzero_n():
-    report = verify_identities(params_for("D", 2, N=Scalar(2)))
-    assert report["status"] == "pass"
-    d_sq = next(c for c in report["checks"] if c["check"] == "d_squared")
+    checks = verify_identities(params_for("D", 2, N=Scalar(2)))
+    assert all(passed for _, passed, _ in checks)
+    name, _, d_sq = checks[0]
+    assert name == "d_squared"
     assert not d_sq["plain_identity"]
     assert d_sq["n_correction"] == "2"
 

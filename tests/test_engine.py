@@ -148,8 +148,7 @@ def test_supercommutator_examples():
 
 @pytest.mark.parametrize("params", [A2, A3, B2, B2_FREE, D2, D3])
 def test_relation_closure(params):
-    report = check_relations_in_engine(params)
-    assert report["status"] == "pass", report["failures"]
+    assert check_relations_in_engine(params) == []
 
 
 K23 = Scalar(Fraction(2, 3))
@@ -257,8 +256,7 @@ def test_omega_h_supercentral():
 
 @pytest.mark.parametrize("params", [A2, B2, D2])
 def test_pbw_consistency_smoke(params):
-    report = check_pbw_consistency(params, trials=25, max_deg=2, seed=42)
-    assert report["status"] == "pass", report["failures"]
+    assert check_pbw_consistency(params, trials=25, max_deg=2, seed=42) == []
 
 
 def test_pbw_consistency_zero_element_trivial():
@@ -343,8 +341,7 @@ def test_multiply_matches_reference_with_coefficients(params):
 @pytest.mark.parametrize("params", [B3_FREE, D3])
 @pytest.mark.parametrize("seed", [13, 2024])
 def test_pbw_consistency_rank_three(params, seed):
-    report = check_pbw_consistency(params, trials=10, max_deg=2, seed=seed)
-    assert report["status"] == "pass", report["failures"]
+    assert check_pbw_consistency(params, trials=10, max_deg=2, seed=seed) == []
 
 
 def _is_exponent_key_part(part) -> bool:

@@ -25,9 +25,6 @@ REFERRING_FILES = sorted(
     path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")
 )
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# Names a module imports only to re-export them; tests/test_cli.py imports
-# report_schema_version from the CLI.
-REEXPORTS = {"cli.py": {"report_schema_version"}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,9 +58,7 @@ def test_package_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"hcdirac/{path.name}")
 def test_no_unused_imports_in_package(path):
-    reexported = REEXPORTS.get(path.name, set())
-    unused = unused_imports(path.read_text())
-    assert [entry for entry in unused if entry.split(" ")[0] not in reexported] == []
+    assert unused_imports(path.read_text()) == []
 
 
 def definitions(source: str) -> list[tuple[str, ast.AST]]:
@@ -176,7 +171,6 @@ def test_unused_scan_follows_unused_callers():
 # although src/ does not use them: the scan matches methods by name, and the
 # live SignedPerm.image and Root.coords share their names.
 UNUSED_IN_PACKAGE = {
-    "__init__.py:report_schema_version",
     "linalg.py:Matrix.column",
     "linalg.py:Matrix.columns",
     "linalg.py:Matrix.matvec",
@@ -195,7 +189,6 @@ UNUSED_IN_PACKAGE = {
     "weyl.py:RootSystemCtx._word_table",
     "weyl.py:RootSystemCtx.elements",
     "weyl.py:RootSystemCtx.reduced_word",
-    "weyl.py:SignedPerm.images",
 }
 
 

@@ -163,9 +163,7 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
     module = ModuleRep(bad, "steinberg", parity, gens, check=False)
     assert module.relations is None
-    report = check_module_relations(module)
-    assert report["status"] == "fail"
-    assert report["failures"] == ["x1_x2"]
+    assert check_module_relations(module) == ["x1_x2"]
 
 
 def _summed_relation_failures(module: ModuleRep, relations: list | None = None) -> list[str]:
@@ -236,7 +234,7 @@ _TAMPER_MODULES = {
 
 def _relation_failures(module: ModuleRep) -> list[str]:
     """The relations that `check_module_relations` finds failing, parities left out."""
-    return [name for name in check_module_relations(module)["failures"] if not name.startswith("parity_")]
+    return [name for name in check_module_relations(module) if not name.startswith("parity_")]
 
 
 @pytest.mark.parametrize("which", list(_TAMPER_MODULES))
@@ -321,7 +319,7 @@ def test_bd_steinberg_checks_the_generating_relations(typ, n, kept, total):
     full, subset = defining_relations(module.params), generating_relations(module.params)
     assert (len(subset), len(full)) == (kept, total)
     assert subset == [rel for rel in full if rel in subset]  # in the order of the full list
-    assert module.relations["status"] == "pass"
+    assert module.relations == []
     assert _summed_relation_failures(module) == []
 
 
@@ -350,7 +348,7 @@ def _brute_force_coset_reps(lam: Partition) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_minimal_coset_reps_match_search_over_sn(n):
     for lam in all_partitions(n):
-        assert [w.images for w in minimal_coset_reps(lam)] == _brute_force_coset_reps(lam)
+        assert [tuple(w) for w in minimal_coset_reps(lam)] == _brute_force_coset_reps(lam)
 
 
 def test_coset_factor_splits_every_permutation():
@@ -570,7 +568,7 @@ def test_relation_check_multiplies_no_two_matrices(build, longest, monkeypatch):
                        lam=good.lam, check=False)
     modules = [good, broken]
     reports = [check_module_relations(module) for module in modules]
-    assert [report["status"] for report in reports] == ["pass", "fail"]
+    assert reports[0] == [] and reports[1]
 
     def refuse(self, other):
         raise AssertionError("a relation word formed the product of two matrices")
