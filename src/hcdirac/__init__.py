@@ -12,7 +12,6 @@ from .engine import (
     Algebra,
     algebra_for,
     check_pbw_consistency,
-    multiply,
     parity,
     supercommutator,
 )

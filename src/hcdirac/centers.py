@@ -49,12 +49,11 @@ def jucys_murphy(n: int, i: int, k: Scalar, start: int = 1) -> AlgElem:
     of lambda it is x_i on St_lambda.
     """
     alg = algebra_for(AlgebraParams("A", n, k))
-    total = alg.zero()
+    terms = []
     for j in range(start, i):
         s_ij = alg.w(reflection_perm(Root("diff", j, i), n))
-        inner = alg.one() - alg.multiply(alg.c(i), alg.c(j))
-        total = total + alg.multiply(s_ij, inner).scale(k)
-    return total
+        terms += [(k, [s_ij]), (-k, [s_ij, alg.c(i), alg.c(j)])]
+    return alg.sum_of_products(terms)
 
 
 def jucys_murphy_elements(n: int, k: Scalar) -> list[AlgElem]:
@@ -66,12 +65,10 @@ def zeta_on_dirac(jms: list[AlgElem]) -> AlgElem:
     """zeta'(D) = sum_i JM_i c_i + sqrt2 k sum_{alpha>0} stilde_alpha, from jms = [JM_1..JM_n]."""
     params = jms[0].params
     alg = algebra_for(params)
-    total = alg.zero()
-    for i, jm in enumerate(jms, start=1):
-        total = total + alg.multiply(jm, alg.c(i))
-    for root in alg.ctx.positive_roots:
-        total = total + twisted_reflection(params, root).scale(SQRT2 * params.k_long)
-    return total
+    return alg.sum_of_products(
+        [(ONE, [jm, alg.c(i)]) for i, jm in enumerate(jms, start=1)]
+        + [(SQRT2 * params.k_long, [twisted_reflection(params, root)])
+           for root in alg.ctx.positive_roots])
 
 
 def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:
@@ -82,13 +79,13 @@ def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:
     if max_r < 1:
         raise ValueError("power sum index must be positive")
     alg = algebra_for(jms[0].params)
-    images = [alg.zero()] * max_r
-    for jm in jms:
-        powers = [alg.multiply(jm, jm)]
-        while len(powers) < max_r:
-            powers.append(alg.multiply(powers[-1], powers[0]))
-        images = [image + power for image, power in zip(images, powers)]
-    return images
+    squares = [alg.multiply(jm, jm) for jm in jms]
+    powers, images = squares, []
+    while True:
+        images.append(alg.sum_of_products((ONE, [power]) for power in powers))
+        if len(images) == max_r:
+            return images
+        powers = [alg.multiply(power, square) for power, square in zip(powers, squares)]
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ import functools
 from typing import NamedTuple
 
 from .centers import center_multiplication, minimal_polynomial, seg_even_center
-from .dirac import casimir_h, casimir_seg, d_squared_constant, dirac_element
+from .dirac import casimir_h, casimir_seg, d_squared_constant, d_squared_residual, dirac_element
 from .engine import AlgebraParams, AlgElem, PbwMonomial, algebra_for, parity, supercommutator
 from .linalg import Matrix, add_scaled, sparse_kernel
 from .modules import ModuleRep, induced_module
@@ -229,10 +229,9 @@ def _seg_data(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem):
     building M, and the roots of m against the values k^2 |phi(mu)|^2.
     """
     params = D.params
-    alg = algebra_for(params)
-    constant = d_squared_constant(params)
-    if alg.multiply(D, D) != omega_h - omega_seg + alg.scalar(constant):
+    if not d_squared_residual(D, omega_h, omega_seg).is_zero():
         return None, None
+    constant = d_squared_constant(params)
     if params.type != "A":
         return constant, None
     classes = seg_even_center(params.n)

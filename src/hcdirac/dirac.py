@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import AlgebraParams, AlgElem, algebra_for, parity
-from .scalars import HALF, HALF_SQRT2, ONE, Scalar
+from .engine import AlgebraParams, AlgElem, algebra_for, parity, supercommutator
+from .scalars import HALF, HALF_SQRT2, MINUS_ONE, ONE, Scalar
 from .weyl import Root
 
 
@@ -30,8 +30,8 @@ def clifford_root_element(params: AlgebraParams, root: Root) -> AlgElem:
     alg = algebra_for(params)
     if root.kind == "short":
         return alg.c(root.i)
-    sign = ONE if root.kind == "sum" else -ONE
-    return alg.c(root.i).scale(HALF_SQRT2) + alg.c(root.j).scale(HALF_SQRT2 * sign)
+    sign = ONE if root.kind == "sum" else MINUS_ONE
+    return alg.sum_of_products(((HALF_SQRT2, [alg.c(root.i)]), (HALF_SQRT2 * sign, [alg.c(root.j)])))
 
 
 def twisted_reflection(params: AlgebraParams, root: Root) -> AlgElem:
@@ -43,70 +43,51 @@ def twisted_reflection(params: AlgebraParams, root: Root) -> AlgElem:
     return alg.multiply(s, clifford_root_element(params, root))
 
 
-def _roots_touching(params: AlgebraParams, i: int) -> list[Root]:
-    alg = algebra_for(params)
-    out = []
-    for root in alg.ctx.positive_roots:
-        touched = (root.i == i) if root.kind == "short" else (i in (root.i, root.j))
-        if touched:
-            out.append(root)
-    return out
-
-
 def dressed_generators(params: AlgebraParams, i: int) -> tuple[AlgElem, AlgElem, AlgElem]:
     """(y_i, y'_i, x'_i) with y_i = x_i c_i and x'_i = -y'_i c_i."""
     alg = algebra_for(params)
     y = alg.multiply(alg.x(i), alg.c(i))
-    y_prime = y
-    for root in _roots_touching(params, i):
-        coef = HALF_SQRT2 * params.k_for(root)
-        if coef:
-            y_prime = y_prime + twisted_reflection(params, root).scale(coef)
-    x_prime = alg.multiply(y_prime, alg.c(i)).scale(-ONE)
+    y_prime = alg.sum_of_products(
+        [(ONE, [y])] + [(HALF_SQRT2 * params.k_for(root), [twisted_reflection(params, root)])
+                        for root in alg.ctx.positive_roots if i in (root.i, root.j)])
+    x_prime = alg.sum_of_products(((MINUS_ONE, [y_prime, alg.c(i)]),))
     return y, y_prime, x_prime
 
 
 def dirac_element(params: AlgebraParams) -> AlgElem:
     """D = sum_i y_i + (sqrt2/2) sum_{alpha>0} k_alpha |<alpha,alpha>| stilde_alpha."""
     alg = algebra_for(params)
-    total = alg.zero()
-    for i in range(1, params.n + 1):
-        total = total + alg.multiply(alg.x(i), alg.c(i))
-    for root in alg.ctx.positive_roots:
-        coef = HALF_SQRT2 * params.k_for(root) * root.length_sq()
-        if coef:
-            total = total + twisted_reflection(params, root).scale(coef)
-    return total
+    return alg.sum_of_products(
+        [(ONE, [alg.x(i), alg.c(i)]) for i in range(1, params.n + 1)]
+        + [(HALF_SQRT2 * params.k_for(root) * root.length_sq(), [twisted_reflection(params, root)])
+           for root in alg.ctx.positive_roots])
 
 
 def casimir_h(params: AlgebraParams) -> AlgElem:
     """Omega_H = sum_i x_i^2."""
     alg = algebra_for(params)
-    omega_h = alg.zero()
-    for i in range(1, params.n + 1):
-        omega_h = omega_h + alg.multiply(alg.x(i), alg.x(i))
-    return omega_h
+    return alg.sum_of_products((ONE, [alg.x(i), alg.x(i)]) for i in range(1, params.n + 1))
+
+
+def _negated_pairs(params: AlgebraParams, first: list[Root], second: list[Root]):
+    """The pairs (alpha, beta) of first x second with s_alpha beta < 0."""
+    ctx = algebra_for(params).ctx
+    for alpha in first:
+        s_alpha = ctx.reflection(alpha)
+        for beta in second:
+            if s_alpha.act_root(beta)[1] < 0:
+                yield alpha, beta
 
 
 def casimir_seg(params: AlgebraParams) -> AlgElem:
     """Omega_Seg, the weighted double sum of stilde_alpha stilde_beta."""
     alg = algebra_for(params)
-    omega_seg = alg.zero()
     roots = alg.ctx.positive_roots
     stilde = {root: twisted_reflection(params, root) for root in roots}
-    for alpha in roots:
-        s_alpha = alg.ctx.reflection(alpha)
-        k_alpha = params.k_for(alpha)
-        if not k_alpha:
-            continue
-        for beta in roots:
-            _, sign = s_alpha.act_root(beta)
-            if sign > 0:
-                continue
-            coef = HALF * alpha.length_sq() * beta.length_sq() * k_alpha * params.k_for(beta)
-            if coef:
-                omega_seg = omega_seg + alg.multiply(stilde[alpha], stilde[beta]).scale(coef)
-    return omega_seg
+    return alg.sum_of_products(
+        (HALF * alpha.length_sq() * beta.length_sq() * params.k_for(alpha) * params.k_for(beta),
+         [stilde[alpha], stilde[beta]])
+        for alpha, beta in _negated_pairs(params, roots, roots))
 
 
 def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
@@ -114,27 +95,16 @@ def casimirs(params: AlgebraParams) -> tuple[AlgElem, AlgElem]:
     return casimir_h(params), casimir_seg(params)
 
 
-def seg_commutators(params: AlgebraParams, D: AlgElem) -> list[tuple[str, AlgElem]]:
-    """(name, g D -+ D g) for each Seg generator g, in normal form.
-
-    The simple reflections, named as in RootSystemCtx.simple_names, give the
-    commutator s D - D s, and c1..cn the anticommutator c_i D + D c_i; all
-    vanish exactly when D commutes with W and anticommutes with every c_i.
-    """
-    alg = algebra_for(params)
-    out = []
-    for name in alg.ctx.simple_names:
-        s = alg.generators[name]
-        out.append((name, alg.multiply(s, D) - alg.multiply(D, s)))
-    for i in range(1, params.n + 1):
-        ci = alg.c(i)
-        out.append((f"c{i}", alg.multiply(ci, D) + alg.multiply(D, ci)))
-    return out
-
-
 def d_squared_constant(params: AlgebraParams) -> Scalar:
     """The constant n(n-1)/2 * N separating D^2 from Omega_H - Omega_Seg."""
     return params.N * Scalar(Fraction(params.n * (params.n - 1), 2))
+
+
+def d_squared_residual(D: AlgElem, omega_h: AlgElem, omega_seg: AlgElem) -> AlgElem:
+    """D^2 - (Omega_H - Omega_Seg) - `d_squared_constant`, zero exactly when
+    the corrected identity holds."""
+    return algebra_for(D.params).sum_of_products(
+        ((ONE, [D, D]), (MINUS_ONE, [omega_h]), (ONE, [omega_seg]), (-d_squared_constant(D.params), [])))
 
 
 class DiracBundle(NamedTuple):
@@ -149,12 +119,10 @@ def dirac_bundle(params: AlgebraParams) -> DiracBundle:
     alg = algebra_for(params)
     D = dirac_element(params)
     omega_h, omega_seg = casimirs(params)
-    sum_y_prime = alg.zero()
-    sum_xc = alg.zero()
-    for i in range(1, params.n + 1):
-        _, y_prime, x_prime = dressed_generators(params, i)
-        sum_y_prime = sum_y_prime + y_prime
-        sum_xc = sum_xc + alg.multiply(x_prime, alg.c(i))
+    dressed = [dressed_generators(params, i) for i in range(1, params.n + 1)]
+    sum_y_prime = alg.sum_of_products((ONE, [y_prime]) for _, y_prime, _ in dressed)
+    sum_xc = alg.sum_of_products((ONE, [x_prime, alg.c(i)])
+                                 for i, (_, _, x_prime) in enumerate(dressed, start=1))
     if D != sum_y_prime or D != sum_xc:
         raise AssertionError("Dirac element presentations disagree")
     if parity(D) not in ("odd", "even"):  # zero D (n=1, k=0 short) counts as even
@@ -171,37 +139,27 @@ Check = tuple[str, bool, dict]
 
 
 def _root_sum_square_checks(params: AlgebraParams) -> list[Check]:
+    """(sum_A stilde)(sum_B stilde) = sum of stilde_alpha stilde_beta over the
+    pairs of A x B with s_alpha beta < 0, for the long and short roots."""
     alg = algebra_for(params)
     roots = alg.ctx.positive_roots
     stilde = {root: twisted_reflection(params, root) for root in roots}
     longs = [r for r in roots if r.length_sq() == 2]
     shorts = [r for r in roots if r.length_sq() == 1]
+    long_block, short_block = ((rs, alg.sum_of_products((ONE, [stilde[r]]) for r in rs))
+                               for rs in (longs, shorts))
 
-    def sum_of(rs):
-        total = alg.zero()
-        for r in rs:
-            total = total + stilde[r]
-        return total
+    def check(name, *blocks):
+        terms = []
+        for (first, first_sum), (second, second_sum) in blocks:
+            terms.append((ONE, [first_sum, second_sum]))
+            terms += [(MINUS_ONE, [stilde[alpha], stilde[beta]])
+                      for alpha, beta in _negated_pairs(params, first, second)]
+        return _residual_check(name, alg.sum_of_products(terms))
 
-    def pair_sum(first, second):
-        total = alg.zero()
-        for alpha in first:
-            s_alpha = alg.ctx.reflection(alpha)
-            for beta in second:
-                _, sign = s_alpha.act_root(beta)
-                if sign < 0:
-                    total = total + alg.multiply(stilde[alpha], stilde[beta])
-        return total
-
-    long_sum, short_sum = sum_of(longs), sum_of(shorts)
-    lhs = alg.multiply(long_sum, long_sum)
-    checks = [_residual_check("root_sum_sq_long", lhs - pair_sum(longs, longs))]
-    lhs = alg.multiply(short_sum, short_sum)
-    checks.append(_residual_check("root_sum_sq_short", lhs - pair_sum(shorts, shorts)))
-    mixed = alg.multiply(long_sum, short_sum) + alg.multiply(short_sum, long_sum)
-    target = pair_sum(longs, shorts) + pair_sum(shorts, longs)
-    checks.append(_residual_check("root_sum_sq_mixed", mixed - target))
-    return checks
+    return [check("root_sum_sq_long", (long_block, long_block)),
+            check("root_sum_sq_short", (short_block, short_block)),
+            check("root_sum_sq_mixed", (long_block, short_block), (short_block, long_block))]
 
 
 def _residual_check(name: str, residual: AlgElem) -> Check:
@@ -216,23 +174,18 @@ def verify_identities(params: AlgebraParams) -> list[Check]:
     alg = algebra_for(params)
     bundle = dirac_bundle(params)
 
-    d_sq = alg.multiply(bundle.D, bundle.D)
-    residual = d_sq - (bundle.omega_h - bundle.omega_seg)
-    correction = alg.scalar(d_squared_constant(params))
-    holds = residual == correction
-    details = {
-        "n_correction": d_squared_constant(params).compact(),
-        "plain_identity": residual.is_zero(),
-    }
-    if not holds:
-        details["witness"] = (residual - correction).to_string()
-    checks = [("d_squared", holds, details)]
+    constant = d_squared_constant(params)
+    residual = d_squared_residual(*bundle)
+    details = {"n_correction": constant.compact(), "plain_identity": residual == alg.scalar(-constant)}
+    if not residual.is_zero():
+        details["witness"] = residual.to_string()
+    checks = [("d_squared", residual.is_zero(), details)]
 
-    # The reflections keep their index labels w_comm_s1.. even in types B and D.
-    labels = [f"w_comm_s{idx + 1}" for idx in range(len(alg.ctx.simple_names))]
-    labels += [f"c{i}_anticomm" for i in range(1, params.n + 1)]
-    commutators = seg_commutators(params, bundle.D)
-    for label, (_, residual) in zip(labels, commutators, strict=True):
-        checks.append(_residual_check(label, residual))
+    # D is odd, so [s, D] = sD - Ds and [c_i, D] = c_i D + D c_i.  The
+    # reflections keep their index labels w_comm_s1.. even in types B and D.
+    pairs = [(f"w_comm_s{t}", name) for t, name in enumerate(alg.ctx.simple_names, start=1)]
+    pairs += [(f"c{i}_anticomm", f"c{i}") for i in range(1, params.n + 1)]
+    checks += [_residual_check(label, supercommutator(params, alg.generators[name], bundle.D))
+               for label, name in pairs]
     checks.extend(_root_sum_square_checks(params))
     return checks

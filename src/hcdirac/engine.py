@@ -33,11 +33,13 @@ the module-level `cliff_mul` (keys masks x masks) are bounded by the group.
 The three straightening tables store +-1 only as the singletons ONE and
 MINUS_ONE, so `_mono_product`, and `_signed_product` when a new entry is
 built from older ones, recognise a unit structure constant by `is` and take
-it by value, with no product.  `multiply` builds no per-word result:
-`_mono_product` adds ca*cb times each product of basis words straight into
-one dict.  Words and memo keys are tuples all the way down (`SignedPerm`
-too), so they hash in C.  `algebra_for` keeps the engines, and so their
-tables, of the 8 parameter sets used last.
+it by value, with no product.  `Algebra.sum_of_products` is the one
+accumulation routine: it builds a sum of scalar-weighted words in one dict,
+the last product of each word added term by term through `_mono_product`.
+`multiply` is its two-factor word, and AlgElem's +, - and scale its
+one-factor words.  Words and memo keys are tuples all the way down
+(`SignedPerm` too), so they hash in C.  `algebra_for` keeps the engines, and
+so their tables, of the 8 parameter sets used last.
 
 Type D has no standalone engine: its elements live inside the type-B engine
 with the short-root parameter frozen at zero, and only group elements with an
@@ -189,11 +191,13 @@ def _signed_product(sign: int, a: Scalar, b: Scalar) -> Scalar:
 
 
 def _add_term(terms: dict, key, coef: Scalar) -> None:
-    new = terms.get(key, ZERO) + coef
-    if new:
+    old = terms.get(key)
+    if old is None:
+        terms[key] = coef
+    elif new := old + coef:
         terms[key] = new
     else:
-        terms.pop(key, None)
+        del terms[key]
 
 
 def _shift(exps: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
@@ -235,37 +239,26 @@ class AlgElem:
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __add__(self, other: AlgElem) -> AlgElem:
-        if self.params != other.params:
-            raise ValueError("params mismatch")
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            _add_term(out, mono, coef)
-        return AlgElem(self.params, out)
+        return algebra_for(self.params).sum_of_products(((ONE, [self]), (ONE, [other])))
 
     def __sub__(self, other: AlgElem) -> AlgElem:
-        return self + (-other)
+        return algebra_for(self.params).sum_of_products(((ONE, [self]), (MINUS_ONE, [other])))
 
     def __neg__(self) -> AlgElem:
-        return AlgElem(self.params, {m: -c for m, c in self.terms.items()})
+        return self.scale(MINUS_ONE)
 
     def scale(self, scalar: Scalar) -> AlgElem:
-        if not scalar:
-            return AlgElem(self.params)
-        return AlgElem(self.params, {m: c * scalar for m, c in self.terms.items()})
+        return algebra_for(self.params).sum_of_products(((scalar, [self]),))
 
     def __mul__(self, other):
         if isinstance(other, AlgElem):
-            return multiply(self.params, self, other)
+            return algebra_for(self.params).multiply(self, other)
         coerced = Scalar._coerce(other)
         if coerced is None:
             return NotImplemented
         return self.scale(coerced)
 
-    def __rmul__(self, other):
-        coerced = Scalar._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.scale(coerced)
+    __rmul__ = __mul__  # scalars are central
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElem):
@@ -316,9 +309,6 @@ class Algebra:
         self._units = [_shift(self._zero_exps, i, 1) for i in range(1, params.n + 1)]
 
     # -- element constructors ------------------------------------------------
-
-    def zero(self) -> AlgElem:
-        return AlgElem(self.params)
 
     def one(self) -> AlgElem:
         return AlgElem(self.params, {PbwMonomial(self._zero_exps, 0, self._id): ONE})
@@ -541,14 +531,39 @@ class Algebra:
                 else:
                     del out[mono]
 
-    def multiply(self, a: AlgElem, b: AlgElem) -> AlgElem:
-        if a.params != self.params or b.params != self.params:
-            raise ValueError("params mismatch")
+    def sum_of_products(self, terms) -> AlgElem:
+        """sum(coef * F1 ... Fk) over the (coef, [F1, ..., Fk]) terms, built in one dict.
+
+        F1 ... F(k-1) are multiplied out first, and the last product goes
+        straight into the sum through `_mono_product`, with coef folded into
+        the left coefficient once per left term: each term pair costs one
+        product.  A one-factor word adds coef * F1 and an empty word adds
+        coef; a zero coef is skipped, and one equal to +-1 is taken by value
+        as the singleton.  The twin of `Matrix.sum_of_products`.
+        """
         out: Terms = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                self._mono_product(out, ma, mb, ca * cb)
+        for coef, factors in terms:
+            if any(f.params != self.params for f in factors):
+                raise ValueError("params mismatch")
+            if not coef:
+                continue
+            if coef is not ONE and coef is not MINUS_ONE:
+                coef = UNITS.get(coef, coef)
+            if len(factors) < 2:
+                items = factors[0].terms.items() if factors else self.one().terms.items()
+                for mono, c in items:
+                    _add_term(out, mono, _signed_product(1, coef, c))
+                continue
+            *head, last = factors
+            for ma, ca in reduce(self.multiply, head).terms.items():
+                ca = _signed_product(1, coef, ca)
+                for mb, cb in last.terms.items():
+                    self._mono_product(out, ma, mb, ca * cb)
         return AlgElem(self.params, out)
+
+    def multiply(self, a: AlgElem, b: AlgElem) -> AlgElem:
+        """a * b, the two-factor word of `sum_of_products`."""
+        return self.sum_of_products(((ONE, (a, b)),))
 
 
 @lru_cache(maxsize=8)
@@ -561,10 +576,6 @@ def algebra_for(params: AlgebraParams) -> Algebra:
 
 # ---------------------------------------------------------------------------
 # Spec-level operations.
-
-
-def multiply(params: AlgebraParams, a: AlgElem, b: AlgElem) -> AlgElem:
-    return algebra_for(params).multiply(a, b)
 
 
 def parity(a: AlgElem) -> str:
@@ -582,10 +593,8 @@ def supercommutator(params: AlgebraParams, a: AlgElem, b: AlgElem) -> AlgElem:
     pa, pb = parity(a), parity(b)
     if "mixed" in (pa, pb):
         raise ValueError("supercommutator requires parity-homogeneous arguments")
-    sign = -1 if (pa == "odd" and pb == "odd") else 1
-    ab = multiply(params, a, b)
-    ba = multiply(params, b, a)
-    return ab - ba if sign > 0 else ab + ba
+    sign = ONE if (pa == "odd" and pb == "odd") else MINUS_ONE
+    return algebra_for(params).sum_of_products(((ONE, (a, b)), (sign, (b, a))))
 
 
 def random_group_element(params: AlgebraParams, rng: random.Random) -> SignedPerm:
@@ -629,8 +638,8 @@ def check_pbw_consistency(
         a = random_element(params, rng, max_deg)
         b = random_element(params, rng, max_deg)
         c = random_element(params, rng, max_deg)
-        left = multiply(params, multiply(params, a, b), c)
-        right = multiply(params, a, multiply(params, b, c))
+        left = (a * b) * c
+        right = a * (b * c)
         if left != right:
             failures.append(
                 {"trial": t, "a": a.to_string(), "b": b.to_string(), "c": c.to_string()}
@@ -796,17 +805,15 @@ def generating_relations(params: AlgebraParams) -> list[Relation]:
 def eval_relation_tokens(params: AlgebraParams, word: tuple[str, ...]) -> AlgElem:
     """Evaluate a relation word, a tuple of generator names, inside the engine."""
     alg = algebra_for(params)
-    factors = [alg.generators[name] for name in word]
-    return reduce(alg.multiply, factors) if factors else alg.one()
+    return alg.sum_of_products(((ONE, [alg.generators[name] for name in word]),))
 
 
 def check_relations_in_engine(params: AlgebraParams) -> list[dict]:
     """Normalise LHS - RHS of every defining relation; the failures, each with its residual."""
+    alg = algebra_for(params)
     failures = []
     for name, terms in defining_relations(params):
-        total = algebra_for(params).zero()
-        for coef, word in terms:
-            total = total + eval_relation_tokens(params, word).scale(coef)
+        total = alg.sum_of_products((coef, [eval_relation_tokens(params, word)]) for coef, word in terms)
         if not total.is_zero():
             failures.append({"relation": name, "residual": total.to_string()})
     return failures

@@ -70,7 +70,7 @@ from .engine import (
 )
 from .linalg import Matrix
 from .partitions import Partition
-from .scalars import HALF_SQRT2, I, ONE, SQRT2, TWO, ZERO, Scalar
+from .scalars import HALF_SQRT2, I, MINUS_ONE, ONE, SQRT2, TWO, ZERO, Scalar
 from .weyl import SignedPerm
 
 
@@ -271,8 +271,9 @@ def _graded_pair_op(p_mat: Matrix, q_mat: Matrix, parity_u: list[int], coef: Sca
     return _kron(q_mat, Matrix.from_sparse(twisted, p_mat.nrows))
 
 
-def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:
-    """Generator matrices of the type-B Steinberg action on U(n) (x) U(n)."""
+def _steinberg_b_ambient(params: AlgebraParams) -> tuple[dict[str, Matrix], list[int]]:
+    """Generator matrices of the type-B Steinberg action on U(n) (x) U(n),
+    and the parities of the basis of U(n)."""
     n = params.n
     cs, parity_u = clifford_c_matrices(n)
     du = len(parity_u)
@@ -288,7 +289,7 @@ def _steinberg_b_ambient(params: AlgebraParams) -> dict[str, Matrix]:
     b_mats = [(cs[t - 1] - cs[t]).scale(HALF_SQRT2) for t in range(1, n)] + [cs[n - 1]]
     for name, b in zip(algebra_for(params).push_ctx.simple_names, b_mats, strict=True):
         gens[name] = _graded_pair_op(b, b, parity_u, I)
-    return gens
+    return gens, parity_u
 
 
 def steinberg_module(params: AlgebraParams) -> ModuleRep:
@@ -300,8 +301,7 @@ def steinberg_module(params: AlgebraParams) -> ModuleRep:
             f"type {params.type} Steinberg module requires N = "
             f"{forced_n_constant(params).compact()}, got {params.N.compact()}"
         )
-    gens = _steinberg_b_ambient(params)
-    _, parity_u = clifford_c_matrices(params.n)
+    gens, parity_u = _steinberg_b_ambient(params)
     du = len(parity_u)
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
     if params.type == "D":
@@ -413,9 +413,10 @@ class _InducedBuilder:
         cached = self._push_cache.get(key)
         if cached is None:
             j = w.inverse().image(i)
-            xi_w = self.alg.multiply(self.alg.x(i), self.alg.w(w))
-            w_xj = self.alg.multiply(self.alg.w(w), self.alg.x(j))
-            cached = self._push_cache[key] = (j, xi_w - w_xj)
+            w_elem = self.alg.w(w)
+            corr = self.alg.sum_of_products(
+                ((ONE, [self.alg.x(i), w_elem]), (MINUS_ONE, [w_elem, self.alg.x(j)])))
+            cached = self._push_cache[key] = (j, corr)
         return cached
 
     def generator_matrix(self, elem: AlgElem) -> Matrix:

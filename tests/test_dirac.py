@@ -17,11 +17,10 @@ from hcdirac.dirac import (
     dirac_bundle,
     dirac_element,
     dressed_generators,
-    seg_commutators,
     twisted_reflection,
     verify_identities,
 )
-from hcdirac.engine import AlgebraParams, algebra_for, multiply, parity
+from hcdirac.engine import AlgebraParams, AlgElem, algebra_for, parity, supercommutator
 from hcdirac.scalars import HALF_SQRT2, ONE, SQRT2, TWO, ZERO, Scalar
 from hcdirac.weyl import Root, SignedPerm
 
@@ -42,13 +41,13 @@ def test_twisted_reflection_examples():
     got = twisted_reflection(p, Root("diff", 1, 2))
     s12 = alg.w(SignedPerm((2, 1)))
     c_alpha = alg.c(1).scale(HALF_SQRT2) - alg.c(2).scale(HALF_SQRT2)
-    assert got == multiply(p, s12, c_alpha)
+    assert got == s12 * c_alpha
     # stilde squared is the identity
-    assert multiply(p, got, got) == alg.one()
+    assert got * got == alg.one()
     pb = params_for("B", 2, ks=ONE)
     algb = algebra_for(pb)
     short = twisted_reflection(pb, Root("short", 1))
-    assert short == multiply(pb, algb.w(SignedPerm((-1, 2))), algb.c(1))
+    assert short == algb.w(SignedPerm((-1, 2))) * algb.c(1)
 
 
 def test_twisted_reflection_rejects_bad_roots():
@@ -63,10 +62,10 @@ def test_dressed_generators_type_a():
     p = params_for("A", 2)
     alg = algebra_for(p)
     y1, y1p, x1p = dressed_generators(p, 1)
-    assert y1 == multiply(p, alg.x(1), alg.c(1))
+    assert y1 == alg.x(1) * alg.c(1)
     assert y1p == y1 + twisted_reflection(p, Root("diff", 1, 2)).scale(HALF_SQRT2)
     # x'_i c_i = y'_i since c_i^2 = -1
-    assert multiply(p, x1p, alg.c(1)) == y1p
+    assert x1p * alg.c(1) == y1p
 
 
 def test_dressed_generators_type_b_rank_one():
@@ -79,17 +78,17 @@ def test_dirac_element_examples():
     p = params_for("A", 2)
     alg = algebra_for(p)
     d = dirac_element(p)
-    y1 = multiply(p, alg.x(1), alg.c(1))
-    y2 = multiply(p, alg.x(2), alg.c(2))
+    y1 = alg.x(1) * alg.c(1)
+    y2 = alg.x(2) * alg.c(2)
     assert d == y1 + y2 + twisted_reflection(p, Root("diff", 1, 2)).scale(SQRT2)
 
     p1 = params_for("A", 1)
     alg1 = algebra_for(p1)
-    assert dirac_element(p1) == multiply(p1, alg1.x(1), alg1.c(1))
+    assert dirac_element(p1) == alg1.x(1) * alg1.c(1)
 
     pb = params_for("B", 1, ks=ONE)
     algb = algebra_for(pb)
-    yb = multiply(pb, algb.x(1), algb.c(1))
+    yb = algb.x(1) * algb.c(1)
     assert dirac_element(pb) == yb + twisted_reflection(pb, Root("short", 1)).scale(HALF_SQRT2)
 
 
@@ -97,7 +96,7 @@ def test_casimir_examples():
     p = params_for("A", 2)
     alg = algebra_for(p)
     omega_h, omega_seg = casimirs(p)
-    assert omega_h == multiply(p, alg.x(1), alg.x(1)) + multiply(p, alg.x(2), alg.x(2))
+    assert omega_h == alg.x(1) * alg.x(1) + alg.x(2) * alg.x(2)
     assert omega_seg == alg.one().scale(TWO)
     p1 = params_for("A", 1)
     assert casimirs(p1)[1].is_zero()
@@ -171,7 +170,7 @@ def test_plain_d_squared_at_zero_n(typ, n):
         kw = {"ks": ONE} if typ == "B" else {}
         p = params_for(typ, n, k, **kw)
         bundle = dirac_bundle(p)
-        residual = multiply(p, bundle.D, bundle.D) - (bundle.omega_h - bundle.omega_seg)
+        residual = bundle.D * bundle.D - (bundle.omega_h - bundle.omega_seg)
         assert residual.is_zero()
 
 
@@ -182,7 +181,7 @@ def test_plain_d_squared_at_zero_n(typ, n):
 def test_corrected_d_squared_at_nonzero_n(typ, n, N):
     p = params_for(typ, n, ONE, ks=(ONE if typ == "B" else ZERO), N=N)
     bundle = dirac_bundle(p)
-    residual = multiply(p, bundle.D, bundle.D) - (bundle.omega_h - bundle.omega_seg)
+    residual = bundle.D * bundle.D - (bundle.omega_h - bundle.omega_seg)
     assert residual == algebra_for(p).one().scale(d_squared_constant(p))
     assert d_squared_constant(p) == N * Scalar(Fraction(n * (n - 1), 2))
 
@@ -209,21 +208,33 @@ def test_verify_identities_report(typ, n):
 
 @pytest.mark.parametrize("typ,n", [("A", 3), ("B", 2), ("D", 3)])
 def test_seg_commutators_name_the_module_generators(typ, n):
+    # verify_identities takes [g, D] over the simple reflections, then
+    # c1..cn, and labels the reflections by index even in types B and D.
     params = params_for(typ, n, ks=ONE if typ == "B" else ZERO)
     alg = algebra_for(params)
     d = dirac_element(params)
-    commutators = seg_commutators(params, d)
-    assert [name for name, _ in commutators] == (
-        alg.ctx.simple_names + [f"c{i}" for i in range(1, n + 1)])
-    assert all(residual.is_zero() for _, residual in commutators)
-    # The identity report keeps its index labels for the same residuals.
-    labels = [name for name, _, _ in verify_identities(params)][1 : 1 + len(commutators)]
-    assert labels == [f"w_comm_s{t}" for t in range(1, len(alg.ctx.simple_names) + 1)] + [
+    names = alg.ctx.simple_names + [f"c{i}" for i in range(1, n + 1)]
+    checks = verify_identities(params)[1 : 1 + len(names)]
+    assert [label for label, _, _ in checks] == [
+        f"w_comm_s{t}" for t in range(1, len(alg.ctx.simple_names) + 1)] + [
         f"c{i}_anticomm" for i in range(1, n + 1)]
-    # D + 1 still commutes with W but anticommutes with no c_i.
-    shifted = seg_commutators(params, d + alg.one())
-    assert [name for name, residual in shifted if not residual.is_zero()] == [
-        f"c{i}" for i in range(1, n + 1)]
+    assert all(passed for _, passed, _ in checks)
+    assert all(supercommutator(params, alg.generators[name], d).is_zero() for name in names)
+
+
+@pytest.mark.parametrize("typ,n", [("A", 3), ("B", 2), ("D", 3)])
+def test_supercommutator_sees_an_odd_element_that_anticommutes_with_no_c(typ, n):
+    # D + c_1 + ... + c_n is odd, and [c_i, -] sends it to c_i^2 + c_i^2 = -2.
+    params = params_for(typ, n, ks=ONE if typ == "B" else ZERO)
+    alg = algebra_for(params)
+    d = dirac_element(params)
+    shifted = d + alg.sum_of_products((ONE, [alg.c(j)]) for j in range(1, n + 1))
+    assert parity(shifted) == "odd"
+    for i in range(1, n + 1):
+        assert supercommutator(params, alg.c(i), shifted) == alg.scalar(-TWO)
+    # D + 1 has mixed parity, which supercommutator refuses.
+    with pytest.raises(ValueError):
+        supercommutator(params, alg.c(1), d + alg.one())
 
 
 def test_verify_identities_reports_correction_at_nonzero_n():
@@ -242,11 +253,11 @@ def test_d_squared_supercommutes_with_seg():
         p = params_for(typ, n, ks=(ONE if typ == "B" else ZERO))
         alg = algebra_for(p)
         d = dirac_element(p)
-        d_sq = multiply(p, d, d)
+        d_sq = d * d
         gens = [alg.c(i) for i in range(1, n + 1)]
         gens += [alg.w(s) for s in alg.ctx.simple_reflections]
         for g in gens:
-            assert (multiply(p, d_sq, g) - multiply(p, g, d_sq)).is_zero()
+            assert (d_sq * g - g * d_sq).is_zero()
 
 
 def test_conjugation_lemma():
@@ -255,14 +266,14 @@ def test_conjugation_lemma():
     for typ, n in (("A", 3), ("B", 2)):
         p = params_for(typ, n, ks=(ONE if typ == "B" else ZERO))
         alg = algebra_for(p)
-        ys = [multiply(p, alg.x(i), alg.c(i)) for i in range(1, n + 1)]
+        ys = [alg.x(i) * alg.c(i) for i in range(1, n + 1)]
         for s in alg.ctx.simple_reflections:
             ws = alg.w(s)
             ws_inv = alg.w(s.inverse())
             for i in range(1, n + 1):
-                lhs = multiply(p, multiply(p, ws, ys[i - 1]), ws_inv)
+                lhs = ws * ys[i - 1] * ws_inv
                 target = ys[abs(s.image(i)) - 1]
-                total = alg.zero()
+                total = AlgElem(alg.params)
                 w_ei = s.image(i)
                 for beta in alg.ctx.positive_roots:
                     _, sign = s.inverse().act_root(beta)

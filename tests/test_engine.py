@@ -22,7 +22,6 @@ from hcdirac.engine import (
     cliff_mul,
     defining_relations,
     generating_relations,
-    multiply,
     parity,
     perm_on_cliff,
     random_element,
@@ -76,18 +75,18 @@ def test_type_d_rejects_odd_window():
 
 def test_clifford_square():
     c1 = algebra_for(A3).c(1)
-    assert multiply(A3, c1, c1) == -algebra_for(A3).one()
+    assert c1 * c1 == -algebra_for(A3).one()
 
 
 def test_simple_past_x_example():
     # s_12 x_1 = x_2 s_12 - k + k c_1 c_2
     alg = algebra_for(A3)
     s12 = alg.w(SignedPerm((2, 1, 3)))
-    got = multiply(A3, s12, alg.x(1))
+    got = s12 * alg.x(1)
     expected = (
-        multiply(A3, alg.x(2), s12)
+        alg.x(2) * s12
         - alg.one()
-        + multiply(A3, alg.c(1), alg.c(2))
+        + alg.c(1) * alg.c(2)
     )
     assert got == expected
 
@@ -95,8 +94,8 @@ def test_simple_past_x_example():
 def test_x_noncommutativity_type_b():
     # x_2 x_1 = x_1 x_2 + N c_1 c_2
     alg = algebra_for(B2)
-    got = multiply(B2, alg.x(2), alg.x(1))
-    expected = multiply(B2, alg.x(1), alg.x(2)) + multiply(B2, alg.c(1), alg.c(2)).scale(
+    got = alg.x(2) * alg.x(1)
+    expected = alg.x(1) * alg.x(2) + (alg.c(1) * alg.c(2)).scale(
         B2.N
     )
     assert got == expected
@@ -106,18 +105,18 @@ def test_short_reflection_past_x():
     # s_n x_n = -x_n s_n - sqrt2 k_s
     alg = algebra_for(B2)
     sn = alg.w(SignedPerm((1, -2)))
-    got = multiply(B2, sn, alg.x(2))
-    expected = -multiply(B2, alg.x(2), sn) - alg.one().scale(SQRT2 * B2.k_short)
+    got = sn * alg.x(2)
+    expected = -alg.x(2) * sn - alg.one().scale(SQRT2 * B2.k_short)
     assert got == expected
 
 
 def test_parity_classes():
     alg = algebra_for(A2)
     assert parity(alg.c(1)) == "odd"
-    assert parity(multiply(A2, alg.x(1), alg.c(1))) == "odd"
+    assert parity(alg.x(1) * alg.c(1)) == "odd"
     assert parity(alg.one()) == "even"
     assert parity(alg.c(1) + alg.one()) == "mixed"
-    assert parity(alg.zero()) == "even"
+    assert parity(AlgElem(alg.params)) == "even"
 
 
 def test_parity_multiplicative():
@@ -127,7 +126,7 @@ def test_parity_multiplicative():
         a = random_element(B2, rng, max_deg=1, max_terms=1)
         b = random_element(B2, rng, max_deg=1, max_terms=1)
         pa, pb = parity(a), parity(b)
-        prod = multiply(B2, a, b)
+        prod = a * b
         if prod.is_zero():
             continue
         expect = "even" if pa == pb else "odd"
@@ -137,9 +136,7 @@ def test_parity_multiplicative():
 def test_supercommutator_examples():
     alg = algebra_for(B2)
     assert supercommutator(B2, alg.c(1), alg.c(2)).is_zero()
-    assert supercommutator(B2, alg.x(1), alg.x(2)) == multiply(
-        B2, alg.c(2), alg.c(1)
-    ).scale(B2.N)
+    assert supercommutator(B2, alg.x(1), alg.x(2)) == (alg.c(2) * alg.c(1)).scale(B2.N)
     algA = algebra_for(A2)
     assert supercommutator(A2, algA.x(1), algA.x(2)).is_zero()
     with pytest.raises(ValueError):
@@ -225,8 +222,8 @@ def test_identity_is_neutral():
     one = alg.one()
     for _ in range(20):
         a = random_element(B2, rng)
-        assert multiply(B2, one, a) == a
-        assert multiply(B2, a, one) == a
+        assert one * a == a
+        assert a * one == a
 
 
 def test_group_algebra_embedding():
@@ -238,7 +235,7 @@ def test_group_algebra_embedding():
         for _ in range(200):
             u = random_group_element(params, rng)
             v = random_group_element(params, rng)
-            assert multiply(params, alg.w(u), alg.w(v)) == alg.w(u * v)
+            assert alg.w(u) * alg.w(v) == alg.w(u * v)
 
 
 def test_omega_h_supercentral():
@@ -260,9 +257,9 @@ def test_pbw_consistency_smoke(params):
 
 
 def test_pbw_consistency_zero_element_trivial():
-    zero = algebra_for(A2).zero()
+    zero = AlgElem(A2)
     a = random_element(A2, random.Random(0))
-    assert multiply(A2, multiply(A2, zero, a), a).is_zero()
+    assert (zero * a * a).is_zero()
 
 
 def test_type_d_products_stay_in_subalgebra():
@@ -270,14 +267,14 @@ def test_type_d_products_stay_in_subalgebra():
     for _ in range(40):
         a = random_element(D3, rng)
         b = random_element(D3, rng)
-        prod = multiply(D3, a, b)
+        prod = a * b
         assert all(m.w.neg_count() % 2 == 0 for m in prod.terms)
 
 
 def test_text_form():
-    assert algebra_for(A2).zero().to_string() == "0"
+    assert AlgElem(A2).to_string() == "0"
     alg = algebra_for(A2)
-    elem = multiply(A2, alg.x(1), alg.x(1)) + alg.c(2).scale(SQRT2)
+    elem = alg.x(1) * alg.x(1) + alg.c(2).scale(SQRT2)
     assert elem.to_string() == "(1*r2)*c2*[1,2] + (1)*x1^2*[1,2]"
 
 
@@ -285,7 +282,7 @@ def test_params_mismatch_raises():
     a = algebra_for(A2).one()
     b = algebra_for(A3).one()
     with pytest.raises(ValueError):
-        multiply(A2, a, b)
+        a * b
 
 
 def _reference_mono_product(alg, left, right):
@@ -334,7 +331,7 @@ def test_multiply_matches_reference_with_coefficients(params):
             for mb, cb in b.terms.items():
                 for m, c in _reference_mono_product(alg, ma, mb).items():
                     expected[m] = expected.get(m, ZERO) + ca * cb * c
-        assert multiply(params, a, b).terms == {m: c for m, c in expected.items() if c}
+        assert (a * b).terms == {m: c for m, c in expected.items() if c}
     assert {I, SQRT2, HALF} <= seen
 
 
@@ -470,7 +467,8 @@ def test_unit_structure_constants_cost_one_product_per_term_pair(monkeypatch):
     b = AlgElem(A3, {mono(A3, (2, 1, 0), 0b011, (1, 3, 2)): -HALF,
                      mono(A3, (0, 0, 3), 0b110, (2, 1, 3)): I,
                      mono(A3, (1, 1, 1), 0, (3, 1, 2)): -SQRT2})
-    alg.multiply(a, b)  # fills the tables
+    two_words = [(ONE, [a, b]), (TWO, [b, a])]
+    alg.sum_of_products(two_words)  # fills the tables
     coefs = _table_coefs(alg)
     assert all(c is ONE or c is MINUS_ONE for c in coefs) and MINUS_ONE in coefs
     products = []
@@ -478,14 +476,59 @@ def test_unit_structure_constants_cost_one_product_per_term_pair(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(1) or real(x, y))
     got = alg.multiply(a, b)
     count = len(products)
+    got_sum = alg.sum_of_products(two_words)
+    count_sum = len(products) - count
     monkeypatch.undo()
     assert count == len(a.terms) * len(b.terms)
-    expected = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            for m, c in _reference_mono_product(algebra_for(A3), ma, mb).items():
-                expected[m] = expected.get(m, ZERO) + ca * cb * c
-    assert got.terms == {m: c for m, c in expected.items() if c}
+    # The coef-2 word folds 2 into each of its left coefficients once.
+    assert count_sum == 2 * len(a.terms) * len(b.terms) + len(b.terms)
+    reference = algebra_for(A3)
+
+    def expected(coef, left, right):
+        out = {}
+        for ma, ca in left.terms.items():
+            for mb, cb in right.terms.items():
+                for m, c in _reference_mono_product(reference, ma, mb).items():
+                    out[m] = out.get(m, ZERO) + coef * ca * cb * c
+        return out
+
+    ab, ba = expected(ONE, a, b), expected(TWO, b, a)
+    assert got.terms == {m: c for m, c in ab.items() if c}
+    total = {m: ab.get(m, ZERO) + ba.get(m, ZERO) for m in ab.keys() | ba.keys()}
+    assert got_sum.terms == {m: c for m, c in total.items() if c}
+
+
+def _naive_sum(alg, terms):
+    """sum(coef * F1 ... Fk) on a plain dict: each word multiplied out from
+    1 by `multiply`, then added term by term."""
+    out = {}
+    for coef, factors in terms:
+        product = alg.one()
+        for factor in factors:
+            product = alg.multiply(product, factor)
+        for m, c in product.terms.items():
+            out[m] = out.get(m, ZERO) + coef * c
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("params", [A3, B2, D3])
+def test_sum_of_products_matches_the_naive_fold(params):
+    rng = random.Random(303)
+    alg = algebra_for(params)
+    pool = (ONE, MINUS_ONE, TWO, -HALF, SQRT2, I + HALF_SQRT2)
+    for _ in range(15):
+        a, b, c = (random_element(params, rng) for _ in range(3))
+        coefs = [rng.choice(pool) for _ in range(5)]
+        terms = [(coefs[0], []), (coefs[1], [a]), (ZERO, [a, b]), (coefs[2], [a, b, c]),
+                 (coefs[3], [c, a]), (coefs[4], (b,))]
+        assert alg.sum_of_products(terms).terms == _naive_sum(alg, terms)
+        assert alg.sum_of_products(iter(terms[2:3])).is_zero()
+        assert TWO * a == a * TWO == AlgElem(params, _naive_sum(alg, [(TWO, [a])]))
+    assert alg.sum_of_products([]).is_zero()
+    with pytest.raises(ValueError):
+        alg.sum_of_products([(ONE, [alg.one(), algebra_for(A2).one()])])
+    with pytest.raises(ValueError):
+        alg.sum_of_products([(ZERO, [algebra_for(A2).one()])])
 
 
 def test_engine_registry_stays_bounded(capsys):

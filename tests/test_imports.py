@@ -10,6 +10,8 @@ are the package's exports.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -206,3 +208,18 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_traced_name_resolves():
+    """perfbench/tracer.py wraps package functions by (module, qualified name),
+    so a renamed one would otherwise show only in the traced benchmark runs.
+    The tracer is loaded by path and resolves each name its own way."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(module, qualname) for _, module, qualname in tracer.SPANS + tracer.COUNTERS]
+    assert names
+    for module, qualname in names:
+        importlib.import_module(f"hcdirac.{module}")
+        raw = tracer._resolve(module, qualname)[2]
+        assert isinstance(raw, classmethod) or callable(raw), (module, qualname)

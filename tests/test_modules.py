@@ -16,7 +16,6 @@ from hcdirac.engine import (
     algebra_for,
     defining_relations,
     generating_relations,
-    multiply,
     random_element,
 )
 from hcdirac.linalg import Matrix
@@ -157,8 +156,7 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     # the x-x relations.
     good = AlgebraParams("B", 2, ONE, k_short=ONE, N=forced_n_constant(AlgebraParams("B", 2, ONE, k_short=ONE)))
     bad = AlgebraParams("B", 2, ONE, k_short=ONE, N=ZERO)
-    gens = _steinberg_b_ambient(good)
-    cs, parity_u = clifford_c_matrices(2)
+    gens, parity_u = _steinberg_b_ambient(good)
     du = len(parity_u)
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
     module = ModuleRep(bad, "steinberg", parity, gens, check=False)
@@ -388,12 +386,12 @@ def test_act_matrix_is_algebra_map():
     for _ in range(100):
         a = random_element(p2, rng, max_deg=1, max_terms=2)
         b = random_element(p2, rng, max_deg=1, max_terms=2)
-        assert st.act(multiply(p2, a, b)) == st.act(a) * st.act(b)
+        assert st.act(a * b) == st.act(a) * st.act(b)
     module = induced_module(Partition((1, 1)), ONE)
     for _ in range(30):
         a = random_element(p2, rng, max_deg=1, max_terms=2)
         b = random_element(p2, rng, max_deg=1, max_terms=2)
-        assert module.act(multiply(p2, a, b)) == module.act(a) * module.act(b)
+        assert module.act(a * b) == module.act(a) * module.act(b)
 
 
 # sha256 of the generator matrices of X_lambda, taken before the block-wise
@@ -547,7 +545,7 @@ def test_act_is_algebra_map_on_group_parts(build):
     for _ in range(12):
         a = random_element(params, rng, max_deg=1, max_terms=2)
         b = random_element(params, rng, max_deg=1, max_terms=2)
-        assert module.act(multiply(params, a, b)) == module.act(a) * module.act(b)
+        assert module.act(a * b) == module.act(a) * module.act(b)
 
 
 @pytest.mark.parametrize(
