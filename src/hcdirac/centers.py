@@ -35,7 +35,7 @@ from .engine import (
     cliff_mul,
     perm_on_cliff,
 )
-from .dirac import twisted_reflection
+from .dirac import twisted_reflections
 from .linalg import Matrix, sparse_kernel
 from .partitions import Partition, all_partitions
 from .scalars import ONE, SQRT2, ZERO, Scalar
@@ -67,8 +67,7 @@ def zeta_on_dirac(jms: list[AlgElem]) -> AlgElem:
     alg = algebra_for(params)
     return alg.sum_of_products(
         [(ONE, [jm, alg.c(i)]) for i, jm in enumerate(jms, start=1)]
-        + [(SQRT2 * params.k_long, [twisted_reflection(params, root)])
-           for root in alg.ctx.positive_roots])
+        + [(SQRT2 * params.k_long, [stilde]) for stilde in twisted_reflections(params).values()])
 
 
 def zeta_on_power_sums(jms: list[AlgElem], max_r: int) -> list[AlgElem]:

@@ -5,10 +5,12 @@ sub-checks pass, 1 otherwise.  `main` is the one place a report is built: a
 subcommand returns (params, checks, extra), and `main` times it and writes
 suite, schema_version, params, checks, status and elapsed_ms, then extra
 (the `result` of cohomology).  A failed certificate, such as a module
-whose relations do not hold, raises AssertionError; `main` turns it into a
-report with empty params and one failed check, "certificate", whose details
-are the message, and exits 1 with no traceback.  `all` concatenates the
-check lists of the other subcommands, each name prefixed by its sub-suite.
+given to `dirac_cohomology` whose relations do not hold, raises
+AssertionError; `main` turns it into a report with empty params and one
+failed check, "certificate", whose details are the message, and exits 1
+with no traceback.  `steinberg` reports its module's relations itself, as
+the check "module_relations".  `all` concatenates the check lists of the
+other subcommands, each name prefixed by its sub-suite.
 
 Bad input exits 2 through argparse, with a usage message and no report,
 before any check runs:
@@ -174,7 +176,8 @@ def _cmd_steinberg(args):
         params = AlgebraParams(
             base.type, base.n, base.k_long, k_short=base.k_short, N=forced_n_constant(base)
         )
-    # The constructor raises on a failing relation, which `main` reports as "certificate".
+    # No constructor checks relations: module_relations reports the check,
+    # failing with the names of the failing relations.
     module = steinberg_module(params)
     checks = [
         _check("module_relations", module.relations == [], module.relations),
@@ -206,9 +209,10 @@ def _cmd_phi(args):
 def _cmd_center(args):
     jms = jucys_murphy_elements(args.n, args.k)
     dirac_zero = zeta_on_dirac(jms).is_zero()
-    surjective, sizes = verify_zeta_surjective(jms, args.max_r)
+    max_r = args.max_r or args.n
+    surjective, sizes = verify_zeta_surjective(jms, max_r)
     checks = [_check("zeta_dirac_zero", dirac_zero, None), _check("zeta_surjective", surjective, sizes)]
-    return {"n": args.n, "k": args.k.compact(), "max_r": args.max_r}, checks, {}
+    return {"n": args.n, "k": args.k.compact(), "max_r": max_r}, checks, {}
 
 
 def _cmd_all(args):
@@ -291,8 +295,6 @@ def main(argv=None) -> int:
     conflict = _flag_conflict(args)
     if conflict is not None:
         parser.error(conflict)
-    if getattr(args, "max_r", 0) is None:
-        args.max_r = args.n
     started = time.monotonic()
     try:
         params, checks, extra = args.func(args)

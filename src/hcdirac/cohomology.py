@@ -94,7 +94,7 @@ def _orbit(module: ModuleRep, elem: AlgElem) -> tuple[list[int], dict[int, tuple
     No g is taken once the orbit of 0 is the whole basis.  Every index is a
     root when (a) does not hold, elem has mixed parity, or no g counts.
     """
-    if module.relations != [] or parity(elem) == "mixed":
+    if module.relations or parity(elem) == "mixed":
         return list(range(module.dim)), {}
     names = [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names
     counted = ((name, mono[0]) for name in names
@@ -317,11 +317,11 @@ class CohomologyReport(NamedTuple):
 def dirac_cohomology(module: ModuleRep) -> CohomologyReport:
     """ker pi(D) / (ker cap im), with Omega_Seg acting on it by c0 = chi + K.
 
-    (a) the module's relations are certified (now, if it was built
-    unchecked); (c) chi = pi(Omega_H) is read on the first `_orbit_width`
-    columns (`_scalar_action`; an odd element could read only chi = 0);
-    (b), (e) and m are certified once per parameter set (`_seg_data`).  Two
-    facts give the whole report:
+    (a) the module's relations are certified (`ModuleRep.certify_relations`
+    raises on a failure); (c) chi = pi(Omega_H) is read on the first
+    `_orbit_width` columns (`_scalar_action`; an odd element could read only
+    chi = 0); (b), (e) and m are certified once per parameter set
+    (`_seg_data`).  Two facts give the whole report:
 
     - D^2 = c0 - Omega_Seg kills ker D, so Omega_Seg acts on H_D by c0 and
       the spectrum is [(c0, dim H_D)].  With c0 unknown ((b) or (c)

@@ -18,6 +18,7 @@ holds for the given parameters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .engine import AlgebraParams, AlgElem, algebra_for, parity, supercommutator
@@ -43,13 +44,24 @@ def twisted_reflection(params: AlgebraParams, root: Root) -> AlgElem:
     return alg.multiply(s, clifford_root_element(params, root))
 
 
+@lru_cache(maxsize=8)
+def twisted_reflections(params: AlgebraParams) -> dict[Root, AlgElem]:
+    """{alpha: stilde_alpha} over the positive roots, in their order.
+
+    Built once for each of the 8 most recently used parameter sets, like
+    `algebra_for`, and read by every element below; the elements are
+    shared, and no caller changes them.
+    """
+    return {root: twisted_reflection(params, root) for root in algebra_for(params).ctx.positive_roots}
+
+
 def dressed_generators(params: AlgebraParams, i: int) -> tuple[AlgElem, AlgElem, AlgElem]:
     """(y_i, y'_i, x'_i) with y_i = x_i c_i and x'_i = -y'_i c_i."""
     alg = algebra_for(params)
     y = alg.multiply(alg.x(i), alg.c(i))
     y_prime = alg.sum_of_products(
-        [(ONE, [y])] + [(HALF_SQRT2 * params.k_for(root), [twisted_reflection(params, root)])
-                        for root in alg.ctx.positive_roots if i in (root.i, root.j)])
+        [(ONE, [y])] + [(HALF_SQRT2 * params.k_for(root), [stilde])
+                        for root, stilde in twisted_reflections(params).items() if i in (root.i, root.j)])
     x_prime = alg.sum_of_products(((MINUS_ONE, [y_prime, alg.c(i)]),))
     return y, y_prime, x_prime
 
@@ -59,8 +71,8 @@ def dirac_element(params: AlgebraParams) -> AlgElem:
     alg = algebra_for(params)
     return alg.sum_of_products(
         [(ONE, [alg.x(i), alg.c(i)]) for i in range(1, params.n + 1)]
-        + [(HALF_SQRT2 * params.k_for(root) * root.length_sq(), [twisted_reflection(params, root)])
-           for root in alg.ctx.positive_roots])
+        + [(HALF_SQRT2 * params.k_for(root) * root.length_sq(), [stilde])
+           for root, stilde in twisted_reflections(params).items()])
 
 
 def casimir_h(params: AlgebraParams) -> AlgElem:
@@ -83,7 +95,7 @@ def casimir_seg(params: AlgebraParams) -> AlgElem:
     """Omega_Seg, the weighted double sum of stilde_alpha stilde_beta."""
     alg = algebra_for(params)
     roots = alg.ctx.positive_roots
-    stilde = {root: twisted_reflection(params, root) for root in roots}
+    stilde = twisted_reflections(params)
     return alg.sum_of_products(
         (HALF * alpha.length_sq() * beta.length_sq() * params.k_for(alpha) * params.k_for(beta),
          [stilde[alpha], stilde[beta]])
@@ -143,7 +155,7 @@ def _root_sum_square_checks(params: AlgebraParams) -> list[Check]:
     pairs of A x B with s_alpha beta < 0, for the long and short roots."""
     alg = algebra_for(params)
     roots = alg.ctx.positive_roots
-    stilde = {root: twisted_reflection(params, root) for root in roots}
+    stilde = twisted_reflections(params)
     longs = [r for r in roots if r.length_sq() == 2]
     shorts = [r for r in roots if r.length_sq() == 1]
     long_block, short_block = ((rs, alg.sum_of_products((ONE, [stilde[r]]) for r in rs))

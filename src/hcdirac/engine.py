@@ -303,7 +303,7 @@ class Algebra:
         self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
         # Seg-part lookups: keys range over W x masks and W x W, so bounded.
         self._perm_cliff_cache: dict[tuple[SignedPerm, int], tuple[int, int]] = {}
-        self._group_cache: dict[tuple[SignedPerm, SignedPerm], SignedPerm] = {}
+        self._perm_product_cache: dict[tuple[SignedPerm, SignedPerm], SignedPerm] = {}
         self._id = SignedPerm.identity(params.n)
         self._zero_exps = (0,) * params.n
         self._units = [_shift(self._zero_exps, i, 1) for i in range(1, params.n + 1)]
@@ -470,9 +470,9 @@ class Algebra:
 
     def _group_mul(self, u: SignedPerm, v: SignedPerm) -> SignedPerm:
         key = (u, v)
-        cached = self._group_cache.get(key)
+        cached = self._perm_product_cache.get(key)
         if cached is None:
-            cached = self._group_cache[key] = u * v
+            cached = self._perm_product_cache[key] = u * v
         return cached
 
     def _mono_product(self, out: Terms, left: PbwMonomial, right: PbwMonomial,
@@ -494,7 +494,7 @@ class Algebra:
         can cancel.
         """
         e, f, v, a = left.cliff, right.cliff, right.w, left.exps
-        xx, perm_cliff, group = self._xx_cache, self._perm_cliff_cache, self._group_cache
+        xx, perm_cliff, group = self._xx_cache, self._perm_cliff_cache, self._perm_product_cache
         for b1, odd, g, u, coef in self._w_times_x(left.w, right.exps):
             sign, mask = cliff_mul(e, g)
             if (odd & e).bit_count() & 1:

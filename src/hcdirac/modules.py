@@ -4,16 +4,16 @@ Contents: the Steinberg-type modules for types B and D (built on the
 Jordan-Wigner Clifford matrices), the induced modules X_lambda of type A,
 of which the type-A Steinberg module is X_(n), matrix realisation of
 arbitrary algebra elements, and a relation checker that verifies the
-relations of `engine.generating_relations` as matrix identities (run by
-every constructor).  Those are the relations on the generators x1, c1 and
-the simple reflections, which imply all the others in every type.
-`ModuleRep.relations` is the checker's list of failing relation names:
-empty on a certified module, None on one built unchecked, and a
-constructor raises rather than return a module with a failure.  Once the
-relations pass, pi is an algebra homomorphism: `act` realises each PBW monomial
-as the product of its generator matrices, so an identity proved in the
-engine, such as g D = +-D g for the Seg generators g, holds for the
-realised matrices with no matrix computed.
+relations of `engine.generating_relations` as matrix identities.  Those
+are the relations on the generators x1, c1 and the simple reflections,
+which imply all the others in every type.  A `ModuleRep` holds only its
+data and generator matrices.  `ModuleRep.relations` is the checker's list
+of failing relation names, empty on a certified module; it is computed on
+first use, once, and no constructor runs it, so each caller reads it where
+it reports it.  Once the relations pass, pi is an algebra homomorphism:
+`act` realises each PBW monomial as the product of its generator matrices,
+so an identity proved in the engine, such as g D = +-D g for the Seg
+generators g, holds for the realised matrices with no matrix computed.
 
 Generator matrices are keyed by the engine's generator names: x1..xn,
 c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
@@ -29,10 +29,11 @@ realisation is one `Matrix.sum_of_products` over its words, and a relation
 coef0 * w0 + sum(rest) = 0 is two, compared as coef0 * w0 = -sum(rest):
 each column of a word's last factor is carried through the factors before
 it, so no product of two generator matrices is stored.  A group element w
-is one factor pi(w), the last of its word, cached and built with one
-product pi(s) pi(s w) from the element one left descent s shorter, with no
-enumeration of the group; `act_columns` builds only the columns of pi(w)
-it reads.
+is the word s_i1 ... s_il of its left descents, s_i1 the least left
+descent of w and the rest the word of s_i1 w, read off the window with no
+enumeration of the group: the same kind of word the checker multiplies.
+No pi(w) is formed or kept, and `act_columns` carries only the columns it
+reads through the word.
 
 The Steinberg modules of types B and D live on U(n) (x) U(n), with U(n)
 the Jordan-Wigner module of the Clifford algebra; the c_i act on the
@@ -56,6 +57,7 @@ anything of higher degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .centers import jucys_murphy
@@ -84,7 +86,6 @@ class ModuleRep:
         parity: list[int],
         gens: dict[str, Matrix],
         lam: Partition | None = None,
-        check: bool = True,
     ):
         self.params = params
         self.kind = kind
@@ -93,52 +94,32 @@ class ModuleRep:
         self.lam = lam
         self.dim = len(parity)
         self.ctx = algebra_for(params).ctx
-        self._group_cache: dict[tuple[SignedPerm, int], Matrix] = {}
-        # The failures of the relation check, kept for callers; None when unchecked.
-        self.relations: list[str] | None = None
-        if check:
-            self.certify_relations()
+
+    @functools.cached_property
+    def relations(self) -> list[str]:
+        """The failures of `check_module_relations`, run on first use."""
+        return check_module_relations(self)
 
     def certify_relations(self) -> None:
-        """Run the relation check once, and raise unless every checked relation holds."""
-        if self.relations is None:
-            self.relations = check_module_relations(self)
+        """Raise unless every checked relation holds."""
         if self.relations:
             raise AssertionError(f"module relations fail: {self.relations}")
 
     # -- matrix realisation ----------------------------------------------
 
-    def group_matrix(self, w: SignedPerm, ncols: int) -> Matrix:
-        """The first ncols columns of pi(w): pi(s) times those of pi(s w).
+    def _mono_factors(self, mono: PbwMonomial) -> list[Matrix]:
+        """The generator matrices of x^exps c^cliff s_i1 ... s_il, in order.
 
-        s is the least left descent of w, so s w is one letter shorter
-        (`RootSystemCtx.left_descent` reads s off the window).  Each element
-        costs one product of ncols columns, the cache holds the descent
-        chains of the (element, ncols) pairs asked for, and no reduced word
-        of the whole group is built.
+        s_i1 is the least left descent of w and s_i2 ... s_il the word of
+        s_i1 w (`RootSystemCtx.left_descent` reads each off the window).
         """
-        cached = self._group_cache.get((w, ncols))
-        if cached is None:
-            idx = self.ctx.left_descent(w)
-            if idx is None:
-                cached = Matrix.from_sparse([{j: ONE} for j in range(ncols)], self.dim)
-            else:
-                s = self.gens[self.ctx.simple_names[idx]]
-                rest = self.ctx.simple_reflections[idx] * w
-                if rest.is_identity():
-                    cached = Matrix.from_sparse(s.cols[:ncols], self.dim)
-                else:
-                    cached = s * self.group_matrix(rest, ncols)
-            self._group_cache[w, ncols] = cached
-        return cached
-
-    def _mono_factors(self, mono: PbwMonomial, ncols: int) -> list[Matrix]:
-        """The factors of x^exps c^cliff w, in order; the last, pi(w), to its first ncols columns."""
-        n = self.params.n
+        n, ctx = self.params.n, self.ctx
         factors = [self.gens[f"x{i}"] for i in range(1, n + 1) for _ in range(mono.exps[i - 1])]
         factors += [self.gens[f"c{i}"] for i in range(1, n + 1) if mono.cliff & (1 << (i - 1))]
-        if not mono.w.is_identity():
-            factors.append(self.group_matrix(mono.w, ncols))
+        w = mono.w
+        while (idx := ctx.left_descent(w)) is not None:
+            factors.append(self.gens[ctx.simple_names[idx]])
+            w = ctx.simple_reflections[idx] * w
         return factors
 
     def act(self, elem: AlgElem) -> Matrix:
@@ -148,13 +129,14 @@ class ModuleRep:
     def act_columns(self, elem: AlgElem, ncols: int) -> Matrix:
         """The first ncols columns of pi(elem), a dim x ncols matrix.
 
-        One `Matrix.sum_of_products` over the words of elem, in which only
-        the first ncols columns of each pi(w) are built: on the 2^n columns
-        of the first block of X_lambda this is a small part of `act`.
+        One `Matrix.sum_of_products` over the generator words of elem, which
+        carries only the first ncols columns of each word's last factor
+        through it: on the 2^n columns of the first block of X_lambda this
+        is a small part of `act`.
         """
         if elem.params != self.params:
             raise ValueError("params mismatch")
-        terms = ((coef, self._mono_factors(mono, ncols)) for mono, coef in elem.terms.items())
+        terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
         return Matrix.sum_of_products(terms, self.dim, ncols)
 
     def summary(self) -> dict:

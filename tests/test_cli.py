@@ -299,7 +299,7 @@ def test_module_run_writes_nothing_to_stderr():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hcdirac.cli", "phi", "--n", "2"],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -326,7 +326,7 @@ def test_main_reuses_one_parser_with_fresh_reports(capsys):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv, (code, report) in zip(runs, in_process):
         proc = subprocess.run([sys.executable, "-m", "hcdirac.cli", *argv],
-                              capture_output=True, text=True, env=env, check=False)
+                              capture_output=True, text=True, env=env)
         fresh = json.loads(proc.stdout)
         assert (code, proc.returncode) == (0, 0)
         del report["elapsed_ms"], fresh["elapsed_ms"]
@@ -423,7 +423,11 @@ def test_every_subcommand_reports_in_one_envelope(capsys):
     ["all", "--n", "2", "--k", "1"],
 ], ids=["steinberg", "cohomology", "all"])
 def test_failed_certificate_exits_one_with_a_report(capsys, monkeypatch, argv):
-    """A module whose relation check fails gives a failed report and exit 1, not a traceback."""
+    """A module whose relation check fails gives a failed report and exit 1, not a traceback.
+
+    steinberg reports the failing relations as its module_relations check;
+    cohomology, and all at its first cohomology run, fail the certificate.
+    """
     real = modules.generating_relations
 
     def false_x1_x2(params):
@@ -434,7 +438,34 @@ def test_failed_certificate_exits_one_with_a_report(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert (code, report["suite"], report["status"]) == (1, argv[0], "fail")
-    [check] = report["checks"]
-    assert (check["name"], check["status"]) == ("certificate", "fail")
-    assert "x1_x2" in check["details"]
+    if argv[0] == "steinberg":
+        check = report["checks"][0]
+        assert (check["name"], check["status"], check["details"]) == ("module_relations", "fail", ["x1_x2"])
+    else:
+        [check] = report["checks"]
+        assert (check["name"], check["status"]) == ("certificate", "fail")
+        assert "x1_x2" in check["details"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["steinberg", "--type", "B", "--n", "3", "--k", "1", "--ks", "1"],
+    ["cohomology", "--lambda", "3,1", "--k", "1"],
+], ids=["steinberg", "cohomology"])
+def test_relations_are_checked_once_per_module(capsys, monkeypatch, argv):
+    """No constructor runs the relation check; each run checks its module exactly once."""
+    built, checked = [], []
+    real_init, real_check = ModuleRep.__init__, modules.check_module_relations
+
+    def init(self, *args, **kwargs):
+        before = len(checked)
+        real_init(self, *args, **kwargs)
+        assert len(checked) == before, "a constructor ran the relation check"
+        built.append(self)
+
+    monkeypatch.setattr(ModuleRep, "__init__", init)
+    monkeypatch.setattr(modules, "check_module_relations",
+                        lambda module: checked.append(module) or real_check(module))
+    code, report = run_cli(capsys, argv)
+    assert (code, report["status"]) == (0, "pass")
+    assert len(built) == 1 and checked == built

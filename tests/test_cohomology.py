@@ -40,9 +40,9 @@ _MODULES: dict = {}
 
 
 def cached_module(parts, k):
-    """X_lambda, built once; its build checks the generating relations only.
+    """X_lambda, built once and checked against every defining relation.
 
-    Every module built here is also checked against every defining relation.
+    The module's own check, run on first use, covers the generating relations only.
     """
     key = (parts, k)
     if key not in _MODULES:
@@ -223,20 +223,43 @@ def test_broken_c_anticommutation_reports_incomplete(monkeypatch, capsys):
 
 
 def test_unchecked_module_is_certified_before_stability():
+    # No constructor runs the relation check: dirac_cohomology runs it.
     good = cached_module((2, 1), ONE)
-    unchecked = ModuleRep(good.params, "induced", good.parity, good.gens, lam=good.lam, check=False)
-    assert unchecked.relations is None
-    assert dirac_cohomology(unchecked) == dirac_cohomology(good)
-    assert unchecked.relations == good.relations
+    fresh = ModuleRep(good.params, "induced", good.parity, good.gens, lam=good.lam)
+    assert "relations" not in vars(fresh)
+    assert dirac_cohomology(fresh) == dirac_cohomology(good)
+    assert fresh.relations == good.relations == []
     # x1 negated breaks s1_x1 (and s1_x2, which the generating set leaves
     # out) but leaves ker D nonzero; the relation check refuses the module
     # before any dimension is read.
     gens = dict(good.gens, x1=-good.gens["x1"])
-    broken = ModuleRep(good.params, "induced", good.parity, gens, lam=good.lam, check=False)
+    broken = ModuleRep(good.params, "induced", good.parity, gens, lam=good.lam)
     assert Subspace.kernel(broken.act(dirac_element(good.params))).dim
     with pytest.raises(AssertionError, match="module relations fail"):
         dirac_cohomology(broken)
     assert broken.relations == ["s1_x1"]
+
+
+def _matrices(value):
+    """The Matrix objects in value and in the dicts, lists, tuples and sets it holds."""
+    if isinstance(value, Matrix):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _matrices(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _matrices(item)
+
+
+def test_module_keeps_only_its_generator_matrices():
+    # A module holds its data and generator matrices: no pi(w), no pi(D) and
+    # no other product built during dirac_cohomology is kept on it.
+    module = induced_module(Partition((3, 1)), ONE)
+    gens = {id(mat) for mat in module.gens.values()}
+    assert dirac_cohomology(module).dim_hd
+    assert [key for key, value in vars(module).items()
+            if any(id(mat) not in gens for mat in _matrices(value))] == []
 
 
 def test_verify_vogan_builds_d_and_casimirs_once(monkeypatch):
@@ -609,8 +632,8 @@ def _assert_read_offs_agree(module, width):
 def _assert_skew_read_off(module, skew):
     """(d) read off the root columns agrees with pi(D)^dagger = -pi(D) on the
     whole matrix, which is skew or not.  Every step of the forest is a move
-    of its generator.  On an unchecked copy every index is a root, and the
-    read-off is the entrywise check."""
+    of its generator.  On a copy whose relations fail every index is a
+    root, and the read-off is the entrywise check."""
     d = dirac_element(module.params)
     d_mat = module.act(d)
     assert (adjoint(d_mat) == -d_mat) is skew
@@ -618,10 +641,17 @@ def _assert_skew_read_off(module, skew):
     assert len(roots) + len(steps) == module.dim
     assert all(module.gens[name].monomial()[0][j] == a for a, (j, name) in steps.items())
     assert _is_skew(module, d) is skew
-    unchecked = ModuleRep(module.params, module.kind, module.parity, module.gens, lam=module.lam,
-                          check=False)
-    assert _orbit(unchecked, d) == (list(range(module.dim)), {})
-    assert _is_skew(unchecked, d) is skew
+    misgraded = _misgraded(module)
+    assert _orbit(misgraded, d) == (list(range(module.dim)), {})
+    assert _is_skew(misgraded, d) is skew
+
+
+def _misgraded(module):
+    """The module with the parity of e_0 flipped: the same matrices, failing the parity relations."""
+    parity = [1 - module.parity[0], *module.parity[1:]]
+    misgraded = ModuleRep(module.params, module.kind, parity, module.gens, lam=module.lam)
+    assert misgraded.relations and all(name.startswith("parity_") for name in misgraded.relations)
+    return misgraded
 
 
 @pytest.mark.parametrize(
@@ -667,7 +697,7 @@ def test_dirac_read_off_falls_back_without_its_premises(monkeypatch):
     good = steinberg_module(params)
     alg = algebra_for(params)
     d = dirac_element(params)
-    unchecked = ModuleRep(params, good.kind, good.parity, good.gens, check=False)
+    misgraded = _misgraded(good)
     # A change of basis keeps (a) and leaves no pi(g) monomial, pi(c1) included.
     j = good.parity.index(good.parity[0], 1)
     changed = _changed_basis(good, {0: ONE, j: ONE}, {0: ONE, j: -ONE})
@@ -676,7 +706,7 @@ def test_dirac_read_off_falls_back_without_its_premises(monkeypatch):
     alg_1 = algebra_for(x_1.params)
     cases = [
         (good, d, 1),
-        (unchecked, d, good.dim),
+        (misgraded, d, good.dim),
         (changed, d, good.dim),
         # 1 + c1 has mixed parity.
         (good, alg.one() + alg.c(1), good.dim),

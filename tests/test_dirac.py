@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from hcdirac import dirac
+from hcdirac.centers import jucys_murphy_elements, zeta_on_dirac
 from hcdirac.dirac import (
     casimirs,
     d_squared_constant,
@@ -18,6 +20,7 @@ from hcdirac.dirac import (
     dirac_element,
     dressed_generators,
     twisted_reflection,
+    twisted_reflections,
     verify_identities,
 )
 from hcdirac.engine import AlgebraParams, AlgElem, algebra_for, parity, supercommutator
@@ -48,6 +51,22 @@ def test_twisted_reflection_examples():
     algb = algebra_for(pb)
     short = twisted_reflection(pb, Root("short", 1))
     assert short == algb.w(SignedPerm((-1, 2))) * algb.c(1)
+
+
+@pytest.mark.parametrize("params", [params_for("D", 4, N=ONE), params_for("A", 3)], ids=["D4", "A3"])
+def test_twisted_reflections_are_built_once_per_params(monkeypatch, params):
+    # D, its dressed presentations, Omega_Seg, the root-sum checks and
+    # zeta'(D) all read one table: on D4, 12 builds for 12 roots.
+    twisted_reflections.cache_clear()
+    built = []
+    real = dirac.clifford_root_element
+    monkeypatch.setattr(dirac, "clifford_root_element", lambda p, root: built.append(root) or real(p, root))
+    assert all(ok for _, ok, _ in verify_identities(params))
+    if params.type == "A":
+        assert zeta_on_dirac(jucys_murphy_elements(params.n, params.k_long)).is_zero()
+    roots = algebra_for(params).ctx.positive_roots
+    assert built == roots
+    assert list(twisted_reflections(params).values()) == [twisted_reflection(params, root) for root in roots]
 
 
 def test_twisted_reflection_rejects_bad_roots():

@@ -50,10 +50,13 @@ def test_clifford_anticommutators_vanish():
 
 def test_relation_checker_detects_breakage():
     st = steinberg_module(AlgebraParams("A", 2, ONE))
-    broken = dict(st.gens)
-    broken["c1"] = Matrix.identity(st.dim)
-    with pytest.raises(AssertionError):
-        ModuleRep(st.params, "steinberg", st.parity, broken, lam=st.lam)
+    broken = ModuleRep(st.params, "steinberg", st.parity, dict(st.gens, c1=Matrix.identity(st.dim)),
+                       lam=st.lam)
+    assert {"c1_sq", "parity_c1"} <= set(broken.relations)
+    with pytest.raises(AssertionError, match="module relations fail"):
+        broken.certify_relations()
+    assert st.relations == []
+    st.certify_relations()
 
 
 def test_steinberg_a_actions():
@@ -128,22 +131,19 @@ def test_engine_and_modules_share_generator_names(typ, n):
 
 
 @pytest.mark.parametrize("typ,n", [("A", 3), ("A", 4), ("B", 3), ("D", 4)])
-def test_group_matrix_is_product_along_reduced_word(typ, n):
+def test_act_of_w_is_product_along_reduced_word(typ, n):
+    # act multiplies along the left-descent word of w; any reduced word gives the same pi(w).
     base = AlgebraParams(typ, n, ONE, k_short=ONE if typ == "B" else ZERO)
     params = base if typ == "A" else AlgebraParams(
         typ, n, ONE, k_short=base.k_short, N=forced_n_constant(base))
-    ctx = algebra_for(params).ctx
-    longest = max(ctx.elements(), key=lambda w: len(ctx.reduced_word(w)))
+    alg = algebra_for(params)
+    ctx = alg.ctx
     module = steinberg_module(params)
-    module.group_matrix(longest, module.dim)
-    # One product per letter: the cache holds the nonempty prefixes of the word.
-    assert len(module._group_cache) == len(ctx.reduced_word(longest))
     for w in ctx.elements():
         expected = Matrix.identity(module.dim)
         for idx in ctx.reduced_word(w):
             expected = expected * module.gens[ctx.simple_names[idx]]
-        assert module.group_matrix(w, module.dim) == expected
-    assert len(module._group_cache) == len(ctx.elements())
+        assert module.act(alg.w(w)) == expected
 
 
 def test_steinberg_b_rejects_wrong_n():
@@ -159,9 +159,9 @@ def test_steinberg_b_wrong_n_breaks_x_commutator():
     gens, parity_u = _steinberg_b_ambient(good)
     du = len(parity_u)
     parity = [(parity_u[p] + parity_u[q]) & 1 for p in range(du) for q in range(du)]
-    module = ModuleRep(bad, "steinberg", parity, gens, check=False)
-    assert module.relations is None
-    assert check_module_relations(module) == ["x1_x2"]
+    module = ModuleRep(bad, "steinberg", parity, gens)
+    assert "relations" not in vars(module)  # checked on first use, not by the constructor
+    assert module.relations == ["x1_x2"]
 
 
 def _summed_relation_failures(module: ModuleRep, relations: list | None = None) -> list[str]:
@@ -244,7 +244,7 @@ def test_two_sided_relation_check_matches_summed_check(which):
     broken = 0
     for _ in range(6):
         gens = _tampered(good.gens, rng, good.dim)
-        module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam, check=False)
+        module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam)
         expected = _summed_relation_failures(module, relations)
         assert _relation_failures(module) == expected
         broken += bool(expected)
@@ -298,7 +298,7 @@ def test_generating_set_catches_every_single_generator_fault(which):
     for key in sorted(good.gens):
         for matrix in _single_tamperings(good.gens[key], rng):
             gens = dict(good.gens, **{key: matrix})
-            module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam, check=False)
+            module = ModuleRep(good.params, good.kind, good.parity, gens, lam=good.lam)
             if _summed_relation_failures(module):
                 broken += 1
                 assert _relation_failures(module), (key, matrix)
@@ -455,10 +455,8 @@ def test_seg_acts_by_monomial_matrices():
                    steinberg_module(AlgebraParams("A", 4, TWO))]:
         for name, mat in module.gens.items():
             assert (mat.monomial() is not None) == (not name.startswith("x")), name
-        for w in module.ctx.elements():
-            module.group_matrix(w, module.dim)
-        assert len(module._group_cache) == len(module.ctx.elements())
-        assert all(mat.monomial() is not None for mat in module._group_cache.values())
+        alg = algebra_for(module.params)
+        assert all(module.act(alg.w(w)).monomial() is not None for w in module.ctx.elements())
     # x_i of X_(3,1) mixes basis vectors, and so does s_2 of the type-B Steinberg module.
     b3 = _forced_steinberg("B", 3, HALF)
     assert b3.gens["s2"].monomial() is None
@@ -563,7 +561,7 @@ def test_relation_check_multiplies_no_two_matrices(build, longest, monkeypatch):
     good = build()
     assert max(len(word) for _, terms in generating_relations(good.params) for _, word in terms) == longest
     broken = ModuleRep(good.params, good.kind, good.parity, dict(good.gens, c1=Matrix.identity(good.dim)),
-                       lam=good.lam, check=False)
+                       lam=good.lam)
     modules = [good, broken]
     reports = [check_module_relations(module) for module in modules]
     assert reports[0] == [] and reports[1]
@@ -581,33 +579,17 @@ def test_relation_check_multiplies_no_two_matrices(build, longest, monkeypatch):
         pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
         pytest.param(lambda: induced_module(Partition((3, 1)), HALF), id="induced-3,1"),
         pytest.param(lambda: _forced_steinberg("B", 2, HALF), id="steinberg-B2"),
-        pytest.param(lambda: _forced_steinberg("D", 3, ZERO), id="steinberg-D3"),
-    ],
-)
-def test_act_columns_are_the_first_columns_of_act(build):
-    module = build()
-    params = module.params
-    alg = algebra_for(params)
-    elems = [dirac_element(params), casimirs(params)[0], alg.multiply(alg.x(1), alg.x(1)), alg.one()]
-    for elem in elems:
-        full = module.act(elem)
-        for ncols in sorted({1, 1 << params.n, module.dim}):
-            assert module.act_columns(elem, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
         pytest.param(lambda: _forced_steinberg("B", 3, HALF), id="steinberg-B3"),
         pytest.param(lambda: _forced_steinberg("D", 3, ZERO), id="steinberg-D3"),
     ],
 )
-def test_group_matrix_builds_only_the_first_columns(build):
+def test_act_columns_are_the_first_columns_of_act(build):
+    # Every group element too: act_columns carries only the first columns through w's word.
     module = build()
-    widths = sorted({1, 2, 4, module.dim - 1})
-    for w in module.ctx.elements():
-        full = module.group_matrix(w, module.dim)
-        for ncols in widths:
-            assert module.group_matrix(w, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
-    assert len(module._group_cache) == len(module.ctx.elements()) * (len(widths) + 1)
+    params = module.params
+    alg = algebra_for(params)
+    elems = [dirac_element(params), casimirs(params)[0], alg.multiply(alg.x(1), alg.x(1)), alg.one()]
+    for elem in elems + [alg.w(w) for w in module.ctx.elements()]:
+        full = module.act(elem)
+        for ncols in sorted({1, 2, 1 << params.n, module.dim - 1, module.dim}):
+            assert module.act_columns(elem, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
