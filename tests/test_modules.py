@@ -579,17 +579,41 @@ def test_relation_check_multiplies_no_two_matrices(build, longest, monkeypatch):
         pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
         pytest.param(lambda: induced_module(Partition((3, 1)), HALF), id="induced-3,1"),
         pytest.param(lambda: _forced_steinberg("B", 2, HALF), id="steinberg-B2"),
-        pytest.param(lambda: _forced_steinberg("B", 3, HALF), id="steinberg-B3"),
         pytest.param(lambda: _forced_steinberg("D", 3, ZERO), id="steinberg-D3"),
     ],
 )
 def test_act_columns_are_the_first_columns_of_act(build):
-    # Every group element too: act_columns carries only the first columns through w's word.
     module = build()
     params = module.params
     alg = algebra_for(params)
     elems = [dirac_element(params), casimirs(params)[0], alg.multiply(alg.x(1), alg.x(1)), alg.one()]
-    for elem in elems + [alg.w(w) for w in module.ctx.elements()]:
+    for elem in elems:
         full = module.act(elem)
         for ncols in sorted({1, 2, 1 << params.n, module.dim - 1, module.dim}):
+            assert module.act_columns(elem, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: induced_module(Partition((2, 1)), ONE), id="induced-2,1"),
+        pytest.param(lambda: _forced_steinberg("B", 3, HALF), id="steinberg-B3"),
+        pytest.param(lambda: _forced_steinberg("D", 3, ZERO), id="steinberg-D3"),
+    ],
+)
+def test_group_matrix_builds_only_the_first_columns(build, monkeypatch):
+    # pi(w) of every group element: act_columns carries only the first
+    # columns through w's word, with the product of two matrices refused.
+    module = build()
+    alg = algebra_for(module.params)
+    widths = sorted({1, 2, 4, module.dim - 1})
+    group = [alg.w(w) for w in module.ctx.elements()]
+    fulls = [module.act(elem) for elem in group]
+
+    def refuse(self, other):
+        raise AssertionError("a group matrix formed the product of two matrices")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    for elem, full in zip(group, fulls):
+        for ncols in widths:
             assert module.act_columns(elem, ncols) == Matrix.from_sparse(full.cols[:ncols], module.dim)
