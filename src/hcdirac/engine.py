@@ -26,10 +26,19 @@ associativity.
 
 Memo tables and accumulation.  Each Algebra memoises x^a x^b on (a, b), s x^b
 on (simple index, b) and w x^b on (w, b): no key holds a Clifford word or a
-group tail, so these tables grow with the x-degrees met.  A new entry w x^b
-is one step s ((sw) x^b) from the entry of the shorter sw, for the least left
-descent s of w.  The Seg lookups u c^f (keys W x masks), uv (keys W x W) and
-the module-level `cliff_mul` (keys masks x masks) are bounded by the group.
+group tail, so these tables grow with the x-degrees met, w x^b by at most |W|
+entries per exponent vector b (W the ambient group).  A w x^b entry, often of
+tens of terms, is a tuple of parallel columns read with `zip`, one per part of
+a term, so a term costs one slot per column and no tuple of its own.  The x^a
+x^b and s x^b entries, mostly of one to three terms, keep one tuple per term,
+which at that size is smaller and quicker to read in the inner loop of
+`_mono_product`.  A new entry w x^b is one step s ((sw) x^b) from the entry of
+the shorter sw, for the least left descent s of w.  Every group element in a
+key, an entry or a product is the engine's one object for it (`_intern`), so
+the tables hold at most |W| of them.  The Seg lookups u c^f and uv are one
+pair of row dicts per u, {mask: (sign, u(f))} and {v: uv}: at most |W| rows
+of at most 2^n and |W| entries.  The module-level `cliff_mul` has at most 4^n
+entries, masks x masks.
 The three straightening tables store +-1 only as the singletons ONE and
 MINUS_ONE, so `_mono_product`, and `_signed_product` when a new entry is
 built from older ones, recognise a unit structure constant by `is` and take
@@ -301,10 +310,13 @@ class Algebra:
         self._xx_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
         self._sx_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
         self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
-        # Seg-part lookups: keys range over W x masks and W x W, so bounded.
-        self._perm_cliff_cache: dict[tuple[SignedPerm, int], tuple[int, int]] = {}
-        self._perm_product_cache: dict[tuple[SignedPerm, SignedPerm], SignedPerm] = {}
-        self._id = SignedPerm.identity(params.n)
+        # One object per group element, and the Seg lookups of each u,
+        # ({mask: u c^mask as (sign, mask')}, {v: uv}): bounded by the group.
+        self._elements: dict[SignedPerm, SignedPerm] = {}
+        self._seg_rows: dict[SignedPerm, tuple[dict[int, tuple[int, int]],
+                                               dict[SignedPerm, SignedPerm]]] = {}
+        self._id = self._intern(SignedPerm.identity(params.n))
+        self._simples = [self._intern(s) for s in self.push_ctx.simple_reflections]
         self._zero_exps = (0,) * params.n
         self._units = [_shift(self._zero_exps, i, 1) for i in range(1, params.n + 1)]
 
@@ -400,8 +412,7 @@ class Algebra:
         n = self.params.n
         j = next((t for t in range(1, n + 1) if b[t - 1]), None)
         if j is None:
-            s = self.push_ctx.simple_reflections[idx]
-            return self._sx_cache.setdefault(key, ((b, 0, s, ONE),))
+            return self._sx_cache.setdefault(key, ((b, 0, self._simples[idx], ONE),))
         rest = _shift(b, j, -1)
         k = self.params.k_long
         sign, target, corrections = 1, j, []  # corrections: (coefficient, cliff mask)
@@ -431,49 +442,66 @@ class Algebra:
         return cached
 
     def _w_times_x(self, w: SignedPerm, exps: tuple[int, ...]) -> tuple:
-        """w * x^exps in normal form, as ((exps1, odd, cliff, u, coefficient), ...).
+        """w * x^exps in normal form, as the columns (exps1, odd, cliff, u,
+        coefficient): parallel tuples with one item per term, read with `zip`.
 
         One step from a shorter element: for the least left descent s of w
         (`RootSystemCtx.left_descent`), w x^b = s ((sw) x^b), and (sw) x^b is
         memoised.  Each term x^b1 c^g u of it meets s x^b1 = sum x^b2 c^h v,
         and c^h v c^g u = +-c^h c^{v(g)} vu.  `odd` is the mask of the odd
         entries of exps1, which is all that the sign of moving a Clifford
-        word past x^exps1 depends on.
+        word past x^exps1 depends on.  The key holds the engine's own object
+        for w, and every u is one too (`_intern`).
         """
-        key = (w, exps)
-        cached = self._wx_cache.get(key)
+        cached = self._wx_cache.get((w, exps))
         if cached is not None:
             return cached
+        w = self._intern(w)
         idx = self.push_ctx.left_descent(w) if any(exps) else None
         if idx is None:  # w = 1, or w x^0 = w
-            cached = ((exps, _odd_mask(exps), 0, w, ONE),)
+            cached = ((exps,), (_odd_mask(exps),), (0,), (w,), (ONE,))
         else:
             out: dict = {}
-            sw = self._group_mul(self.push_ctx.simple_reflections[idx], w)
-            for b1, _, g, u, coef in self._w_times_x(sw, exps):
+            seg_rows = self._seg_rows
+            sw = self._group_mul(self._simples[idx], w)
+            for b1, _, g, u, coef in zip(*self._w_times_x(sw, exps)):
                 for b2, h, v, coef2 in self._s_times_x(idx, b1):
-                    sign, moved = self._perm_on_cliff(v, g)
+                    cliff_row, product_row = seg_rows.get(v) or self._seg_row(v)
+                    sign, moved = cliff_row.get(g) or self._perm_on_cliff(v, g)
                     s2, mask = cliff_mul(h, moved)
-                    _add_term(out, (b2, mask, self._group_mul(v, u)),
+                    _add_term(out, (b2, mask, product_row.get(u) or self._group_mul(v, u)),
                               _signed_product(sign * s2, coef, coef2))
-            cached = tuple((b, _odd_mask(b), g, u, UNITS.get(c, c))
-                           for (b, g, u), c in out.items())
-        self._wx_cache[key] = cached
+            bs, gs, us = zip(*out)
+            cached = (bs, tuple(map(_odd_mask, bs)), gs, us,
+                      tuple(UNITS.get(c, c) for c in out.values()))
+        self._wx_cache[w, exps] = cached
         return cached
+
+    def _intern(self, w: SignedPerm) -> SignedPerm:
+        """The engine's one object equal to w, so that its tables hold at
+        most |W| group elements however many equal windows they meet."""
+        return self._elements.setdefault(w, w)
+
+    def _seg_row(self, u: SignedPerm) -> tuple[dict, dict]:
+        """u's rows of the Seg lookups, ({mask: (sign, u(mask))}, {v: uv})."""
+        rows = self._seg_rows.get(u)
+        if rows is None:
+            rows = self._seg_rows[self._intern(u)] = ({}, {})
+        return rows
 
     def _perm_on_cliff(self, u: SignedPerm, mask: int) -> tuple[int, int]:
-        key = (u, mask)
-        cached = self._perm_cliff_cache.get(key)
-        if cached is None:
-            cached = self._perm_cliff_cache[key] = perm_on_cliff(u, mask)
-        return cached
+        row = self._seg_row(u)[0]
+        moved = row.get(mask)
+        if moved is None:
+            moved = row[mask] = perm_on_cliff(u, mask)
+        return moved
 
     def _group_mul(self, u: SignedPerm, v: SignedPerm) -> SignedPerm:
-        key = (u, v)
-        cached = self._perm_product_cache.get(key)
-        if cached is None:
-            cached = self._perm_product_cache[key] = u * v
-        return cached
+        row = self._seg_row(u)[1]
+        uv = row.get(v)
+        if uv is None:
+            uv = row[self._intern(v)] = self._intern(u * v)
+        return uv
 
     def _mono_product(self, out: Terms, left: PbwMonomial, right: PbwMonomial,
                       scale: Scalar) -> None:
@@ -482,8 +510,8 @@ class Algebra:
         1. T = w x^b = sum x^b1 c^g u, memoised on (w, b).
         2. c^e x^b1 = (-1)^{sum_{i in e} b1_i} x^b1 c^e, then c^e c^g.
         3. x^a x^b1 = sum x^b2 c^h, memoised on (a, b1).
-        4. c^g u c^f v = +-c^g c^{u(f)} uv, with u(f) and uv read from
-           tables keyed by W x masks and W x W, which the group bounds.
+        4. c^g u c^f v = +-c^g c^{u(f)} uv, with u(f) and uv read from u's
+           rows of the Seg lookups, which the group bounds.
 
         Only steps 1 and 3 straighten; the rest is Clifford sign bookkeeping.
         The memo tables store +-1 as the singletons, so a unit structure
@@ -494,14 +522,15 @@ class Algebra:
         can cancel.
         """
         e, f, v, a = left.cliff, right.cliff, right.w, left.exps
-        xx, perm_cliff, group = self._xx_cache, self._perm_cliff_cache, self._perm_product_cache
-        for b1, odd, g, u, coef in self._w_times_x(left.w, right.exps):
+        xx, seg_rows = self._xx_cache, self._seg_rows
+        for b1, odd, g, u, coef in zip(*self._w_times_x(left.w, right.exps)):
             sign, mask = cliff_mul(e, g)
             if (odd & e).bit_count() & 1:
                 sign = -sign
-            s, moved = perm_cliff.get((u, f)) or self._perm_on_cliff(u, f)
+            cliff_row, product_row = seg_rows.get(u) or self._seg_row(u)
+            s, moved = cliff_row.get(f) or self._perm_on_cliff(u, f)
             s2, mask = cliff_mul(mask, moved)
-            uv = group.get((u, v)) or self._group_mul(u, v)
+            uv = product_row.get(v) or self._group_mul(u, v)
             # The term of T is c or -c, by `flip`.
             flip = sign * s * s2 < 0
             if coef is ONE or coef is MINUS_ONE:

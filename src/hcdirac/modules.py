@@ -32,8 +32,10 @@ it, so no product of two generator matrices is stored.  A group element w
 is the word s_i1 ... s_il of its left descents, s_i1 the least left
 descent of w and the rest the word of s_i1 w, read off the window with no
 enumeration of the group: the same kind of word the checker multiplies.
-No pi(w) is formed or kept, and `act_columns` carries only the columns it
-reads through the word.
+No pi(w) is kept, and `act_columns` carries only the columns it reads
+through the word, once per distinct w of the element within one call:
+monomials that share w, such as the two Clifford terms of a twisted
+reflection, share the carried columns.
 
 The Steinberg modules of types B and D live on U(n) (x) U(n), with U(n)
 the Jordan-Wigner module of the Clifford algebra; the c_i act on the
@@ -57,6 +59,7 @@ anything of higher degree.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
@@ -107,20 +110,17 @@ class ModuleRep:
 
     # -- matrix realisation ----------------------------------------------
 
-    def _mono_factors(self, mono: PbwMonomial) -> list[Matrix]:
-        """The generator matrices of x^exps c^cliff s_i1 ... s_il, in order.
+    def _descent_word(self, w: SignedPerm) -> list[Matrix]:
+        """The generator matrices of s_i1 ... s_il = w, in order.
 
         s_i1 is the least left descent of w and s_i2 ... s_il the word of
         s_i1 w (`RootSystemCtx.left_descent` reads each off the window).
         """
-        n, ctx = self.params.n, self.ctx
-        factors = [self.gens[f"x{i}"] for i in range(1, n + 1) for _ in range(mono.exps[i - 1])]
-        factors += [self.gens[f"c{i}"] for i in range(1, n + 1) if mono.cliff & (1 << (i - 1))]
-        w = mono.w
+        ctx, word = self.ctx, []
         while (idx := ctx.left_descent(w)) is not None:
-            factors.append(self.gens[ctx.simple_names[idx]])
+            word.append(self.gens[ctx.simple_names[idx]])
             w = ctx.simple_reflections[idx] * w
-        return factors
+        return word
 
     def act(self, elem: AlgElem) -> Matrix:
         """pi(elem) as an exact dim x dim matrix, one fused sum over its monomials."""
@@ -129,15 +129,30 @@ class ModuleRep:
     def act_columns(self, elem: AlgElem, ncols: int) -> Matrix:
         """The first ncols columns of pi(elem), a dim x ncols matrix.
 
-        One `Matrix.sum_of_products` over the generator words of elem, which
-        carries only the first ncols columns of each word's last factor
-        through it: on the 2^n columns of the first block of X_lambda this
-        is a small part of `act`.
+        One `Matrix.sum_of_products` over the generator words
+        x^exps c^cliff s_i1 ... s_il of elem's monomials, which carries only
+        the first ncols columns of each word's last factor through it: on
+        the 2^n columns of the first block of X_lambda this is a small part
+        of `act`.  The monomials are grouped by w: when several share w,
+        the first ncols columns of pi(w) are carried through w's descent
+        word once, and each of those monomials starts from them.
         """
         if elem.params != self.params:
             raise ValueError("params mismatch")
-        terms = ((coef, self._mono_factors(mono)) for mono, coef in elem.terms.items())
+        tails = {}
+        for w, count in collections.Counter(mono.w for mono in elem.terms).items():
+            word = self._descent_word(w)
+            if count > 1 and len(word) > 1:
+                word = [Matrix.sum_of_products(((ONE, word),), self.dim, ncols)]
+            tails[w] = word
+        terms = ((coef, self._head_factors(mono) + tails[mono.w]) for mono, coef in elem.terms.items())
         return Matrix.sum_of_products(terms, self.dim, ncols)
+
+    def _head_factors(self, mono: PbwMonomial) -> list[Matrix]:
+        """The generator matrices of x^exps c^cliff, in order."""
+        n, gens = self.params.n, self.gens
+        factors = [gens[f"x{i}"] for i in range(1, n + 1) for _ in range(mono.exps[i - 1])]
+        return factors + [gens[f"c{i}"] for i in range(1, n + 1) if mono.cliff & (1 << (i - 1))]
 
     def summary(self) -> dict:
         out = {

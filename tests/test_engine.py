@@ -354,12 +354,47 @@ def test_straightening_tables_keyed_on_exponents():
     check_pbw_consistency(B3_FREE, trials=5)
     alg = algebra_for(B3_FREE)
     tables = {name: table for name, table in vars(alg).items() if isinstance(table, dict)}
-    assert {"_xx_cache", "_sx_cache", "_wx_cache"} <= tables.keys()
+    assert {"_xx_cache", "_sx_cache", "_wx_cache", "_seg_rows"} <= tables.keys()
     for name, table in tables.items():
         assert table, name
         for key in table:
             assert isinstance(key, tuple) and not isinstance(key, PbwMonomial), (name, key)
             assert all(_is_exponent_key_part(part) for part in key), (name, key)
+    # Each Seg row of u is keyed on Clifford masks or on group elements v.
+    for u, rows in alg._seg_rows.items():
+        for row in rows:
+            assert row and all(_is_exponent_key_part(key) for key in row), (u, row)
+
+
+def _held_group_elements(alg) -> list[SignedPerm]:
+    """One of each SignedPerm object, by id, held in the engine's tables."""
+    held: dict[int, SignedPerm] = {}
+
+    def visit(obj):
+        if isinstance(obj, SignedPerm):
+            held[id(obj)] = obj
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                visit(key)
+                visit(value)
+        elif isinstance(obj, (tuple, list)):
+            for part in obj:
+                visit(part)
+
+    for name, value in vars(alg).items():
+        if name not in ("ctx", "push_ctx"):
+            visit(value)
+    return list(held.values())
+
+
+@pytest.mark.parametrize("params, order", [
+    (B3_UNIT, 48),
+    (AlgebraParams("D", 4, ONE, N=ONE), 384),  # straightened in W(B4)
+], ids=["B3", "D4_in_B4"])
+def test_tables_hold_one_object_per_group_element(params, order):
+    assert check_pbw_consistency(params, trials=50, seed=5) == []
+    held = _held_group_elements(algebra_for(params))
+    assert len(held) == len(set(held)) <= order
 
 
 # The non-unit branch of every step: k, k_short and N are not +-1.
@@ -395,9 +430,15 @@ def _reference_w_times_x(alg, exps):
 
 
 def _table_coefs(alg):
-    """Every coefficient stored in the three straightening tables."""
-    tables = (alg._xx_cache, alg._sx_cache, alg._wx_cache)
-    return [entry[-1] for table in tables for terms in table.values() for entry in terms]
+    """Every coefficient stored in the three straightening tables: the last
+    part of each term of x^a x^b and s x^b, and the last of the parallel
+    columns of each w x^b entry."""
+    coefs = [term[-1] for table in (alg._xx_cache, alg._sx_cache)
+             for entry in table.values() for term in entry]
+    for columns in alg._wx_cache.values():
+        assert len(columns) == 5 and len({len(column) for column in columns}) == 1, columns
+        coefs += columns[-1]
+    return coefs
 
 
 def _assert_units_are_singletons(alg):
@@ -416,8 +457,9 @@ def test_w_times_x_matches_reduced_word_walk(params, max_deg):
             continue
         for w, expected in _reference_w_times_x(alg, exps).items():
             got = alg._w_times_x(w, exps)
-            assert {(b, g, u): c for b, _, g, u, c in got} == expected, (w, exps)
-            assert all(odd == sum((e & 1) << i for i, e in enumerate(b)) for b, odd, *_ in got)
+            assert len(got) == 5 and all(type(column) is tuple for column in got)
+            assert {(b, g, u): c for b, _, g, u, c in zip(*got)} == expected, (w, exps)
+            assert all(odd == sum((e & 1) << i for i, e in enumerate(b)) for b, odd in zip(*got[:2]))
     _assert_units_are_singletons(alg)
 
 

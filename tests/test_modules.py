@@ -586,7 +586,14 @@ def test_act_columns_are_the_first_columns_of_act(build):
     module = build()
     params = module.params
     alg = algebra_for(params)
-    elems = [dirac_element(params), casimirs(params)[0], alg.multiply(alg.x(1), alg.x(1)), alg.one()]
+    # Four monomials on the longest element w0, so act_columns carries the
+    # columns of pi(w0) once for all of them.
+    w0 = alg.w(max(module.ctx.elements(), key=lambda w: len(module.ctx.reduced_word(w))))
+    shared = alg.sum_of_products([(ONE, [alg.c(1), w0]), (TWO, [alg.x(1), w0]), (HALF, [w0]),
+                                  (-I, [alg.x(1), alg.c(1), w0])])
+    assert len(shared.terms) == 4 and len({mono.w for mono in shared.terms}) == 1
+    elems = [dirac_element(params), casimirs(params)[0], alg.multiply(alg.x(1), alg.x(1)), alg.one(),
+             shared]
     for elem in elems:
         full = module.act(elem)
         for ncols in sorted({1, 2, 1 << params.n, module.dim - 1, module.dim}):
