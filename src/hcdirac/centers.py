@@ -31,7 +31,6 @@ from .engine import (
     AlgebraParams,
     AlgElem,
     algebra_for,
-    cliff_insert,
     cliff_mul,
     perm_on_cliff,
 )
@@ -146,7 +145,7 @@ def class_of(mono: Monomial) -> tuple[Partition, int] | None:
             return None
         for a in cycle[:-1]:
             if mask >> (a - 1) & 1:
-                s1, left = cliff_insert(a, mask)
+                s1, left = cliff_mul(1 << (a - 1), mask)
                 s2, mask = cliff_mul(left, 1 << (w[a - 1] - 1))
                 sign *= -s1 * s2
         if mask >> (cycle[-1] - 1) & 1:

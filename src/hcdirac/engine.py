@@ -24,31 +24,32 @@ measure (x-degree, then remaining disorder) strictly decreases, so the
 rewriting terminates; confluence is not assumed but tested through
 associativity.
 
-Memo tables and accumulation.  Each Algebra memoises x^a x^b on (a, b), s x^b
-on (simple index, b) and w x^b on (w, b): no key holds a Clifford word or a
-group tail, so these tables grow with the x-degrees met, w x^b by at most |W|
-entries per exponent vector b (W the ambient group).  A w x^b entry, often of
-tens of terms, is a tuple of parallel columns read with `zip`, one per part of
-a term, so a term costs one slot per column and no tuple of its own.  The x^a
-x^b and s x^b entries, mostly of one to three terms, keep one tuple per term,
-which at that size is smaller and quicker to read in the inner loop of
-`_mono_product`.  A new entry w x^b is one step s ((sw) x^b) from the entry of
-the shorter sw, for the least left descent s of w.  Every group element in a
-key, an entry or a product is the engine's one object for it (`_intern`), so
-the tables hold at most |W| of them.  The Seg lookups u c^f and uv are one
-pair of row dicts per u, {mask: (sign, u(f))} and {v: uv}: at most |W| rows
-of at most 2^n and |W| entries.  The module-level `cliff_mul` has at most 4^n
-entries, masks x masks.
-The three straightening tables store +-1 only as the singletons ONE and
-MINUS_ONE, so `_mono_product`, and `_signed_product` when a new entry is
-built from older ones, recognise a unit structure constant by `is` and take
-it by value, with no product.  `Algebra.sum_of_products` is the one
-accumulation routine: it builds a sum of scalar-weighted words in one dict,
-the last product of each word added term by term through `_mono_product`.
-`multiply` is its two-factor word, and AlgElem's +, - and scale its
-one-factor words.  Words and memo keys are tuples all the way down
-(`SignedPerm` too), so they hash in C.  `algebra_for` keeps the engines, and
-so their tables, of the 8 parameter sets used last.
+Memo tables and accumulation.  Inside an Algebra a basis word is one int,
+its word code ((x << b) | u) << n | e: x the id of its exponent vector, u
+the id of its group element, e its Clifford mask, and 2^b > |W| (W the
+ambient group).  Ids are small ints given on first sight (`_xid`, `_uid`;
+0 is x^0 and 1), and `_exps` and `_elements` list what they stand for.  A
+structure constant is a signed id 2i + s, (-1)^s times `_consts[i]`, so
++-1 are 0 and 1 and no table holds a Scalar.  The tables, by ids: x^a x^b
+as ((x, cliff, constant), ...) in one dict per a, s x^b on (simple index,
+b), and w x^b in one dict per w, each entry one flat tuple read five items
+a term (x, odd, cliff, u, constant), odd the mask of the odd entries of x.
+w x^b has no entry for w = 1 or b = 0, which `_mono_product` writes down
+directly.  The tables grow with the x-degrees met, w x^b by at most |W|
+entries per b.  A new entry w x^b is one step s ((sw) x^b) from the entry
+of the shorter sw, for the least left descent s of w.  The sign of c^e c^g
+= +-c^(e xor g) is read from e's row of `_crows`, and u c^f = +-c^u(f) u
+and uv from u's row of `_seg_rows`, a dict by mask and one by v.  Each row
+is made on first use: at most 2^n Clifford rows of 2^n signs, and |W| Seg
+rows of at most 2^n and |W| entries.  `_mono_product` forms scale times
+each non-unit constant once per term pair and its negation at most once.
+`Algebra.sum_of_products` is the one accumulation routine: it turns its
+words into codes, builds the sum in one dict, the last product of each
+word added term by term through `_mono_product`, and turns the codes back
+into PbwMonomial words once, in insertion order.  `multiply` is its
+two-factor word, and AlgElem's +, - and scale its one-factor words.
+`algebra_for` keeps the engines, and so their tables, of the 8 parameter
+sets used last.
 
 Type D has no standalone engine: its elements live inside the type-B engine
 with the short-root parameter frozen at zero, and only group elements with an
@@ -60,6 +61,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import cache, cached_property, lru_cache, partial, reduce
+from math import factorial
 from typing import NamedTuple
 
 from .scalars import HALF, I, I_SQRT2, MINUS_ONE, ONE, SQRT2, TWO, UNITS, ZERO, Scalar
@@ -71,30 +73,14 @@ from .weyl import Root, RootSystemCtx, SignedPerm
 # machinery in centers.py).
 
 
-def cliff_insert(i: int, mask: int) -> tuple[int, int]:
-    """Left-multiply c_i onto the sorted Clifford word c^mask.
-
-    Returns (sign, new_mask); uses c_i c_j = -c_j c_i and c_i^2 = -1.
-    """
-    below = (mask & ((1 << (i - 1)) - 1)).bit_count()
-    sign = -1 if below & 1 else 1
-    bit = 1 << (i - 1)
-    if mask & bit:
-        return -sign, mask & ~bit
-    return sign, mask | bit
-
-
 @cache
 def cliff_mul(mask1: int, mask2: int) -> tuple[int, int]:
     """Product c^mask1 * c^mask2 as (sign, mask); memoised, as the keys are
-    bounded by 4^n."""
-    sign = 1
-    mask = mask2
-    for i in range(mask1.bit_length(), 0, -1):
-        if mask1 & (1 << (i - 1)):
-            s, mask = cliff_insert(i, mask)
-            sign *= s
-    return sign, mask
+    bounded by 4^n.  Each c_i of mask1 passes the c_j of mask2 with j < i,
+    and c_i^2 = -1."""
+    flips = (mask1 & mask2).bit_count() + sum((mask2 & ((1 << i) - 1)).bit_count()
+                                               for i in range(mask1.bit_length()) if mask1 >> i & 1)
+    return -1 if flips & 1 else 1, mask1 ^ mask2
 
 
 def perm_on_cliff(w: SignedPerm, mask: int) -> tuple[int, int]:
@@ -102,24 +88,14 @@ def perm_on_cliff(w: SignedPerm, mask: int) -> tuple[int, int]:
 
     Uses w c_i = c_{w(i)} w, with c_{-j} read as -c_j.
     """
-    sign = 1
-    images = []
-    for i in range(1, mask.bit_length() + 1):
-        if mask & (1 << (i - 1)):
-            v = w[i - 1]
-            if v < 0:
-                sign = -sign
-                v = -v
-            images.append(v)
-    # Sort the relabelled word back into ascending order.
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if images[a] > images[b]:
-                sign = -sign
-    new_mask = 0
-    for v in images:
-        new_mask |= 1 << (v - 1)
-    return sign, new_mask
+    flips = new_mask = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            # A sign for c_{-j}, and one per image already placed above j.
+            j = abs(w[i])
+            flips += (w[i] < 0) + (new_mask >> j).bit_count()
+            new_mask |= 1 << j - 1
+    return -1 if flips & 1 else 1, new_mask
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +145,9 @@ class PbwMonomial(NamedTuple):
         return self.cliff.bit_count() & 1
 
     def render(self, coef: Scalar) -> str:
-        parts = [f"({coef.compact()})"]
-        for i, m in enumerate(self.exps, start=1):
-            if m == 1:
-                parts.append(f"x{i}")
-            elif m > 1:
-                parts.append(f"x{i}^{m}")
-        for i in range(1, len(self.exps) + 1):
-            if self.cliff & (1 << (i - 1)):
-                parts.append(f"c{i}")
-        parts.append(str(self.w))
-        return "*".join(parts)
+        xs = [f"x{i}^{m}" if m > 1 else f"x{i}" for i, m in enumerate(self.exps, start=1) if m]
+        cs = [f"c{i + 1}" for i in range(len(self.exps)) if self.cliff >> i & 1]
+        return "*".join([f"({coef.compact()})", *xs, *cs, str(self.w)])
 
 
 Terms = dict[PbwMonomial, Scalar]
@@ -189,14 +157,14 @@ Terms = dict[PbwMonomial, Scalar]
 _new_mono = partial(tuple.__new__, PbwMonomial)
 
 
-def _signed_product(sign: int, a: Scalar, b: Scalar) -> Scalar:
-    """sign * a * b, taking a factor +-1 (the singletons) by value."""
+def _signed_product(neg: int, a: Scalar, b: Scalar) -> Scalar:
+    """(-1)^neg * a * b, taking a factor +-1 (the singletons) by value."""
     if b is ONE or b is MINUS_ONE:
         a, b = b, a
     if a is ONE or a is MINUS_ONE:
-        return b if (sign > 0) == (a is ONE) else -b
+        return -b if neg ^ (a is MINUS_ONE) else b
     product = a * b
-    return product if sign > 0 else -product
+    return -product if neg else product
 
 
 def _add_term(terms: dict, key, coef: Scalar) -> None:
@@ -212,12 +180,6 @@ def _add_term(terms: dict, key, coef: Scalar) -> None:
 def _shift(exps: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
     """exps with its i-th entry (1-based) moved by delta."""
     return exps[:i - 1] + (exps[i - 1] + delta,) + exps[i:]
-
-
-def _odd_mask(exps: tuple[int, ...]) -> int:
-    """Bitmask of the odd entries of exps: c_i passes x^exps with the sign
-    (-1)^{exps_i}."""
-    return sum((e & 1) << i for i, e in enumerate(exps))
 
 
 class AlgElem:
@@ -296,44 +258,46 @@ class AlgElem:
 class Algebra:
     """Normal-form multiplication engine for one parameter set.
 
-    Immutable after construction apart from internal memo tables; all public
-    operations are pure, so one instance is safe to share between threads.
+    Immutable after construction apart from internal memo tables and ids;
+    all public operations are pure.
     """
 
     def __init__(self, params: AlgebraParams):
         self.params = params
+        n = params.n
         # The group of the algebra itself (used for membership and roots).
-        self.ctx = RootSystemCtx(params.type, params.n)
+        self.ctx = RootSystemCtx(params.type, n)
         # The ambient group whose simple reflections drive the rewriting:
         # type D elements are straightened inside W(B_n).
-        self.push_ctx = RootSystemCtx("B", params.n) if params.type == "D" else self.ctx
-        self._xx_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-        self._sx_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        self._wx_cache: dict[tuple[SignedPerm, tuple[int, ...]], tuple] = {}
-        # One object per group element, and the Seg lookups of each u,
-        # ({mask: u c^mask as (sign, mask')}, {v: uv}): bounded by the group.
-        self._elements: dict[SignedPerm, SignedPerm] = {}
-        self._seg_rows: dict[SignedPerm, tuple[dict[int, tuple[int, int]],
-                                               dict[SignedPerm, SignedPerm]]] = {}
-        self._id = self._intern(SignedPerm.identity(params.n))
-        self._simples = [self._intern(s) for s in self.push_ctx.simple_reflections]
-        self._zero_exps = (0,) * params.n
-        self._units = [_shift(self._zero_exps, i, 1) for i in range(1, params.n + 1)]
+        self.push_ctx = RootSystemCtx("B", n) if params.type == "D" else self.ctx
+        wbits = ((factorial(n) << (n if self.push_ctx.type == "B" else 0)) - 1).bit_length()
+        # The word code's layout: (n, shift of x, Clifford mask, mask of u).
+        self._layout = (n, n + wbits, (1 << n) - 1, (1 << wbits) - 1)
+        # By id: exponent vectors with their odd masks and x^a x^b rows, and
+        # group elements with their w x^b and Seg rows; then the constants.
+        self._exps, self._xids, self._odds, self._xx = [], {}, [], []
+        self._elements, self._uids, self._wx, self._seg_rows = [], {}, [], []
+        self._consts, self._cids, self._sx = [ONE], {ONE: 0, MINUS_ONE: 1}, {}
+        self._crows = [None] * (1 << n)
+        self._parity = [m.bit_count() & 1 for m in range(1 << n)]
+        self._zero_exps = (0,) * n
+        self._xid(self._zero_exps)  # id 0
+        self._uid(SignedPerm.identity(n))  # id 0
+        self._units = [self._xid(_shift(self._zero_exps, i, 1)) for i in range(1, n + 1)]
+        self._simples = [self._uid(s) for s in self.push_ctx.simple_reflections]
 
     # -- element constructors ------------------------------------------------
 
     def one(self) -> AlgElem:
-        return AlgElem(self.params, {PbwMonomial(self._zero_exps, 0, self._id): ONE})
+        return AlgElem(self.params, {PbwMonomial(self._zero_exps, 0, self._elements[0]): ONE})
 
     def x(self, i: int) -> AlgElem:
         self._check_index(i)
-        exps = list(self._zero_exps)
-        exps[i - 1] = 1
-        return AlgElem(self.params, {PbwMonomial(tuple(exps), 0, self._id): ONE})
+        return AlgElem(self.params, {PbwMonomial(self._exps[self._units[i - 1]], 0, self._elements[0]): ONE})
 
     def c(self, i: int) -> AlgElem:
         self._check_index(i)
-        return AlgElem(self.params, {PbwMonomial(self._zero_exps, 1 << (i - 1), self._id): ONE})
+        return AlgElem(self.params, {PbwMonomial(self._zero_exps, 1 << (i - 1), self._elements[0]): ONE})
 
     def w(self, perm: SignedPerm) -> AlgElem:
         if perm.n != self.params.n:
@@ -358,68 +322,129 @@ class Algebra:
         if not 1 <= i <= self.params.n:
             raise ValueError(f"index {i} out of range 1..{self.params.n}")
 
+    # -- ids, constants and rows ----------------------------------------------
+
+    def _xid(self, exps: tuple[int, ...]) -> int:
+        xid = self._xids.get(exps)
+        if xid is None:
+            xid = self._xids[exps] = len(self._exps)
+            self._exps.append(exps)
+            # The mask of the odd entries: c_i passes x^exps with the sign (-1)^{exps_i}.
+            self._odds.append(sum((e & 1) << i for i, e in enumerate(exps)))
+            self._xx.append({})
+        return xid
+
+    def _uid(self, w: SignedPerm) -> int:
+        uid = self._uids.get(w)
+        if uid is None:
+            uid = self._uids[w] = len(self._elements)
+            self._elements.append(w)
+            self._wx.append({})
+            self._seg_rows.append(None)
+        return uid
+
+    def _cid(self, c: Scalar) -> int:
+        """The signed id of a nonzero constant c; c and -c share one id."""
+        if c is ONE or c is MINUS_ONE:
+            return 0 if c is ONE else 1
+        cid = self._cids.get(c)
+        if cid is None:
+            cid = self._cids[c] = 2 * len(self._consts)
+            self._cids[-c] = cid + 1
+            self._consts.append(c)
+        return cid
+
+    def _scaled(self, vals: dict[int, Scalar], cid: int) -> Scalar:
+        """vals[cid] = vals[0] times the signed constant cid, or the negation
+        of vals[cid ^ 1] when that is there."""
+        other = vals.get(cid ^ 1)
+        value = vals[cid] = _signed_product(cid & 1, vals[0], self._consts[cid >> 1]) if other is None else -other
+        return value
+
+    def _crow(self, e: int) -> list[int]:
+        """e's Clifford row: item g is the sign bit of c^e c^g = +-c^(e xor g)."""
+        row = self._crows[e] = [int(cliff_mul.__wrapped__(e, g)[0] < 0) for g in range(1 << self.params.n)]
+        return row
+
+    def _seg_row(self, u: int) -> tuple[list, dict[int, int]]:
+        """u's Seg row, ({mask: (sign bit, u(mask))}, {v: uv})."""
+        row = self._seg_rows[u] = ({}, {})
+        return row
+
+    def _perm_on_cliff(self, u: int, mask: int) -> tuple[int, int]:
+        sign, moved = perm_on_cliff(self._elements[u], mask)
+        entry = (self._seg_rows[u] or self._seg_row(u))[0][mask] = (int(sign < 0), moved)
+        return entry
+
+    def _group_mul(self, u: int, v: int) -> int:
+        row = (self._seg_rows[u] or self._seg_row(u))[1]
+        uv = row.get(v)
+        if uv is None:
+            uv = row[v] = self._uid(self._elements[u] * self._elements[v])
+        return uv
+
     # -- straightening on x-exponent vectors ---------------------------------
 
-    def _x_times_x(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple:
-        """x^a * x^b in normal form, as ((exps, cliff, coefficient), ...).
+    def _x_times_x(self, a: int, b: int) -> tuple:
+        """x^a * x^b in normal form, as ((exps, cliff, constant), ...).
 
         x^a = x^head x_i for the last i with a_i > 0, so x^a x^b is x^head
         applied to x_i x^b.  A single x_i passes the first x_j of x^b with
         j < i by x_i x_j = x_j x_i + N c_j c_i; the correction drops two
         x-factors, so the recursion is well founded.
         """
-        key = (a, b)
-        cached = self._xx_cache.get(key)
+        cached = self._xx[a].get(b)
         if cached is not None:
             return cached
         out: dict = {}
-        i = next((t for t in range(len(a), 0, -1) if a[t - 1]), None)
+        ea, eb = self._exps[a], self._exps[b]
+        i = next((t for t in range(len(ea), 0, -1) if ea[t - 1]), None)
         if i is None:
             out[b, 0] = ONE
         elif a != self._units[i - 1]:
-            self._x_into(out, _shift(a, i, -1), self._x_times_x(self._units[i - 1], b))
+            self._x_into(out, self._xid(_shift(ea, i, -1)), self._x_times_x(self._units[i - 1], b))
         else:
-            j = next((t for t in range(1, i) if b[t - 1]), None)
+            j = next((t for t in range(1, i) if eb[t - 1]), None)
             if j is None:
-                out[_shift(b, i, 1), 0] = ONE
+                out[self._xid(_shift(eb, i, 1)), 0] = ONE
             else:
-                rest = _shift(b, j, -1)
+                rest = self._xid(_shift(eb, j, -1))
                 self._x_into(out, self._units[j - 1], self._x_times_x(a, rest))
                 if self.params.N:
                     # c_j c_i x^rest = (-1)^{rest_i + rest_j} x^rest c_j c_i
                     mask = (1 << (j - 1)) | (1 << (i - 1))
-                    odd = (_odd_mask(rest) & mask).bit_count() & 1
+                    odd = self._parity[self._odds[rest] & mask]
                     _add_term(out, (rest, mask), -self.params.N if odd else self.params.N)
-        cached = tuple((exps, mask, UNITS.get(c, c)) for (exps, mask), c in out.items())
-        self._xx_cache[key] = cached
+        cached = self._xx[a][b] = tuple((exps, mask, self._cid(c)) for (exps, mask), c in out.items())
         return cached
 
-    def _x_into(self, out: dict, a: tuple[int, ...], terms: tuple) -> None:
-        """Add x^a * sum x^b c^g coef, over the (b, g, coef) of terms, to
-        `out` as {(exps, cliff): coefficient}; c^g stays on the right."""
-        for b, g, coef in terms:
-            for exps, h, coef2 in self._x_times_x(a, b):
-                sign, mask = cliff_mul(h, g)
-                _add_term(out, (exps, mask), _signed_product(sign, coef, coef2))
+    def _x_into(self, out: dict, a: int, terms: tuple, neg: int = 0) -> None:
+        """Add (-1)^neg x^a * sum x^b c^g coef t, over the (b, g, coef, *t)
+        of terms, to `out` as {(exps, cliff, *t): coefficient}."""
+        consts = self._consts
+        for b, g, k, *tail in terms:
+            for exps, h, k2 in self._x_times_x(a, b):
+                sign = (neg ^ k ^ k2 ^ (self._crows[h] or self._crow(h))[g]) & 1
+                _add_term(out, (exps, h ^ g, *tail), _signed_product(sign, consts[k >> 1], consts[k2 >> 1]))
 
-    def _s_times_x(self, idx: int, b: tuple[int, ...]) -> tuple:
-        """s_idx * x^b in normal form, as ((exps, cliff, v, coefficient), ...),
+    def _s_times_x(self, idx: int, b: int) -> tuple:
+        """s_idx * x^b in normal form, as ((exps, cliff, constant, v), ...),
         where v is s_idx on the main terms and 1 on the corrections."""
         key = (idx, b)
-        cached = self._sx_cache.get(key)
+        cached = self._sx.get(key)
         if cached is not None:
             return cached
-        n = self.params.n
-        j = next((t for t in range(1, n + 1) if b[t - 1]), None)
+        n, exps = self.params.n, self._exps[b]
+        j = next((t for t in range(1, n + 1) if exps[t - 1]), None)
         if j is None:
-            return self._sx_cache.setdefault(key, ((b, 0, self._simples[idx], ONE),))
-        rest = _shift(b, j, -1)
+            return self._sx.setdefault(key, ((b, 0, 0, self._simples[idx]),))
+        rest = self._xid(_shift(exps, j, -1))
         k = self.params.k_long
-        sign, target, corrections = 1, j, []  # corrections: (coefficient, cliff mask)
+        neg, target, corrections = 0, j, []  # corrections: (coefficient, cliff mask)
         if self.params.type != "A" and idx == n - 1:
             # s_n x_n = -x_n s_n - sqrt2 * k_short;  s_n x_j = x_j s_n.
             if j == n:
-                sign, corrections = -1, [(-(SQRT2 * self.params.k_short), 0)]
+                neg, corrections = 1, [(-(SQRT2 * self.params.k_short), 0)]
         elif j in (idx + 1, idx + 2):
             # With t = idx + 1:  s_t x_t = x_{t+1} s_t + k(-1 + c_t c_{t+1}),
             #                    s_t x_{t+1} = x_t s_t + k(1 + c_t c_{t+1}).
@@ -427,138 +452,95 @@ class Algebra:
             corrections = [(-k if j == idx + 1 else k, 0), (k, 0b11 << idx)]
         out: dict = {}
         # The main term x_target (s x^rest), with s x^rest = sum x^b1 c^g v.
-        for b1, g, v, coef in self._s_times_x(idx, rest):
-            for exps, h, coef2 in self._x_times_x(self._units[target - 1], b1):
-                s2, mask = cliff_mul(h, g)
-                _add_term(out, (exps, mask, v), _signed_product(sign * s2, coef, coef2))
+        self._x_into(out, self._units[target - 1], self._s_times_x(idx, rest), neg)
         # The corrections c^mask x^rest = (-1)^{sum_{i in mask} rest_i} x^rest c^mask.
-        odd = _odd_mask(rest)
         for coef, mask in corrections:
             if coef:
-                _add_term(out, (rest, mask, self._id),
-                          -coef if (odd & mask).bit_count() & 1 else coef)
-        cached = tuple((exps, mask, v, UNITS.get(c, c)) for (exps, mask, v), c in out.items())
-        self._sx_cache[key] = cached
+                _add_term(out, (rest, mask, 0), -coef if self._parity[self._odds[rest] & mask] else coef)
+        cached = self._sx[key] = tuple((b2, h, self._cid(c), v) for (b2, h, v), c in out.items())
         return cached
 
-    def _w_times_x(self, w: SignedPerm, exps: tuple[int, ...]) -> tuple:
-        """w * x^exps in normal form, as the columns (exps1, odd, cliff, u,
-        coefficient): parallel tuples with one item per term, read with `zip`.
+    def _w_times_x(self, w: int, b: int) -> tuple:
+        """w * x^b in normal form for w != 1 and b != 0, as the flat tuple
+        (exps1, odd, cliff, u, constant, exps1, ...), five items a term, `odd`
+        the mask of the odd entries of exps1, which is all that the sign of
+        moving a Clifford word past x^exps1 depends on.
 
         One step from a shorter element: for the least left descent s of w
         (`RootSystemCtx.left_descent`), w x^b = s ((sw) x^b), and (sw) x^b is
-        memoised.  Each term x^b1 c^g u of it meets s x^b1 = sum x^b2 c^h v,
-        and c^h v c^g u = +-c^h c^{v(g)} vu.  `odd` is the mask of the odd
-        entries of exps1, which is all that the sign of moving a Clifford
-        word past x^exps1 depends on.  The key holds the engine's own object
-        for w, and every u is one too (`_intern`).
+        memoised, or x^b itself for sw = 1.  Each term x^b1 c^g u of it meets
+        s x^b1 = sum x^b2 c^h v, and c^h v c^g u = +-c^h c^{v(g)} vu.
         """
-        cached = self._wx_cache.get((w, exps))
-        if cached is not None:
-            return cached
-        w = self._intern(w)
-        idx = self.push_ctx.left_descent(w) if any(exps) else None
-        if idx is None:  # w = 1, or w x^0 = w
-            cached = ((exps,), (_odd_mask(exps),), (0,), (w,), (ONE,))
-        else:
-            out: dict = {}
-            seg_rows = self._seg_rows
-            sw = self._group_mul(self._simples[idx], w)
-            for b1, _, g, u, coef in zip(*self._w_times_x(sw, exps)):
-                for b2, h, v, coef2 in self._s_times_x(idx, b1):
-                    cliff_row, product_row = seg_rows.get(v) or self._seg_row(v)
-                    sign, moved = cliff_row.get(g) or self._perm_on_cliff(v, g)
-                    s2, mask = cliff_mul(h, moved)
-                    _add_term(out, (b2, mask, product_row.get(u) or self._group_mul(v, u)),
-                              _signed_product(sign * s2, coef, coef2))
-            bs, gs, us = zip(*out)
-            cached = (bs, tuple(map(_odd_mask, bs)), gs, us,
-                      tuple(UNITS.get(c, c) for c in out.values()))
-        self._wx_cache[w, exps] = cached
+        idx = self.push_ctx.left_descent(self._elements[w])
+        sw = self._group_mul(self._simples[idx], w)
+        rows, crows, consts, out = self._seg_rows, self._crows, self._consts, {}
+        it = iter(self._wx[sw].get(b) or self._w_times_x(sw, b) if sw else (b, 0, 0, 0, 0))
+        for b1, _, g, u, k in zip(it, it, it, it, it):
+            for b2, h, k2, v in self._sx.get((idx, b1)) or self._s_times_x(idx, b1):
+                moves, products = rows[v] or self._seg_row(v)
+                sign, moved = moves.get(g) or self._perm_on_cliff(v, g)
+                sign = (sign ^ k ^ k2 ^ (crows[h] or self._crow(h))[moved]) & 1
+                vu = products.get(u)
+                _add_term(out, (b2, h ^ moved, self._group_mul(v, u) if vu is None else vu),
+                          (MINUS_ONE if sign else ONE) if (k | k2) < 2
+                          else _signed_product(sign, consts[k >> 1], consts[k2 >> 1]))
+        cached = self._wx[w][b] = tuple(item for (b2, mask, vu), c in out.items()
+                                        for item in (b2, self._odds[b2], mask, vu, self._cid(c)))
         return cached
 
-    def _intern(self, w: SignedPerm) -> SignedPerm:
-        """The engine's one object equal to w, so that its tables hold at
-        most |W| group elements however many equal windows they meet."""
-        return self._elements.setdefault(w, w)
-
-    def _seg_row(self, u: SignedPerm) -> tuple[dict, dict]:
-        """u's rows of the Seg lookups, ({mask: (sign, u(mask))}, {v: uv})."""
-        rows = self._seg_rows.get(u)
-        if rows is None:
-            rows = self._seg_rows[self._intern(u)] = ({}, {})
-        return rows
-
-    def _perm_on_cliff(self, u: SignedPerm, mask: int) -> tuple[int, int]:
-        row = self._seg_row(u)[0]
-        moved = row.get(mask)
-        if moved is None:
-            moved = row[mask] = perm_on_cliff(u, mask)
-        return moved
-
-    def _group_mul(self, u: SignedPerm, v: SignedPerm) -> SignedPerm:
-        row = self._seg_row(u)[1]
-        uv = row.get(v)
-        if uv is None:
-            uv = row[self._intern(v)] = self._intern(u * v)
-        return uv
-
-    def _mono_product(self, out: Terms, left: PbwMonomial, right: PbwMonomial,
-                      scale: Scalar) -> None:
-        """Add scale * (x^a c^e w)(x^b c^f v) to `out`, factored through Seg.
+    def _mono_product(self, out: dict[int, Scalar], left: int, right: int, scale: Scalar) -> None:
+        """Add scale * (x^a c^e w)(x^b c^f v) to `out`, on word codes,
+        factored through Seg.
 
         1. T = w x^b = sum x^b1 c^g u, memoised on (w, b).
         2. c^e x^b1 = (-1)^{sum_{i in e} b1_i} x^b1 c^e, then c^e c^g.
         3. x^a x^b1 = sum x^b2 c^h, memoised on (a, b1).
         4. c^g u c^f v = +-c^g c^{u(f)} uv, with u(f) and uv read from u's
-           rows of the Seg lookups, which the group bounds.
+           Seg row, which the group bounds.
 
-        Only steps 1 and 3 straighten; the rest is Clifford sign bookkeeping.
-        The memo tables store +-1 as the singletons, so a unit structure
-        constant is recognised by `is` and costs no product: a term of T
-        forms c = scale * coef only for coef != +-1, and a term of step 3
-        takes c or -c for coef2 = +-1, with -c formed at most once per term
-        of T.  So a product is nonzero, and only a sum onto a word in `out`
-        can cancel.
+        Only steps 1 and 3 straighten; the rest is sign bookkeeping on bits.
+        `vals` holds scale times each signed constant met, formed once, so
+        a unit constant costs no product, and a product is nonzero: only a
+        sum onto a word in `out` can cancel.
         """
-        e, f, v, a = left.cliff, right.cliff, right.w, left.exps
-        xx, seg_rows = self._xx_cache, self._seg_rows
-        for b1, odd, g, u, coef in zip(*self._w_times_x(left.w, right.exps)):
-            sign, mask = cliff_mul(e, g)
-            if (odd & e).bit_count() & 1:
-                sign = -sign
-            cliff_row, product_row = seg_rows.get(u) or self._seg_row(u)
-            s, moved = cliff_row.get(f) or self._perm_on_cliff(u, f)
-            s2, mask = cliff_mul(mask, moved)
-            uv = product_row.get(v) or self._group_mul(u, v)
-            # The term of T is c or -c, by `flip`.
-            flip = sign * s * s2 < 0
-            if coef is ONE or coef is MINUS_ONE:
-                c, flip = scale, flip ^ (coef is MINUS_ONE)
-            else:
-                c = scale * coef
-            minus = None
-            for b2, h, coef2 in xx.get((a, b1)) or self._x_times_x(a, b1):
-                s, mask2 = cliff_mul(h, mask)
-                if coef2 is ONE or coef2 is MINUS_ONE:
-                    if flip ^ (s < 0) ^ (coef2 is MINUS_ONE):
-                        if minus is None:
-                            minus = -c
-                        term = minus
-                    else:
-                        term = c
-                else:
-                    term = c * coef2
-                    if flip ^ (s < 0):
+        n, xs, full, um = self._layout
+        e, f, w, v, a, b = left & full, right & full, left >> n & um, right >> n & um, left >> xs, right >> xs
+        crows, rows, parity, consts = self._crows, self._seg_rows, self._parity, self._consts
+        erow, xx, vals = crows[e] or self._crow(e), self._xx[a], {0: scale}
+        it = iter(self._wx[w].get(b) or self._w_times_x(w, b) if b and w else (b, self._odds[b], 0, w, 0))
+        for b1, odd, g, u, k in zip(it, it, it, it, it):
+            moves, products = rows[u] or self._seg_row(u)
+            s, moved = moves.get(f) or self._perm_on_cliff(u, f)
+            m = e ^ g
+            k ^= erow[g] ^ parity[odd & e] ^ s ^ (crows[m] or self._crow(m))[moved]
+            m ^= moved
+            uv = products.get(v)
+            if uv is None:
+                uv = self._group_mul(u, v)
+            uv <<= n
+            c = vals.get(k)
+            if c is None:
+                c = self._scaled(vals, k)
+            for b2, h, k2 in xx.get(b1) or self._x_times_x(a, b1):
+                s = (crows[h] or self._crow(h))[m] ^ k2
+                if k2 > 1:
+                    term = c * consts[k2 >> 1]
+                    if s & 1:
                         term = -term
-                mono = _new_mono((b2, mask2, uv))
-                old = out.get(mono)
-                if old is None:
-                    out[mono] = term
-                elif new := old + term:
-                    out[mono] = new
+                elif s:
+                    term = vals.get(k ^ 1)
+                    if term is None:
+                        term = self._scaled(vals, k ^ 1)
                 else:
-                    del out[mono]
+                    term = c
+                code = b2 << xs | uv | h ^ m
+                old = out.get(code)
+                if old is None:
+                    out[code] = term
+                elif new := old + term:
+                    out[code] = new
+                else:
+                    del out[code]
 
     def sum_of_products(self, terms) -> AlgElem:
         """sum(coef * F1 ... Fk) over the (coef, [F1, ..., Fk]) terms, built in one dict.
@@ -568,9 +550,15 @@ class Algebra:
         the left coefficient once per left term: each term pair costs one
         product.  A one-factor word adds coef * F1 and an empty word adds
         coef; a zero coef is skipped, and one equal to +-1 is taken by value
-        as the singleton.  The twin of `Matrix.sum_of_products`.
+        as the singleton.  The sum is kept on word codes, and its words are
+        decoded once at the end.  The twin of `Matrix.sum_of_products`.
         """
-        out: Terms = {}
+        n, xs, full, um = self._layout
+        out: dict[int, Scalar] = {}
+
+        def codes(elem):
+            return [(self._xid(m.exps) << xs | self._uid(m.w) << n | m.cliff, c) for m, c in elem.terms.items()]
+
         for coef, factors in terms:
             if any(f.params != self.params for f in factors):
                 raise ValueError("params mismatch")
@@ -579,16 +567,18 @@ class Algebra:
             if coef is not ONE and coef is not MINUS_ONE:
                 coef = UNITS.get(coef, coef)
             if len(factors) < 2:
-                items = factors[0].terms.items() if factors else self.one().terms.items()
-                for mono, c in items:
-                    _add_term(out, mono, _signed_product(1, coef, c))
+                for code, c in codes(factors[0] if factors else self.one()):
+                    _add_term(out, code, _signed_product(0, coef, c))
                 continue
             *head, last = factors
-            for ma, ca in reduce(self.multiply, head).terms.items():
-                ca = _signed_product(1, coef, ca)
-                for mb, cb in last.terms.items():
-                    self._mono_product(out, ma, mb, ca * cb)
-        return AlgElem(self.params, out)
+            right = codes(last)
+            for la, ca in codes(reduce(self.multiply, head)):
+                ca = _signed_product(0, coef, ca)
+                for mb, cb in right:
+                    self._mono_product(out, la, mb, ca * cb)
+        exps, elements = self._exps, self._elements
+        return AlgElem(self.params, {_new_mono((exps[code >> xs], code & full, elements[code >> n & um])): c
+                                     for code, c in out.items()})
 
     def multiply(self, a: AlgElem, b: AlgElem) -> AlgElem:
         """a * b, the two-factor word of `sum_of_products`."""
@@ -687,81 +677,81 @@ Relation = tuple[str, list[tuple[Scalar, tuple[str, ...]]]]
 
 
 def defining_relations(params: AlgebraParams) -> list[Relation]:
-    n = params.n
-    k = params.k_long
+    n, k, typ = params.n, params.k_long, params.type
     ctx = algebra_for(params).ctx
     names = ctx.simple_names
+    x, c = "x{}".format, "c{}".format
     rels: list[Relation] = []
+
+    def add(name, left, sign, right, *rest):
+        rels.append((name, [(ONE, left), (sign, right), *rest]))
+
+    def comm(name, a, b):
+        add(name, (a, b), MINUS_ONE, (b, a))
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            terms = [(ONE, (f"x{i}", f"x{j}")), (-ONE, (f"x{j}", f"x{i}"))]
-            if params.type != "A":
-                terms.append((-params.N, (f"c{j}", f"c{i}")))
-            rels.append((f"x{i}_x{j}", terms))
+            extra = [(-params.N, (c(j), c(i)))] if typ != "A" else []
+            add(f"x{i}_x{j}", (x(i), x(j)), MINUS_ONE, (x(j), x(i)), *extra)
     for i in range(1, n + 1):
         for j in (i, *(j for j in range(1, n + 1) if j != i)):
-            sign = ONE if j == i else -ONE  # x_i anticommutes with c_i only
-            rels.append((f"x{i}_c{j}", [(ONE, (f"x{i}", f"c{j}")), (sign, (f"c{j}", f"x{i}"))]))
+            # x_i anticommutes with c_i only
+            add(f"x{i}_c{j}", (x(i), c(j)), ONE if j == i else MINUS_ONE, (c(j), x(i)))
     for i in range(1, n + 1):
-        rels.append((f"c{i}_sq", [(ONE, (f"c{i}", f"c{i}")), (ONE, ())]))
+        add(f"c{i}_sq", (c(i), c(i)), ONE, ())
         for j in range(i + 1, n + 1):
-            rels.append((f"c{i}_c{j}", [(ONE, (f"c{i}", f"c{j}")), (ONE, (f"c{j}", f"c{i}"))]))
+            add(f"c{i}_c{j}", (c(i), c(j)), ONE, (c(j), c(i)))
 
     # The algebra's own simple reflections: s_1..s_{n-1}, then s_n in type B
     # or the fork s_{n-1,-n} in type D.
     for s, perm in zip(names, ctx.simple_reflections, strict=True):
-        rels.append((f"{s}_sq", [(ONE, (s, s)), (-ONE, ())]))
+        add(f"{s}_sq", (s, s), MINUS_ONE, ())
         for i in range(1, n + 1):
             v = perm.image(i)
-            sign = ONE if v > 0 else -ONE
-            rels.append((f"{s}_c{i}", [(ONE, (s, f"c{i}")), (-sign, (f"c{abs(v)}", s))]))
+            add(f"{s}_c{i}", (s, c(i)), MINUS_ONE if v > 0 else ONE, (c(abs(v)), s))
 
     # Cross relations between simple reflections and the x-generators.
     for t in range(1, n):
-        s, xt, xu, cc = names[t - 1], f"x{t}", f"x{t + 1}", (f"c{t}", f"c{t + 1}")
-        rels.append((f"{s}_{xt}", [(ONE, (s, xt)), (-ONE, (xu, s)), (k, ()), (-k, cc)]))
+        s, xt, xu, cc = names[t - 1], x(t), x(t + 1), (c(t), c(t + 1))
+        add(f"{s}_{xt}", (s, xt), MINUS_ONE, (xu, s), (k, ()), (-k, cc))
         # Derived companion: s_t x_{t+1} = x_t s_t + k(1 + c_t c_{t+1}).
-        rels.append((f"{s}_{xu}", [(ONE, (s, xu)), (-ONE, (xt, s)), (-k, ()), (-k, cc)]))
+        add(f"{s}_{xu}", (s, xu), MINUS_ONE, (xt, s), (-k, ()), (-k, cc))
         for j in range(1, n + 1):
             if j not in (t, t + 1):
-                rels.append((f"{s}_x{j}", [(ONE, (s, f"x{j}")), (-ONE, (f"x{j}", s))]))
+                comm(f"{s}_x{j}", s, x(j))
 
-    if params.type == "B":
-        s, xn = names[n - 1], f"x{n}"
-        rels.append((f"{s}_xn", [(ONE, (s, xn)), (ONE, (xn, s)), (SQRT2 * params.k_short, ())]))
-        for j in range(1, n):
-            rels.append((f"{s}_x{j}", [(ONE, (s, f"x{j}")), (-ONE, (f"x{j}", s))]))
-    if params.type == "D" and n >= 2:
-        s, xm, xn, cm, cn = names[n - 1], f"x{n - 1}", f"x{n}", f"c{n - 1}", f"c{n}"
+    s = names[-1] if names else ""
+    if typ == "B":
+        add(f"{s}_xn", (s, x(n)), ONE, (x(n), s), (SQRT2 * params.k_short, ()))
+    if typ == "D" and n >= 2:
+        xm, xn, cm, cn = x(n - 1), x(n), c(n - 1), c(n)
         # s_{n-1,-n} x_{n-1} + x_n s_{n-1,-n} = k(-1 + c_n c_{n-1}); derived
         # from the type-B presentation (the Clifford factors anticommute, so
         # their order carries a sign).
-        rels.append((f"{s}_xfork", [(ONE, (s, xm)), (ONE, (xn, s)), (k, ()), (-k, (cn, cm))]))
-        rels.append((f"{s}_xfork2", [(ONE, (s, xn)), (ONE, (xm, s)), (k, ()), (-k, (cm, cn))]))
-        for j in range(1, n - 1):
-            rels.append((f"{s}_x{j}", [(ONE, (s, f"x{j}")), (-ONE, (f"x{j}", s))]))
+        add(f"{s}_xfork", (s, xm), ONE, (xn, s), (k, ()), (-k, (cn, cm)))
+        add(f"{s}_xfork2", (s, xn), ONE, (xm, s), (k, ()), (-k, (cm, cn)))
+    if typ != "A":
+        for j in range(1, n - (typ == "D")):
+            comm(f"{s}_x{j}", s, x(j))
 
     # Braid relations of the group.
     for t in range(1, n - 1):
         a, b = names[t - 1], names[t]
-        rels.append((f"braid_{a}", [(ONE, (a, b, a)), (-ONE, (b, a, b))]))
+        add(f"braid_{a}", (a, b, a), MINUS_ONE, (b, a, b))
     for t in range(1, n):
         for u in range(t + 2, n):
-            a, b = names[t - 1], names[u - 1]
-            rels.append((f"comm_{a}_{b}", [(ONE, (a, b)), (-ONE, (b, a))]))
-    if params.type == "B" and n >= 2:
-        a, b = names[n - 2], names[n - 1]
-        rels.append((f"braid_{b}", [(ONE, (a, b, a, b)), (-ONE, (b, a, b, a))]))
+            comm(f"comm_{names[t - 1]}_{names[u - 1]}", names[t - 1], names[u - 1])
+    if typ == "B" and n >= 2:
+        a = names[n - 2]
+        add(f"braid_{s}", (a, s, a, s), MINUS_ONE, (s, a, s, a))
         for a in names[: n - 2]:
-            rels.append((f"comm_{a}_{b}", [(ONE, (a, b)), (-ONE, (b, a))]))
-    if params.type == "D" and n >= 2:
-        b = names[n - 1]
+            comm(f"comm_{a}_{s}", a, s)
+    if typ == "D" and n >= 2:
         for t, a in enumerate(names[: n - 1], start=1):
             if t == n - 2:
-                rels.append((f"braid_{b}", [(ONE, (a, b, a)), (-ONE, (b, a, b))]))
+                add(f"braid_{s}", (a, s, a), MINUS_ONE, (s, a, s))
             else:
-                rels.append((f"comm_{a}_{b}", [(ONE, (a, b)), (-ONE, (b, a))]))
+                comm(f"comm_{a}_{s}", a, s)
     return rels
 
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,24 @@ def test_params_mismatch_raises():
         a * b
 
 
+def _code(alg, mono):
+    """The engine's word code of a PbwMonomial, giving its parts ids."""
+    n, xs = alg._layout[:2]
+    return alg._xid(mono.exps) << xs | alg._uid(mono.w) << n | mono.cliff
+
+
+def _word(alg, code):
+    """The PbwMonomial of a word code, read from the engine's id lists."""
+    n, xs, full, um = alg._layout
+    return PbwMonomial(alg._exps[code >> xs], code & full, alg._elements[code >> n & um])
+
+
+def _const(alg, cid):
+    """The constant of a signed id 2i + s: (-1)^s alg._consts[i]."""
+    c = alg._consts[cid >> 1]
+    return -c if cid & 1 else c
+
+
 def _reference_mono_product(alg, left, right):
     """Reference product with no factoring through Seg: left-multiply `right`
     by the generators of `left` one at a time, through `Algebra.multiply`:
@@ -311,8 +330,8 @@ def test_mono_product_matches_reference_order(params):
         left = next(iter(random_element(params, rng, max_deg=3, max_terms=1).terms))
         right = next(iter(random_element(params, rng, max_deg=3, max_terms=1).terms))
         out = {}
-        alg._mono_product(out, left, right, ONE)
-        assert out == _reference_mono_product(alg, left, right)
+        alg._mono_product(out, _code(alg, left), _code(alg, right), ONE)
+        assert {_word(alg, code): c for code, c in out.items()} == _reference_mono_product(alg, left, right)
 
 
 @pytest.mark.parametrize("params", [A3, B3_FREE, D3, B3_UNIT])
@@ -341,29 +360,33 @@ def test_pbw_consistency_rank_three(params, seed):
     assert check_pbw_consistency(params, trials=10, max_deg=2, seed=seed) == []
 
 
-def _is_exponent_key_part(part) -> bool:
-    """A generator index or Clifford mask, a group element, or an exponent tuple."""
-    if isinstance(part, PbwMonomial):
-        return False
-    if isinstance(part, (int, SignedPerm)):
-        return True
-    return isinstance(part, tuple) and all(isinstance(e, int) for e in part)
+def _ints(obj) -> bool:
+    """True when obj is an int, or a tuple of such, all the way down."""
+    return type(obj) is int or (type(obj) is tuple and all(map(_ints, obj)))
 
 
 def test_straightening_tables_keyed_on_exponents():
     check_pbw_consistency(B3_FREE, trials=5)
     alg = algebra_for(B3_FREE)
-    tables = {name: table for name, table in vars(alg).items() if isinstance(table, dict)}
-    assert {"_xx_cache", "_sx_cache", "_wx_cache", "_seg_rows"} <= tables.keys()
-    for name, table in tables.items():
-        assert table, name
-        for key in table:
-            assert isinstance(key, tuple) and not isinstance(key, PbwMonomial), (name, key)
-            assert all(_is_exponent_key_part(part) for part in key), (name, key)
-    # Each Seg row of u is keyed on Clifford masks or on group elements v.
-    for u, rows in alg._seg_rows.items():
+    n, n_exps, n_elements = alg.params.n, len(alg._exps), len(alg._elements)
+    # One row of x^a x^b per exponent id a, and one of w x^b per element id w.
+    assert len(alg._xx) == len(alg._odds) == n_exps and len(alg._wx) == len(alg._seg_rows) == n_elements
+    tables = {"_xx": alg._xx, "_wx": alg._wx, "_sx": [alg._sx]}
+    for name, rows in tables.items():
+        assert any(rows), name
         for row in rows:
-            assert row and all(_is_exponent_key_part(key) for key in row), (u, row)
+            for key, entry in row.items():
+                # Keys are exponent ids, or (simple index, exponent id); entries are ints only.
+                b = key[1] if name == "_sx" else key
+                assert _ints(key) and 0 <= b < n_exps, (name, key)
+                assert entry and _ints(entry), (name, key, entry)
+    # Each Seg row of u is its Clifford moves by mask and its products by element id.
+    filled = [row for row in alg._seg_rows if row is not None]
+    assert filled
+    for moves, products in filled:
+        assert moves and all(0 <= f < 1 << n and _ints(move) and move[0] in (0, 1) and move[1] < 1 << n
+                             for f, move in moves.items())
+        assert products and all(0 <= uid < n_elements for item in products.items() for uid in item)
 
 
 def _held_group_elements(alg) -> list[SignedPerm]:
@@ -410,17 +433,18 @@ def _reference_w_times_x(alg, exps):
     reduced word, one simple reflection at a time from the right end (the
     engine steps from the left), as {(exps1, cliff, u): coefficient}.  Words
     with a common suffix share its walk."""
-    walked = {(): {(exps, 0, alg._id): ONE}}
+    walked = {(): {(exps, 0, alg._elements[0]): ONE}}
 
     def walk(word):
         if word not in walked:
             out = {}
             for (b, g, u), coef in walk(word[1:]).items():
-                for b1, h, v, coef2 in alg._s_times_x(word[0], b):
+                for b1, h, k, v in alg._s_times_x(word[0], alg._xid(b)):
+                    v = alg._elements[v]
                     sign, moved = perm_on_cliff(v, g)
                     s2, mask = cliff_mul(h, moved)
-                    key = (b1, mask, v * u)
-                    term = coef * coef2
+                    key = (alg._exps[b1], mask, v * u)
+                    term = coef * _const(alg, k)
                     out[key] = out.get(key, ZERO) + (term if sign * s2 > 0 else -term)
             walked[word] = {key: c for key, c in out.items() if c}
         return walked[word]
@@ -429,16 +453,34 @@ def _reference_w_times_x(alg, exps):
     return {w: walk(tuple(ctx.reduced_word(w))) for w in ctx.elements()}
 
 
+def _w_times_x(alg, w, exps):
+    """w x^exps read from the engine's w x^b table, as {(exps1, cliff, u):
+    coefficient}, or None for w = 1 or exps = 0, which take no entry.  Each
+    entry is one flat tuple of five-item terms (exps1, odd, cliff, u,
+    constant), odd the mask of the odd entries of exps1."""
+    wid, b = alg._uid(w), alg._xid(exps)
+    if not (wid and b):
+        return None
+    entry = alg._wx[wid].get(b) or alg._w_times_x(wid, b)
+    assert type(entry) is tuple and entry and len(entry) % 5 == 0 and alg._wx[wid][b] is entry
+    terms = {}
+    for b1, odd, g, u, k in zip(*[iter(entry)] * 5):
+        assert odd == sum((e & 1) << i for i, e in enumerate(alg._exps[b1]))
+        terms[alg._exps[b1], g, alg._elements[u]] = _const(alg, k)
+    return terms
+
+
 def _table_coefs(alg):
-    """Every coefficient stored in the three straightening tables: the last
-    part of each term of x^a x^b and s x^b, and the last of the parallel
-    columns of each w x^b entry."""
-    coefs = [term[-1] for table in (alg._xx_cache, alg._sx_cache)
-             for entry in table.values() for term in entry]
-    for columns in alg._wx_cache.values():
-        assert len(columns) == 5 and len({len(column) for column in columns}) == 1, columns
-        coefs += columns[-1]
-    return coefs
+    """Every coefficient stored in the three straightening tables, decoded
+    from its signed id: the constant of each term of x^a x^b, s x^b (third
+    part) and w x^b (every fifth item of its flat entry)."""
+    cids = [term[2] for row in alg._xx for entry in row.values() for term in entry]
+    cids += [term[2] for entry in alg._sx.values() for term in entry]
+    for row in alg._wx:
+        for entry in row.values():
+            assert len(entry) % 5 == 0, entry
+            cids += entry[4::5]
+    return [_const(alg, cid) for cid in cids]
 
 
 def _assert_units_are_singletons(alg):
@@ -446,6 +488,8 @@ def _assert_units_are_singletons(alg):
     assert coefs
     for c in coefs:
         assert c is ONE or c is MINUS_ONE or (c != ONE and c != MINUS_ONE)
+    # +-1 is the id 0 or 1 only: no other stored constant equals a unit.
+    assert alg._consts[0] is ONE and all(c != ONE and c != MINUS_ONE for c in alg._consts[1:])
 
 
 @pytest.mark.parametrize("params, max_deg", FREE_PARAMS, ids=["A4", "B3", "D4_in_B4"])
@@ -456,10 +500,11 @@ def test_w_times_x_matches_reduced_word_walk(params, max_deg):
         if sum(exps) > max_deg:
             continue
         for w, expected in _reference_w_times_x(alg, exps).items():
-            got = alg._w_times_x(w, exps)
-            assert len(got) == 5 and all(type(column) is tuple for column in got)
-            assert {(b, g, u): c for b, _, g, u, c in zip(*got)} == expected, (w, exps)
-            assert all(odd == sum((e & 1) << i for i, e in enumerate(b)) for b, odd in zip(*got[:2]))
+            got = _w_times_x(alg, w, exps)
+            if got is None:  # w x^0 = w and 1 x^b = x^b, written down by _mono_product
+                assert expected == {(exps, 0, w): ONE}, (w, exps)
+            else:
+                assert got == expected, (w, exps)
     _assert_units_are_singletons(alg)
 
 
@@ -478,9 +523,9 @@ def test_memo_tables_store_units_as_singletons(params):
     alg = Algebra(params)
     for exps in itertools.product(range(3), repeat=params.n):
         for w in alg.ctx.elements():
-            alg._w_times_x(w, exps)
+            _w_times_x(alg, w, exps)
         for b in itertools.product(range(3), repeat=params.n):
-            alg._x_times_x(exps, b)
+            alg._x_times_x(alg._xid(exps), alg._xid(b))
     _assert_units_are_singletons(alg)
 
 
@@ -491,12 +536,12 @@ def test_w_times_x_at_unit_k_makes_no_product(monkeypatch):
     products = []
     real = Scalar.__mul__
     monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(1) or real(x, y))
-    for exps in itertools.product(range(3), repeat=4):
-        if sum(exps) <= 2:
-            for w in alg.ctx.elements():
-                alg._w_times_x(w, exps)
+    answers = [_w_times_x(alg, w, exps) for exps in itertools.product(range(3), repeat=4)
+               if sum(exps) <= 2 for w in alg.ctx.elements()]
     monkeypatch.undo()
-    assert len(alg._wx_cache) == 15 * 24 and products == []
+    # 15 * 24 pairs (w, b); those with w = 1 or b = 0 take no entry.
+    assert len(answers) == 15 * 24 and answers.count(None) == 15 + 24 - 1
+    assert sum(map(len, alg._wx)) == 14 * 23 and products == []
     _assert_units_are_singletons(alg)
 
 
@@ -538,6 +583,83 @@ def test_unit_structure_constants_cost_one_product_per_term_pair(monkeypatch):
     assert got.terms == {m: c for m, c in ab.items() if c}
     total = {m: ab.get(m, ZERO) + ba.get(m, ZERO) for m in ab.keys() | ba.keys()}
     assert got_sum.terms == {m: c for m, c in total.items() if c}
+
+
+def test_non_unit_structure_constants_cost_one_product_each_per_term_pair(monkeypatch):
+    """At k = 2/3 the entries of w x^b hold +-k, +-k^2, ...: a term pair
+    forms scale * constant once per distinct constant up to sign, however
+    many terms carry it (s1 x1 = x2 s1 - k + k c1 c2 has two), and type A's
+    x^a x^b constants are all 1."""
+    params = AlgebraParams("A", 3, K23)
+    alg = Algebra(params)
+    a = AlgElem(params, {mono(params, (1, 0, 0), 0b101, (3, 2, 1)): TWO,
+                         mono(params, (0, 2, 1), 0b010, (2, 1, 3)): SQRT2 + I})
+    b = AlgElem(params, {mono(params, (2, 1, 0), 0b011, (1, 3, 2)): -HALF,
+                         mono(params, (1, 0, 1), 0b110, (2, 3, 1)): I,
+                         mono(params, (0, 0, 0), 0, (3, 1, 2)): -SQRT2})
+    walks = {mb.exps: _reference_w_times_x(alg, mb.exps) for mb in b.terms}
+    distinct = 0
+    for ma in a.terms:
+        for mb in b.terms:
+            coefs = walks[mb.exps][ma.w].values()
+            distinct += len({frozenset((c, -c)) for c in coefs if c != ONE and c != MINUS_ONE})
+    non_unit_terms = sum(c != ONE and c != MINUS_ONE for ma in a.terms for mb in b.terms
+                         for c in walks[mb.exps][ma.w].values())
+    assert 0 < distinct < non_unit_terms  # so one product per term would be more
+    alg.multiply(a, b)  # fills the tables
+    products = []
+    real = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append(1) or real(x, y))
+    got = alg.multiply(a, b)
+    monkeypatch.undo()
+    assert len(products) == len(a.terms) * len(b.terms) + distinct
+    expected = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            for m, c in _reference_mono_product(algebra_for(params), ma, mb).items():
+                expected[m] = expected.get(m, ZERO) + ca * cb * c
+    assert got.terms == {m: c for m, c in expected.items() if c}
+
+
+def test_product_words_are_pbw_monomials():
+    """No word code leaves the engine: every key of every result is a
+    PbwMonomial of a tuple of ints, an int mask and a SignedPerm."""
+    rng = random.Random(404)
+    for params in (A3, B3_FREE, D3):
+        alg = algebra_for(params)
+        for _ in range(10):
+            a, b = random_element(params, rng), random_element(params, rng)
+            for elem in (a * b, a + b, a - b, a.scale(TWO), -a, alg.sum_of_products([(TWO, [a, b, a])]),
+                         supercommutator(params, alg.c(1), alg.c(2)), alg.one(), alg.x(1) * alg.c(2)):
+                for word in elem.terms:
+                    assert type(word) is PbwMonomial and type(word.exps) is tuple and type(word.cliff) is int
+                    assert all(type(e) is int for e in word.exps) and type(word.w) is SignedPerm
+
+
+# The deformation parameters of the benchmark's pbw B3 case (ks = N = 1):
+# each one changes which structure constants are units.
+BENCHMARK_KS = ["1", "-1", "2", "-2", "1/2", "-1/2", "3", "-3", "2/3", "3/2"]
+
+
+@pytest.mark.parametrize("k", BENCHMARK_KS)
+def test_pbw_consistency_at_benchmark_parameters(k):
+    params = AlgebraParams("B", 3, Scalar(Fraction(k)), k_short=ONE, N=ONE)
+    assert check_pbw_consistency(params, trials=5, seed=5) == []
+
+
+def test_large_engine_starts_with_no_rows():
+    """Building the A9 engine, as `cohomology` does at n = 9, allocates no
+    table of 4^n Clifford products: every Clifford and Seg row is made on
+    first use."""
+    tracemalloc.start()
+    try:
+        alg = Algebra(AlgebraParams("A", 9, ONE))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
+    assert len(alg._crows) == 1 << 9 and all(row is None for row in alg._crows)
+    assert len(alg._seg_rows) == 9 and all(row is None for row in alg._seg_rows)
 
 
 def _naive_sum(alg, terms):
