@@ -51,11 +51,10 @@ from .cohomology import acts_by_zero, dirac_cohomology, verify_vogan
 from .dirac import dirac_element, verify_identities
 from .engine import AlgebraParams, check_pbw_consistency, check_relations_in_engine
 from .modules import forced_n_constant, induced_module, steinberg_module
-from .partitions import Partition, all_partitions, phi_maps
+from .partitions import ASCII_INTEGER, Partition, all_partitions, phi_maps
 from .scalars import ZERO, Scalar
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_FLAGS = ("--k", "--ks", "--N")
 
 
@@ -82,7 +81,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def _integer(text: str) -> int:
     # int alone would also take "1_0", " 3" and non-ASCII digits.
-    if not _INTEGER.fullmatch(text):
+    if not ASCII_INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(text)
 

@@ -8,11 +8,11 @@ Seg, with no elimination, once six premises are checked exactly:
   which imply every defining relation), so pi is an algebra map;
 - (b) D^2 = Omega_H - Omega_Seg + K in the engine, K = `d_squared_constant`;
 - (c) pi(Omega_H) = chi * 1, read on the first `_orbit_width` columns, one
-  on X_lambda: Omega_H commutes with all of Seg in the engine, so chi e_j
-  carries over along the orbits of the unitary monomial pi(c_i) and pi(s_i)
-  (`_orbit`);
+  on X_lambda: Omega_H commutes in the engine with the generators of the
+  module's one forest of orbits of the unitary monomial pi(c_i) and pi(s_i)
+  (`ModuleRep.seg_forest`), so chi e_j carries over along it (`_orbit`);
 - (d) pi(D)^dagger = -pi(D), needed only when H_D can be nonzero, read off
-  the root columns of the same orbits, one on X_lambda (`_is_skew`);
+  the root columns of the same forest, one on X_lambda (`_is_skew`);
 - (e) Omega_Seg = sum_rho a_rho z_rho over the signed class sums z_rho of
   `centers.seg_even_center`, a basis of Z(Seg)_0, with a_rho read at the
   first monomial of each class: Omega_Seg is central;
@@ -83,49 +83,18 @@ def _supercommutes(elem: AlgElem, name: str) -> bool:
 
 
 def _orbit(module: ModuleRep, elem: AlgElem) -> tuple[list[int], dict[int, tuple[int, str]]]:
-    """(roots, steps): a breadth-first forest of the basis under the certified pi(g).
+    """(roots, steps) of `ModuleRep.seg_forest`, or every index a root.
 
-    g runs over c1..cn, then the simple reflections, and counts when pi(g)
-    is monomial with entries of modulus 1, so unitary, and g supercommutes
-    with elem in the engine: then (a) gives pi(elem) pi(g) = +-pi(g) pi(elem),
-    so pi(elem) e_j = 0, or chi e_j with elem even, carries over to pi(g) e_j.
-    Each orbit is searched from its least index, its root; steps maps every
-    other index a to the (j, g) with pi(g) e_j = sigma e_a that reached it.
-    No g is taken once the orbit of 0 is the whole basis.  Every index is a
-    root when (a) does not hold, elem has mixed parity, or no g counts.
+    The forest holds for elem when (a) holds, elem has a parity, and elem
+    supercommutes in the engine with each g of the steps, checked in order
+    up to the first failure: then pi(elem) pi(g) = +-pi(g) pi(elem), so
+    pi(elem) e_j = 0, or chi e_j with elem even, carries over to pi(g) e_j.
     """
-    if module.relations or parity(elem) == "mixed":
-        return list(range(module.dim)), {}
-    names = [f"c{i}" for i in range(1, module.params.n + 1)] + module.ctx.simple_names
-    counted = ((name, mono[0]) for name in names
-               if (mono := module.gens[name].monomial())
-               and all(s is ONE or s is MINUS_ONE or s * s.conjugate() == ONE for s in mono[1])
-               and _supercommutes(elem, name))
-    moves, roots, steps = [], [], {}
-
-    def reach(orbit: list[int], j: int, name: str, rows: list[int]) -> None:
-        a = rows[j]
-        if a != orbit[0] and a not in steps:
-            steps[a] = (j, name)
-            orbit.append(a)
-
-    for root in range(module.dim):
-        if root in steps:
-            continue
-        roots.append(root)
-        orbit, head = [root], 0
-        while True:
-            while head < len(orbit):
-                for move in moves:
-                    reach(orbit, orbit[head], *move)
-                head += 1
-            move = next(counted, None) if head < module.dim else None
-            if move is None:
-                break
-            moves.append(move)
-            for j in orbit[:head]:
-                reach(orbit, j, *move)
-    return roots, steps
+    if not module.relations and parity(elem) != "mixed":
+        roots, steps, names = module.seg_forest
+        if all(_supercommutes(elem, name) for name in names):
+            return roots, steps
+    return list(range(module.dim)), {}
 
 
 def _is_skew(module: ModuleRep, D: AlgElem) -> bool:

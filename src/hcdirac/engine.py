@@ -75,9 +75,9 @@ from .weyl import Root, RootSystemCtx, SignedPerm
 
 @cache
 def cliff_mul(mask1: int, mask2: int) -> tuple[int, int]:
-    """Product c^mask1 * c^mask2 as (sign, mask); memoised, as the keys are
-    bounded by 4^n.  Each c_i of mask1 passes the c_j of mask2 with j < i,
-    and c_i^2 = -1."""
+    """Product c^mask1 * c^mask2 as (sign, mask); memoised for the process,
+    over the 4^n mask pairs of the largest n it meets.  Each c_i of mask1
+    passes the c_j of mask2 with j < i, and c_i^2 = -1."""
     flips = (mask1 & mask2).bit_count() + sum((mask2 & ((1 << i) - 1)).bit_count()
                                                for i in range(mask1.bit_length()) if mask1 >> i & 1)
     return -1 if flips & 1 else 1, mask1 ^ mask2
@@ -366,7 +366,7 @@ class Algebra:
         row = self._crows[e] = [int(cliff_mul.__wrapped__(e, g)[0] < 0) for g in range(1 << self.params.n)]
         return row
 
-    def _seg_row(self, u: int) -> tuple[list, dict[int, int]]:
+    def _seg_row(self, u: int) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
         """u's Seg row, ({mask: (sign bit, u(mask))}, {v: uv})."""
         row = self._seg_rows[u] = ({}, {})
         return row

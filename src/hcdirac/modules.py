@@ -10,10 +10,14 @@ which imply all the others in every type.  A `ModuleRep` holds only its
 data and generator matrices.  `ModuleRep.relations` is the checker's list
 of failing relation names, empty on a certified module; it is computed on
 first use, once, and no constructor runs it, so each caller reads it where
-it reports it.  Once the relations pass, pi is an algebra homomorphism:
-`act` realises each PBW monomial as the product of its generator matrices,
-so an identity proved in the engine, such as g D = +-D g for the Seg
-generators g, holds for the realised matrices with no matrix computed.
+it reports it.  `ModuleRep.seg_forest`, cached alike for the life of the
+module, is the forest of the basis under the unitary monomial pi(c_i) and
+pi(s_i) along which `cohomology` reads Seg-equivariant elements: about dim
+entries, small beside the generator matrices.  Once the relations pass, pi
+is an algebra homomorphism: `act` realises each PBW monomial as the product
+of its generator matrices, so an identity proved in the engine, such as
+g D = +-D g for the Seg generators g, holds for the realised matrices with
+no matrix computed.
 
 Generator matrices are keyed by the engine's generator names: x1..xn,
 c1..cn and the simple reflections under RootSystemCtx.simple_names (s1..s(n-1),
@@ -102,6 +106,32 @@ class ModuleRep:
     def relations(self) -> list[str]:
         """The failures of `check_module_relations`, run on first use."""
         return check_module_relations(self)
+
+    @functools.cached_property
+    def seg_forest(self) -> tuple[list[int], dict[int, tuple[int, str]], list[str]]:
+        """(roots, steps, names): the breadth-first forest of the basis under the unitary pi(g).
+
+        g runs over c1..cn, then the simple reflections, when pi(g) is
+        monomial with entries of modulus 1.  Each orbit is searched from its
+        least index, its root, trying every g in order at each index; steps
+        maps every other index a to the (j, g) with pi(g) e_j = sigma e_a that
+        reached it, and names lists the g of the steps in order of first use.
+        """
+        names = [f"c{i}" for i in range(1, self.params.n + 1)] + self.ctx.simple_names
+        moves = [(name, mono[0]) for name in names
+                 if (mono := self.gens[name].monomial())
+                 and all(s is ONE or s is MINUS_ONE or s * s.conjugate() == ONE for s in mono[1])]
+        roots, steps = [], {}
+        for root in range(self.dim):
+            if root not in steps:
+                roots.append(root)
+                orbit = [root]
+                for j in orbit:  # the loop reaches what it appends
+                    for name, rows in moves:
+                        if (a := rows[j]) != root and a not in steps:
+                            steps[a] = (j, name)
+                            orbit.append(a)
+        return roots, steps, list(dict.fromkeys(name for _, name in steps.values()))
 
     def certify_relations(self) -> None:
         """Raise unless every checked relation holds."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-_PART = re.compile(r"[+-]?[0-9]+")
+ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -35,7 +35,7 @@ class Partition(namedtuple("Partition", "parts")):
         return all(self.parts[i] > self.parts[i + 1] for i in range(len(self.parts) - 1))
 
     def blocks(self) -> list[tuple[int, int]]:
-        """Half-open global index ranges (start+1 .. stop) of each part."""
+        """Closed 1-based position ranges (start, stop) of the parts: (3,2) gives [(1, 3), (4, 5)]."""
         out = []
         start = 0
         for p in self.parts:
@@ -51,7 +51,7 @@ class Partition(namedtuple("Partition", "parts")):
         """The partition written as comma-separated ASCII integers, such as "3,1"."""
         parts = text.split(",")
         # int alone would also take "2_1", " 3" and non-ASCII digits.
-        if not all(_PART.fullmatch(p) for p in parts):
+        if not all(ASCII_INTEGER.fullmatch(p) for p in parts):
             raise ValueError(f"parts must be ASCII integers: {text!r}")
         return cls(tuple(int(p) for p in parts))
 

@@ -350,6 +350,11 @@ REPORT_DIGESTS = [
      "35fb06c3ff3a18cbc5ff0fa15ad09f7476add9cea7872df98c1cbaad5bdc0e33"),
     (["cohomology", "--lambda", "2,1,1", "--k", "1"],
      "df0ebf68eef2da8a50ce292a416086c399ed92abf846d4e41724808fed7b7b04"),
+    # The largest distinct-part module of n = 6, and a fractional k on another.
+    (["cohomology", "--lambda", "3,2,1", "--k", "1"],
+     "107019a14f798a587bb3440ed870882c71982caf328358a582e108905eda31fe"),
+    (["cohomology", "--lambda", "4,2", "--k", "2/3"],
+     "f2c6d9924265e99b0919b83559c94413f88822e9b6e307ff6b5dbecad3c4e095"),
     # n = 8 reads dim H_D off the trace (test_cohomology_n8_reads_the_trace),
     # which must give the report that exact elimination gives.
     (["cohomology", "--lambda", "8", "--k", "1"],

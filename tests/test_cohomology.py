@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -621,6 +622,8 @@ def _steinberg_params(typ, n, k, ks):
 def _assert_read_offs_agree(module, width):
     """The read-offs equal what the whole `act` gives, on `width` columns; pi(D) is skew."""
     d, omega_h = dirac_element(module.params), casimirs(module.params)[0]
+    # The forest is the module's: D and Omega_H are read along the same one.
+    assert _orbit(module, d) == _orbit(module, omega_h) == module.seg_forest[:2]
     assert _orbit_width(module, d) == _orbit_width(module, omega_h) == width
     assert _scalar_action(module, omega_h) == module.act(omega_h).scalar_value()
     zero = module.act(d).is_zero()
@@ -711,10 +714,10 @@ def test_dirac_read_off_falls_back_without_its_premises(monkeypatch):
         # 1 + c1 has mixed parity.
         (good, alg.one() + alg.c(1), good.dim),
         # x1 commutes with c1 and c1 squares to -1: neither supercommutes
-        # with c1.  Both do with c2, c3 and the sign change sn, whose orbits
-        # start among the first 3 basis vectors.
-        (good, alg.x(1), 3),
-        (good, alg.c(1), 3),
+        # with c1, which the module's forest uses, so both are read on
+        # every column.
+        (good, alg.x(1), good.dim),
+        (good, alg.c(1), good.dim),
         # X_(1) has no generator but x1 and c1.
         (x_1, alg_1.x(1), x_1.dim),
         (x_1, alg_1.c(1), x_1.dim),
@@ -742,6 +745,33 @@ def test_read_off_on_x_n_checks_no_reflection(monkeypatch):
     assert acts_by_zero(module, dirac_element(module.params))
     assert _scalar_action(module, casimirs(module.params)[0]) == Scalar(8)
     assert checked and set(checked) <= {"c1", "c2", "c3"}
+
+
+def test_read_off_on_b4_steinberg_checks_only_the_forest_generators(monkeypatch):
+    # The steps use c1, c3, s1 and s3 of the seven generators, and D is
+    # certified on those only, in their order of first use.
+    module = steinberg_module(_steinberg_params("B", 4, ONE, ONE))
+    _, steps, names = module.seg_forest
+    assert names == list(dict.fromkeys(name for _, name in steps.values())) == ["c1", "c3", "s1", "s3"]
+    real = cohomology._supercommutes
+    checked = []
+    monkeypatch.setattr(cohomology, "_supercommutes", lambda elem, name: checked.append(name) or real(elem, name))
+    assert acts_by_zero(module, dirac_element(module.params))
+    assert checked == names
+
+
+def test_dirac_cohomology_builds_the_forest_once(monkeypatch):
+    # (c) and (d) both read the forest of X_(3,1), which is built on the first.
+    builds, reads = [], []
+    build = ModuleRep.seg_forest.func
+    forest = functools.cached_property(lambda self: builds.append(self) or build(self))
+    forest.__set_name__(ModuleRep, "seg_forest")
+    monkeypatch.setattr(ModuleRep, "seg_forest", forest)
+    real = cohomology._orbit
+    monkeypatch.setattr(cohomology, "_orbit", lambda module, elem: reads.append(elem) or real(module, elem))
+    module = induced_module(Partition((3, 1)), ONE)
+    assert dirac_cohomology(module).dim_hd > 0
+    assert builds == [module] and len(reads) == 2
 
 
 def test_dirac_read_off_sees_a_nonzero_d(monkeypatch):
